@@ -157,7 +157,7 @@ def bench_pricing(repeats: int) -> list[dict]:
                 )
             ),
             "dispatch": (
-                "fused" if limit is None or elems <= limit else "loop"
+                "fused" if elems <= limit else "loop"
             ),
         }
         results.append(entry)

@@ -1,16 +1,18 @@
-"""Refinement pricing benchmark: batched engine vs the pre-engine baseline.
+"""Refinement pricing benchmark for the default ``"batched"`` engine.
 
-Runs the full refinement loop on the ILT bench clips twice — once with
-the ``"legacy"`` pricing engine (the pre-batching code path, preserved
-verbatim, with the profile cache disabled) and once with the default
-``"batched"`` engine — and reports, per clip and aggregated:
+Runs the full refinement loop on the ILT bench clips and reports, per
+clip and aggregated:
 
 * candidates priced per second inside the pricing phase (from the
   ``refine.candidates_priced`` counter and the ``pricing`` span);
 * end-to-end ``refine`` span wall time (what ``trace summarize`` calls
   the refine phase);
-* final shot counts of both engines (they must match — the engines
-  accept the same moves).
+* final shot count, cost and profile-cache hit/miss counts.
+
+The committed ``benchmarks/output/BENCH_refine.json`` also holds the
+numbers of the since-removed pre-batching engine (``legacy`` keys and
+the speedup fields), kept as the historical record; ``trace diff``
+lists them as "only in base".
 
 Standalone by design (no pytest-benchmark): CI runs it non-gating and
 uploads the JSON artifact.
@@ -27,8 +29,6 @@ import platform
 from pathlib import Path
 
 from repro.bench.shapes import ilt_suite
-from repro.ebeam.intensity_map import profile_caching
-from repro.fracture.edge_adjust import pricing_engine
 from repro.fracture.graph_color import approximate_fracture
 from repro.fracture.refine import RefineParams, refine
 from repro.mask.constraints import FractureSpec
@@ -42,19 +42,15 @@ def _phase_wall(payload: dict, phase: str) -> float:
     return 0.0
 
 
-def _run_engine(shape, spec, initial, nmax: int, engine: str) -> dict:
+def _run_batched(shape, spec, initial, nmax: int) -> dict:
     recorder = TelemetryRecorder()
     with recording(recorder):
-        if engine == "legacy":
-            with profile_caching(False), pricing_engine("legacy"):
-                shots, trace = refine(shape, spec, initial, RefineParams(nmax=nmax))
-        else:
-            shots, trace = refine(shape, spec, initial, RefineParams(nmax=nmax))
+        shots, trace = refine(shape, spec, initial, RefineParams(nmax=nmax))
     payload = recorder.export()
     priced = recorder.counters.get("refine.candidates_priced", 0)
     pricing_wall = _phase_wall(payload, "pricing")
     return {
-        "engine": engine,
+        "engine": "batched",
         "refine_wall_s": _phase_wall(payload, "refine"),
         "pricing_wall_s": pricing_wall,
         "candidates_priced": int(priced),
@@ -81,61 +77,26 @@ def run(nmax: int, clips: list[int] | None, repeats: int) -> dict:
         initial, _ = approximate_fracture(shape, spec)
         # Best-of-N wall times: the box noise is large relative to the
         # per-clip runtime, and minima compare steady-state code speed.
-        legacy = min(
-            (_run_engine(shape, spec, initial, nmax, "legacy") for _ in range(repeats)),
-            key=lambda r: r["refine_wall_s"],
-        )
         batched = min(
-            (_run_engine(shape, spec, initial, nmax, "batched") for _ in range(repeats)),
+            (_run_batched(shape, spec, initial, nmax) for _ in range(repeats)),
             key=lambda r: r["refine_wall_s"],
         )
-        entry = {
+        results.append({
             "clip": shape.name,
             "initial_shots": len(initial),
-            "legacy": legacy,
             "batched": batched,
-            "pricing_speedup": (
-                batched["candidates_per_s"] / legacy["candidates_per_s"]
-                if legacy["candidates_per_s"]
-                else None
-            ),
-            "refine_wall_speedup": (
-                legacy["refine_wall_s"] / batched["refine_wall_s"]
-                if batched["refine_wall_s"]
-                else None
-            ),
-            "shots_match": legacy["final_shots"] == batched["final_shots"],
-        }
-        results.append(entry)
+        })
         print(
-            f"{shape.name}: pricing {entry['pricing_speedup']:.2f}x "
-            f"({legacy['candidates_per_s']:.0f} -> {batched['candidates_per_s']:.0f} cand/s), "
-            f"refine wall {entry['refine_wall_speedup']:.2f}x "
-            f"({legacy['refine_wall_s']:.3f}s -> {batched['refine_wall_s']:.3f}s), "
-            f"shots {legacy['final_shots']} vs {batched['final_shots']}"
+            f"{shape.name}: {batched['candidates_per_s']:.0f} cand/s, "
+            f"refine wall {batched['refine_wall_s']:.3f}s, "
+            f"shots {batched['final_shots']}"
         )
-    total_priced_l = sum(r["legacy"]["candidates_priced"] for r in results)
-    total_priced_b = sum(r["batched"]["candidates_priced"] for r in results)
-    total_pricing_l = sum(r["legacy"]["pricing_wall_s"] for r in results)
-    total_pricing_b = sum(r["batched"]["pricing_wall_s"] for r in results)
-    total_wall_l = sum(r["legacy"]["refine_wall_s"] for r in results)
-    total_wall_b = sum(r["batched"]["refine_wall_s"] for r in results)
-    aggregate = {
-        "pricing_speedup": (total_priced_b / total_pricing_b)
-        / (total_priced_l / total_pricing_l),
-        "refine_wall_speedup": total_wall_l / total_wall_b,
-        "legacy_candidates_per_s": total_priced_l / total_pricing_l,
-        "batched_candidates_per_s": total_priced_b / total_pricing_b,
-        "all_shots_match": all(r["shots_match"] for r in results),
-    }
-    print(
-        f"aggregate: pricing {aggregate['pricing_speedup']:.2f}x, "
-        f"refine wall {aggregate['refine_wall_speedup']:.2f}x, "
-        f"shots match: {aggregate['all_shots_match']}"
-    )
+    total_priced = sum(r["batched"]["candidates_priced"] for r in results)
+    total_pricing = sum(r["batched"]["pricing_wall_s"] for r in results)
+    aggregate = {"batched_candidates_per_s": total_priced / total_pricing}
+    print(f"aggregate: {aggregate['batched_candidates_per_s']:.0f} cand/s")
     return {
         "benchmark": "refine_pricing",
-        "baseline": "legacy engine (pre-batching pricing path), profile cache off",
         "nmax": nmax,
         "repeats": repeats,
         "platform": platform.platform(),
@@ -154,7 +115,7 @@ def main() -> None:
     )
     parser.add_argument(
         "--repeats", type=int, default=3,
-        help="runs per engine per clip; best wall time wins",
+        help="runs per clip; best wall time wins",
     )
     parser.add_argument(
         "--out", type=Path, default=Path("benchmarks/output/BENCH_refine.json")

@@ -1,5 +1,4 @@
-"""Tiled-executor benchmark: 2-D halo tiles + seam-band stitch vs the
-pre-refactor windowed fracturer.
+"""Tiled-executor benchmark: 2-D halo tiles + seam-band stitch.
 
 Generates deterministic synthetic "chip" layouts — rows of rectangular
 bars crossing tile seams plus isolated contact islands — sized in tile
@@ -13,12 +12,10 @@ units, then sweeps tile-grid size × worker count and reports per config:
   fracture (no tiling) as the shot-count reference;
 * a determinism check — workers=4 must reproduce workers=1 exactly.
 
-Each layout is also run through :class:`LegacyWindowedFracturer`
-(serial 1-D slabs, largest-component extraction, full-grid stitch) —
-the baseline this refactor replaces.  The legacy path both drops
-isolated components (its stitch must rebuild them shot by shot) and
-prices every shot against the whole grid, which is where the tiled
-executor's wall-time win comes from.
+The committed ``benchmarks/output/BENCH_windowed.json`` also holds the
+numbers of the since-removed serial 1-D slab fracturer (``legacy`` keys
+and ``speedup_vs_legacy``), kept as the historical record; ``trace
+diff`` lists them as "only in base".
 
 Standalone by design (no pytest-benchmark): CI runs it non-gating and
 uploads the JSON artifact.
@@ -41,7 +38,7 @@ import numpy as np
 from repro.fracture.pipeline import ModelBasedFracturer, RefineConfig
 from repro.fracture.refine import RefineParams
 from repro.fracture.runtime import RuntimePolicy
-from repro.fracture.windowed import LegacyWindowedFracturer, WindowedFracturer
+from repro.fracture.windowed import WindowedFracturer
 from repro.geometry.labeling import component_masks
 from repro.geometry.raster import PixelGrid
 from repro.mask.constraints import FractureSpec, check_solution
@@ -152,28 +149,6 @@ def _run_tiled(
         "seam_shots": extra.get("seam_shots"),
         "frozen_shots": extra.get("frozen_shots"),
         "full_repair": extra.get("full_repair", False),
-    }
-
-
-def _run_legacy(shape: MaskShape, spec: FractureSpec, nmax: int) -> dict:
-    fracturer = LegacyWindowedFracturer(_inner(nmax), window_nm=TILE_NM)
-    recorder = TelemetryRecorder()
-    start = time.perf_counter()
-    with recording(recorder):
-        shots = fracturer.fracture_shots(shape, spec)
-    wall = time.perf_counter() - start
-    report = check_solution(shots, shape, spec)
-    extra = fracturer._last_extra
-    return {
-        "wall_s": wall,
-        "shots": len(shots),
-        "failing": report.total_failing,
-        "feasible": report.total_failing == 0,
-        "slabs": extra.get("slabs"),
-        "stitch_iterations": extra.get("stitch_iterations"),
-        "stitch_candidates_priced": int(
-            recorder.counters.get("refine.candidates_priced", 0)
-        ),
     }
 
 
@@ -332,29 +307,19 @@ def run(grids: list[tuple[int, int]], workers: list[int], nmax: int) -> dict:
             f"   direct: {direct['wall_s']:.2f}s, {direct['shots']} shots, "
             f"{direct['components']} components, failing {direct['failing']}"
         )
-        legacy = _run_legacy(shape, spec, nmax)
-        print(
-            f"   legacy: {legacy['wall_s']:.2f}s, {legacy['shots']} shots, "
-            f"failing {legacy['failing']} "
-            f"({legacy['stitch_candidates_priced']} stitch candidates)"
-        )
         runs = []
         baseline_shots: list | None = None
         deterministic = True
         for w in workers:
             shots, entry = _run_tiled(shape, spec, nmax, w)
             entry["shot_delta_vs_direct"] = entry["shots"] - direct["shots"]
-            entry["speedup_vs_legacy"] = (
-                legacy["wall_s"] / entry["wall_s"] if entry["wall_s"] else None
-            )
             if baseline_shots is None:
                 baseline_shots = shots
             elif shots != baseline_shots:
                 deterministic = False
             runs.append(entry)
             print(
-                f"   tiled w={w}: {entry['wall_s']:.2f}s "
-                f"({entry['speedup_vs_legacy']:.2f}x vs legacy), "
+                f"   tiled w={w}: {entry['wall_s']:.2f}s, "
                 f"{entry['shots']} shots (Δ{entry['shot_delta_vs_direct']:+d} "
                 f"vs direct), failing {entry['failing']}, "
                 f"stitch {entry['stitch_iterations']} iters / "
@@ -366,7 +331,6 @@ def run(grids: list[tuple[int, int]], workers: list[int], nmax: int) -> dict:
             "tiles_y": tiles_y,
             "grid_px": list(shape.grid.shape),
             "direct": direct,
-            "legacy": legacy,
             "tiled": runs,
             "deterministic_across_workers": deterministic,
         })
@@ -407,9 +371,6 @@ def run(grids: list[tuple[int, int]], workers: list[int], nmax: int) -> dict:
         "all_deterministic": all(
             lay["deterministic_across_workers"] for lay in layouts
         ),
-        "max_speedup_vs_legacy": max(
-            r["speedup_vs_legacy"] for lay in layouts for r in lay["tiled"]
-        ),
         "max_abs_shot_delta_vs_direct": max(
             abs(r["shot_delta_vs_direct"])
             for lay in layouts
@@ -417,16 +378,11 @@ def run(grids: list[tuple[int, int]], workers: list[int], nmax: int) -> dict:
         ),
     }
     print(
-        f"aggregate: max speedup {aggregate['max_speedup_vs_legacy']:.2f}x, "
-        f"feasible {aggregate['all_tiled_feasible']}, "
+        f"aggregate: feasible {aggregate['all_tiled_feasible']}, "
         f"deterministic {aggregate['all_deterministic']}"
     )
     return {
         "benchmark": "windowed_tiled_executor",
-        "baseline": (
-            "LegacyWindowedFracturer: serial 1-D slabs, largest-component "
-            "extraction, full-grid stitch"
-        ),
         "tile_nm": TILE_NM,
         "inner_nmax": nmax,
         "workers": workers,

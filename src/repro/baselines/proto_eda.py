@@ -84,7 +84,7 @@ class ProtoEdaFracturer(Fracturer):
                     remove_shot(state, report)
                 merge_shots(state)
             else:
-                if greedy_shot_edge_adjustment(state, report) == 0:
+                if greedy_shot_edge_adjustment(state) == 0:
                     bias_all_shots(state, report)
         self._last_extra = {
             **diagnostics,

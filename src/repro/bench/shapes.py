@@ -30,6 +30,7 @@ import numpy as np
 from scipy.ndimage import gaussian_filter
 
 from repro.ebeam.intensity_map import IntensityMap
+from repro.geometry.labeling import largest_component
 from repro.geometry.raster import PixelGrid
 from repro.geometry.rect import Rect
 from repro.mask.constraints import FractureSpec
@@ -116,7 +117,7 @@ def _toy_ilt_mask(
     # appear; open/close with a disc enforces the same here (without it
     # a sub-L_min spike would make the clip unfixable for every method).
     mask = _mrc_clean(mask, radius_close=8, radius_open=5)
-    return _largest_component(mask), grid
+    return largest_component(mask), grid
 
 
 def _disc(radius_px: int) -> np.ndarray:
@@ -170,7 +171,7 @@ def _known_optimal_shape(
     imap = IntensityMap(grid, spec.sigma)
     for rect in rects:
         imap.add(rect)
-    mask = _largest_component(imap.total >= spec.rho)
+    mask = largest_component(imap.total >= spec.rho)
     shape = MaskShape.from_mask(mask, grid, name=name)
     _check_no_redundant_shot(rects, shape, spec, name)
     _check_witnesses(rects, shape, spec, name)
@@ -317,18 +318,6 @@ def _diagonal_chain(
     return rects
 
 
-def _largest_component(mask: np.ndarray) -> np.ndarray:
-    """Deprecated alias of :func:`repro.geometry.labeling.largest_component`.
-
-    Kept so existing callers keep working; the implementation moved to
-    the geometry layer, where non-bench code may depend on it without a
-    ``* → bench`` layering inversion.
-    """
-    from repro.geometry.labeling import largest_component
-
-    return largest_component(mask)
-
-
 def sraf_suite(pitch: float = 1.0) -> list[MaskShape]:
     """Five sub-resolution assist feature (SRAF) clips.
 
@@ -381,4 +370,4 @@ def _sraf_mask(
             mask[pad + k, lo:hi] = True
     # Rounded ends, as printed SRAFs have.
     mask = _mrc_clean(mask, radius_close=4, radius_open=4)
-    return _largest_component(mask), grid
+    return largest_component(mask), grid

@@ -67,12 +67,7 @@ from pathlib import Path
 
 from repro import obs
 from repro.fracture.base import Fracturer
-from repro.kernels import (
-    BackendUnavailable,
-    available_backends,
-    kernels_manifest,
-    set_backend,
-)
+from repro.kernels import available_backends, kernels_manifest, set_backend
 from repro.mask.constraints import FractureSpec
 from repro.mask.io import load_clips, save_clips, save_solution
 from repro.mask.shape import MaskShape
@@ -390,9 +385,8 @@ def _add_spec_arguments(parser: argparse.ArgumentParser) -> None:
 def _add_kernels_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--kernels", metavar="BACKEND",
-        help="array/kernel backend: 'numpy' (vectorized, default), "
-             "'scalar' (pure-Python oracle paths), 'cupy' (GPU, needs "
-             "cupy installed); overrides $REPRO_KERNELS",
+        help="array/kernel backend: 'numpy' (vectorized, default) or "
+             "'scalar' (pure-Python oracle paths); overrides $REPRO_KERNELS",
     )
 
 
@@ -408,8 +402,6 @@ def _apply_kernels(args: argparse.Namespace) -> None:
             f"unknown kernel backend {name!r}; "
             f"available: {', '.join(available_backends())}"
         ) from None
-    except BackendUnavailable as error:
-        raise SystemExit(str(error)) from None
 
 
 def _add_telemetry_argument(parser: argparse.ArgumentParser) -> None:

@@ -137,8 +137,8 @@ def get_profile_bank() -> ProfileBank | None:
 class profile_caching:
     """Temporarily set the default for new maps: ``with profile_caching(False): ...``.
 
-    Used by the pricing benchmarks to time the uncached per-candidate
-    baseline without threading a flag through every constructor.
+    Cache-off maps are the reference the cache-transparency tests compare
+    cached runs against, bit for bit.
     """
 
     def __init__(self, enabled: bool):
@@ -168,7 +168,6 @@ class IntensityMap:
         "_x_centers",
         "_y_centers",
         "_profile_cache",
-        "_profile_cache_limit",
         "_cache_profiles",
         "_delta_cache",
     )
@@ -178,23 +177,17 @@ class IntensityMap:
         grid: PixelGrid,
         sigma: float,
         lut: ErfLookupTable | None = None,
-        reach_sigmas: float = 4.0,
-        profile_cache: bool | None = None,
-        profile_cache_limit: int = _PROFILE_CACHE_LIMIT,
     ):
         if sigma <= 0.0:
             raise ValueError("sigma must be positive")
         self.grid = grid
         self.sigma = sigma
-        self.reach = reach_sigmas * sigma
+        self.reach = 4.0 * sigma  # see the module docstring
         self._lut = lut if lut is not None else default_lut()
         self._total = np.zeros(grid.shape, dtype=np.float64)
         self._x_centers = grid.x_centers()
         self._y_centers = grid.y_centers()
-        self._profile_cache_limit = profile_cache_limit
-        self._cache_profiles = (
-            _PROFILE_CACHE_DEFAULT if profile_cache is None else profile_cache
-        )
+        self._cache_profiles = _PROFILE_CACHE_DEFAULT
         bank = _PROFILE_BANK
         if bank is not None and self._cache_profiles:
             # Adopt the process bank's shared cache for this geometry:
@@ -315,18 +308,15 @@ class IntensityMap:
             return cached
         return self.profile(key)
 
-    def delta_profile(
-        self, k_old: ProfileKey, k_new: ProfileKey, cache: bool = True
-    ) -> np.ndarray:
+    def delta_profile(self, k_old: ProfileKey, k_new: ProfileKey) -> np.ndarray:
         """Moved-axis difference profile ``profile(k_new) − profile(k_old)``.
 
-        Memoized when ``cache`` is true: the difference is a
+        Memoized while the profile cache is on: the difference is a
         deterministic function of two immutable cached profiles, so the
         memo needs no invalidation — recomputing reproduces the exact
-        same bits.  The ``profile_caching(False)`` baseline passes
-        ``cache=False`` and must not retain anything.
+        same bits.  A ``profile_caching(False)`` map retains nothing.
         """
-        if not cache:
+        if not self._cache_profiles:
             return self.profile(k_new) - self.profile(k_old)
         memo = self._delta_cache
         dkey = (k_old, k_new)
@@ -365,7 +355,7 @@ class IntensityMap:
         if not self._cache_profiles:
             return
         cache = self._profile_cache
-        if len(cache) >= self._profile_cache_limit:
+        if len(cache) >= _PROFILE_CACHE_LIMIT:
             cache.clear()
             get_recorder().incr("cache.profile.evictions")
         cache[key] = profile
@@ -470,8 +460,8 @@ class IntensityMap:
         (unchanged-axis profile) — the cheapest possible pricing of a
         candidate edge move.  With the profile cache enabled the three
         profiles are dictionary lookups on the hot path; the uncached
-        branch below is the original per-candidate evaluation, kept as
-        the benchmark baseline and bit-identical oracle.
+        branch below evaluates them directly and is the cache-off
+        reference.
         """
         window = self.edge_move_window(old, new, edge)
         get_recorder().incr("intensity.edge_deltas")
@@ -555,7 +545,6 @@ class IntensityMap:
         # Profiles are immutable (read-only arrays keyed by geometry), so
         # the clone can share them; only the dict itself is copied.
         clone._profile_cache = dict(self._profile_cache)
-        clone._profile_cache_limit = self._profile_cache_limit
         clone._cache_profiles = self._cache_profiles
         clone._delta_cache = dict(self._delta_cache)
         return clone

@@ -37,7 +37,7 @@ from repro.fracture.runtime import (
     TileTimeout,
 )
 from repro.fracture.tiling import Tile, TilePlan, plan_tiles
-from repro.fracture.windowed import LegacyWindowedFracturer, WindowedFracturer
+from repro.fracture.windowed import WindowedFracturer
 
 __all__ = [
     "CheckpointJournal",
@@ -49,7 +49,6 @@ __all__ = [
     "canonical_fingerprint",
     "fingerprint_polygon",
     "GraphColoringFracturer",
-    "LegacyWindowedFracturer",
     "ModelBasedFracturer",
     "PoolBroken",
     "RefineConfig",

@@ -15,10 +15,6 @@ Candidate pricing runs through one of two engines:
 * ``"scalar"`` — a per-candidate
   :meth:`RefinementState.edge_move_delta_cost` loop sharing the same
   scorer and window cropping, kept as the bit-identical oracle.
-* ``"legacy"`` — the pre-engine pricing pass preserved verbatim
-  (boolean-masking window cost, full windows, failing-pixel-count
-  filter).  Combined with ``profile_caching(False)`` it reproduces the
-  code path this PR replaces; the benchmark measures against it.
 """
 
 from __future__ import annotations
@@ -30,7 +26,6 @@ import numpy as np
 
 from repro.fracture.state import RefinementState
 from repro.geometry.rect import EDGES, Rect
-from repro.mask.constraints import FailureReport
 from repro.obs import get_recorder
 
 _IMPROVEMENT_EPS = 1e-12
@@ -38,16 +33,11 @@ _IMPROVEMENT_EPS = 1e-12
 _DEFAULT_ENGINE = "batched"
 
 
-def current_pricing_engine() -> str:
-    """The engine :func:`greedy_shot_edge_adjustment` will use by default."""
-    return _DEFAULT_ENGINE
-
-
 class pricing_engine:
     """Temporarily select the default engine: ``with pricing_engine("scalar"):``."""
 
     def __init__(self, engine: str):
-        if engine not in ("batched", "scalar", "legacy"):
+        if engine not in ("batched", "scalar"):
             raise ValueError(f"unknown pricing engine {engine!r}")
         self._engine = engine
 
@@ -130,7 +120,6 @@ def edge_segment(shot: Rect, edge: str) -> Rect:
 
 def greedy_shot_edge_adjustment(
     state: RefinementState,
-    report: FailureReport | None = None,
     *,
     engine: str | None = None,
 ) -> int:
@@ -149,21 +138,17 @@ def greedy_shot_edge_adjustment(
     """
     if engine is None:
         engine = _DEFAULT_ENGINE
+    if engine == "batched":
+        improving_moves = _batched_improving_moves
+    elif engine == "scalar":
+        improving_moves = _scalar_improving_moves
+    else:
+        raise ValueError(f"unknown pricing engine {engine!r}")
     obs = get_recorder()
     with obs.span("pricing", engine=engine):
-        if engine == "batched":
-            cost_integral = state.cost_integral()
-            active_integral = state.active_integral()
-            moves = _batched_improving_moves(state, cost_integral, active_integral)
-        elif engine == "scalar":
-            cost_integral = state.cost_integral()
-            active_integral = state.active_integral()
-            moves = _scalar_improving_moves(state, cost_integral, active_integral)
-        elif engine == "legacy":
-            cost_integral = state.cost_integral_legacy()
-            moves = _legacy_improving_moves(state, report, cost_integral)
-        else:
-            raise ValueError(f"unknown pricing engine {engine!r}")
+        moves = improving_moves(
+            state, state.cost_integral(), state.active_integral()
+        )
     moves.sort(key=lambda m: m.delta_cost)
 
     blocked_zones = BlockedZoneIndex()
@@ -225,7 +210,7 @@ def _scalar_improving_moves(
     cost_integral: np.ndarray,
     active_integral: np.ndarray,
 ) -> list[_Move]:
-    """The original per-candidate pricing loop (oracle / benchmark baseline)."""
+    """The per-candidate pricing loop (the bit-identical oracle)."""
     pitch = state.spec.pitch
     moves: list[_Move] = []
     priced = 0
@@ -250,78 +235,4 @@ def _scalar_improving_moves(
                 moves.append(best)
     get_recorder().incr("refine.candidates_priced", priced)
     return moves
-
-
-def _legacy_improving_moves(
-    state: RefinementState,
-    report: FailureReport | None,
-    cost_integral: np.ndarray,
-) -> list[_Move]:
-    """The pre-engine pricing pass, preserved as the benchmark baseline.
-
-    Mirrors the original greedy loop exactly: a failing-pixel-count
-    filter built from the iteration's :class:`FailureReport`, then a
-    per-candidate :meth:`RefinementState.edge_move_delta_cost_legacy`
-    over full (uncropped) windows.
-    """
-    pitch = state.spec.pitch
-    fail_counts = _failing_integral(report) if report is not None else None
-    moves: list[_Move] = []
-    priced = 0
-    for index in range(len(state.shots)):
-        shot = state.shots[index]
-        for edge in EDGES:
-            if fail_counts is not None and not _window_has_failures(
-                state, shot, edge, pitch, fail_counts
-            ):
-                continue
-            best: _Move | None = None
-            for delta in (pitch, -pitch):
-                dcost = state.edge_move_delta_cost_legacy(
-                    index, edge, delta, cost_integral
-                )
-                if dcost is None:
-                    continue
-                priced += 1
-                if dcost >= -_IMPROVEMENT_EPS:
-                    continue
-                if best is None or dcost < best.delta_cost:
-                    best = _Move(dcost, index, edge, delta)
-            if best is not None:
-                moves.append(best)
-    get_recorder().incr("refine.candidates_priced", priced)
-    return moves
-
-
-def _failing_integral(report: FailureReport) -> np.ndarray:
-    """2-D prefix sums of the failing-pixel mask, for O(1) window counts."""
-    fail = report.fail_on | report.fail_off
-    counts = np.zeros((fail.shape[0] + 1, fail.shape[1] + 1), dtype=np.int64)
-    np.cumsum(fail, axis=0, out=counts[1:, 1:])
-    np.cumsum(counts[1:, 1:], axis=1, out=counts[1:, 1:])
-    return counts
-
-
-def _window_has_failures(
-    state: RefinementState,
-    shot: Rect,
-    edge: str,
-    pitch: float,
-    fail_counts: np.ndarray,
-) -> bool:
-    """True when either ±Δp move of this edge could touch a failing pixel."""
-    try:
-        grown = shot.moved_edge(edge, pitch if edge in ("right", "top") else -pitch)
-    except ValueError:
-        grown = shot
-    window = state.imap.edge_move_window(shot, grown, edge)
-    ys, xs = window
-    total = (
-        fail_counts[ys.stop, xs.stop]
-        - fail_counts[ys.start, xs.stop]
-        - fail_counts[ys.stop, xs.start]
-        + fail_counts[ys.start, xs.start]
-    )
-    return bool(total > 0)
-
 

@@ -13,10 +13,7 @@ from dataclasses import dataclass, field
 
 from repro.fracture.add_remove import add_shot, remove_shot
 from repro.fracture.bias import bias_all_shots
-from repro.fracture.edge_adjust import (
-    current_pricing_engine,
-    greedy_shot_edge_adjustment,
-)
+from repro.fracture.edge_adjust import greedy_shot_edge_adjustment
 from repro.fracture.merge import merge_shots
 from repro.fracture.state import RefinementState
 from repro.obs import get_recorder
@@ -90,13 +87,8 @@ def refine(
         best_key: tuple[int, float] | None = None
         visits: dict[tuple, int] = {}
 
-        # Benchmark fidelity: the "legacy" engine measures the
-        # pre-batching code path end to end, so its runs also use the
-        # original full-grid report instead of the maintained cost field
-        # (identical values, original cost).
-        legacy = current_pricing_engine() == "legacy"
         for iteration in range(params.nmax):
-            report = state.report_legacy() if legacy else state.report()
+            report = state.report()
             key = (report.total_failing, report.cost)
             if best_key is None or key < best_key:
                 best_key = key
@@ -140,7 +132,7 @@ def refine(
                     obs.incr("refine.shots_merged", merged)
                     operator += "+merge"
             else:
-                moved = greedy_shot_edge_adjustment(state, report)
+                moved = greedy_shot_edge_adjustment(state)
                 trace.edge_moves += moved
                 if moved == 0:
                     bias_all_shots(state, report)

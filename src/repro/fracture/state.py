@@ -16,7 +16,7 @@ import numpy as np
 from repro.ebeam.intensity_map import IntensityMap, ProfileKey
 from repro.geometry.rect import Rect
 from repro.kernels import get_backend
-from repro.mask.constraints import FailureReport, FractureSpec, failure_report
+from repro.mask.constraints import FailureReport, FractureSpec
 from repro.mask.pixels import PixelSets
 from repro.mask.shape import MaskShape
 from repro.obs import get_recorder
@@ -57,7 +57,7 @@ class RefinementState:
         "shape", "spec", "pixels", "imap", "shots", "background",
         "active_mask",
         "_cost_sign", "_cost_bias", "_cost_base", "_scratch",
-        "_gather_memo", "_delta_memo", "_cost_integral", "_active_integral",
+        "_gather_memo", "_cost_integral", "_active_integral",
         "_field_scratch", "_active_scratch", "_crop",
     )
 
@@ -143,7 +143,6 @@ class RefinementState:
         # and reused prefix-sum buffers — rebuilt contents every greedy
         # pass, but the allocations are paid once.
         self._gather_memo: dict[tuple, tuple] = {}
-        self._delta_memo: dict[tuple, np.ndarray] = {}
         self._cost_integral = np.zeros((ny + 1, nx + 1), dtype=np.float64)
         self._active_integral = np.zeros((ny + 1, nx + 1), dtype=np.int32)
         self._refresh_cost_base()
@@ -212,16 +211,6 @@ class RefinementState:
             _count_on=int(np.count_nonzero(fail_on)),
             _count_off=int(np.count_nonzero(fail_off)),
         )
-
-    def report_legacy(self) -> FailureReport:
-        """Pre-batching :meth:`report`, re-deriving everything from I_tot.
-
-        Identical values (see :meth:`report`); preserved so benchmark runs
-        of the ``"legacy"`` pricing engine pay the original per-iteration
-        evaluation cost rather than inheriting this PR's maintained cost
-        field.
-        """
-        return failure_report(self.imap.total, self.pixels, self.spec.rho)
 
     def window_cost(
         self, window: tuple[slice, slice], total_window: np.ndarray
@@ -440,80 +429,6 @@ class RefinementState:
             old_cost = self.window_cost(window, self.imap.total[window])
         return self.score_move_patch(window, patch_delta) - old_cost
 
-    # -- legacy (pre-batching) pricing --------------------------------------
-
-    def window_cost_legacy(
-        self, window: tuple[slice, slice], total_window: np.ndarray
-    ) -> float:
-        """Eq. 5 window cost in the original boolean-masking formulation.
-
-        Preserved verbatim as the benchmark baseline: build the failing
-        mask, fancy-index the gaps out and sum them.  Numerically equal
-        to :meth:`window_cost` (same per-pixel gaps), but every call pays
-        two comparisons, two mask combines and a gather.
-        """
-        rho = self.spec.rho
-        on = self.pixels.on[window]
-        off = self.pixels.off[window]
-        fail = (on & (total_window < rho)) | (off & (total_window >= rho))
-        if not fail.any():
-            return 0.0
-        return float(np.abs(total_window[fail] - rho).sum())
-
-    def edge_move_delta_cost_legacy(
-        self,
-        index: int,
-        edge: str,
-        delta: float,
-        cost_integral: np.ndarray | None = None,
-    ) -> float | None:
-        """Pre-batching candidate pricing, preserved as the baseline.
-
-        Exactly the original :meth:`edge_move_delta_cost`: full (uncropped)
-        windows, an allocated ``total + patch`` array and the
-        boolean-masking window cost.  Run under ``profile_caching(False)``
-        this reproduces the pre-engine pricing path end to end — the
-        benchmark's "before" measurement.
-        """
-        shot = self.shots[index]
-        try:
-            candidate = shot.moved_edge(edge, delta)
-        except ValueError:
-            return None
-        if not candidate.meets_min_size(self.spec.lmin):
-            return None
-        window, patch_delta = self.imap.edge_move_delta(shot, candidate, edge)
-        total_window = self.imap.total[window]
-        if cost_integral is not None:
-            old_cost = self.window_cost_from_integral(cost_integral, window)
-        else:
-            old_cost = self.window_cost_legacy(window, total_window)
-        new_cost = self.window_cost_legacy(window, total_window + patch_delta)
-        return new_cost - old_cost
-
-    def cost_integral_legacy(self) -> np.ndarray:
-        """Pre-batching :meth:`cost_integral`, preserved as the baseline.
-
-        Rebuilds the failing mask and cost field from the raw intensity
-        map and allocates a fresh integral every call, exactly as the
-        original did.  Bit-identical values to :meth:`cost_integral`
-        (``max(base, 0)`` equals ``where(fail, |I - ρ|, 0)`` per pixel —
-        see :meth:`report`), so the legacy engine prices the same numbers
-        while paying the original per-iteration rebuild cost.
-        """
-        rho = self.spec.rho
-        total = self.imap.total
-        fail = (self.pixels.on & (total < rho)) | (
-            self.pixels.off & (total >= rho)
-        )
-        cost_field = np.where(fail, np.abs(total - rho), 0.0)
-        integral = np.zeros(
-            (cost_field.shape[0] + 1, cost_field.shape[1] + 1), dtype=np.float64
-        )
-        np.cumsum(cost_field, axis=0, out=integral[1:, 1:])
-        np.cumsum(integral[1:, 1:], axis=1, out=integral[1:, 1:])
-        return integral
-
     # -- batched pricing ----------------------------------------------------
 
     def make_edge_move_candidate(
@@ -697,8 +612,8 @@ class RefinementState:
     def price_edge_moves(
         self,
         candidates: list[EdgeMoveCandidate],
-        cost_integral: np.ndarray | None = None,
-        active_integral: np.ndarray | None = None,
+        cost_integral: np.ndarray,
+        active_integral: np.ndarray,
     ) -> np.ndarray:
         """Δcost of every candidate, priced with one batched LUT pass.
 
@@ -717,11 +632,7 @@ class RefinementState:
         same elementwise operations and per-candidate pairwise sums.
         """
         backend = get_backend()
-        if (
-            backend.fused_pricing
-            and cost_integral is not None
-            and active_integral is not None
-        ):
+        if backend.fused_pricing:
             return self._price_edge_moves_fused(
                 candidates, cost_integral, active_integral, backend
             )
@@ -762,11 +673,10 @@ class RefinementState:
         costs = np.zeros(ncand, dtype=np.float64)
         if not ncand:
             return costs
-        caching = imap.profile_cache_enabled
-        if caching:
+        if imap.profile_cache_enabled:
             imap.ensure_profiles(key for c in candidates for key in c.keys)
         delta_profile = imap.delta_profile
-        profile = imap.profile
+        cached_profile = imap.cached_profile
         # Per-candidate geometry of the cropped windows, plus the 1-D
         # row/column factors, laid out candidate-major for the kernel.
         rows = np.zeros(ncand, dtype=np.int64)
@@ -799,10 +709,8 @@ class RefinementState:
             )
             c0 = int(colcum.searchsorted(colcum[0], side="right")) - 1
             c1 = int(colcum.searchsorted(colcum[-1], side="left"))
-            delta = delta_profile(k_old, k_new, caching)
-            p_fixed = profile(k_fixed) if not caching else imap.cached_profile(
-                k_fixed
-            )
+            delta = delta_profile(k_old, k_new)
+            p_fixed = cached_profile(k_fixed)
             if edge in ("left", "right"):
                 row_parts.append(p_fixed[r0:r1])
                 col_parts.append(delta[c0:c1])
@@ -821,7 +729,7 @@ class RefinementState:
         counts = rows * cols
         total = int(counts.sum())
         limit = backend.fused_band_limit
-        if kept and (limit is None or total <= limit * len(kept)):
+        if kept and total <= limit * len(kept):
             col_lens = cols[cols > 0]
             col_off = np.zeros(ncand, dtype=np.int64)
             col_off[cols > 0] = np.cumsum(col_lens) - col_lens
@@ -878,35 +786,25 @@ class RefinementState:
     def _price_edge_moves_loop(
         self,
         candidates: list[EdgeMoveCandidate],
-        cost_integral: np.ndarray | None = None,
-        active_integral: np.ndarray | None = None,
+        cost_integral: np.ndarray,
+        active_integral: np.ndarray,
     ) -> np.ndarray:
         """Per-candidate scoring loop (the pre-kernel batched engine).
 
         Kept verbatim as the selectable oracle the fused kernel is gated
-        against, and as the fallback when pricing runs without the
-        prefix-sum integrals.
+        against.
         """
         imap = self.imap
         get_recorder().incr("intensity.edge_deltas", len(candidates))
-        caching = imap.profile_cache_enabled
-        if caching:
+        if imap.profile_cache_enabled:
             imap.ensure_profiles(key for c in candidates for key in c.keys)
-        cache_get = imap._profile_cache.get
-        profile = imap.profile
-        # Moved-axis difference profiles are memoized too: they are a
-        # deterministic function of two immutable cached profiles, so the
-        # memo needs no invalidation — recomputing reproduces the exact
-        # same bits.  Only active while the profile cache is (the
-        # profile_caching(False) baseline must not cache anything).
-        delta_memo = self._delta_memo if caching else None
+        delta_profile = imap.delta_profile
+        cached_profile = imap.cached_profile
         sign = self._cost_sign
         base = self._cost_base
         maximum = np.maximum
         multiply = np.multiply
         scratch = self._scratch
-        do_crop = active_integral is not None
-        use_integral = cost_integral is not None
         ncand = len(candidates)
         costs = np.zeros(ncand, dtype=np.float64)
         # Deferred old-cost lookup: final window corners per candidate,
@@ -919,52 +817,28 @@ class RefinementState:
         wc1 = np.zeros(ncand, dtype=np.intp)
         for i, cand in enumerate(candidates):
             _, edge, _, (ys, xs), (k_old, k_new, k_fixed) = cand
-            if do_crop:
-                # crop_to_active, inlined: this runs once per candidate
-                # and the call/tuple overhead is measurable.
-                y_lo = ys.start
-                x_lo = xs.start
-                rowcum = (
-                    active_integral[y_lo : ys.stop + 1, xs.stop]
-                    - active_integral[y_lo : ys.stop + 1, x_lo]
-                )
-                if rowcum[-1] == rowcum[0]:
-                    continue
-                r0 = int(rowcum.searchsorted(rowcum[0], side="right")) - 1
-                r1 = int(rowcum.searchsorted(rowcum[-1], side="left"))
-                colcum = (
-                    active_integral[ys.stop, x_lo : xs.stop + 1]
-                    - active_integral[y_lo, x_lo : xs.stop + 1]
-                )
-                c0 = int(colcum.searchsorted(colcum[0], side="right")) - 1
-                c1 = int(colcum.searchsorted(colcum[-1], side="left"))
-                ys = slice(y_lo + r0, y_lo + r1)
-                xs = slice(x_lo + c0, x_lo + c1)
-            else:
-                r0, c0 = 0, 0
-                r1 = ys.stop - ys.start
-                c1 = xs.stop - xs.start
-            if delta_memo is not None:
-                dkey = (k_old, k_new)
-                delta = delta_memo.get(dkey)
-                if delta is None:
-                    if len(delta_memo) >= 4096:
-                        delta_memo.clear()
-                    p_new = cache_get(k_new)
-                    if p_new is None:
-                        p_new = profile(k_new)
-                    p_old = cache_get(k_old)
-                    if p_old is None:
-                        p_old = profile(k_old)
-                    delta = p_new - p_old
-                    delta.flags.writeable = False
-                    delta_memo[dkey] = delta
-                p_fixed = cache_get(k_fixed)
-                if p_fixed is None:
-                    p_fixed = profile(k_fixed)
-            else:
-                delta = profile(k_new) - profile(k_old)
-                p_fixed = profile(k_fixed)
+            # crop_to_active, inlined: this runs once per candidate and
+            # the call/tuple overhead is measurable.
+            y_lo = ys.start
+            x_lo = xs.start
+            rowcum = (
+                active_integral[y_lo : ys.stop + 1, xs.stop]
+                - active_integral[y_lo : ys.stop + 1, x_lo]
+            )
+            if rowcum[-1] == rowcum[0]:
+                continue
+            r0 = int(rowcum.searchsorted(rowcum[0], side="right")) - 1
+            r1 = int(rowcum.searchsorted(rowcum[-1], side="left"))
+            colcum = (
+                active_integral[ys.stop, x_lo : xs.stop + 1]
+                - active_integral[y_lo, x_lo : xs.stop + 1]
+            )
+            c0 = int(colcum.searchsorted(colcum[0], side="right")) - 1
+            c1 = int(colcum.searchsorted(colcum[-1], side="left"))
+            ys = slice(y_lo + r0, y_lo + r1)
+            xs = slice(x_lo + c0, x_lo + c1)
+            delta = delta_profile(k_old, k_new)
+            p_fixed = cached_profile(k_fixed)
             rows = r1 - r0
             cols = c1 - c0
             n = rows * cols
@@ -984,17 +858,12 @@ class RefinementState:
             seg *= sign[window]
             seg += base[window]
             maximum(seg, 0.0, out=seg)
-            if use_integral:
-                costs[i] = seg.sum()
-                wr0[i] = ys.start
-                wr1[i] = ys.stop
-                wc0[i] = xs.start
-                wc1[i] = xs.stop
-            else:
-                costs[i] = seg.sum() - self.window_cost(
-                    window, imap.total[window]
-                )
-        if use_integral and ncand:
+            costs[i] = seg.sum()
+            wr0[i] = ys.start
+            wr1[i] = ys.stop
+            wc0[i] = xs.start
+            wc1[i] = xs.stop
+        if ncand:
             # Same A − B − C + D order as window_cost_from_integral, in
             # float64 — elementwise results match the scalar lookups bit
             # for bit.

@@ -25,11 +25,6 @@ pool is respawned when it breaks, a tile that exhausts its retries
 degrades to the deterministic partition baseline (flagged, never
 fatal), and an optional JSONL checkpoint journal lets an interrupted
 run resume bit-identically (``--checkpoint`` / ``--resume``).
-
-:class:`LegacyWindowedFracturer` preserves the pre-tiling behaviour —
-serial 1-D slabs and a full-grid stitch over the whole shape — verbatim
-as the benchmark baseline (``benchmarks/bench_windowed.py`` measures the
-refactor against it).
 """
 
 from __future__ import annotations
@@ -43,7 +38,6 @@ from repro.fracture.refine import RefineParams, refine
 from repro.fracture.runtime import (
     CheckpointJournal,
     RuntimePolicy,
-    fracture_tile,
     run_tiles,
 )
 from repro.fracture.tiling import (
@@ -51,13 +45,10 @@ from repro.fracture.tiling import (
     TilePlan,
     extract_tile_shapes,
     halo_nm,
-    ownership_stretch,
     plan_tiles,
     seam_band_masks,
     split_seam_shots,
 )
-from repro.geometry.labeling import largest_component
-from repro.geometry.raster import PixelGrid
 from repro.kernels import kernels_manifest
 from repro.geometry.rect import Rect
 from repro.mask.constraints import FractureSpec, check_solution
@@ -335,109 +326,3 @@ class WindowedFracturer(Fracturer):
                 info["full_repair_iterations"] = repair_trace.iterations
         return stitched, info
 
-
-# Back-compat alias: the per-tile work moved to the runtime layer so
-# the pool workers and the fault machinery share one implementation.
-_fracture_tile = fracture_tile
-
-
-class LegacyWindowedFracturer(Fracturer):
-    """The pre-tiling windowed fracturer, preserved as a baseline.
-
-    Serial 1-D vertical slabs, largest-component-only slab extraction
-    (the historical dropped-component behaviour) and a *full-grid*
-    stitch refinement over the whole shape with every shot movable.
-    ``benchmarks/bench_windowed.py`` measures the tiled executor against
-    exactly this code path; do not "fix" it.  The only deviations from
-    the historical code are layering ones: the largest-component helper
-    now comes from :mod:`repro.geometry.labeling` instead of
-    ``repro.bench.shapes``, and the outer-slab ownership stretch uses
-    the blur-derived :func:`ownership_stretch` instead of the magic
-    ``10 × grid_margin`` (both stretches exceed any reachable shot
-    centre, so ownership is unchanged).
-    """
-
-    name = "WINDOWED-LEGACY"
-
-    def __init__(
-        self,
-        inner: Fracturer,
-        window_nm: float = 300.0,
-        stitch_params: RefineParams | None = None,
-    ):
-        if window_nm <= 0.0:
-            raise ValueError("window size must be positive")
-        self.inner = inner
-        self.window_nm = window_nm
-        self.stitch_params = (
-            stitch_params if stitch_params is not None
-            else RefineParams(nmax=200, nh=3)
-        )
-        self._last_extra: dict = {}
-
-    def fracture_shots(self, shape: MaskShape, spec: FractureSpec) -> list[Rect]:
-        bbox = shape.polygon.bounding_box()
-        if bbox.width <= self.window_nm * 1.5:
-            shots = self.inner.fracture_shots(shape, spec)
-            self._last_extra = {"slabs": 1, "stitch_iterations": 0}
-            return shots
-
-        halo = halo_nm(spec)
-        slab_edges = self._slab_edges(bbox, spec)
-        collected: list[Rect] = []
-        slabs_used = 0
-        for x_lo, x_hi in slab_edges:
-            sub_shape = self._slab_shape(shape, x_lo - halo, x_hi + halo)
-            if sub_shape is None:
-                continue
-            slabs_used += 1
-            for shot in self.inner.fracture_shots(sub_shape, spec):
-                if x_lo <= shot.center.x < x_hi:
-                    collected.append(shot)
-        stitched, trace = refine(shape, spec, collected, self.stitch_params)
-        self._last_extra = {
-            "slabs": slabs_used,
-            "pre_stitch_shots": len(collected),
-            "stitch_iterations": trace.iterations,
-            "stitch_converged": trace.converged,
-        }
-        return stitched
-
-    def _slab_edges(
-        self, bbox: Rect, spec: FractureSpec
-    ) -> list[tuple[float, float]]:
-        count = max(1, int(np.ceil(bbox.width / self.window_nm)))
-        edges = np.linspace(bbox.xbl, bbox.xtr, count + 1)
-        slabs = list(zip(edges[:-1], edges[1:]))
-        # Ownership is half-open [x_lo, x_hi); stretch the outer edges so
-        # boundary-hugging shot centres are never orphaned.
-        stretch = ownership_stretch(spec)
-        first_lo, first_hi = slabs[0]
-        slabs[0] = (first_lo - stretch, first_hi)
-        last_lo, last_hi = slabs[-1]
-        slabs[-1] = (last_lo, last_hi + stretch)
-        return slabs
-
-    def _slab_shape(
-        self, shape: MaskShape, x_lo: float, x_hi: float
-    ) -> MaskShape | None:
-        """Sub-shape of everything within [x_lo, x_hi] (absolute coords)."""
-        grid = shape.grid
-        ix_lo = max(0, int(np.floor((x_lo - grid.x0) / grid.pitch)))
-        ix_hi = min(grid.nx, int(np.ceil((x_hi - grid.x0) / grid.pitch)))
-        if ix_hi <= ix_lo:
-            return None
-        sub_mask = shape.inside[:, ix_lo:ix_hi]
-        if not sub_mask.any():
-            return None
-        sub_grid = PixelGrid(
-            grid.x0 + ix_lo * grid.pitch,
-            grid.y0,
-            grid.pitch,
-            ix_hi - ix_lo,
-            grid.ny,
-        )
-        # Historical behaviour (the bug the tiled executor fixes): only
-        # the largest connected component of the slab is fractured.
-        biggest = largest_component(sub_mask)
-        return MaskShape.from_mask(biggest, sub_grid, name=f"{shape.name}@{ix_lo}")

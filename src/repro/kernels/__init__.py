@@ -4,8 +4,8 @@ The three kernels that dominate refine/stitch wall time (signed-clamp
 batch pricing, connected-component labeling, the per-iteration stitch
 cost field) dispatch through a process-global :class:`KernelBackend`
 selected here.  ``numpy`` (the vectorized default) and ``scalar`` (the
-original per-pixel/per-candidate oracle paths) ship with the repo; the
-gated ``cupy`` backend shows how an accelerator variant slots in.
+original per-pixel/per-candidate oracle paths) ship with the repo; an
+accelerator variant slots in by registering another factory.
 
 Selection, in precedence order:
 
@@ -17,7 +17,7 @@ Selection, in precedence order:
 
 Backends register lazily: ``register_backend(name, factory)`` stores a
 zero-argument factory, so importing :mod:`repro.kernels` never imports
-cupy (or even the numpy backend module) until a backend is first used.
+a backend module until that backend is first used.
 The active backend and its kernel variants are recorded in run
 manifests via :func:`kernels_manifest` and surfaced as ``kernels.*``
 telemetry by the kernels themselves.
@@ -29,10 +29,9 @@ import os
 import threading
 from typing import Any, Callable
 
-from repro.kernels.backend import BackendUnavailable, KernelBackend
+from repro.kernels.backend import KernelBackend
 
 __all__ = [
-    "BackendUnavailable",
     "DEFAULT_BACKEND",
     "KernelBackend",
     "available_backends",
@@ -140,12 +139,5 @@ def _scalar_factory() -> KernelBackend:
     return ScalarBackend()
 
 
-def _cupy_factory() -> KernelBackend:
-    from repro.kernels.cupy_backend import CupyBackend
-
-    return CupyBackend()
-
-
 register_backend("numpy", _numpy_factory)
 register_backend("scalar", _scalar_factory)
-register_backend("cupy", _cupy_factory)

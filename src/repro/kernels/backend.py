@@ -2,8 +2,8 @@
 
 A :class:`KernelBackend` bundles the three kernels the profiles from the
 pricing/tiling PRs identified as the remaining wall time, behind one
-seam so alternative array stacks (CuPy, a future Cython build) can slot
-in without touching call sites:
+seam so alternative array stacks (a GPU array library, a Cython build)
+can slot in without touching call sites:
 
 ``label_components``
     Connected-component labeling of a boolean mask.  The contract is
@@ -35,10 +35,6 @@ from typing import Any
 import numpy as np
 
 
-class BackendUnavailable(RuntimeError):
-    """The requested kernel backend cannot run in this environment."""
-
-
 class KernelBackend:
     """Base class: capability flags + the three kernel entry points."""
 
@@ -52,10 +48,8 @@ class KernelBackend:
     crop_stitch_field = False
     #: Mean cropped band size (pixels per candidate) up to which the
     #: fused gather/scatter kernel beats in-place slice scoring; batches
-    #: with bulkier bands are scored per candidate.  ``None`` means
-    #: always fuse (accelerator backends, where one kernel launch beats
-    #: any per-candidate loop regardless of band size).
-    fused_band_limit: int | None = 512
+    #: with bulkier bands are scored per candidate.
+    fused_band_limit: int = 512
 
     def label_components(self, mask: np.ndarray) -> tuple[np.ndarray, int]:
         raise NotImplementedError

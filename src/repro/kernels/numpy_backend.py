@@ -1,7 +1,7 @@
 """Default vectorized kernel backend (NumPy + scipy.sparse run merge).
 
 Everything here is plain ``numpy`` index arithmetic over contiguous
-buffers — the layout a CuPy or Cython port can take verbatim.  The two
+buffers — the layout a GPU or Cython port can take verbatim.  The two
 exactness contracts that shape the implementation:
 
 * ``label_components`` must reproduce the raster union–find numbering

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
+from repro.geometry.labeling import largest_component
 from repro.geometry.raster import PixelGrid
 from repro.litho.aerial import AerialImageModel
 from repro.mask.shape import MaskShape
@@ -170,12 +171,7 @@ def ilt_optimized_suite(pitch: float = 1.0) -> list[MaskShape]:
             target[y_lo:y_hi, x_lo:x_hi] = True
         result = optimizer.optimize(target)
         grid = PixelGrid(0.0, 0.0, pitch, size, size)
-        mask = _largest(result.mask)
+        mask = largest_component(result.mask)
         shapes.append(MaskShape.from_mask(mask, grid, name=name))
     return shapes
 
-
-def _largest(mask: np.ndarray) -> np.ndarray:
-    from repro.bench.shapes import _largest_component
-
-    return _largest_component(mask)

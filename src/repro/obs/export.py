@@ -192,10 +192,6 @@ def records_to_payload(records: list[dict[str, Any]]) -> dict[str, Any]:
     return payload
 
 
-# Back-compat alias for the pre-publication private name.
-_records_to_payload = records_to_payload
-
-
 def _convergence_csv(payload: dict[str, Any]) -> str:
     records = payload.get("convergence", ())
     extra = sorted(

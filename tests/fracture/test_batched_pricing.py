@@ -104,16 +104,9 @@ class TestEngineEquivalence:
         assert trace_b.failing_history == trace_s.failing_history
         assert final_b == final_s
 
-    def test_legacy_engine_reaches_same_shot_count(self, l_shape, spec):
-        shots, _ = approximate_fracture(l_shape, spec)
-        final_b, trace_b = refine(l_shape, spec, shots, RefineParams(nmax=25))
-        with profile_caching(False), pricing_engine("legacy"):
-            final_l, trace_l = refine(l_shape, spec, shots, RefineParams(nmax=25))
-        assert len(final_l) == len(final_b)
-        assert trace_l.failing_history == trace_b.failing_history
-        np.testing.assert_allclose(
-            trace_l.cost_history, trace_b.cost_history, rtol=1e-9
-        )
+    def test_unknown_engine_rejected(self):
+        with pytest.raises(ValueError, match="legacy"):
+            pricing_engine("legacy")
 
 
 class TestProfileCacheTransparency:
@@ -148,10 +141,12 @@ class TestProfileCacheTransparency:
         assert misses_second == misses_first  # second sweep is all hits
         assert hits >= 3 * len(candidates)
 
-    def test_eviction_bounds_cache_size(self, l_shape, spec):
+    def test_eviction_bounds_cache_size(self, l_shape, spec, monkeypatch):
         shots, _ = approximate_fracture(l_shape, spec)
         state = RefinementState(l_shape, spec, shots)
-        state.imap._profile_cache_limit = 8
+        monkeypatch.setattr(
+            "repro.ebeam.intensity_map._PROFILE_CACHE_LIMIT", 8
+        )
         state.imap.clear_profile_cache()
         recorder = TelemetryRecorder()
         with recording(recorder):

@@ -26,7 +26,7 @@ class TestAdjustment:
         state = RefinementState(rect_shape, spec, [Rect(-3, -3, 63, 43)])
         cost_before = state.report().cost
         for _ in range(8):
-            moved = greedy_shot_edge_adjustment(state, state.report())
+            moved = greedy_shot_edge_adjustment(state)
             if moved == 0:
                 break
         cost_after = state.report().cost
@@ -42,7 +42,7 @@ class TestAdjustment:
             report = state.report()
             if report.total_failing == 0:
                 break
-            greedy_shot_edge_adjustment(state, report)
+            greedy_shot_edge_adjustment(state)
         assert state.report().total_failing == 0
 
     def test_no_moves_when_feasible_and_tight(self, rect_shape, spec):
@@ -53,26 +53,25 @@ class TestAdjustment:
             report = state.report()
             if report.total_failing == 0:
                 break
-            greedy_shot_edge_adjustment(state, report)
-        moved = greedy_shot_edge_adjustment(state, state.report())
+            greedy_shot_edge_adjustment(state)
+        moved = greedy_shot_edge_adjustment(state)
         assert moved <= 2
 
     def test_min_size_never_violated(self, rect_shape, spec):
         state = RefinementState(rect_shape, spec, [Rect(0, 0, 11, 11)])
         for _ in range(10):
-            greedy_shot_edge_adjustment(state, state.report())
+            greedy_shot_edge_adjustment(state)
         assert all(s.meets_min_size(spec.lmin) for s in state.shots)
 
     def test_blocking_limits_moves_on_small_shot(self, rect_shape, spec):
         """All four edges of a small shot are within 2σ of each other, so
         at most one edge may move per iteration."""
         state = RefinementState(rect_shape, spec, [Rect(20, 10, 31, 21)])
-        moved = greedy_shot_edge_adjustment(state, state.report())
+        moved = greedy_shot_edge_adjustment(state)
         assert moved <= 1
 
     def test_without_report_skip(self, rect_shape, spec):
-        """Passing no report disables the failing-window skip but still
-        yields only improving moves."""
+        """A pass accepts only improving moves."""
         state = RefinementState(rect_shape, spec, [Rect(-3, -3, 63, 43)])
         before = state.report().cost
         greedy_shot_edge_adjustment(state)

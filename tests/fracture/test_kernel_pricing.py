@@ -9,6 +9,8 @@ is the bar.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -34,7 +36,7 @@ class TestFusedBitIdentity:
     def test_fused_kernel_equals_loop(self, priced_inputs):
         state, candidates, cost_integral, active_integral = priced_inputs
         backend = NumpyBackend()
-        backend.fused_band_limit = None  # force the fused kernel
+        backend.fused_band_limit = sys.maxsize  # force the fused kernel
         fused = state._price_edge_moves_fused(
             candidates, cost_integral, active_integral, backend
         )

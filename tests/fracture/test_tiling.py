@@ -108,18 +108,6 @@ class TestExtractTileShapes:
         ]
         assert len(island_tiles) == 1
 
-    def test_legacy_slab_extraction_drops_island(self, spec):
-        """The baseline's largest-component slab extraction loses the
-        island — the behaviour the tiled executor exists to fix."""
-        from repro.fracture.pipeline import ModelBasedFracturer
-        from repro.fracture.windowed import LegacyWindowedFracturer
-
-        shape = _bars_shape()
-        legacy = LegacyWindowedFracturer(ModelBasedFracturer(), window_nm=250.0)
-        middle = legacy._slab_shape(shape, 250.0, 510.0)
-        assert middle is not None
-        assert not middle.inside[140:170, :].any()
-
     def test_every_owned_pixel_covered(self, spec):
         """Union of extracted sub-shapes covers the whole target."""
         shape = _bars_shape()

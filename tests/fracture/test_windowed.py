@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.fracture.pipeline import ModelBasedFracturer, RefineConfig
 from repro.fracture.refine import RefineParams
-from repro.fracture.windowed import LegacyWindowedFracturer, WindowedFracturer
+from repro.fracture.windowed import WindowedFracturer
 from repro.geometry.polygon import Polygon
 from repro.geometry.raster import PixelGrid
 from repro.mask.shape import MaskShape
@@ -18,7 +18,8 @@ def long_bar(spec_module):
     """A wavy bar ~3 windows wide."""
     from scipy.ndimage import gaussian_filter
 
-    from repro.bench.shapes import _largest_component, _mrc_clean
+    from repro.bench.shapes import _mrc_clean
+    from repro.geometry.labeling import largest_component
 
     rng = np.random.default_rng(4)
     grid = PixelGrid(0.0, 0.0, 1.0, 700, 150)
@@ -27,7 +28,7 @@ def long_bar(spec_module):
     noise = gaussian_filter(rng.standard_normal(grid.shape), 7.0)
     noise /= np.abs(noise).max()
     mask = (gaussian_filter(field, 8.0) + 0.3 * noise) > 0.42
-    mask = _largest_component(_mrc_clean(mask, 8, 5))
+    mask = largest_component(_mrc_clean(mask, 8, 5))
     return MaskShape.from_mask(mask, grid, name="long-bar")
 
 
@@ -156,7 +157,7 @@ class TestWindowedFracturer:
             seam_band_masks,
             split_seam_shots,
         )
-        from repro.fracture.windowed import _fracture_tile
+        from repro.fracture.runtime import fracture_tile
         from repro.obs import TelemetryRecorder, recording
 
         inner = _inner(nmax=120)
@@ -165,7 +166,7 @@ class TestWindowedFracturer:
         for tile in plan.tiles:
             subs = extract_tile_shapes(bar_field, tile)
             if subs:
-                collected.extend(_fracture_tile(inner, tile, subs, spec_module))
+                collected.extend(fracture_tile(inner, tile, subs, spec_module))
 
         full = RefinementState(bar_field, spec_module, collected)
         n_full = len(full.gather_edge_moves(full.cost_integral()))
@@ -230,25 +231,3 @@ class TestSingleTileIdentity:
         )
         assert tiled == direct
 
-
-class TestLegacyWindowedFracturer:
-    def test_invalid_window(self):
-        with pytest.raises(ValueError):
-            LegacyWindowedFracturer(_inner(), window_nm=0.0)
-
-    def test_small_shape_delegates(self, rect_shape, spec):
-        legacy = LegacyWindowedFracturer(_inner(), window_nm=300.0)
-        result = legacy.fracture(rect_shape, spec)
-        assert result.extra["slabs"] == 1
-        assert result.feasible
-
-    def test_large_shape_decomposed(self, long_bar, spec_module):
-        legacy = LegacyWindowedFracturer(
-            _inner(), window_nm=250.0,
-            stitch_params=RefineParams(nmax=300, nh=3),
-        )
-        result = legacy.fracture(long_bar, spec_module)
-        assert result.extra["slabs"] >= 2
-        assert result.shot_count >= 3
-        pixels = long_bar.pixels(spec_module.gamma)
-        assert result.report.total_failing <= 0.01 * pixels.count_on

@@ -123,7 +123,8 @@ class TestRandomizedStress:
         agrees with the result, min-size always holds."""
         from scipy.ndimage import gaussian_filter
 
-        from repro.bench.shapes import _largest_component, _mrc_clean
+        from repro.bench.shapes import _mrc_clean
+        from repro.geometry.labeling import largest_component
 
         rng = np.random.default_rng(seed)
         grid = PixelGrid(0.0, 0.0, 1.0, 150, 150)
@@ -132,7 +133,7 @@ class TestRandomizedStress:
         noise = gaussian_filter(rng.standard_normal(grid.shape), 6.0)
         noise /= np.abs(noise).max()
         mask = (gaussian_filter(field, 8.0) + 0.3 * noise) > 0.42
-        mask = _largest_component(_mrc_clean(mask, 8, 5))
+        mask = largest_component(_mrc_clean(mask, 8, 5))
         if not mask.any():
             pytest.skip("seed produced empty shape")
         shape = MaskShape.from_mask(mask, grid, name=f"stress-{seed}")
