@@ -35,6 +35,7 @@ import threading
 import time
 from pathlib import Path
 
+from repro.obs import load_telemetry
 from repro.service.client import ServiceClient, wait_for_daemon
 from repro.service.guard import ServiceLimits
 from repro.service.server import FractureService
@@ -206,8 +207,8 @@ def run_phase(
                 f"{phase}: {job_id} settled as {record['state']}: "
                 f"{record.get('error')}"
             )
-        telemetry = json.loads(
-            (state_dir / "jobs" / job_id / "telemetry.json").read_text()
+        telemetry = load_telemetry(
+            state_dir / "jobs" / job_id / "stream.jsonl"
         )
         counters = telemetry.get("counters", {})
         cache_hits += counters.get("cache.result.hits", 0)

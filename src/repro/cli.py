@@ -37,14 +37,15 @@ telemetry manifest keyed by span path.
 ``fracture``, ``bench`` and ``mdp`` accept ``--telemetry PATH``: a
 :class:`repro.obs.TelemetryRecorder` is installed for the run and the
 manifest + span tree + metrics + convergence records are written to
-``PATH`` (format by extension: ``.json`` / ``.jsonl`` / ``.csv``).
-They also accept ``--stream PATH``: the same recorder additionally
-emits every span/event/convergence record *live* into an append-only
-JSONL stream (:mod:`repro.obs.stream`) that ``trace tail --follow``
-renders while the run executes.  ``--heartbeat SECONDS`` (tiled
-executor) turns on the worker heartbeat channel: per-worker liveness,
-current tile and RSS/CPU samples, with stalled workers flagged before
-the per-tile deadline fires.
+``PATH`` (format by extension: the ``.json`` payload or the ``.csv``
+convergence table).  They also accept ``--stream PATH``: the same
+recorder emits every record *live* into an append-only JSONL stream
+(:mod:`repro.obs.stream`) that ``trace tail --follow`` renders while
+the run executes, and whose fold (``trace summarize``/``export``/
+``diff``, ``metrics``) is the same payload.  ``--heartbeat SECONDS``
+(tiled executor) turns on the worker heartbeat channel: per-worker
+liveness, current tile and RSS/CPU samples, with stalled workers
+flagged before the per-tile deadline fires.
 
 With ``--window-nm`` the tiled executor additionally accepts the
 fault-tolerance flags ``--tile-retries`` / ``--tile-timeout`` /
@@ -408,7 +409,7 @@ def _add_telemetry_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--telemetry", metavar="PATH",
         help="record spans/metrics/convergence and write them here "
-             "(.json, .jsonl or .csv)",
+             "(.json payload or .csv convergence table)",
     )
     parser.add_argument(
         "--stream", metavar="PATH",
@@ -434,6 +435,11 @@ def _telemetry(args: argparse.Namespace, spec: FractureSpec):
     """
     path = getattr(args, "telemetry", None)
     stream_path = getattr(args, "stream", None)
+    if path and Path(path).suffix.lower() == ".jsonl":
+        raise SystemExit(
+            "--telemetry writes .json or .csv; use --stream PATH.jsonl "
+            "for the JSONL telemetry stream"
+        )
     if not path and not stream_path:
         if getattr(args, "profile", None):
             raise SystemExit("--profile requires --telemetry or --stream")
@@ -454,8 +460,6 @@ def _telemetry(args: argparse.Namespace, spec: FractureSpec):
     recorder = obs.TelemetryRecorder(
         manifest=manifest, stream=stream, trace=trace
     )
-    if stream is not None:
-        stream.emit({"type": "manifest", **manifest})
     profiler = (
         obs.SamplingProfiler(recorder, interval_s=args.profile)
         if getattr(args, "profile", None) else None
@@ -711,12 +715,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_trace_summarize(args: argparse.Namespace) -> int:
     """Render a per-phase breakdown of a recorded telemetry file."""
-    try:
-        payload = obs.load_telemetry(args.path)
-    except FileNotFoundError:
-        raise SystemExit(f"no telemetry file at {args.path!r}") from None
-    except ValueError as error:
-        raise SystemExit(str(error)) from None
+    payload = _load_payload(Path(args.path))
     print(obs.format_summary(payload))
     if args.clips:
         print()
@@ -774,30 +773,12 @@ def _cmd_trace_export(args: argparse.Namespace) -> int:
     from repro.service.jobs import resolve_stream_path
 
     path = resolve_stream_path(args.path, args.state_dir)
-    if not path.exists():
-        raise SystemExit(f"no telemetry file at {str(path)!r}")
-    if path.suffix.lower() == ".jsonl":
-        records = obs.read_stream(path)
-        if args.format == "chrome":
-            # Stream records carry real wall-clock timestamps: export
-            # them directly, keeping restart boundaries and heartbeats.
-            doc = obs.chrome_from_records(records)
-        else:
-            if records and records[0].get("type") == "stream_header":
-                payload = obs.stream_to_payload(records)
-            else:
-                payload = obs.records_to_payload(records)
-            doc = obs.speedscope_from_payload(payload)
-    else:
-        try:
-            payload = obs.load_telemetry(path)
-        except ValueError as error:
-            raise SystemExit(str(error)) from None
-        doc = (
-            obs.chrome_from_payload(payload)
-            if args.format == "chrome"
-            else obs.speedscope_from_payload(payload)
-        )
+    payload = _load_payload(path)
+    doc = (
+        obs.chrome_from_payload(payload)
+        if args.format == "chrome"
+        else obs.speedscope_from_payload(payload)
+    )
     suffix = ".chrome.json" if args.format == "chrome" else ".speedscope.json"
     out = Path(args.out) if args.out else path.with_suffix(suffix)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -819,20 +800,7 @@ def _cmd_trace_export(args: argparse.Namespace) -> int:
 def _cmd_metrics(args: argparse.Namespace) -> int:
     """Prometheus exposition text: scrape a daemon or render a file."""
     if args.path:
-        p = Path(args.path)
-        if not p.exists():
-            raise SystemExit(f"no telemetry file at {args.path!r}")
-        if p.suffix.lower() == ".jsonl":
-            records = obs.read_stream(p)
-            if records and records[0].get("type") == "stream_header":
-                payload = obs.stream_to_payload(records)
-            else:
-                payload = obs.records_to_payload(records)
-        else:
-            try:
-                payload = obs.load_telemetry(p)
-            except ValueError as error:
-                raise SystemExit(str(error)) from None
+        payload = _load_payload(Path(args.path))
         print(obs.render_prometheus(obs.payload_samples(payload)), end="")
         return 0
 
@@ -882,20 +850,22 @@ def _cmd_top(args: argparse.Namespace) -> int:
         return 130
 
 
+def _load_payload(path: Path) -> dict:
+    """A telemetry payload: a ``.json`` export or a folded ``.jsonl``
+    stream (any other JSON document loads as is)."""
+    try:
+        return obs.load_telemetry(path)
+    except FileNotFoundError:
+        raise SystemExit(f"no telemetry file at {str(path)!r}") from None
+    except ValueError as error:
+        raise SystemExit(f"{path}: {error}") from None
+
+
 def _load_diffable(path: str) -> dict:
     """Load one ``trace diff`` input: payload, stream or benchmark JSON."""
-    p = Path(path)
-    if not p.exists():
+    if not Path(path).exists():
         raise SystemExit(f"no such file: {path!r}")
-    if p.suffix.lower() == ".jsonl":
-        records = obs.read_stream(p)
-        if records and records[0].get("type") == "stream_header":
-            return obs.stream_to_payload(records)
-        return obs.records_to_payload(records)
-    try:
-        return json.loads(p.read_text())
-    except json.JSONDecodeError as error:
-        raise SystemExit(f"{path}: not valid JSON ({error})") from None
+    return _load_payload(Path(path))
 
 
 def _cmd_trace_diff(args: argparse.Namespace) -> int:
@@ -1256,7 +1226,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace = sub.add_parser("trace", help="inspect a telemetry file")
     trace_sub = p_trace.add_subparsers(dest="trace_command", required=True)
     p_summarize = trace_sub.add_parser(
-        "summarize", help="per-phase time breakdown of a --telemetry file"
+        "summarize",
+        help="per-phase time breakdown of a --telemetry or --stream file"
     )
     p_summarize.add_argument("path", help="telemetry file (.json or .jsonl)")
     p_summarize.add_argument(

@@ -322,7 +322,7 @@ class TileOutcome:
     fallback: bool = False
     replayed: bool = False
     error: str | None = None
-    telemetry: dict | None = None
+    telemetry: list[dict] | None = None  # the worker recorder's records
     worker_pid: int | None = None
 
     def to_record(self) -> dict[str, Any]:
@@ -655,7 +655,8 @@ def _tile_task(tile: Any, subs: list[MaskShape], attempt: int) -> tuple:
         with recording(recorder):
             with recorder.span("tile", tile=tile.name, sub_shapes=len(subs)):
                 owned = fracture_tile(inner, tile, subs, spec)
-        return ("ok", tile.name, owned, recorder.export(), meta)
+        recorder.emit_metrics()
+        return ("ok", tile.name, owned, recorder.records, meta)
     except Exception as error:  # noqa: BLE001 — envelope, not policy
         message = (
             f"tile {tile.name} ({len(subs)} sub-shapes, attempt {attempt}): "
@@ -784,7 +785,7 @@ class _TileRunner:
         self,
         p: _Pending,
         shots: list[Rect],
-        telemetry: dict | None,
+        telemetry: list[dict] | None,
         worker_pid: int | None = None,
     ) -> None:
         outcome = TileOutcome(

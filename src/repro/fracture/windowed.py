@@ -216,17 +216,14 @@ class WindowedFracturer(Fracturer):
             "fallback_tiles": fallback_tiles,
             **stats.as_dict(),
         }
-        manifest = getattr(obs, "manifest", None)
-        if manifest is not None:
-            entries = manifest.setdefault("fault_tolerance", [])
-            entries.append({
-                "shape": shape.name,
-                "tiles": len(jobs),
-                "fallback_tiles": fallback_tiles,
-                "retried": retried,
-                "replayed": [o.tile_name for o in outcomes if o.replayed],
-                **stats.as_dict(),
-            })
+        obs.manifest_section("fault_tolerance", [{
+            "shape": shape.name,
+            "tiles": len(jobs),
+            "fallback_tiles": fallback_tiles,
+            "retried": retried,
+            "replayed": [o.tile_name for o in outcomes if o.replayed],
+            **stats.as_dict(),
+        }])
         return collected, info
 
     def _run_key(

@@ -222,7 +222,5 @@ def fracture_layout(
     }
     if run_cache is not None:
         report.stats["cache"] = run_cache.stats()
-    manifest = getattr(obs, "manifest", None)
-    if isinstance(manifest, dict):
-        manifest.setdefault("hierarchy", {}).update(report.stats)
+    obs.manifest_section("hierarchy", report.stats)
     return report

@@ -267,9 +267,7 @@ class MdpPipeline:
                 ),
                 "journal_replays": resumed,
             }
-            manifest = getattr(obs, "manifest", None)
-            if isinstance(manifest, dict):
-                manifest.setdefault("mdp_batch", {}).update(stats)
+            obs.manifest_section("mdp_batch", stats)
         for shape, result in zip(shapes, results):
             report.results.append(result)
             if verbose:
@@ -337,13 +335,13 @@ class MdpPipeline:
         }
 
 
-def _fracture_job(job: tuple) -> tuple[FractureResult, dict | None]:
+def _fracture_job(job: tuple) -> tuple[FractureResult, list[dict] | None]:
     """Module-level worker so ProcessPoolExecutor can pickle the call.
 
     When the parent had telemetry enabled, the worker records into a
-    fresh per-process buffer and ships it back alongside the result for
-    the parent to merge — recorders themselves never cross the process
-    boundary.
+    fresh per-process recorder and ships its records back alongside the
+    result for the parent to merge — recorders themselves never cross
+    the process boundary.
     """
     fracturer, shape, spec, telemetry_enabled = job
     if not telemetry_enabled:
@@ -351,4 +349,5 @@ def _fracture_job(job: tuple) -> tuple[FractureResult, dict | None]:
     worker_recorder = TelemetryRecorder()
     with recording(worker_recorder):
         result = fracturer.fracture(shape, spec)
-    return result, worker_recorder.export()
+    worker_recorder.emit_metrics()
+    return result, worker_recorder.records

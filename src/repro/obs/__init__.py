@@ -11,8 +11,11 @@ The measurement substrate for the fracturing pipeline:
   ``windowed.tile_timeouts``, ``windowed.pool_respawns``,
   ``windowed.tile_fallbacks``, ``windowed.tiles_replayed``, …);
 * a per-iteration **convergence recorder** for Algorithm 1;
-* a **run manifest** (γ/σ/Δp/ρ/L_min, seed, git SHA, host) with
-  JSON / JSONL / CSV exporters and a ``trace summarize`` renderer;
+* a **run manifest** (γ/σ/Δp/ρ/L_min, seed, git SHA, host);
+* one on-disk format, the append-only JSONL **stream**
+  (:mod:`repro.obs.stream`): every payload is the fold of a run's
+  stream records, written as ``.json`` (or a convergence ``.csv``) by
+  ``--telemetry`` and rendered by ``trace summarize``;
 * a **trace context** (:class:`TraceContext`) correlating every span,
   stream line, heartbeat and checkpoint record of one logical run
   across processes and daemon restarts, with chrome-trace / speedscope
@@ -38,15 +41,9 @@ from repro.obs.diff import (
     format_diff,
     payload_metrics,
 )
-from repro.obs.export import (
-    load_telemetry,
-    payload_to_records,
-    records_to_payload,
-    write_telemetry,
-)
+from repro.obs.export import load_telemetry, write_telemetry
 from repro.obs.flame import (
     chrome_from_payload,
-    chrome_from_records,
     speedscope_from_payload,
     validate_chrome_trace,
 )
@@ -113,7 +110,6 @@ __all__ = [
     "TelemetryStream",
     "TraceContext",
     "chrome_from_payload",
-    "chrome_from_records",
     "diff_payloads",
     "disk_free_bytes",
     "enable_console_logging",
@@ -131,12 +127,10 @@ __all__ = [
     "parse_prometheus",
     "payload_metrics",
     "payload_samples",
-    "payload_to_records",
     "phase_breakdown",
     "pid_alive",
     "read_heartbeats",
     "read_stream",
-    "records_to_payload",
     "recording",
     "render_prometheus",
     "render_top",

@@ -4,24 +4,20 @@
 file that standard trace viewers open directly:
 
 * **chrome** — the Trace Event Format (``chrome://tracing`` /
-  Perfetto): one ``X`` (complete) event per span, worker subtrees on
-  their own thread lanes, recorder events as instant markers.  Every
-  event carries ``args.trace_id`` so a flame graph can be joined back
-  to the service job / CLI run that produced it.
+  Perfetto): one ``X`` (complete) event per span, merged pool workers
+  on their own thread lanes, worker heartbeats and stalls on one lane
+  per worker pid, other recorder events as instant markers on the main
+  lane.  Every event carries ``args.trace_id`` so a flame graph can be
+  joined back to the service job / CLI run that produced it.
 * **speedscope** — the speedscope.app "evented" profile: open/close
   frame events per lane, for flame-chart reading of long runs.
 
-Two input shapes are accepted, matching what runs actually leave
-behind:
-
-* a ``repro.obs/v1`` payload (``--telemetry`` file or a service job's
-  ``telemetry.json``): the span tree has durations but no absolute
-  timestamps, so children are laid out sequentially from their parent's
-  start — structurally exact, chronologically approximate;
-* a ``repro.obs.stream/v1`` JSONL stream: ``span_open``/``span_close``
-  records carry real wall-clock times, so the chrome timeline is exact,
-  and spans left open by a crash/restart render closed with
-  ``status=aborted`` instead of disappearing.
+Both read a ``repro.obs/v1`` payload — a ``--telemetry`` export or the
+fold of a ``--stream`` file / daemon job stream
+(:func:`repro.obs.load_telemetry`).  Each span node keeps the wall-clock
+time its ``span_open`` was recorded (``t``), so the chrome timeline
+is real time; spans a crash or a restart left open render with
+``status=aborted`` instead of disappearing.
 
 :func:`validate_chrome_trace` is the structural gate used by CI: every
 event must carry the run's trace id and nest cleanly inside its parent
@@ -30,16 +26,18 @@ on the same lane.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterator, Mapping
 
 __all__ = [
     "chrome_from_payload",
-    "chrome_from_records",
     "speedscope_from_payload",
     "validate_chrome_trace",
 ]
 
 _US = 1e6  # seconds → trace-event microseconds
+
+#: Events drawn on a lane of their own per worker pid.
+_PID_LANE_EVENTS = ("worker_heartbeat", "worker_stalled")
 
 
 def _trace_args(trace: Mapping[str, Any] | None) -> dict[str, Any]:
@@ -58,82 +56,112 @@ def _thread_meta(pid: int, tid: int, name: str) -> dict[str, Any]:
     }
 
 
-# -- payload input -----------------------------------------------------------
+def _is_worker(node: Mapping[str, Any]) -> bool:
+    name = str(node.get("name", ""))
+    return name.startswith("worker:") or name == "worker"
 
 
-def _span_events(
-    node: Mapping[str, Any],
-    start_us: float,
-    pid: int,
-    tid: int,
-    base_args: dict[str, Any],
-    events: list[dict[str, Any]],
-    lanes: list[dict[str, Any]],
-    next_tid: list[int],
-) -> float:
-    """Emit one span subtree; returns the span's duration in µs.
-
-    ``worker:<label>`` wrappers (cross-process merges) switch to a fresh
-    lane so each worker's tiles render as their own flame row.
-    """
-    name = str(node.get("name", "?"))
-    if name.startswith("worker:") or name == "worker":
-        tid = next_tid[0]
-        next_tid[0] += 1
-        lanes.append(_thread_meta(pid, tid, name))
-    dur_us = max(float(node.get("wall_s", 0.0)), 0.0) * _US
-    args = dict(base_args)
-    attrs = node.get("attrs") or {}
-    for key, value in attrs.items():
-        if isinstance(value, (str, int, float, bool)):
-            args[key] = value
-    if node.get("open") and "status" not in args:
-        args["status"] = "aborted"
-    child_cursor = start_us
-    for child in node.get("children", ()):  # sequential layout
-        child_cursor += _span_events(
-            child, child_cursor, pid, tid, base_args,
-            events, lanes, next_tid,
-        )
-    # A parent whose recorded wall is shorter than its children (merged
-    # worker wrappers sum child walls; clock skew does the rest) still
-    # has to contain them for the nesting check to hold.
-    dur_us = max(dur_us, child_cursor - start_us)
-    events.append({
-        "name": name, "ph": "X", "ts": round(start_us, 3),
-        "dur": round(dur_us, 3), "pid": pid, "tid": tid,
-        "cat": "span", "args": args,
-    })
-    return dur_us
+def _walk(node: Mapping[str, Any]) -> Iterator[Mapping[str, Any]]:
+    yield node
+    for child in node.get("children", ()):
+        yield from _walk(child)
 
 
-def chrome_from_payload(payload: Mapping[str, Any]) -> dict[str, Any]:
-    """A ``repro.obs/v1`` payload as a Trace Event Format document."""
-    manifest = payload.get("manifest") or {}
-    trace = manifest.get("trace") or {}
-    base_args = _trace_args(trace)
-    pid = 1
-    events: list[dict[str, Any]] = []
-    lanes: list[dict[str, Any]] = [_thread_meta(pid, 1, "main")]
-    next_tid = [2]
-    root = payload.get("spans") or {"name": "run"}
-    total_us = _span_events(
-        root, 0.0, pid, 1, base_args, events, lanes, next_tid
-    )
-    cursor = total_us
-    for record in payload.get("events", ()):
-        args = dict(base_args)
+class _ChromeLayout:
+    """Span tree → ``X`` events, one lane per merged worker."""
+
+    def __init__(self, t0: float | None, base_args: dict[str, Any]):
+        self.t0 = t0
+        self.base_args = base_args
+        self.pid = 1
+        self.events: list[dict[str, Any]] = []
+        self.lanes: list[dict[str, Any]] = [_thread_meta(1, 1, "main")]
+        self._next_tid = 2
+
+    def span(
+        self, node: Mapping[str, Any], start_us: float, tid: int
+    ) -> float:
+        """Emit one span subtree; returns the span's end in µs.
+
+        The span starts at its recorded time ``t`` but never before
+        ``start_us`` — its parent's start, or its previous sibling's end
+        on the same lane — and ends no earlier than its children, so
+        lanes nest even where the wall clock and the span timers differ
+        by microseconds.  A node without ``t`` is laid out sequentially.
+        ``worker:<label>`` wrappers switch to a fresh lane and keep
+        their own start, so concurrent workers render side by side.
+        """
+        name = str(node.get("name", "?"))
+        if _is_worker(node):
+            tid = self._next_tid
+            self._next_tid += 1
+            self.lanes.append(_thread_meta(self.pid, tid, name))
+        t = node.get("t")
+        if self.t0 is not None and isinstance(t, (int, float)):
+            start_us = max(start_us, (t - self.t0) * _US)
+        end_us = start_us + max(float(node.get("wall_s", 0.0)), 0.0) * _US
+        cursor = start_us
+        for child in node.get("children", ()):
+            if _is_worker(child):
+                end_us = max(end_us, self.span(child, start_us, tid))
+            else:
+                cursor = self.span(child, cursor, tid)
+                end_us = max(end_us, cursor)
+        args = dict(self.base_args)
+        for key, value in (node.get("attrs") or {}).items():
+            if isinstance(value, (str, int, float, bool)):
+                args[key] = value
+        if node.get("open") and "status" not in args:
+            args["status"] = "aborted"
+        self.events.append({
+            "name": name, "ph": "X", "ts": round(start_us, 3),
+            "dur": round(end_us - start_us, 3), "pid": self.pid,
+            "tid": tid, "cat": "span", "args": args,
+        })
+        return end_us
+
+    def instant(self, record: Mapping[str, Any], ts_us: float) -> None:
+        name = str(record.get("name", "event"))
+        tid = 1
+        worker_pid = record.get("pid")
+        if name in _PID_LANE_EVENTS and isinstance(worker_pid, int):
+            tid = worker_pid
+            if all(lane["tid"] != tid for lane in self.lanes):
+                self.lanes.append(
+                    _thread_meta(self.pid, tid, f"worker pid={tid}")
+                )
+        args = dict(self.base_args)
         for key, value in record.items():
             if key != "name" and isinstance(value, (str, int, float, bool)):
                 args[key] = value
-        events.append({
-            "name": str(record.get("name", "event")), "ph": "i",
-            "ts": round(cursor, 3), "pid": pid, "tid": 1,
-            "s": "t", "cat": "event", "args": args,
+        self.events.append({
+            "name": name, "ph": "i", "ts": round(ts_us, 3),
+            "pid": self.pid, "tid": tid, "s": "t", "cat": "event",
+            "args": args,
         })
-        cursor += 1.0  # synthetic 1µs spacing: order preserved, no overlap
+
+
+def chrome_from_payload(payload: Mapping[str, Any]) -> dict[str, Any]:
+    """A ``repro.obs/v1`` payload as a Trace Event Format document.
+
+    Timestamps are µs since the earliest recorded span start.  Events
+    carry no timestamps in the payload, so they follow the spans in
+    record order, 1 µs apart.
+    """
+    manifest = payload.get("manifest") or {}
+    trace = manifest.get("trace") or {}
+    root = payload.get("spans") or {"name": "run"}
+    starts = [
+        node["t"] for node in _walk(root)
+        if isinstance(node.get("t"), (int, float))
+    ]
+    layout = _ChromeLayout(min(starts) if starts else None, _trace_args(trace))
+    cursor = layout.span(root, 0.0, 1)
+    for record in payload.get("events", ()):
+        layout.instant(record, cursor)
+        cursor += 1.0
     return {
-        "traceEvents": lanes + events,
+        "traceEvents": layout.lanes + layout.events,
         "displayTimeUnit": "ms",
         "otherData": {
             "schema": "repro.obs.chrome/v1",
@@ -141,123 +169,6 @@ def chrome_from_payload(payload: Mapping[str, Any]) -> dict[str, Any]:
             "counters": dict(payload.get("counters") or {}),
             "profile": manifest.get("profile") or {},
         },
-    }
-
-
-# -- stream input ------------------------------------------------------------
-
-
-def chrome_from_records(
-    records: Iterable[Mapping[str, Any]],
-) -> dict[str, Any]:
-    """A telemetry stream as a Trace Event Format document.
-
-    Timestamps are the stream's real wall-clock times (µs since the
-    first record).  A stream that spans a daemon restart contributes
-    both attempts: spans the first attempt never closed are emitted
-    with ``status=aborted`` ending at the moment of the next
-    ``stream_header`` (the restart) or at end of stream.
-    """
-    records = list(records)
-    t0: float | None = None
-    trace: dict[str, Any] = {}
-    for record in records:
-        if t0 is None and isinstance(record.get("t"), (int, float)):
-            t0 = float(record["t"])
-        if not trace and record.get("trace_id"):
-            trace = {"trace_id": record["trace_id"]}
-        if record.get("type") == "manifest" and record.get("trace"):
-            trace = dict(record["trace"])
-    if t0 is None:
-        t0 = 0.0
-
-    def ts(record: Mapping[str, Any], default: float = 0.0) -> float:
-        t = record.get("t")
-        return (float(t) - t0) * _US if isinstance(t, (int, float)) else default
-
-    pid = 1
-    events: list[dict[str, Any]] = []
-    lanes: dict[int, dict[str, Any]] = {
-        1: _thread_meta(pid, 1, "main"),
-    }
-    base_args = _trace_args(trace)
-    open_spans: list[dict[str, Any]] = []  # {"name", "ts", "args"}
-    last_us = 0.0
-
-    def close_open(end_us: float, status: str) -> None:
-        while open_spans:
-            span = open_spans.pop()
-            args = dict(span["args"])
-            args["status"] = status
-            events.append({
-                "name": span["name"], "ph": "X", "ts": round(span["ts"], 3),
-                "dur": round(max(end_us - span["ts"], 0.0), 3),
-                "pid": pid, "tid": 1, "cat": "span", "args": args,
-            })
-
-    for record in records:
-        kind = record.get("type")
-        now_us = ts(record, last_us)
-        last_us = max(last_us, now_us)
-        args = dict(base_args)
-        if record.get("trace_id"):
-            args["trace_id"] = record["trace_id"]
-        if kind == "stream_header":
-            # A restart: whatever the previous attempt left open was
-            # torn by the crash — close it visibly, don't drop it.
-            if open_spans:
-                close_open(now_us, "aborted")
-        elif kind == "span_open":
-            attrs = record.get("attrs") or {}
-            for key, value in attrs.items():
-                if isinstance(value, (str, int, float, bool)):
-                    args[key] = value
-            open_spans.append(
-                {"name": record.get("name", "?"), "ts": now_us, "args": args}
-            )
-        elif kind == "span_close":
-            name = record.get("name", "?")
-            wall_us = float(record.get("wall_s", 0.0)) * _US
-            matched = None
-            for index in range(len(open_spans) - 1, -1, -1):
-                if open_spans[index]["name"] == name:
-                    matched = open_spans.pop(index)
-                    break
-            start = matched["ts"] if matched else now_us - wall_us
-            span_args = dict(matched["args"]) if matched else dict(args)
-            events.append({
-                "name": name, "ph": "X", "ts": round(start, 3),
-                "dur": round(max(now_us - start, 0.0), 3),
-                "pid": pid, "tid": 1, "cat": "span", "args": span_args,
-            })
-        elif kind == "event":
-            name = str(record.get("name", "event"))
-            tid = 1
-            worker_pid = record.get("pid")
-            if name in ("worker_heartbeat", "worker_stalled") and isinstance(
-                worker_pid, int
-            ):
-                tid = worker_pid
-                if tid not in lanes:
-                    lanes[tid] = _thread_meta(pid, tid, f"worker pid={tid}")
-            for key, value in record.items():
-                if key not in ("type", "name") and isinstance(
-                    value, (str, int, float, bool)
-                ):
-                    args[key] = value
-            events.append({
-                "name": name, "ph": "i", "ts": round(now_us, 3),
-                "pid": pid, "tid": tid, "s": "t", "cat": "event",
-                "args": args,
-            })
-    close_open(last_us, "aborted")
-    # Viewers tolerate any order, but the nesting validator walks each
-    # lane chronologically.
-    events.sort(key=lambda e: (e["tid"], e["ts"], -e.get("dur", 0.0)))
-    return {
-        "traceEvents": list(lanes.values()) + events,
-        "displayTimeUnit": "ms",
-        "otherData": {"schema": "repro.obs.chrome/v1", "trace": dict(trace)},
     }
 
 

@@ -5,9 +5,9 @@ next to the telemetry recorder: a daemon thread that periodically
 snapshots the main thread's Python stack (``sys._current_frames``) and
 folds it — tagged with the recorder's *currently open span path* — into
 an aggregated ``{span_path: {collapsed_stack: count}}`` table.  On stop
-the table lands in the recorder manifest under ``profile``, so it rides
-the normal export path and ``trace export`` can ship it alongside the
-flame graph.
+the table is recorded as the ``profile`` manifest section, so it rides
+the stream and the export, and ``trace export`` can ship it alongside
+the flame graph.
 
 Aggregation (not per-sample events) keeps the cost flat: a multi-hour
 run produces a bounded table, not millions of stream records, and the
@@ -47,8 +47,8 @@ class SamplingProfiler:
     """Periodic main-thread stack sampler feeding a telemetry recorder.
 
     ``with SamplingProfiler(recorder, interval_s=0.01): ...`` — on exit
-    the aggregated samples are written into
-    ``recorder.manifest["profile"]``.
+    the aggregated samples become the recorder's ``profile`` manifest
+    section.
     """
 
     def __init__(self, recorder: Any, *, interval_s: float = 0.01):
@@ -64,21 +64,8 @@ class SamplingProfiler:
     def _span_path(self) -> str:
         # current_path() is thread-scoped; ask for the *target* thread's
         # path — from this sampler thread the recorder's own stack is
-        # empty.  Older recorders without the thread_id parameter fall
-        # back to the (empty) local path.
-        path = ""
-        current_path = getattr(self._recorder, "current_path", None)
-        if callable(current_path):
-            try:
-                path = current_path(self._target_id)
-            except TypeError:
-                try:
-                    path = current_path()
-                except Exception:
-                    path = ""
-            except Exception:
-                path = ""
-        return path or "(no span)"
+        # empty.
+        return self._recorder.current_path(self._target_id) or "(no span)"
 
     def _loop(self) -> None:
         while not self._stop.wait(self._interval_s):
@@ -108,9 +95,11 @@ class SamplingProfiler:
         return self
 
     def stop(self) -> dict[str, Any]:
-        """Stop sampling and publish the table to the recorder manifest."""
+        """Stop sampling and publish the table as the ``profile``
+        manifest section (once, however often ``stop`` is called)."""
         self._stop.set()
-        if self._thread is not None:
+        running = self._thread is not None
+        if running:
             self._thread.join(timeout=2.0)
             self._thread = None
         table = {
@@ -124,9 +113,8 @@ class SamplingProfiler:
                 for span, stacks in self._samples.items()
             },
         }
-        manifest = getattr(self._recorder, "manifest", None)
-        if isinstance(manifest, dict):
-            manifest["profile"] = table
+        if running:
+            self._recorder.manifest_section("profile", table)
         return table
 
     def __enter__(self) -> "SamplingProfiler":

@@ -6,17 +6,21 @@ Two implementations share one duck-typed interface:
   no-op and :meth:`NullRecorder.span` returns a shared do-nothing
   context manager, so instrumented library code costs essentially
   nothing when telemetry is off (asserted by ``tests/obs``).
-* :class:`TelemetryRecorder` — collects a hierarchical span tree
-  (wall *and* CPU time), counters / gauges / histograms, free-form
-  events and per-iteration convergence records, and exports everything
-  as one JSON-serializable payload.
+* :class:`TelemetryRecorder` — appends every span open/close, event,
+  convergence record and manifest section to one list of stream records
+  (forwarding each to a live :class:`~repro.obs.TelemetryStream` when
+  one is attached) and keeps counters / gauges / histograms as running
+  aggregates.  :meth:`TelemetryRecorder.export` is
+  :func:`~repro.obs.stream.stream_to_payload` over that list, so a run's
+  payload and the fold of its stream file are the same thing.
 
 Thread safety: each thread keeps its own span stack (``threading.local``)
-so concurrently open spans never corrupt each other; shared aggregates
-are guarded by a single lock.  Process safety: worker processes install
-their *own* recorder, export it, and the parent grafts the payload into
-its tree via :meth:`TelemetryRecorder.merge_child` — the pattern used by
-the parallel MDP pipeline.
+so concurrently open spans never corrupt each other; the record list
+and the aggregates are guarded by a single lock.  Process safety: worker
+processes install their *own* recorder and return its records, and the
+parent re-emits them under a ``worker:<label>`` span via
+:meth:`TelemetryRecorder.merge_child` — the pattern used by the
+parallel MDP pipeline and the tile pool.
 
 The active recorder is resolved through :func:`get_recorder` at call
 time, so installing a recorder mid-process (the CLI ``--telemetry``
@@ -25,10 +29,13 @@ flag) retroactively covers every instrumented module.
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 import time
 from typing import Any, Iterator
+
+from repro.obs.stream import merge_metrics, stream_to_payload
 
 __all__ = [
     "NullRecorder",
@@ -85,55 +92,30 @@ class NullRecorder:
     def convergence(self, **fields: Any) -> None:
         pass
 
-    def merge_child(self, payload: dict, label: str = "") -> None:
+    def manifest_section(self, section: str, value: Any) -> None:
+        pass
+
+    def merge_child(self, records: list, label: str = "") -> None:
         pass
 
 
 class SpanNode:
-    """One node of the span tree: timings, attributes, children.
+    """Read-side view of one node of a payload's span tree.
 
-    ``closed`` tracks whether the owning span context actually exited.
-    A payload exported while spans are still open (a worker killed
-    mid-tile, a daemon SIGKILLed mid-job) serializes those nodes with
-    ``"open": true`` so the merging parent can close them *visibly*
-    (``status=aborted``) instead of dropping them or leaving them
-    dangling.
+    ``closed`` is false for a span that was still open when its records
+    ended (``"open": true`` in the payload): a live run, or a writer
+    that died mid-span.
     """
 
     __slots__ = ("name", "attrs", "wall_s", "cpu_s", "children", "closed")
 
-    def __init__(self, name: str, attrs: dict[str, Any] | None = None):
-        self.name = name
-        self.attrs: dict[str, Any] = dict(attrs) if attrs else {}
-        self.wall_s = 0.0
-        self.cpu_s = 0.0
-        self.children: list[SpanNode] = []
-        self.closed = True
-
-    def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
-            "name": self.name,
-            "wall_s": self.wall_s,
-            "cpu_s": self.cpu_s,
-        }
-        if not self.closed:
-            out["open"] = True
-        if self.attrs:
-            out["attrs"] = dict(self.attrs)
-        if self.children:
-            out["children"] = [child.to_dict() for child in self.children]
-        return out
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "SpanNode":
-        node = cls(payload.get("name", "?"), payload.get("attrs"))
-        node.wall_s = float(payload.get("wall_s", 0.0))
-        node.cpu_s = float(payload.get("cpu_s", 0.0))
-        node.closed = not payload.get("open", False)
-        node.children = [
-            cls.from_dict(child) for child in payload.get("children", ())
-        ]
-        return node
+    def __init__(self, node: dict[str, Any]):
+        self.name: str = node.get("name", "?")
+        self.attrs: dict[str, Any] = dict(node.get("attrs") or {})
+        self.wall_s = float(node.get("wall_s", 0.0))
+        self.cpu_s = float(node.get("cpu_s", 0.0))
+        self.closed = not node.get("open", False)
+        self.children = [SpanNode(child) for child in node.get("children", ())]
 
     def walk(self) -> Iterator["SpanNode"]:
         """Depth-first iteration over this node and all descendants."""
@@ -143,55 +125,55 @@ class SpanNode:
 
 
 class _SpanContext:
-    """Context manager that opens/closes one :class:`SpanNode`."""
+    """Context manager that records one span's open and close."""
 
-    __slots__ = ("_rec", "node", "_t0", "_c0")
+    __slots__ = ("_rec", "name", "attrs", "id", "_late", "_t0", "_c0")
 
     def __init__(self, rec: "TelemetryRecorder", name: str, attrs: dict):
         self._rec = rec
-        self.node = SpanNode(name, attrs)
+        self.name = name
+        self.attrs = attrs
+        self._late: dict[str, Any] = {}
 
     def __enter__(self) -> "_SpanContext":
-        self.node.closed = False
-        stack = self._rec._stack()
-        parent = stack[-1].node if stack else self._rec.root
-        with self._rec._lock:
-            parent.children.append(self.node)
+        rec = self._rec
+        stack = rec._stack()
+        self.id = next(rec._ids)
+        record = {
+            "type": "span_open",
+            "id": self.id,
+            "parent": stack[-1].id if stack else None,
+            "name": self.name,
+        }
+        if self.attrs:
+            record["attrs"] = dict(self.attrs)
         stack.append(self)
-        self._rec._publish_path(stack)
-        if self._rec.stream is not None:
-            record = {
-                "type": "span_open",
-                "name": self.node.name,
-                "path": "/".join(ctx.node.name for ctx in stack),
-            }
-            if self.node.attrs:
-                record["attrs"] = dict(self.node.attrs)
-            self._rec._stream_emit(record)
+        rec._publish_path(stack)
+        rec._record(record)
         self._t0 = time.perf_counter()
         self._c0 = time.process_time()
         return self
 
     def __exit__(self, *exc: object) -> bool:
-        self.node.wall_s += time.perf_counter() - self._t0
-        self.node.cpu_s += time.process_time() - self._c0
-        self.node.closed = True
+        record = {
+            "type": "span_close",
+            "id": self.id,
+            "name": self.name,
+            "wall_s": time.perf_counter() - self._t0,
+            "cpu_s": time.process_time() - self._c0,
+        }
+        if self._late:
+            record["attrs"] = dict(self._late)
         stack = self._rec._stack()
         if stack and stack[-1] is self:
             stack.pop()
         self._rec._publish_path(stack)
-        if self._rec.stream is not None:
-            self._rec._stream_emit({
-                "type": "span_close",
-                "name": self.node.name,
-                "wall_s": self.node.wall_s,
-                "cpu_s": self.node.cpu_s,
-            })
+        self._rec._record(record)
         return False
 
     def annotate(self, **attrs: Any) -> None:
         """Attach attributes discovered after the span was opened."""
-        self.node.attrs.update(attrs)
+        self._late.update(attrs)
 
 
 class TelemetryRecorder:
@@ -205,27 +187,25 @@ class TelemetryRecorder:
         stream: Any | None = None,
         trace: Any | None = None,
     ):
-        self.manifest: dict[str, Any] = dict(manifest) if manifest else {}
-        self.stream = stream  # live TelemetryStream sink, or None
+        manifest = dict(manifest) if manifest else {}
         # Trace context (repro.obs.trace.TraceContext or its dict form):
         # recorded in the manifest and pushed down to the stream so every
         # emitted line carries the run's trace_id.
         if trace is not None:
             trace_dict = trace.to_dict() if hasattr(trace, "to_dict") else dict(trace)
-            self.manifest.setdefault("trace", trace_dict)
-        self.trace: dict[str, Any] | None = self.manifest.get("trace")
-        if (
-            self.trace
-            and stream is not None
-            and hasattr(stream, "set_trace")
-        ):
+            manifest.setdefault("trace", trace_dict)
+        elif getattr(stream, "trace_id", None):
+            manifest.setdefault("trace", {"trace_id": stream.trace_id})
+        self.trace: dict[str, Any] | None = manifest.get("trace")
+        self.stream = stream  # live TelemetryStream sink, or None
+        if self.trace and stream is not None:
             stream.set_trace(self.trace.get("trace_id"))
-        self.root = SpanNode("run")
+        #: Every record of the run, in stream order (the payload's source).
+        self.records: list[dict[str, Any]] = []
         self.counters: dict[str, float] = {}
         self.gauges: dict[str, float] = {}
         self.histograms: dict[str, dict[str, float]] = {}
-        self.events: list[dict[str, Any]] = []
-        self.convergence_records: list[dict[str, Any]] = []
+        self._ids = itertools.count()
         self._lock = threading.Lock()
         self._local = threading.local()
         # Mirror of each thread's open-span path, readable from *other*
@@ -233,12 +213,15 @@ class TelemetryRecorder:
         # samples from its own sampler thread, where the thread-local
         # stack above is invisible.
         self._path_by_thread: dict[int, str] = {}
+        self._record({"type": "manifest", **manifest})
 
-    def _stream_emit(self, record: dict[str, Any]) -> None:
-        """Forward one record to the live stream (no-op without one)."""
-        stream = self.stream
-        if stream is not None:
-            stream.emit(record)
+    def _record(self, record: dict[str, Any]) -> None:
+        """Stamp ``t``, keep the record and forward it to the stream."""
+        record["t"] = round(time.time(), 6)
+        with self._lock:
+            self.records.append(record)
+            if self.stream is not None:
+                self.stream.emit(record)
 
     # -- span context --------------------------------------------------------
 
@@ -257,7 +240,7 @@ class TelemetryRecorder:
         return _SpanContext(self, name, attrs)
 
     def _publish_path(self, stack: list[_SpanContext]) -> None:
-        path = "/".join(ctx.node.name for ctx in stack)
+        path = "/".join(ctx.name for ctx in stack)
         thread_id = threading.get_ident()
         if path:
             self._path_by_thread[thread_id] = path
@@ -273,7 +256,7 @@ class TelemetryRecorder:
         """
         if thread_id is not None:
             return self._path_by_thread.get(thread_id, "")
-        return "/".join(ctx.node.name for ctx in self._stack())
+        return "/".join(ctx.name for ctx in self._stack())
 
     # -- metrics -------------------------------------------------------------
 
@@ -303,118 +286,163 @@ class TelemetryRecorder:
     # -- structured records --------------------------------------------------
 
     def event(self, name: str, **fields: Any) -> None:
-        record = {"name": name, "span": self.current_path(), **fields}
-        with self._lock:
-            self.events.append(record)
-        if self.stream is not None:
-            self._stream_emit({"type": "event", **record})
+        self._record({
+            "type": "event", "name": name, "span": self.current_path(),
+            **fields,
+        })
 
     def convergence(self, **fields: Any) -> None:
-        """Append one per-iteration record of the refinement loop."""
-        record = {"span": self.current_path(), **fields}
-        with self._lock:
-            record["seq"] = len(self.convergence_records)
-            self.convergence_records.append(record)
-        if self.stream is not None:
-            self._stream_emit({"type": "convergence", **record})
+        """Record one per-iteration record of the refinement loop."""
+        self._record(
+            {"type": "convergence", "span": self.current_path(), **fields}
+        )
+
+    def manifest_section(self, section: str, value: Any) -> None:
+        """Record one manifest section: a dict updates the section, a
+        list extends it, anything else replaces it."""
+        self._record(
+            {"type": "manifest_update", "section": section, "value": value}
+        )
 
     def snapshot_metrics(self) -> dict[str, Any]:
-        """A consistent copy of the current counters and gauges."""
+        """A consistent copy of the current counters, gauges, histograms."""
         with self._lock:
             return {
-                "counters": dict(self.counters),
-                "gauges": dict(self.gauges),
-            }
-
-    def emit_metrics(self) -> None:
-        """Push a counters/gauges snapshot into the live stream, if any."""
-        if self.stream is not None:
-            self._stream_emit({"type": "metrics", **self.snapshot_metrics()})
-
-    # -- export / merge ------------------------------------------------------
-
-    def export(self) -> dict[str, Any]:
-        """One JSON-serializable payload of everything collected."""
-        with self._lock:
-            return {
-                "schema": "repro.obs/v1",
-                "manifest": dict(self.manifest),
-                "spans": self.root.to_dict(),
                 "counters": dict(self.counters),
                 "gauges": dict(self.gauges),
                 "histograms": {
                     name: dict(hist) for name, hist in self.histograms.items()
                 },
-                "events": list(self.events),
-                "convergence": list(self.convergence_records),
             }
 
-    def merge_child(self, payload: dict, label: str = "") -> None:
-        """Graft an exported child-process payload into this recorder.
+    def emit_metrics(self) -> None:
+        """Record a metrics snapshot (and stream it, if a stream is on)."""
+        self._record({"type": "metrics", **self.snapshot_metrics()})
 
-        The child's span tree hangs under a ``worker:<label>`` node in
-        the *current* span context; counters sum, histograms merge,
-        gauges adopt the child's value, and events / convergence records
-        are appended tagged with the worker label.
+    # -- export / merge ------------------------------------------------------
 
-        Spans the child never closed (it crashed, or exported mid-span
-        before being killed) are closed here with an explicit
+    def export(self) -> dict[str, Any]:
+        """The run's payload: the fold of its records and current metrics."""
+        with self._lock:
+            records = list(self.records)
+        records.append({"type": "metrics", **self.snapshot_metrics()})
+        return stream_to_payload(records)
+
+    @property
+    def manifest(self) -> dict[str, Any]:
+        return self.export()["manifest"]
+
+    @property
+    def root(self) -> SpanNode:
+        return SpanNode(self.export()["spans"])
+
+    @property
+    def events(self) -> list[dict[str, Any]]:
+        return self.export()["events"]
+
+    @property
+    def convergence_records(self) -> list[dict[str, Any]]:
+        return self.export()["convergence"]
+
+    def merge_child(
+        self, records: list[dict[str, Any]], label: str = ""
+    ) -> None:
+        """Re-emit a child-process recorder's records under this one.
+
+        The child's spans hang under a ``worker:<label>`` span in the
+        *current* span context, with ids remapped into this recorder's
+        id space; its events and convergence records are tagged with
+        the worker label.  The child's last metrics snapshot merges into
+        the aggregates: counters sum, histograms merge, gauges adopt the
+        child's value.  Everything is recorded, and streamed, in one
+        batch.
+
+        Spans the child never closed (it crashed, or returned its
+        records mid-span) are closed here with an explicit
         ``status=aborted`` attribute — a crash must leave a visible
         mark in the merged tree, not a dangling or missing span.  The
         child's trace context, if it carried one, is stamped on the
         wrapper so the graft stays joinable to the job's trace_id.
         """
-        child_root = SpanNode.from_dict(payload.get("spans", {"name": "run"}))
-        wrapper = SpanNode(f"worker:{label}" if label else "worker")
-        wrapper.children = child_root.children
-        wrapper.wall_s = sum(c.wall_s for c in wrapper.children)
-        wrapper.cpu_s = sum(c.cpu_s for c in wrapper.children)
-        child_trace = (payload.get("manifest") or {}).get("trace") or self.trace
-        if child_trace and child_trace.get("trace_id"):
-            wrapper.attrs["trace_id"] = child_trace["trace_id"]
-        aborted = 0
-        for node in wrapper.walk():
-            if not node.closed:
-                node.closed = True
-                node.attrs["status"] = "aborted"
-                if child_trace and child_trace.get("trace_id"):
-                    node.attrs.setdefault(
-                        "trace_id", child_trace["trace_id"]
-                    )
-                aborted += 1
+        # A recorder's first record is its manifest.
+        child_trace = (records[0].get("trace") if records else None)
+        trace_id = (child_trace or self.trace or {}).get("trace_id")
         stack = self._stack()
-        parent = stack[-1].node if stack else self.root
+        name = f"worker:{label}" if label else "worker"
+        wrapper = next(self._ids)
+        ids: dict[Any, int] = {}
+        unclosed: dict[Any, str] = {}
+        top_level: set[Any] = set()
+        wall_s = cpu_s = 0.0
+        snapshot = None
+        merged: list[dict[str, Any]] = []
+        n_events = 0
+        for record in records:
+            kind = record.get("type")
+            if kind == "span_open":
+                child_id = record.get("id")
+                parent = ids.get(record.get("parent"))
+                if parent is None:
+                    parent = wrapper
+                    top_level.add(child_id)
+                ids[child_id] = next(self._ids)
+                unclosed[child_id] = record.get("name", "?")
+                merged.append(
+                    {**record, "id": ids[child_id], "parent": parent}
+                )
+            elif kind == "span_close" and record.get("id") in unclosed:
+                child_id = record["id"]
+                del unclosed[child_id]
+                if child_id in top_level:
+                    wall_s += record.get("wall_s", 0.0)
+                    cpu_s += record.get("cpu_s", 0.0)
+                merged.append({**record, "id": ids[child_id]})
+            elif kind in ("event", "convergence"):
+                n_events += kind == "event"
+                merged.append({**record, "worker": label})
+            elif kind == "metrics":
+                snapshot = record
+        stamp = {"trace_id": trace_id} if trace_id else {}
+        for child_id in reversed(list(unclosed)):
+            merged.append({
+                "type": "span_close", "id": ids[child_id],
+                "name": unclosed[child_id], "wall_s": 0.0, "cpu_s": 0.0,
+                "attrs": {"status": "aborted", **stamp},
+            })
+        opened = {
+            "type": "span_open", "id": wrapper,
+            "parent": stack[-1].id if stack else None, "name": name,
+        }
+        if stamp:
+            opened["attrs"] = stamp
+        if merged and "t" in merged[0]:
+            opened["t"] = merged[0]["t"]  # the worker's own start time
+        summary = {
+            "type": "worker_merged", "label": label,
+            "wall_s": wall_s, "events": n_events,
+        }
+        if unclosed:
+            summary["aborted_spans"] = len(unclosed)
+        batch = [
+            opened,
+            *merged,
+            {"type": "span_close", "id": wrapper, "name": name,
+             "wall_s": wall_s, "cpu_s": cpu_s},
+            summary,
+        ]
+        now = round(time.time(), 6)
         with self._lock:
-            parent.children.append(wrapper)
-            for name, value in payload.get("counters", {}).items():
-                self.counters[name] = self.counters.get(name, 0) + value
-            for name, value in payload.get("gauges", {}).items():
-                self.gauges[name] = value
-            for name, hist in payload.get("histograms", {}).items():
-                mine = self.histograms.get(name)
-                if mine is None:
-                    self.histograms[name] = dict(hist)
-                else:
-                    mine["count"] += hist["count"]
-                    mine["sum"] += hist["sum"]
-                    mine["min"] = min(mine["min"], hist["min"])
-                    mine["max"] = max(mine["max"], hist["max"])
-            for event in payload.get("events", ()):
-                self.events.append({**event, "worker": label})
-            for record in payload.get("convergence", ()):
-                merged = {**record, "worker": label}
-                merged["seq"] = len(self.convergence_records)
-                self.convergence_records.append(merged)
-        if self.stream is not None:
-            record = {
-                "type": "worker_merged",
-                "label": label,
-                "wall_s": wrapper.wall_s,
-                "events": len(payload.get("events", ())),
-            }
-            if aborted:
-                record["aborted_spans"] = aborted
-            self._stream_emit(record)
+            if snapshot is not None:
+                merge_metrics(
+                    {"counters": self.counters, "gauges": self.gauges,
+                     "histograms": self.histograms},
+                    snapshot,
+                )
+            for record in batch:
+                record.setdefault("t", now)
+            self.records.extend(batch)
+            if self.stream is not None:
+                self.stream.emit_many(batch)
 
 
 _RECORDER: NullRecorder | TelemetryRecorder = NullRecorder()

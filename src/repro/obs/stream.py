@@ -1,14 +1,17 @@
-"""Streaming telemetry: an append-only JSONL event bus for live runs.
+"""The telemetry stream: the one on-disk telemetry format.
 
-The post-hoc exporters (:mod:`repro.obs.export`) only help once a run
-has finished; a multi-hour tiled ``fracture --window-nm --workers`` job
-needs to be observable *while it runs*.  :class:`TelemetryStream` is the
-write side: an append-only JSONL file to which the recorder emits one
-self-describing record per line — span open/close, events, convergence
-records, metric snapshots, worker heartbeats — as they happen.
+:class:`TelemetryStream` is the write side: an append-only JSONL file to
+which the recorder emits one self-describing record per line as things
+happen (span open/close, events, convergence records, metric snapshots,
+manifest sections, merged worker records).  A multi-hour tiled
+``fracture --window-nm --workers`` job is therefore observable *while
+it runs* (``trace tail --follow``, ``repro top``), and the finished file
+is the run's complete telemetry: every ``repro.obs/v1`` payload — the
+recorder's own :meth:`~repro.obs.TelemetryRecorder.export` included —
+is :func:`stream_to_payload` folded over the run's records.
 
-Durability contract (same as the checkpoint journal): every record is
-serialized to one full line and written with a single ``write`` call
+Durability contract (same as the checkpoint journal): records are
+serialized to whole lines and written with a single ``write`` call
 followed by a flush, so concurrent writer threads interleave at line
 granularity and a crash tears at most the trailing line.  Readers
 (:func:`read_stream`, :func:`follow_stream`) skip torn or undecodable
@@ -18,24 +21,28 @@ results (the determinism contract of the tiled executor is preserved).
 
 Record types (``"type"`` field, schema ``repro.obs.stream/v1``):
 
-==================  =====================================================
-``stream_header``   first line: schema, pid, creation time
-``manifest``        the run manifest (params, git SHA, host)
-``span_open``       a span started (``name``, ``path``, ``attrs``)
-``span_close``      a span finished (``name``, ``wall_s``, ``cpu_s``)
-``event``           a recorder event (``tile_outcome``, ``progress``,
-                    ``worker_heartbeat``, ``worker_stalled``, …)
-``convergence``     one per-iteration refinement record
-``metrics``         a counters/gauges snapshot
-``worker_merged``   a child-process payload was merged into the parent
-``resources``       a resource sample (RSS / CPU) of the parent process
-``stream_end``      last line: run status
-==================  =====================================================
+===================  ====================================================
+``stream_header``    first line of each attempt: schema, pid, creation
+                     time (a resumed daemon job appends another one)
+``manifest``         the run manifest (params, git SHA, host, trace)
+``manifest_update``  one manifest ``section`` and its ``value`` (dicts
+                     update, lists extend, anything else replaces)
+``span_open``        a span started (``id``, ``parent``, ``name``,
+                     ``attrs``)
+``span_close``       a span finished (``id``, ``name``, ``wall_s``,
+                     ``cpu_s``, ``attrs`` set by ``annotate()``)
+``event``            a recorder event (``tile_outcome``, ``progress``,
+                     ``worker_heartbeat``, ``worker_stalled``, …)
+``convergence``      one per-iteration refinement record
+``metrics``          a counters/gauges/histograms snapshot
+``worker_merged``    a pool worker's records were re-emitted under its
+                     ``worker:<label>`` span
+``stream_end``       last line: run status
+===================  ====================================================
 
-Every record carries ``seq`` (monotonic per stream) and ``t`` (unix
-time).  :func:`stream_to_payload` folds a finished stream back into an
-approximate ``repro.obs/v1`` payload (spans flattened, last metrics
-snapshot adopted) so ``trace diff`` can compare streams directly.
+Every record carries ``seq`` (monotonic per attempt) and ``t`` (unix
+time, stamped once by the recorder).  Span ids are scoped to one
+attempt: a resumed job's ids restart after its ``stream_header``.
 """
 
 from __future__ import annotations
@@ -45,18 +52,24 @@ import os
 import threading
 import time
 from pathlib import Path
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 __all__ = [
     "STREAM_SCHEMA",
     "StreamFormatter",
     "TelemetryStream",
     "follow_stream",
+    "merge_metrics",
+    "parse_record",
     "read_stream",
     "stream_to_payload",
 ]
 
 STREAM_SCHEMA = "repro.obs.stream/v1"
+
+#: One shared encoder: ``json.dumps(..., default=str)`` builds a new
+#: encoder per call, a third of the cost of a short record.
+_ENCODER = json.JSONEncoder(default=str)
 
 
 class TelemetryStream:
@@ -127,26 +140,40 @@ class TelemetryStream:
 
     def emit(self, record: dict[str, Any]) -> None:
         """Append one record as a single atomic line (no-op when closed)."""
+        self.emit_many((record,))
+
+    def emit_many(self, records: Iterable[dict[str, Any]]) -> None:
+        """Append records as whole lines with one ``write`` and one flush.
+
+        A record that already carries ``t`` keeps it: the recorder
+        stamps each record once, so the stream and the in-memory fold
+        agree on every timestamp.
+        """
         with self._lock:
             if self._closed:
                 return
-            record = {**record, "seq": self._seq, "t": round(time.time(), 6)}
-            if self._trace_id and "trace_id" not in record:
-                record["trace_id"] = self._trace_id
-            self._seq += 1
-            try:
-                line = json.dumps(record, default=str)
-            except (TypeError, ValueError):
-                line = json.dumps({
-                    "type": "stream_error",
-                    "seq": record["seq"],
-                    "t": record["t"],
-                    "error": "unserializable record dropped",
-                })
-            self._fh.write(line + "\n")
+            lines = [self._line(record) for record in records]
+            self._fh.write("".join(lines))
             self._fh.flush()
             if self._fsync:
                 os.fsync(self._fh.fileno())
+
+    def _line(self, record: dict[str, Any]) -> str:
+        record = {**record, "seq": self._seq}
+        if "t" not in record:
+            record["t"] = round(time.time(), 6)
+        if self._trace_id and "trace_id" not in record:
+            record["trace_id"] = self._trace_id
+        self._seq += 1
+        try:
+            return _ENCODER.encode(record) + "\n"
+        except (TypeError, ValueError):
+            return json.dumps({
+                "type": "stream_error",
+                "seq": record["seq"],
+                "t": record["t"],
+                "error": "unserializable record dropped",
+            }) + "\n"
 
     def close(self, status: str = "ok") -> None:
         """Emit the terminal ``stream_end`` record and close the file."""
@@ -231,14 +258,8 @@ def follow_stream(
                     # Torn mid-record: wait for the writer to finish the
                     # line (or drop it at EOF in non-follow mode).
                     continue
-                line, buffer = buffer.strip(), ""
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    continue
-                if not isinstance(record, dict):
+                record, buffer = parse_record(buffer), ""
+                if record is None:
                     continue
                 seq = record.get("seq")
                 if isinstance(seq, int):
@@ -267,97 +288,158 @@ def follow_stream(
                 time.sleep(poll_s)
 
 
+def parse_record(line: str) -> dict[str, Any] | None:
+    """One stream line as a record, or ``None`` if blank, torn or not
+    an object — the one torn-line-tolerant parse every reader shares."""
+    line = line.strip()
+    if not line:
+        return None
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError:
+        return None
+    return record if isinstance(record, dict) else None
+
+
 def read_stream(path: str | Path) -> list[dict[str, Any]]:
     """All complete records of a (possibly torn) stream file."""
     return list(follow_stream(path, follow=False))
 
 
-def stream_to_payload(records: list[dict[str, Any]]) -> dict[str, Any]:
-    """Fold a record stream into an approximate ``repro.obs/v1`` payload.
+#: Keys the writer stamps on every record; not part of a folded body.
+_ENVELOPE = ("type", "seq", "t", "trace_id")
 
-    Spans become a flat list of children under the root (one per
-    ``span_close``), counters/gauges come from the *last* metrics
-    snapshot, and events / convergence records carry over verbatim — a
-    lossy but diffable reconstruction for ``trace diff`` on streams.
 
-    A ``span_open`` with no matching ``span_close`` (the writer died
-    mid-span, or a daemon restart started a fresh attempt) still
-    produces a span — closed with ``attrs.status = "aborted"`` — so a
-    crash is visible in the folded payload rather than silently
-    shortening the tree.
+def merge_metrics(into: dict[str, Any], snapshot: dict[str, Any]) -> None:
+    """Add a counters/gauges/histograms snapshot into ``into``.
+
+    Counters sum, gauges take the snapshot's value and histograms merge
+    count/sum/min/max.  ``into`` must hold the three dicts.
     """
-    payload: dict[str, Any] = {
-        "schema": "repro.obs/v1",
-        "manifest": {},
-        "spans": {"name": "run", "wall_s": 0.0, "cpu_s": 0.0, "children": []},
-        "counters": {},
-        "gauges": {},
-        "histograms": {},
-        "events": [],
-        "convergence": [],
-    }
-    open_spans: list[dict[str, Any]] = []
+    counters = into["counters"]
+    for name, value in (snapshot.get("counters") or {}).items():
+        counters[name] = counters.get(name, 0) + value
+    into["gauges"].update(snapshot.get("gauges") or {})
+    histograms = into["histograms"]
+    for name, hist in (snapshot.get("histograms") or {}).items():
+        mine = histograms.get(name)
+        if mine is None:
+            histograms[name] = dict(hist)
+        else:
+            mine["count"] += hist["count"]
+            mine["sum"] += hist["sum"]
+            mine["min"] = min(mine["min"], hist["min"])
+            mine["max"] = max(mine["max"], hist["max"])
+
+
+def _merge_section(manifest: dict[str, Any], section: str, value: Any) -> None:
+    """Apply one ``manifest_update``: dicts update, lists extend, else
+    replace — into new containers, so the records stay untouched."""
+    current = manifest.get(section)
+    if isinstance(current, dict) and isinstance(value, dict):
+        value = {**current, **value}
+    elif isinstance(current, list) and isinstance(value, list):
+        value = current + value
+    manifest[section] = value
+
+
+def stream_to_payload(records: Iterable[dict[str, Any]]) -> dict[str, Any]:
+    """Fold stream records into a ``repro.obs/v1`` payload.
+
+    The fold every payload comes from: spans link into a tree by
+    ``id``/``parent`` (each node keeps its open time ``t``), the
+    manifest is the ``manifest`` record plus its ``manifest_update``
+    sections, and counters/gauges/histograms are the last ``metrics``
+    snapshot of each attempt, summed across attempts.  Events and
+    convergence records carry over without the stream envelope;
+    convergence records are renumbered (``seq``) in fold order.
+
+    Each ``stream_header`` starts an attempt with its own span ids.
+    Spans an earlier attempt left open were cut off by the restart and
+    are closed with ``attrs.status = "aborted"``; spans still open at
+    the end of the records keep ``"open": true`` (a live run, or a
+    writer that died).  A ``span_close`` whose ``span_open`` was lost to
+    a torn line lands under the root, and undecodable records are
+    skipped.
+    """
+    manifest: dict[str, Any] = {}
+    root: dict[str, Any] = {"name": "run", "wall_s": 0.0, "cpu_s": 0.0}
+    open_spans: dict[Any, dict[str, Any]] = {}
+    totals: dict[str, Any] = {"counters": {}, "gauges": {}, "histograms": {}}
+    snapshot: dict[str, Any] | None = None
+    events: list[dict[str, Any]] = []
+    convergence: list[dict[str, Any]] = []
+    header_trace = None
     gaps = 0
-
-    def abort_open_spans() -> None:
-        while open_spans:
-            body = open_spans.pop()
-            attrs = dict(body.get("attrs") or {})
-            attrs["status"] = "aborted"
-            if body.get("trace_id"):
-                attrs.setdefault("trace_id", body["trace_id"])
-            payload["spans"]["children"].append({
-                "name": body.get("name", "?"),
-                "wall_s": 0.0,
-                "cpu_s": 0.0,
-                "attrs": attrs,
-            })
-
     for record in records:
+        if not isinstance(record, dict):
+            continue
         kind = record.get("type")
-        body = {
-            k: v for k, v in record.items()
-            if k not in ("type", "seq", "t")
-        }
-        if kind == "stream_header":
-            # A repeated header is a resumed attempt: whatever the
-            # previous attempt left open was torn by the interrupt.
-            abort_open_spans()
-            if body.get("trace_id"):
-                payload["manifest"].setdefault("trace", {})
-                payload["manifest"]["trace"].setdefault(
-                    "trace_id", body["trace_id"]
-                )
-        elif kind == "manifest":
-            payload["manifest"] = {**body, **payload["manifest"]}
-        elif kind == "span_open":
-            open_spans.append(body)
+        if kind == "span_open":
+            node = {
+                "name": record.get("name", "?"), "t": record.get("t"),
+                "wall_s": 0.0, "cpu_s": 0.0, "open": True,
+            }
+            if record.get("attrs"):
+                node["attrs"] = dict(record["attrs"])
+            parent = open_spans.get(record.get("parent"), root)
+            parent.setdefault("children", []).append(node)
+            if record.get("id") is not None:
+                open_spans[record["id"]] = node
         elif kind == "span_close":
-            name = body.get("name", "?")
-            for index in range(len(open_spans) - 1, -1, -1):
-                if open_spans[index].get("name") == name:
-                    del open_spans[index]
-                    break
-            payload["spans"]["children"].append({
-                "name": name,
-                "wall_s": body.get("wall_s", 0.0),
-                "cpu_s": body.get("cpu_s", 0.0),
-            })
-        elif kind == "metrics":
-            payload["counters"] = dict(body.get("counters", {}))
-            payload["gauges"] = dict(body.get("gauges", {}))
+            node = open_spans.pop(record.get("id"), None)
+            if node is None:
+                node = {"name": record.get("name", "?")}
+                root.setdefault("children", []).append(node)
+            node.pop("open", None)
+            node["wall_s"] = record.get("wall_s", 0.0)
+            node["cpu_s"] = record.get("cpu_s", 0.0)
+            if record.get("attrs"):
+                node["attrs"] = {**node.get("attrs", {}), **record["attrs"]}
         elif kind == "event":
-            payload["events"].append(body)
+            events.append(_body(record))
         elif kind == "convergence":
-            payload["convergence"].append(body)
+            convergence.append({**_body(record), "seq": len(convergence)})
+        elif kind == "metrics":
+            snapshot = record
+        elif kind == "manifest":
+            manifest.update(_body(record))
+        elif kind == "manifest_update" and record.get("section"):
+            _merge_section(manifest, record["section"], record.get("value"))
+        elif kind == "stream_header":
+            for node in open_spans.values():
+                node.pop("open", None)
+                node["attrs"] = {**node.get("attrs", {}), "status": "aborted"}
+            open_spans.clear()
+            if snapshot is not None:
+                merge_metrics(totals, snapshot)
+                snapshot = None
+            header_trace = header_trace or record.get("trace_id")
         elif kind == "stream_gap":
             gaps += 1
-    abort_open_spans()
+    if snapshot is not None:
+        merge_metrics(totals, snapshot)
     if gaps:
-        payload["counters"]["stream.gaps"] = (
-            payload["counters"].get("stream.gaps", 0) + gaps
+        totals["counters"]["stream.gaps"] = (
+            totals["counters"].get("stream.gaps", 0) + gaps
         )
-    return payload
+    if header_trace and "trace" not in manifest:
+        manifest["trace"] = {"trace_id": header_trace}
+    top = root.get("children", ())
+    root["wall_s"] = sum(child["wall_s"] for child in top)
+    root["cpu_s"] = sum(child["cpu_s"] for child in top)
+    return {
+        "schema": "repro.obs/v1",
+        "manifest": manifest,
+        "spans": root,
+        **totals,
+        "events": events,
+        "convergence": convergence,
+    }
+
+
+def _body(record: dict[str, Any]) -> dict[str, Any]:
+    return {k: v for k, v in record.items() if k not in _ENVELOPE}
 
 
 # -- human-readable rendering (``trace tail``) -------------------------------
@@ -385,11 +467,13 @@ class StreamFormatter:
     """One-line-per-record rendering of a telemetry stream.
 
     Stateful: the first record anchors ``t=0`` so every line leads with
-    the relative run time.
+    the relative run time, and open spans are tracked by id so each
+    ``span_open`` line shows its full path.
     """
 
     def __init__(self) -> None:
         self._t0: float | None = None
+        self._paths: dict[Any, str] = {}
 
     def format(self, record: dict[str, Any]) -> str:
         t = record.get("t")
@@ -406,6 +490,7 @@ class StreamFormatter:
     def _body(self, kind: str, record: dict[str, Any]) -> str:
         skip = ("type", "seq", "t", "trace_id")
         if kind == "stream_header":
+            self._paths.clear()  # span ids restart with each attempt
             trace = record.get("trace_id")
             trace_txt = f" trace={trace}" if trace else ""
             return (
@@ -424,9 +509,14 @@ class StreamFormatter:
             params = record.get("params") or {}
             return f"manifest {_kv(params)}".rstrip()
         if kind == "span_open":
+            parent = self._paths.get(record.get("parent"))
+            name = str(record.get("name", "?"))
+            path = f"{parent}/{name}" if parent else name
+            self._paths[record.get("id")] = path
             attrs = record.get("attrs") or {}
-            return f"span  > {record.get('path', record.get('name', '?'))} {_kv(attrs)}".rstrip()
+            return f"span  > {path} {_kv(attrs)}".rstrip()
         if kind == "span_close":
+            self._paths.pop(record.get("id"), None)
             return (
                 f"span  < {record.get('name', '?')} "
                 f"wall={record.get('wall_s', 0.0):.3f}s "

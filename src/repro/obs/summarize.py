@@ -23,7 +23,7 @@ __all__ = ["format_clip_breakdown", "format_summary", "phase_breakdown"]
 
 def phase_breakdown(payload: dict[str, Any]) -> list[dict[str, Any]]:
     """Aggregate the span tree by span name, heaviest wall time first."""
-    root = SpanNode.from_dict(payload.get("spans") or {"name": "run"})
+    root = SpanNode(payload.get("spans") or {"name": "run"})
     phases: dict[str, dict[str, Any]] = {}
     for node in root.walk():
         if node is root:
@@ -85,7 +85,7 @@ def format_clip_breakdown(payload: dict[str, Any]) -> str:
     init / refine / polish / verify wall time plus the total.  Methods
     without internal phases (the baselines) fill only the total column.
     """
-    root = SpanNode.from_dict(payload.get("spans") or {"name": "run"})
+    root = SpanNode(payload.get("spans") or {"name": "run"})
     rows = [["clip", "method", "init s", "refine s", "polish s",
              "verify s", "total s"]]
     for clip_node in root.walk():

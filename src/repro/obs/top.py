@@ -17,9 +17,10 @@ TTY.  The CLI loop just alternates gather → render → clear-screen.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Any, Mapping
+
+from repro.obs.stream import parse_record
 
 __all__ = ["gather_job_progress", "render_top", "tail_records"]
 
@@ -35,7 +36,8 @@ def tail_records(
     Reads only the trailing ``max_bytes`` — a dashboard refreshing
     every second must not re-read multi-hour streams end to end.  The
     first (possibly torn) line of the window and any torn tail are
-    dropped, same tolerance as :func:`repro.obs.stream.follow_stream`.
+    dropped by the stream readers' own line parse
+    (:func:`repro.obs.stream.parse_record`).
     """
     path = Path(path)
     try:
@@ -49,35 +51,27 @@ def tail_records(
     lines = window.splitlines()
     if size > max_bytes and lines:
         lines = lines[1:]  # first line of the window is likely torn
-    records = []
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            continue
-        if isinstance(record, dict):
-            records.append(record)
-    return records
+    records = (parse_record(line) for line in lines)
+    return [record for record in records if record is not None]
 
 
 def gather_job_progress(records: list[dict[str, Any]]) -> dict[str, Any]:
-    """Fold a stream tail into one progress snapshot for the dashboard."""
+    """Fold a stream tail into one progress snapshot for the dashboard.
+
+    The phase is the innermost span still open: spans are tracked by
+    ``id``, and a ``stream_header`` (a resumed attempt) starts afresh.
+    """
     progress: dict[str, Any] = {}
-    open_spans: list[str] = []
+    open_spans: dict[Any, str] = {}
     stalls = 0
     for record in records:
         kind = record.get("type")
         if kind == "span_open":
-            open_spans.append(str(record.get("name", "?")))
+            open_spans[record.get("id")] = str(record.get("name", "?"))
         elif kind == "span_close":
-            name = record.get("name")
-            if name in open_spans:
-                open_spans.reverse()
-                open_spans.remove(name)
-                open_spans.reverse()
+            open_spans.pop(record.get("id"), None)
+        elif kind == "stream_header":
+            open_spans.clear()
         elif kind == "event":
             name = record.get("name")
             if name == "progress":
@@ -91,7 +85,7 @@ def gather_job_progress(records: list[dict[str, Any]]) -> dict[str, Any]:
                 stalls += 1
         elif kind == "stream_gap":
             progress["gap"] = True
-    progress["phase"] = open_spans[-1] if open_spans else ""
+    progress["phase"] = next(reversed(open_spans.values()), "")
     progress["stalls"] = stalls
     return progress
 

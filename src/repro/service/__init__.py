@@ -20,9 +20,10 @@ workload stops paying process startup and cold caches per clip:
   costs a hash lookup instead of a refinement loop.
 
 Every job owns a directory under ``<state>/jobs/<id>/`` holding its
-manifest (``job.json``), live telemetry stream (``stream.jsonl``,
-viewable with ``trace tail <job-id> --follow``), checkpoint journals
-and the final ``result.json``.
+manifest (``job.json``), its telemetry stream (``stream.jsonl``,
+viewable live with ``trace tail <job-id> --follow``; its fold is the
+job's telemetry payload, as ``trace export <job-id>`` renders it),
+checkpoint journals and the final ``result.json``.
 
 The daemon does not trust its clients: :mod:`repro.service.guard`
 bounds what a submission may ask for (:class:`ServiceLimits`,

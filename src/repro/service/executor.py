@@ -6,8 +6,9 @@ and composes the pieces the earlier PRs built:
 
 * a per-job :class:`~repro.obs.TelemetryRecorder` installed via
   ``thread_recording`` — thread-scoped, so concurrent jobs never mix
-  spans or counters — streaming live to the job's ``stream.jsonl``
-  (append mode on resumed attempts: one stream tells the whole story);
+  spans or counters — streaming live to the job's ``stream.jsonl``,
+  the job's one telemetry file (append mode on resumed attempts: one
+  stream, and so one folded payload, tells the whole story);
 * the shared :class:`~repro.service.caches.WarmCaches` — each clip is
   first looked up in the content-addressed result cache (a hit skips
   fracture *and* verification: the stored verdict was computed from
@@ -227,11 +228,10 @@ def execute_job(
         if status == "interrupted":
             # The resumed attempt appends to this stream; the terminal
             # record must come from the attempt that finishes the job.
-            stream.emit({"type": "event", "name": "job_interrupted"})
+            recorder.event("job_interrupted")
             stream.detach()
         else:
             stream.close(status)
-        _atomic_write_json(paths.telemetry_json, recorder.export())
 
 
 def _run_clips(
@@ -247,7 +247,7 @@ def _run_clips(
     use_cache = caches is not None and job.get("use_result_cache", True)
     runner = _make_runner(
         job, paths, bool(record.resume), control,
-        trace=recorder.manifest.get("trace"),
+        trace=recorder.trace,
     )
     recorder.event(
         "job_start",
@@ -335,7 +335,7 @@ def _run_clips(
         # Surface the full unified cache stats in the run manifest too,
         # so offline trace/metrics tooling sees the same numbers the
         # daemon's ``stats`` op reports.
-        recorder.manifest["caches"] = stats
+        recorder.manifest_section("caches", stats)
     payload = {
         "schema": "repro.service.result/v1",
         "job_id": record.job_id,

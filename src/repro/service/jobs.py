@@ -22,9 +22,11 @@ manifest artifact)::
 
     <state>/jobs/<job-id>/
         job.json        spec + state + timestamps (atomic rewrites)
-        stream.jsonl    live telemetry (trace tail <job-id> --follow)
+        stream.jsonl    the job's telemetry, every attempt: tail it live
+                        (trace tail <job-id> --follow); its fold is the
+                        job's payload (trace export <job-id>, trace
+                        summarize <state>/jobs/<job-id>/stream.jsonl)
         result.json     shot lists + counters, written on completion
-        telemetry.json  full recorder payload (spans/metrics)
         ckpt/           per-shape tile checkpoint journals
 """
 
@@ -103,10 +105,6 @@ class JobPaths:
     @property
     def result_json(self) -> Path:
         return self.root / "result.json"
-
-    @property
-    def telemetry_json(self) -> Path:
-        return self.root / "telemetry.json"
 
     @property
     def checkpoint_dir(self) -> Path:

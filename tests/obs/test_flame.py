@@ -8,9 +8,8 @@ from repro.obs import (
     TelemetryRecorder,
     TelemetryStream,
     chrome_from_payload,
-    chrome_from_records,
+    load_telemetry,
     mint_trace,
-    read_stream,
     speedscope_from_payload,
     validate_chrome_trace,
 )
@@ -55,7 +54,7 @@ class TestChromeFromPayload:
         with child.span("tile", index=7):
             pass
         with parent.span("run"):
-            parent.merge_child(child.export(), label="pid-9")
+            parent.merge_child(child.records, label="pid-9")
         doc = chrome_from_payload(parent.export())
         summary = validate_chrome_trace(doc)
         assert summary["lanes"] == 2
@@ -76,6 +75,9 @@ class TestChromeFromPayload:
 
 
 class TestChromeFromRecords:
+    """Chrome export of a stream file: the exporter walks the folded
+    tree, so real timestamps, restarts and heartbeat lanes survive."""
+
     def _stream(self, tmp_path, crash_mid_span: bool = False):
         path = tmp_path / "s.jsonl"
         stream = TelemetryStream(path, trace_id=TRACE["trace_id"])
@@ -91,16 +93,23 @@ class TestChromeFromRecords:
         return path
 
     def test_real_timestamps_and_join(self, tmp_path):
-        records = read_stream(self._stream(tmp_path))
-        doc = chrome_from_records(records)
+        payload = load_telemetry(self._stream(tmp_path))
+        doc = chrome_from_payload(payload)
         summary = validate_chrome_trace(
             doc, expect_trace_id=TRACE["trace_id"]
         )
         assert summary["spans"] >= 2
+        # Spans sit at their recorded open times (µs since the first).
+        run = payload["spans"]["children"][0]
+        tile = run["children"][0]
+        by_name = {e["name"]: e for e in doc["traceEvents"] if e["ph"] == "X"}
+        assert by_name["tile"]["ts"] == pytest.approx(
+            (tile["t"] - run["t"]) * 1e6, abs=1.0
+        )
 
     def test_crash_spans_closed_aborted(self, tmp_path):
-        records = read_stream(self._stream(tmp_path, crash_mid_span=True))
-        doc = chrome_from_records(records)
+        path = self._stream(tmp_path, crash_mid_span=True)
+        doc = chrome_from_payload(load_telemetry(path))
         validate_chrome_trace(doc, expect_trace_id=TRACE["trace_id"])
         aborted = [
             e for e in doc["traceEvents"]
@@ -121,7 +130,7 @@ class TestChromeFromRecords:
             with rec.span("tile", index=1):
                 pass
         stream.close()
-        doc = chrome_from_records(read_stream(path))
+        doc = chrome_from_payload(load_telemetry(path))
         summary = validate_chrome_trace(
             doc, expect_trace_id=TRACE["trace_id"]
         )
@@ -149,7 +158,7 @@ class TestChromeFromRecords:
         stream.emit({"type": "event", "name": "worker_heartbeat",
                      "pid": 4242, "rss_bytes": 1024})
         stream.close()
-        doc = chrome_from_records(read_stream(path))
+        doc = chrome_from_payload(load_telemetry(path))
         beat = next(
             e for e in doc["traceEvents"]
             if e.get("name") == "worker_heartbeat"

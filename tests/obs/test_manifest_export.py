@@ -1,4 +1,4 @@
-"""Tests for the run manifest and the JSON/JSONL/CSV exporters."""
+"""Tests for the run manifest, the JSON/CSV exporters and the loader."""
 
 from __future__ import annotations
 
@@ -9,9 +9,11 @@ import pytest
 from repro.mask.constraints import FractureSpec
 from repro.obs import (
     TelemetryRecorder,
+    TelemetryStream,
     load_telemetry,
-    payload_to_records,
+    read_stream,
     run_manifest,
+    stream_to_payload,
     write_telemetry,
 )
 
@@ -43,8 +45,10 @@ class TestManifest:
         json.dumps(run_manifest(spec=FractureSpec(), extra={"note": "x"}))
 
 
-def _sample_payload() -> dict:
-    rec = TelemetryRecorder(manifest=run_manifest(spec=FractureSpec()))
+def _record_sample(stream=None) -> TelemetryRecorder:
+    rec = TelemetryRecorder(
+        manifest=run_manifest(spec=FractureSpec()), stream=stream
+    )
     with rec.span("fracture", method="OURS"):
         with rec.span("refine"):
             rec.convergence(iteration=0, cost=2.0, failing=5, shots=3,
@@ -55,7 +59,21 @@ def _sample_payload() -> dict:
         rec.gauge("coloring.colors_used", 3)
         rec.observe("refine.iterations", 2.0)
         rec.event("pipeline.run_outcome", run=0, feasible=True)
-    return rec.export()
+    return rec
+
+
+def _sample_payload() -> dict:
+    return _record_sample().export()
+
+
+def _sample_stream(tmp_path) -> tuple:
+    """A sample run streamed to ``t.jsonl``: (path, the run's payload)."""
+    path = tmp_path / "t.jsonl"
+    stream = TelemetryStream(path)
+    rec = _record_sample(stream)
+    rec.emit_metrics()
+    stream.close()
+    return path, rec.export()
 
 
 class TestExporters:
@@ -65,28 +83,28 @@ class TestExporters:
         assert load_telemetry(path) == json.loads(json.dumps(payload))
 
     def test_jsonl_round_trip_preserves_everything(self, tmp_path):
-        payload = _sample_payload()
-        path = write_telemetry(payload, tmp_path / "t.jsonl")
+        # The .jsonl format is the stream, and its fold is the payload.
+        path, payload = _sample_stream(tmp_path)
         back = load_telemetry(path)
-        assert back["manifest"]["params"] == payload["manifest"]["params"]
-        assert back["counters"] == payload["counters"]
-        assert back["gauges"] == payload["gauges"]
-        assert back["histograms"] == payload["histograms"]
-        assert back["convergence"] == payload["convergence"]
-        assert back["events"] == payload["events"]
-        # Span tree shape survives the flatten/rebuild cycle.
+        assert back == json.loads(json.dumps(payload))
+        # The span tree keeps its nesting.
         assert back["spans"]["children"][0]["name"] == "fracture"
         assert (
             back["spans"]["children"][0]["children"][0]["name"] == "refine"
         )
 
     def test_jsonl_lines_are_typed_records(self, tmp_path):
-        path = write_telemetry(_sample_payload(), tmp_path / "t.jsonl")
+        path, _ = _sample_stream(tmp_path)
         types = {
             json.loads(line)["type"] for line in path.read_text().splitlines()
         }
-        assert {"manifest", "span", "counter", "gauge", "histogram",
-                "event", "convergence"} <= types
+        assert {"stream_header", "manifest", "span_open", "span_close",
+                "event", "convergence", "metrics", "stream_end"} <= types
+
+    def test_payload_is_not_written_as_jsonl(self, tmp_path):
+        with pytest.raises(ValueError, match="stream"):
+            write_telemetry(_sample_payload(), tmp_path / "t.jsonl")
+        assert not (tmp_path / "t.jsonl").exists()
 
     def test_csv_is_the_convergence_table(self, tmp_path):
         path = write_telemetry(_sample_payload(), tmp_path / "t.csv")
@@ -99,13 +117,16 @@ class TestExporters:
         with pytest.raises(ValueError):
             load_telemetry(path)
 
-    def test_records_include_span_links(self):
-        records = list(payload_to_records(_sample_payload()))
-        spans = [r for r in records if r["type"] == "span"]
-        roots = [r for r in spans if r["parent"] is None]
-        assert len(roots) == 1
-        ids = {r["id"] for r in spans}
-        assert all(r["parent"] in ids for r in spans if r["parent"] is not None)
+    def test_records_include_span_links(self, tmp_path):
+        path, _ = _sample_stream(tmp_path)
+        records = read_stream(path)
+        opened: list[int] = []
+        for record in records:
+            if record["type"] == "span_open":
+                assert record["parent"] is None or record["parent"] in opened
+                opened.append(record["id"])
+        closed = [r["id"] for r in records if r["type"] == "span_close"]
+        assert opened and sorted(closed) == sorted(opened)
 
     def test_creates_parent_directories(self, tmp_path):
         path = write_telemetry(
@@ -116,7 +137,7 @@ class TestExporters:
 
 class TestAtomicWrites:
     def test_no_tmp_file_survives_any_format(self, tmp_path):
-        for name in ("t.json", "t.jsonl", "t.csv"):
+        for name in ("t.json", "t.csv"):
             write_telemetry(_sample_payload(), tmp_path / name)
         assert not list(tmp_path.glob("*.tmp"))
 
@@ -132,33 +153,25 @@ class TestAtomicWrites:
 
 
 class TestRecordsRoundTrip:
-    def test_payload_records_payload_identity(self):
-        from repro.obs import records_to_payload
+    """Stream records back to a payload: the fold and its tolerance."""
 
-        payload = _sample_payload()
-        back = records_to_payload(list(payload_to_records(payload)))
-        assert back["manifest"]["params"] == payload["manifest"]["params"]
-        assert back["counters"] == payload["counters"]
-        assert back["gauges"] == payload["gauges"]
-        assert back["histograms"] == payload["histograms"]
-        assert back["events"] == payload["events"]
-        assert back["convergence"] == payload["convergence"]
-        assert back["spans"] == payload["spans"]
-
-    def test_merged_multi_worker_payload_round_trips(self):
-        from repro.obs import records_to_payload
-
-        parent = TelemetryRecorder(manifest={"run_id": "merge"})
+    def test_merged_multi_worker_payload_round_trips(self, tmp_path):
+        path = tmp_path / "s.jsonl"
+        stream = TelemetryStream(path)
+        parent = TelemetryRecorder(manifest={"run_id": "merge"}, stream=stream)
         for label in ("t0,0", "t1,0"):
             child = TelemetryRecorder()
             with child.span("tile", tile=label):
                 child.incr("refine.moves", 2)
                 child.event("tile_note", tile=label)
                 child.convergence(iteration=0, cost=1.0)
-            parent.merge_child(child.export(), label=label)
+            child.emit_metrics()
+            parent.merge_child(child.records, label=label)
+        parent.emit_metrics()
+        stream.close()
         payload = parent.export()
-        back = records_to_payload(list(payload_to_records(payload)))
-        assert back["spans"] == payload["spans"]
+        back = load_telemetry(path)
+        assert back == json.loads(json.dumps(payload))
         workers = [c["name"] for c in back["spans"]["children"]]
         assert workers == ["worker:t0,0", "worker:t1,0"]
         assert back["counters"]["refine.moves"] == 4
@@ -166,34 +179,44 @@ class TestRecordsRoundTrip:
         assert len(back["convergence"]) == 2
 
     def test_torn_jsonl_line_is_skipped_on_load(self, tmp_path):
-        path = write_telemetry(_sample_payload(), tmp_path / "t.jsonl")
+        path, _ = _sample_stream(tmp_path)
         with open(path, "a", encoding="utf-8") as fh:
             fh.write('{"type": "event", "name": "to')  # torn tail
         back = load_telemetry(path)
         assert all(e.get("name") != "to" for e in back["events"])
+        assert back["spans"]["children"][0]["name"] == "fracture"
 
     def test_orphaned_span_reattaches_under_root(self):
-        from repro.obs import records_to_payload
-
-        records = [
-            {"type": "span", "id": 0, "parent": None, "name": "run",
-             "wall_s": 0.0, "cpu_s": 0.0},
-            # Parent record 7 was lost to a torn write.
-            {"type": "span", "id": 8, "parent": 7, "name": "orphan",
-             "wall_s": 1.0, "cpu_s": 0.5},
-        ]
-        payload = records_to_payload(records)
-        assert payload["spans"]["children"][0]["name"] == "orphan"
+        payload = stream_to_payload([
+            {"type": "span_open", "id": 0, "parent": None, "name": "outer"},
+            # The span_open of span 7 was lost to a torn write.
+            {"type": "span_open", "id": 8, "parent": 7, "name": "orphan"},
+            {"type": "span_close", "id": 8, "wall_s": 1.0, "cpu_s": 0.5},
+            # So was the span_open of span 9; its close still counts.
+            {"type": "span_close", "id": 9, "name": "lost",
+             "wall_s": 2.0, "cpu_s": 1.0},
+            {"type": "span_close", "id": 0, "wall_s": 4.0, "cpu_s": 2.0},
+        ])
+        children = payload["spans"]["children"]
+        assert [c["name"] for c in children] == ["outer", "orphan", "lost"]
+        assert children[1]["wall_s"] == 1.0 and children[2]["wall_s"] == 2.0
+        assert not any(c.get("open") for c in children)
 
     def test_malformed_records_are_skipped(self):
-        from repro.obs import records_to_payload
-
-        payload = records_to_payload([
+        payload = stream_to_payload([
             "not-a-dict",
-            {"type": "span", "name": "no-id"},
-            {"type": "counter", "value": 3},  # no name
-            {"type": "counter", "name": "ok"},  # no value -> defaults to 0
-            {"type": "histogram"},  # no name
+            {"type": "span_open", "name": "no-id"},  # can never close
+            {"type": "span_close", "wall_s": 1.0},  # no id, no name
+            {"type": "manifest_update", "value": 3},  # no section
+            {"type": "metrics", "counters": {"ok": 1}},  # no gauges
+            {"type": "mystery", "x": 1},
         ])
-        assert payload["counters"] == {"ok": 0}
-        assert payload["histograms"] == {}
+        assert payload["counters"] == {"ok": 1}
+        assert payload["gauges"] == {} and payload["histograms"] == {}
+        assert payload["manifest"] == {}
+        children = payload["spans"]["children"]
+        assert children[0] == {
+            "name": "no-id", "t": None, "wall_s": 0.0, "cpu_s": 0.0,
+            "open": True,
+        }
+        assert children[1] == {"name": "?", "wall_s": 1.0, "cpu_s": 0.0}

@@ -29,7 +29,8 @@ class TestNullRecorder:
             rec.observe("h", 2.0)
             rec.event("e", field=3)
             rec.convergence(iteration=0, cost=1.0)
-            rec.merge_child({}, label="w")
+            rec.manifest_section("profile", {"samples": 1})
+            rec.merge_child([], label="w")
 
     def test_span_reentrant(self):
         rec = NullRecorder()
@@ -174,7 +175,7 @@ class TestInstallation:
 
 
 class TestMergeChild:
-    def _child_payload(self) -> dict:
+    def _child_records(self) -> list:
         child = TelemetryRecorder()
         with child.span("fracture", method="OURS"):
             with child.span("refine"):
@@ -183,12 +184,13 @@ class TestMergeChild:
         child.gauge("coloring.colors_used", 4)
         child.observe("refine.iterations", 10.0)
         child.event("pipeline.run_outcome", run=0)
-        return child.export()
+        child.emit_metrics()  # the worker's final snapshot
+        return child.records
 
     def test_spans_grafted_under_worker_node(self):
         parent = TelemetryRecorder()
         with parent.span("mdp.batch"):
-            parent.merge_child(self._child_payload(), label="clipA")
+            parent.merge_child(self._child_records(), label="clipA")
         batch = parent.root.children[0]
         worker = batch.children[0]
         assert worker.name == "worker:clipA"
@@ -199,7 +201,7 @@ class TestMergeChild:
         parent = TelemetryRecorder()
         parent.incr("refine.moves_accepted", 2)
         parent.observe("refine.iterations", 4.0)
-        parent.merge_child(self._child_payload(), label="w")
+        parent.merge_child(self._child_records(), label="w")
         assert parent.counters["refine.moves_accepted"] == 5
         hist = parent.histograms["refine.iterations"]
         assert hist["count"] == 2
@@ -207,8 +209,8 @@ class TestMergeChild:
 
     def test_convergence_and_events_tagged_with_worker(self):
         parent = TelemetryRecorder()
-        parent.merge_child(self._child_payload(), label="w1")
-        parent.merge_child(self._child_payload(), label="w2")
+        parent.merge_child(self._child_records(), label="w1")
+        parent.merge_child(self._child_records(), label="w2")
         workers = [r["worker"] for r in parent.convergence_records]
         assert workers == ["w1", "w2"]
         assert [r["seq"] for r in parent.convergence_records] == [0, 1]

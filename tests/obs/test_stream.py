@@ -14,6 +14,7 @@ from repro.obs import (
     TelemetryStream,
     follow_stream,
     read_stream,
+    phase_breakdown,
     recording,
     stream_to_payload,
 )
@@ -172,12 +173,21 @@ class TestRecorderIntegration:
         path = tmp_path / "run.jsonl"
         stream = TelemetryStream(path)
         parent = TelemetryRecorder(stream=stream)
-        parent.merge_child(child.export(), label="t0,0")
+        child.emit_metrics()
+        parent.merge_child(child.records, label="t0,0")
         stream.close()
-        merged = [
-            r for r in read_stream(path) if r["type"] == "worker_merged"
-        ]
+        records = read_stream(path)
+        merged = [r for r in records if r["type"] == "worker_merged"]
         assert merged and merged[0]["label"] == "t0,0"
+        # The child's span is re-emitted under the worker span, with
+        # ids from the parent's id space, in one batch.
+        opens = [r for r in records if r["type"] == "span_open"]
+        assert [r["name"] for r in opens] == ["worker:t0,0", "tile"]
+        assert opens[1]["parent"] == opens[0]["id"]
+        assert opens[1]["attrs"] == {"tile": "t0,0"}
+        closes = [r for r in records if r["type"] == "span_close"]
+        assert {r["id"] for r in closes} == {r["id"] for r in opens}
+        assert parent.counters == {"refine.moves": 2}
 
     def test_recorder_without_stream_collects_identically(self, tmp_path):
         def run(stream):
@@ -204,23 +214,108 @@ class TestStreamToPayload:
         path = tmp_path / "run.jsonl"
         with TelemetryStream(path) as stream:
             stream.emit({"type": "manifest", "run_id": "r1"})
-            stream.emit({"type": "span_close", "name": "refine",
+            stream.emit({"type": "manifest_update", "section": "profile",
+                         "value": {"samples": 3}})
+            stream.emit({"type": "span_open", "id": 0, "parent": None,
+                         "name": "fracture", "attrs": {"clip": "c"}})
+            stream.emit({"type": "span_open", "id": 1, "parent": 0,
+                         "name": "refine"})
+            stream.emit({"type": "span_close", "id": 1, "name": "refine",
                          "wall_s": 1.5, "cpu_s": 1.0})
+            stream.emit({"type": "span_close", "id": 0, "name": "fracture",
+                         "wall_s": 2.0, "cpu_s": 1.2,
+                         "attrs": {"shots": 9}})
             stream.emit({"type": "metrics", "counters": {"a": 1},
                          "gauges": {"g": 2.0}})
             stream.emit({"type": "metrics", "counters": {"a": 5},
-                         "gauges": {"g": 7.0}})
+                         "gauges": {"g": 7.0},
+                         "histograms": {"h": {"count": 2, "sum": 3.0,
+                                              "min": 1.0, "max": 2.0}}})
             stream.emit({"type": "event", "name": "tile_outcome",
                          "tile": "t0,0", "shots": 9})
             stream.emit({"type": "convergence", "iteration": 0, "cost": 1.0})
         payload = stream_to_payload(read_stream(path))
         assert payload["schema"] == "repro.obs/v1"
-        assert payload["manifest"]["run_id"] == "r1"
+        assert payload["manifest"] == {"run_id": "r1",
+                                       "profile": {"samples": 3}}
         assert payload["counters"] == {"a": 5}  # last snapshot wins
         assert payload["gauges"] == {"g": 7.0}
-        assert payload["spans"]["children"][0]["name"] == "refine"
-        assert payload["events"][0]["name"] == "tile_outcome"
-        assert payload["convergence"][0]["iteration"] == 0
+        assert payload["histograms"]["h"]["count"] == 2
+        fracture = payload["spans"]["children"][0]
+        assert fracture["name"] == "fracture"
+        assert fracture["attrs"] == {"clip": "c", "shots": 9}
+        assert [c["name"] for c in fracture["children"]] == ["refine"]
+        assert payload["spans"]["wall_s"] == 2.0
+        assert payload["events"] == [
+            {"name": "tile_outcome", "tile": "t0,0", "shots": 9}
+        ]
+        assert payload["convergence"] == [
+            {"iteration": 0, "cost": 1.0, "seq": 0}
+        ]
+
+    def test_nested_spans_count_once(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        stream = TelemetryStream(path)
+        rec = TelemetryRecorder(stream=stream)
+        with rec.span("fracture"):
+            with rec.span("refine"):
+                with rec.span("polish"):
+                    pass
+        stream.close()
+        payload = stream_to_payload(read_stream(path))
+        phases = phase_breakdown(payload)
+        assert [(p["phase"], p["count"]) for p in phases] == [
+            ("fracture", 1), ("refine", 1), ("polish", 1),
+        ]
+        fracture = payload["spans"]["children"][0]
+        assert sum(p["self_s"] for p in phases) == pytest.approx(
+            fracture["wall_s"]
+        )
+
+    def test_two_attempts_fold_into_one_tree(self, tmp_path):
+        # Attempt one is cut off mid-span (a daemon SIGKILL); attempt
+        # two appends its own header and complete tree to the file.
+        path = tmp_path / "job.jsonl"
+        stream = TelemetryStream(path)
+        first = TelemetryRecorder(stream=stream)
+        with first.span("run"):
+            with first.span("tile", index=0):
+                first.incr("tiles.done")
+            first.emit_metrics()
+            first.span("tile", index=1).__enter__()
+            stream.detach()  # killed: no span_close, no stream_end
+        stream = TelemetryStream(path, append=True)
+        second = TelemetryRecorder(stream=stream)
+        with second.span("run"):
+            with second.span("tile", index=1):
+                second.incr("tiles.done")
+        second.emit_metrics()
+        stream.close()
+
+        records = read_stream(path)
+        opens = [r for r in records if r["type"] == "span_open"]
+        assert opens[0]["id"] == opens[3]["id"] == 0  # ids restart
+        payload = stream_to_payload(records)
+        cut, full = payload["spans"]["children"]
+        assert cut["attrs"]["status"] == "aborted"
+        done, aborted = cut["children"]
+        assert done["attrs"] == {"index": 0} and done["wall_s"] > 0
+        assert aborted["attrs"] == {"index": 1, "status": "aborted"}
+        assert "open" not in cut and "open" not in aborted
+        assert "attrs" not in full
+        assert [c["attrs"] for c in full["children"]] == [{"index": 1}]
+        assert full["wall_s"] >= full["children"][0]["wall_s"] > 0
+        # Each attempt's last snapshot counts once.
+        assert payload["counters"] == {"tiles.done": 2}
+
+    def test_spans_open_at_the_end_stay_open(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        stream = TelemetryStream(path)
+        rec = TelemetryRecorder(stream=stream)
+        rec.span("live").__enter__()
+        payload = stream_to_payload(read_stream(path))
+        stream.close()
+        assert payload["spans"]["children"][0]["open"] is True
 
 
 class TestStreamFormatter:

@@ -111,7 +111,7 @@ class TestPartialPayloads:
         with child.span("tile", tile="t0,0"):
             child.convergence(iteration=0, cost=1.0)
         parent = TelemetryRecorder()
-        parent.merge_child(child.export(), label="t0,0")
+        parent.merge_child(child.records, label="t0,0")
         text = format_summary(parent.export())
         assert "worker:t0,0" in text
         assert "convergence (1 records" in text

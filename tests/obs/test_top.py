@@ -43,9 +43,10 @@ class TestTailRecords:
 class TestGatherJobProgress:
     def test_folds_progress_and_phase(self):
         snapshot = gather_job_progress([
-            {"type": "span_open", "name": "fracture"},
-            {"type": "span_open", "name": "tile"},
-            {"type": "span_close", "name": "tile"},
+            {"type": "span_open", "id": 0, "parent": None,
+             "name": "fracture"},
+            {"type": "span_open", "id": 1, "parent": 0, "name": "tile"},
+            {"type": "span_close", "id": 1, "name": "tile"},
             {"type": "event", "name": "progress", "tiles_done": 3,
              "tiles_total": 9, "shots": 120, "eta_s": 42.0},
         ])

@@ -107,20 +107,19 @@ class TestCrashedWorkerMerge:
     """Satellite: a pool worker dying mid-span must leave a closed,
     trace-stamped ``status=aborted`` span in the merged tree."""
 
-    def _crashed_child_payload(self) -> dict:
-        # Simulate SIGKILL: the worker recorder exports whatever it has
-        # while spans are still open (runtime.py exports the child
-        # payload before the pool reaps the process; a kill mid-tile
-        # leaves the tile span unclosed in that export).
+    def _crashed_child_records(self) -> list:
+        # Simulate SIGKILL: the worker recorder hands over whatever it
+        # has while spans are still open (a kill mid-tile leaves the
+        # tile span unclosed in its records).
         child = TelemetryRecorder(trace=TRACE)
         child.span("tile", index=3).__enter__()
         child.span("refine").__enter__()
-        return child.export()
+        return child.records
 
     def test_orphan_spans_closed_aborted_with_trace_id(self):
         parent = TelemetryRecorder(trace=TRACE)
         with parent.span("run"):
-            parent.merge_child(self._crashed_child_payload(), label="pid-7")
+            parent.merge_child(self._crashed_child_records(), label="pid-7")
         wrapper = parent.root.children[0].children[0]
         assert wrapper.name == "worker:pid-7"
         assert wrapper.attrs["trace_id"] == TRACE["trace_id"]
@@ -138,7 +137,7 @@ class TestCrashedWorkerMerge:
         # the crash left a mark (status=aborted), not a dangling span.
         parent = TelemetryRecorder(trace=TRACE)
         with parent.span("run"):
-            parent.merge_child(self._crashed_child_payload(), label="w")
+            parent.merge_child(self._crashed_child_records(), label="w")
         spans = parent.export()["spans"]
 
         def walk(node):
@@ -153,7 +152,7 @@ class TestCrashedWorkerMerge:
         stream = TelemetryStream(path, trace_id=TRACE["trace_id"])
         parent = TelemetryRecorder(stream=stream, trace=TRACE)
         with parent.span("run"):
-            parent.merge_child(self._crashed_child_payload(), label="w")
+            parent.merge_child(self._crashed_child_records(), label="w")
         stream.close()
         merged = next(
             r for r in read_stream(path) if r.get("type") == "worker_merged"
@@ -167,7 +166,7 @@ class TestCrashedWorkerMerge:
             pass
         parent = TelemetryRecorder(trace=TRACE)
         with parent.span("run"):
-            parent.merge_child(child.export(), label="w")
+            parent.merge_child(child.records, label="w")
         wrapper = parent.root.children[0].children[0]
         assert not [
             n for n in wrapper.walk() if n.attrs.get("status") == "aborted"
@@ -180,6 +179,6 @@ class TestCrashedWorkerMerge:
         child.span("tile").__enter__()
         parent = TelemetryRecorder(trace=TRACE)
         with parent.span("run"):
-            parent.merge_child(child.export(), label="w")
+            parent.merge_child(child.records, label="w")
         wrapper = parent.root.children[0].children[0]
         assert wrapper.attrs["trace_id"] == TRACE["trace_id"]

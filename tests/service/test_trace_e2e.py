@@ -26,7 +26,8 @@ from pathlib import Path
 import pytest
 
 from repro.obs import (
-    chrome_from_records,
+    chrome_from_payload,
+    load_telemetry,
     mint_trace,
     parse_prometheus,
     read_stream,
@@ -175,7 +176,7 @@ class TestTraceSurvivesSigkill:
                 assert meta.get("trace_id") == trace.trace_id
 
         # -- chrome export: valid, joined to the same id ------------------
-        doc = chrome_from_records(records)
+        doc = chrome_from_payload(load_telemetry(paths.stream))
         summary = validate_chrome_trace(
             doc, expect_trace_id=trace.trace_id
         )
@@ -205,3 +206,52 @@ class TestTraceSurvivesSigkill:
             if daemon.poll() is None:
                 daemon.kill()
                 daemon.wait(timeout=30)
+
+
+class TestDaemonFoldMatchesCli:
+    """A daemon job's stream folds to the same layer breakdown as the
+    same clip run through ``repro fracture --stream``."""
+
+    BAR = [[0.0, 0.0], [220.0, 0.0], [220.0, 60.0], [0.0, 60.0]]  # 3x1 tiles
+
+    def test_phase_breakdown_matches_cli_run(self, tmp_path, capsys):
+        from repro.cli import main
+        from repro.geometry.polygon import Polygon
+        from repro.mask.io import save_clips
+        from repro.obs import phase_breakdown
+
+        submission = validate_submission({
+            "clips": {"bar": self.BAR}, "method": "partition",
+            "window_nm": 100.0,
+        })
+        record = JobRecord(job_id="job-f01d0000", spec=submission)
+        record.attempts = 1
+        paths = JobPaths.for_job(tmp_path / "state", record.job_id)
+        execute_job(record, paths)
+        assert not (paths.root / "telemetry.json").exists()
+
+        save_clips(
+            {"bar": Polygon([tuple(v) for v in self.BAR])},
+            tmp_path / "clips.json",
+        )
+        stream = tmp_path / "cli.jsonl"
+        assert main(
+            ["fracture", "--clip-file", str(tmp_path / "clips.json"),
+             "--method", "partition", "--window-nm", "100",
+             "--stream", str(stream)]
+        ) == 0
+
+        daemon = load_telemetry(paths.stream)
+        cli = load_telemetry(stream)
+        daemon_phases = phase_breakdown(daemon)
+
+        def pairs(phases):
+            return sorted((p["phase"], p["count"]) for p in phases)
+
+        assert pairs(daemon_phases) == pairs(phase_breakdown(cli))
+        assert ("tile", 3) in pairs(daemon_phases)
+        [fracture] = daemon["spans"]["children"]
+        assert fracture["name"] == "fracture"
+        assert sum(p["self_s"] for p in daemon_phases) == pytest.approx(
+            fracture["wall_s"]
+        )

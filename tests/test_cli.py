@@ -237,10 +237,34 @@ class TestTelemetry:
         assert "counters:" in out
 
     def test_trace_summarize_jsonl(self, tmp_path, capsys):
-        telemetry = self._fracture_with_telemetry(tmp_path, "out.jsonl")
+        from repro.geometry.polygon import Polygon
+        from repro.mask.io import save_clips
+
+        save_clips(
+            {"sq": Polygon([(0, 0), (40, 0), (40, 30), (0, 30)])},
+            tmp_path / "clips.json",
+        )
+        stream = tmp_path / "out.jsonl"
+        assert main(
+            ["fracture", "--method", "partition",
+             "--clip-file", str(tmp_path / "clips.json"),
+             "--stream", str(stream)]
+        ) == 0
         capsys.readouterr()
-        assert main(["trace", "summarize", str(telemetry)]) == 0
-        assert "per-phase breakdown" in capsys.readouterr().out
+        assert main(["trace", "summarize", str(stream)]) == 0
+        out = capsys.readouterr().out
+        assert "per-phase breakdown" in out
+        table = out.split("per-phase breakdown", 1)[1].split("counters:")[0]
+        assert any(
+            line.split()[:1] == ["fracture"] for line in table.splitlines()
+        )
+        assert "counters:" in out
+
+    def test_telemetry_jsonl_points_to_stream(self, tmp_path):
+        with pytest.raises(SystemExit, match="--stream"):
+            main(["fracture", "--method", "partition", "--clip", "ILT-1",
+                  "--telemetry", str(tmp_path / "out.jsonl")])
+        assert not (tmp_path / "out.jsonl").exists()
 
     def test_trace_summarize_missing_file(self, tmp_path):
         with pytest.raises(SystemExit):
