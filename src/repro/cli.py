@@ -52,7 +52,11 @@ fault-tolerance flags ``--tile-retries`` / ``--tile-timeout`` /
 ``--checkpoint DIR`` / ``--resume`` / ``--inject-fault`` (see
 :mod:`repro.fracture.runtime`): an interrupted run re-invoked with
 ``--checkpoint DIR --resume`` replays completed tiles from the journal
-bit-identically and re-executes only the rest.
+bit-identically and re-executes only the rest.  Those flags need
+``--window-nm`` on ``mdp`` too.  An interrupted ``mdp`` batch resumes
+by re-running it against the same ``--fracture-cache DIR``: each shape
+is stored there as soon as it finishes, and the re-run replays the
+finished shapes bit-identically.
 """
 
 from __future__ import annotations
@@ -163,14 +167,8 @@ def _fraction(value: str) -> float:
     return parsed
 
 
-def _runtime_policy(args: argparse.Namespace, batch_checkpoint: bool = False):
-    """Build the tiled executor's fault-tolerance policy from CLI flags.
-
-    ``batch_checkpoint=True`` (the ``mdp`` command) allows
-    ``--checkpoint``/``--resume`` without ``--window-nm``: they then
-    drive the cross-shape batch journal instead of (or in addition to)
-    the per-tile journal.
-    """
+def _runtime_policy(args: argparse.Namespace):
+    """Build the tiled executor's fault-tolerance policy from CLI flags."""
     from repro.fracture.runtime import FaultPlan, RetryPolicy, RuntimePolicy
 
     if args.resume and not args.checkpoint:
@@ -179,12 +177,9 @@ def _runtime_policy(args: argparse.Namespace, batch_checkpoint: bool = False):
         ("--inject-fault", args.inject_fault),
         ("--tile-timeout", args.tile_timeout),
         ("--heartbeat", getattr(args, "heartbeat", None)),
+        ("--checkpoint", args.checkpoint),
+        ("--resume", args.resume),
     ]
-    if not batch_checkpoint:
-        tile_only += [
-            ("--checkpoint", args.checkpoint),
-            ("--resume", args.resume),
-        ]
     for flag, value in tile_only:
         if value and not args.window_nm:
             raise SystemExit(
@@ -210,13 +205,9 @@ def _runtime_policy(args: argparse.Namespace, batch_checkpoint: bool = False):
     )
 
 
-def _maybe_windowed(
-    fracturer: Fracturer,
-    args: argparse.Namespace,
-    batch_checkpoint: bool = False,
-) -> Fracturer:
+def _maybe_windowed(fracturer: Fracturer, args: argparse.Namespace) -> Fracturer:
     """Wrap the method in the tiled executor when ``--window-nm`` is set."""
-    runtime = _runtime_policy(args, batch_checkpoint=batch_checkpoint)
+    runtime = _runtime_policy(args)
     window_nm = getattr(args, "window_nm", None)
     if not window_nm:
         return fracturer
@@ -257,14 +248,13 @@ def _add_runtime_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--checkpoint", metavar="DIR",
         help="journal completed tiles to DIR/<shape>.tiles.jsonl so an "
-             "interrupted run can be resumed (mdp without --window-nm: "
-             "journal completed shapes to DIR/batch.index.jsonl instead)",
+             "interrupted run can be resumed (finished shapes of a batch "
+             "resume from --fracture-cache instead)",
     )
     parser.add_argument(
         "--resume", action="store_true",
-        help="replay completed tiles (or, for mdp batches, completed "
-             "shapes) from the --checkpoint journal and re-execute only "
-             "the rest (bit-identical result)",
+        help="replay completed tiles from the --checkpoint journal and "
+             "re-execute only the rest (bit-identical result)",
     )
     parser.add_argument(
         "--inject-fault", action="append", metavar="TILE:ACTION[:TIMES]",
@@ -284,7 +274,8 @@ def _add_cache_argument(parser: argparse.ArgumentParser) -> None:
         "--fracture-cache", metavar="DIR",
         help="content-addressed on-disk fracture cache: results keyed by "
              "canonical geometry + spec + method + window are reused "
-             "across shapes, runs and the service daemon",
+             "across shapes, runs and the service daemon (re-running an "
+             "interrupted batch against the same DIR resumes it)",
     )
 
 
@@ -635,19 +626,11 @@ def _cmd_mdp(args: argparse.Namespace) -> int:
     from repro.mask.mdp import MdpPipeline
 
     spec = _spec_from_args(args)
-    fracturer = _maybe_windowed(
-        _make_fracturer(args.method), args, batch_checkpoint=True
-    )
+    fracturer = _maybe_windowed(_make_fracturer(args.method), args)
     if _is_gds(args.clip_file):
         if args.baseline:
             raise SystemExit(
                 "--baseline is not supported for hierarchical GDSII input"
-            )
-        if args.checkpoint and not args.window_nm:
-            raise SystemExit(
-                "the --checkpoint batch journal applies to clip JSON "
-                "batches; use --fracture-cache for resumable GDSII "
-                "layout runs"
             )
         return _run_layout(args, spec, fracturer)
     cache = _fracture_cache(args)
@@ -664,18 +647,11 @@ def _cmd_mdp(args: argparse.Namespace) -> int:
     # (parallelism across tiles of each large shape); without it, the
     # pool parallelizes across shapes as before.
     batch_workers = 1 if args.window_nm else args.workers
-    # Without --window-nm, --checkpoint drives the cross-shape batch
-    # journal instead of per-tile checkpoints: finished shapes are
-    # indexed by canonical fingerprint and --resume replays them.
-    journal = None
-    if args.checkpoint and not args.window_nm:
-        journal = Path(args.checkpoint) / "batch.index.jsonl"
     try:
         with _graceful_signals(), _telemetry(args, spec):
             report = pipeline.run(
                 shapes, output_dir=args.output, workers=batch_workers,
-                verbose=True, journal=journal,
-                resume=args.resume if journal is not None else False,
+                verbose=True,
             )
     except KeyboardInterrupt:
         print("interrupted — telemetry closed, checkpoints flushed",

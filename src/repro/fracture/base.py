@@ -90,6 +90,19 @@ class Fracturer(abc.ABC):
         obs.observe("fracture.shots", hit.shot_count)
         return hit
 
+    def store_cached(
+        self, shape: MaskShape, spec: FractureSpec, result: FractureResult
+    ) -> None:
+        """Store a fresh ``result`` under the key :meth:`fracture_cached` reads."""
+        if self.cache is not None:
+            self.cache.put_result(
+                shape.polygon,
+                spec,
+                result,
+                window_nm=self.cache_window_nm,
+                method=self._cache_key_method(),
+            )
+
     @abc.abstractmethod
     def fracture_shots(self, shape: MaskShape, spec: FractureSpec) -> list[Rect]:
         """Produce the shot list for ``shape``.  Implemented by subclasses."""
@@ -124,12 +137,5 @@ class Fracturer(abc.ABC):
             report=report,
             extra=dict(getattr(self, "_last_extra", {})),
         )
-        if self.cache is not None:
-            self.cache.put_result(
-                shape.polygon,
-                spec,
-                result,
-                window_nm=self.cache_window_nm,
-                method=self._cache_key_method(),
-            )
+        self.store_cached(shape, spec, result)
         return result

@@ -7,18 +7,18 @@ should cost one hash.  This module promotes that cache out of
 key format) backs
 
 * :class:`~repro.mask.mdp.MdpPipeline` — repeated clips inside one
-  batch run hit across shapes,
+  batch run hit across shapes, and a persisted cache is how an
+  interrupted batch resumes,
 * the hierarchy layer (:mod:`repro.mask.hierarchy`) — the thousandth
   placement of a cell costs a lookup plus a translation,
 * the windowed/tiled executor — re-runs of a windowed layout reuse the
   finished result wholesale, and
-* the service's :class:`~repro.service.caches.WarmCaches` — which now
-  holds a :class:`FractureCache` under its historical ``ResultCache``
-  name.
+* the service's :class:`~repro.service.caches.WarmCaches`, whose
+  result cache is a :class:`FractureCache`.
 
 **Key.**  :func:`canonical_fingerprint` is the single fingerprint
-function for every layer (the service delegates to it), hashing the
-version-tagged JSON of (clip vertices, spec, method, window).
+function for every layer, hashing the version-tagged JSON of (clip
+vertices, spec, method, window).
 :func:`fingerprint_polygon` feeds it *canonical* geometry — the
 translation-normalized, ordering-canonical vertex loop from
 :func:`repro.geometry.polygon.canonical_form` — so a clip and its
@@ -137,8 +137,8 @@ def canonical_fingerprint(
     that cannot (priority, telemetry, worker count — the tiled merge is
     worker-count-invariant) is out, so the cache hits exactly when a
     recomputation would be bit-identical.  This is the only fingerprint
-    function in the tree — the service's ``fingerprint_request`` is an
-    alias — so library and service hashes can never drift.
+    function in the tree, so library and service hashes can never
+    drift.
     """
     spec = _spec_dict(spec)
     # `c + 0.0` coerces integer coordinates to floats and collapses -0.0

@@ -58,7 +58,12 @@ from typing import Any, Callable, Sequence
 from repro.geometry.rect import Rect
 from repro.mask.constraints import FractureSpec
 from repro.mask.shape import MaskShape
-from repro.obs import TelemetryRecorder, get_recorder, recording
+from repro.obs import (
+    TelemetryRecorder,
+    atomic_write_text,
+    get_recorder,
+    recording,
+)
 from repro.obs.resources import (
     HeartbeatMonitor,
     HeartbeatWriter,
@@ -490,15 +495,10 @@ class CheckpointJournal:
             self._rewrite()
 
     def _rewrite(self) -> None:
-        tmp = self.path.with_suffix(self.path.suffix + ".tmp")
-        header = self._header_line()
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(header) + "\n")
-            for record in self.completed.values():
-                fh.write(json.dumps(record) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self.path)
+        records = [self._header_line(), *self.completed.values()]
+        atomic_write_text(
+            self.path, "".join(json.dumps(r) + "\n" for r in records)
+        )
 
     def record(self, outcome: TileOutcome) -> None:
         """Append one completed tile — atomically, then fsync.

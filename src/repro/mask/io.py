@@ -16,6 +16,7 @@ from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
 from repro.geometry.rect import Rect
 from repro.mask.constraints import FractureSpec
+from repro.obs import atomic_write_text
 
 FORMAT_VERSION = 1
 
@@ -59,13 +60,13 @@ def spec_from_dict(data: dict[str, Any]) -> FractureSpec:
 
 
 def save_clips(clips: dict[str, Polygon], path: str | Path) -> None:
-    """Write named target polygons to a clip file."""
+    """Write named target polygons to a clip file (atomically)."""
     payload = {
         "format": "repro-clips",
         "version": FORMAT_VERSION,
         "clips": {name: polygon_to_dict(poly) for name, poly in clips.items()},
     }
-    Path(path).write_text(json.dumps(payload, indent=1))
+    atomic_write_text(path, json.dumps(payload, indent=1))
 
 
 def load_clips(path: str | Path) -> dict[str, Polygon]:
@@ -84,7 +85,11 @@ def save_solution(
     clip_name: str = "",
     metadata: dict[str, Any] | None = None,
 ) -> None:
-    """Write a fracturing solution (shot list + spec + free-form metadata)."""
+    """Write a fracturing solution (shot list + spec + free-form metadata).
+
+    The write is atomic: a failed or interrupted write leaves any
+    previous solution at ``path`` intact.
+    """
     payload = {
         "format": "repro-solution",
         "version": FORMAT_VERSION,
@@ -93,7 +98,7 @@ def save_solution(
         "shots": [rect_to_list(s) for s in shots],
         "metadata": metadata or {},
     }
-    Path(path).write_text(json.dumps(payload, indent=1))
+    atomic_write_text(path, json.dumps(payload, indent=1))
 
 
 def load_solution(path: str | Path) -> tuple[list[Rect], FractureSpec, dict[str, Any]]:

@@ -6,39 +6,28 @@ downstream user runs over a clip library: fracture every shape, verify,
 aggregate shot counts and write-time/cost projections, and optionally
 persist the solutions.
 
-Two layers of work avoidance compose on top of the batch loop:
-
-* a :class:`~repro.fracture.cache.FractureCache` on the fracturer
-  (``fracturer.cache``) — repeated geometry inside one batch, across
-  batches (on-disk cache), or already fractured by the service hits by
-  canonical content hash and is served by exact shot translation; the
-  pipeline consults it in the parent loop so parallel runs only ship
-  cache *misses* to the worker pool;
-* a cross-shape **batch journal** (``journal=``/``resume=``) — a JSONL
-  index of finished shapes keyed by the same canonical fingerprint.
-  ``resume=True`` replays completed shapes from the journal and
-  fractures only the remainder, so an interrupted ``mdp`` batch picks
-  up where it stopped even for non-windowed methods (the windowed
-  per-tile checkpoints from PR 4 cover interruption *within* a shape;
-  the journal covers interruption *between* shapes).  Entries are
-  fingerprint-validated — a changed spec, method or clip geometry
-  silently invalidates the stale entry — and a torn final line (crash
-  mid-append) is ignored.
+Work avoidance is the :class:`~repro.fracture.cache.FractureCache` on
+the fracturer (``fracturer.cache``): repeated geometry inside one
+batch, across batches, or already fractured by the service hits by
+canonical content hash and is served by exact shot translation.  Every
+finished shape is stored as soon as it finishes, so with a persisted
+cache (``persist_dir``, the CLI's ``--fracture-cache DIR``) an
+interrupted batch resumes by re-running against the same directory:
+finished shapes replay bit-identically and only the remainder is
+fractured.  The key holds geometry, spec, method and window, so a
+changed spec, method or clip never replays a stale result.  Parallel
+runs consult the cache in the parent loop and ship only misses to the
+worker pool.
 """
 
 from __future__ import annotations
 
-import json
+import copy
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Sequence
 
 from repro.fracture.base import FractureResult, Fracturer
-from repro.fracture.cache import (
-    fingerprint_polygon,
-    result_from_payload,
-    result_to_payload,
-)
 from repro.mask.constraints import FractureSpec
 from repro.mask.cost import MaskCostModel
 from repro.mask.io import save_solution
@@ -46,70 +35,6 @@ from repro.mask.shape import MaskShape
 from repro.obs import TelemetryRecorder, get_logger, get_recorder, recording
 
 logger = get_logger(__name__)
-
-
-class BatchJournal:
-    """Cross-shape resume index for an MDP batch run.
-
-    One JSON line per finished shape: the shape's canonical fingerprint
-    (geometry + spec + method + window — everything that could change
-    the shots) plus the full result payload.  Loading tolerates a torn
-    trailing line; replay only uses an entry whose fingerprint matches
-    the *current* request, so edited clips or parameter changes can
-    never replay stale shots.
-    """
-
-    def __init__(self, path: str | Path):
-        self.path = Path(path)
-        self._entries: dict[str, dict[str, Any]] = {}
-
-    @property
-    def entries(self) -> dict[str, dict[str, Any]]:
-        return self._entries
-
-    def load(self) -> int:
-        """Read the journal from disk; returns the usable entry count."""
-        self._entries = {}
-        try:
-            text = self.path.read_text()
-        except OSError:
-            return 0
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                # Torn tail from a crash mid-append: everything before
-                # it is intact (appends are line-atomic in practice and
-                # validated here regardless).
-                continue
-            if (
-                isinstance(record, dict)
-                and record.get("v") == 1
-                and "fingerprint" in record
-                and "payload" in record
-            ):
-                self._entries[record["fingerprint"]] = record["payload"]
-        return len(self._entries)
-
-    def get(self, fingerprint: str) -> dict[str, Any] | None:
-        return self._entries.get(fingerprint)
-
-    def append(
-        self, fingerprint: str, shape_name: str, payload: dict[str, Any]
-    ) -> None:
-        record = {
-            "v": 1,
-            "shape": shape_name,
-            "fingerprint": fingerprint,
-            "payload": payload,
-        }
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(record) + "\n")
-            fh.flush()
-        self._entries[fingerprint] = payload
 
 
 @dataclass(slots=True)
@@ -161,20 +86,12 @@ class MdpPipeline:
         self.spec = spec
         self.cost_model = cost_model
 
-    def _fingerprint(self, shape: MaskShape) -> tuple[str, tuple[float, float]]:
-        method = self.fracturer.cache_method or self.fracturer.name
-        return fingerprint_polygon(
-            shape.polygon, self.spec, method, self.fracturer.cache_window_nm
-        )
-
     def run(
         self,
         shapes: Sequence[MaskShape],
         output_dir: str | Path | None = None,
         verbose: bool = False,
         workers: int = 1,
-        journal: str | Path | None = None,
-        resume: bool = False,
     ) -> MdpReport:
         """Fracture every shape; optionally persist per-shape solutions.
 
@@ -186,41 +103,20 @@ class MdpPipeline:
         parallel runs lose no observability.
 
         With a fracture cache on the fracturer, hits are served in the
-        parent loop and only misses are dispatched.  ``journal`` points
-        at a cross-shape JSONL index (:class:`BatchJournal`): every
-        finished shape is appended, and ``resume=True`` replays
-        fingerprint-matching entries instead of re-fracturing.
+        parent loop and only misses are dispatched.  Each fresh result
+        is stored as soon as it finishes, so a batch stopped part way
+        leaves every finished shape for the re-run to replay.
         """
         obs = get_recorder()
         report = MdpReport()
         out = Path(output_dir) if output_dir is not None else None
         if out is not None:
             out.mkdir(parents=True, exist_ok=True)
-        batch_journal = BatchJournal(journal) if journal is not None else None
-        if batch_journal is not None and resume:
-            replayable = batch_journal.load()
-            obs.event("mdp.journal_loaded", entries=replayable)
         cache = self.fracturer.cache
-        need_fp = cache is not None or batch_journal is not None
         results: list[FractureResult | None] = [None] * len(shapes)
-        fingerprints: list[tuple[str, tuple[float, float]] | None] = [None] * len(shapes)
-        resumed = 0
         with obs.span("mdp.batch", shapes=len(shapes), workers=workers):
             pending: list[tuple[int, MaskShape]] = []
             for index, shape in enumerate(shapes):
-                if need_fp:
-                    fingerprints[index] = self._fingerprint(shape)
-                if batch_journal is not None and resume:
-                    fingerprint, offset = fingerprints[index]
-                    payload = batch_journal.get(fingerprint)
-                    if payload is not None:
-                        results[index] = result_from_payload(
-                            payload, shape_name=shape.name, frame=offset
-                        )
-                        results[index].extra["resumed"] = True
-                        resumed += 1
-                        obs.incr("mdp.journal_replays")
-                        continue
                 if cache is not None and workers > 1:
                     # Parallel dispatch pre-consults so known work never
                     # ships to the pool; the serial path below leaves the
@@ -233,41 +129,21 @@ class MdpPipeline:
                 pending.append((index, shape))
             if workers > 1 and len(pending) > 1:
                 fresh = self._run_parallel([s for _, s in pending], workers)
+                for (index, _), result in zip(pending, fresh):
+                    results[index] = result
             else:
-                fresh = []
-                for _, shape in pending:
+                for index, shape in pending:
                     with obs.span("mdp.shape", shape=shape.name):
-                        fresh.append(self.fracturer.fracture(shape, self.spec))
-            for (index, shape), result in zip(pending, fresh):
-                results[index] = result
-                if not need_fp:
-                    continue
-                fingerprint, offset = fingerprints[index]
-                payload = result_to_payload(result, frame=offset)
-                if cache is not None and not result.extra.get("cache_hit"):
-                    cache.put(fingerprint, payload)
-                if batch_journal is not None and batch_journal.get(fingerprint) is None:
-                    batch_journal.append(fingerprint, shape.name, payload)
-        if need_fp:
-            stats = {
-                "shapes": len(shapes),
-                "fresh": sum(
-                    1
-                    for r in results
-                    if r is not None
-                    and not r.extra.get("cache_hit")
-                    and not r.extra.get("resumed")
-                ),
-                "cache_hits": sum(
-                    1
-                    for r in results
-                    if r is not None
-                    and r.extra.get("cache_hit")
-                    and not r.extra.get("resumed")
-                ),
-                "journal_replays": resumed,
-            }
-            obs.manifest_section("mdp_batch", stats)
+                        results[index] = self.fracturer.fracture(
+                            shape, self.spec
+                        )
+        if cache is not None:
+            hits = sum(1 for r in results if r.extra.get("cache_hit"))
+            obs.manifest_section(
+                "mdp_batch",
+                {"shapes": len(shapes), "fresh": len(shapes) - hits,
+                 "cache_hits": hits},
+            )
         for shape, result in zip(shapes, results):
             report.results.append(result)
             if verbose:
@@ -294,23 +170,20 @@ class MdpPipeline:
         obs = get_recorder()
         # The cache holds a lock (unpicklable) and would be copied per
         # worker anyway; the parent loop already consulted it, so ship
-        # the fracturer bare and let the parent store the results.
-        cache = self.fracturer.cache
-        self.fracturer.cache = None
-        try:
-            jobs = [
-                (self.fracturer, shape, self.spec, obs.enabled)
-                for shape in shapes
-            ]
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                outcomes = list(pool.map(_fracture_job, jobs))
-        finally:
-            self.fracturer.cache = cache
+        # a bare copy of the fracturer and store each result here as
+        # the pool yields it — a shape that fails later cannot cost the
+        # shapes that finished before it.
+        bare = copy.copy(self.fracturer)
+        bare.cache = None
+        jobs = [(bare, shape, self.spec, obs.enabled) for shape in shapes]
         results = []
-        for shape, (result, telemetry) in zip(shapes, outcomes):
-            if telemetry is not None:
-                obs.merge_child(telemetry, label=shape.name or "shape")
-            results.append(result)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            outcomes = pool.map(_fracture_job, jobs)
+            for shape, (result, telemetry) in zip(shapes, outcomes):
+                if telemetry is not None:
+                    obs.merge_child(telemetry, label=shape.name or "shape")
+                self.fracturer.store_cached(shape, self.spec, result)
+                results.append(result)
         return results
 
     def projected_saving(

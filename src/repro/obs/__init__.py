@@ -41,7 +41,7 @@ from repro.obs.diff import (
     format_diff,
     payload_metrics,
 )
-from repro.obs.export import load_telemetry, write_telemetry
+from repro.obs.export import atomic_write_text, load_telemetry, write_telemetry
 from repro.obs.flame import (
     chrome_from_payload,
     speedscope_from_payload,
@@ -109,6 +109,7 @@ __all__ = [
     "TelemetryRecorder",
     "TelemetryStream",
     "TraceContext",
+    "atomic_write_text",
     "chrome_from_payload",
     "diff_payloads",
     "disk_free_bytes",

@@ -1,4 +1,5 @@
-"""Telemetry files: the payload as JSON or CSV, and the one loader.
+"""Telemetry files: the payload as JSON or CSV, the one loader, and
+the one atomic file writer (:func:`atomic_write_text`).
 
 The stream (:mod:`repro.obs.stream`) is the only on-disk record format;
 ``--telemetry`` writes its fold, chosen by file extension:
@@ -23,7 +24,7 @@ from typing import Any
 
 from repro.obs.stream import read_stream, stream_to_payload
 
-__all__ = ["load_telemetry", "write_telemetry"]
+__all__ = ["atomic_write_text", "load_telemetry", "write_telemetry"]
 
 _CONVERGENCE_COLUMNS = (
     "seq", "span", "worker", "iteration", "cost", "failing", "shots",
@@ -31,16 +32,24 @@ _CONVERGENCE_COLUMNS = (
 )
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
-    """Write ``text`` via tmp + fsync + rename so a crash mid-export can
-    never leave a torn file at ``path`` (the checkpoint-journal durability
-    contract, applied to the telemetry export)."""
+def atomic_write_text(path: str | Path, text: str) -> None:
+    """Replace ``path`` with ``text`` via tmp + fsync + rename.
+
+    A crash, an interrupt or an ``OSError`` (a full disk) mid-write
+    leaves the previous file at ``path`` intact, never a torn one; a
+    failed write also removes its temp file.
+    """
+    path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_telemetry(payload: dict[str, Any], path: str | Path) -> Path:
@@ -55,9 +64,9 @@ def write_telemetry(payload: dict[str, Any], path: str | Path) -> Path:
     if path.parent != Path():
         path.parent.mkdir(parents=True, exist_ok=True)
     if suffix == ".csv":
-        _atomic_write_text(path, _convergence_csv(payload))
+        atomic_write_text(path, _convergence_csv(payload))
     else:
-        _atomic_write_text(
+        atomic_write_text(
             path, json.dumps(payload, indent=2, default=str) + "\n"
         )
     return path

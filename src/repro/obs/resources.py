@@ -296,14 +296,15 @@ def summarize_heartbeats(
 ) -> dict[str, Any]:
     """Fold the heartbeat files under ``directory`` into one status dict.
 
-    The stateless counterpart of :class:`HeartbeatMonitor` for pull-style
-    surfaces (the service daemon's ``stats`` op): one call, no recorder,
-    no episode tracking.  Per writer the status is ``alive`` (fresh
-    beat), ``slow_task`` (fresh beat but the current task has run longer
-    than ``slow_task_after_s`` — a *wedged* job: the writer's daemon
-    thread keeps beating while the work loop is stuck, so only the task
-    age gives it away) or ``no_heartbeat`` (stale file: killed/frozen
-    process or a crashed executor thread that never unlinked).
+    The one stall classifier: pull-style surfaces (the service daemon's
+    ``stats`` op) call it directly, and :class:`HeartbeatMonitor` adds
+    its recorder events and episode tracking on top.  Per writer the
+    status is ``alive`` (fresh beat), ``slow_task`` (fresh beat but the
+    current task has run longer than ``slow_task_after_s`` — a *wedged*
+    job: the writer's daemon thread keeps beating while the work loop
+    is stuck, so only the task age gives it away) or ``no_heartbeat``
+    (stale file: killed/frozen process or a crashed executor thread
+    that never unlinked).
     """
     now = time.time() if now is None else now
     workers: list[dict[str, Any]] = []
@@ -340,7 +341,7 @@ def summarize_heartbeats(
         }
         if task_age is not None:
             entry["task_age_s"] = round(task_age, 3)
-        for passthrough in ("job_id", "trace_id"):
+        for passthrough in ("attempt", "job_id", "trace_id"):
             if passthrough in hb:
                 entry[passthrough] = hb[passthrough]
         workers.append(entry)
@@ -350,11 +351,13 @@ def summarize_heartbeats(
 class HeartbeatMonitor:
     """Parent-side heartbeat reader / stall detector.
 
-    Every ``interval_s`` the monitor reads the heartbeat directory and:
+    Every ``interval_s`` the monitor classifies the heartbeat directory
+    with :func:`summarize_heartbeats` and:
 
-    * sets the gauges ``windowed.workers_alive``,
-      ``windowed.workers_stalled``, ``windowed.worker_rss_peak_bytes``
-      and ``windowed.worker_cpu_s_total``;
+    * sets the gauges ``windowed.workers_alive`` (every fresh worker,
+      ``slow_task`` ones included), ``windowed.workers_stalled``,
+      ``windowed.worker_rss_peak_bytes`` and
+      ``windowed.worker_cpu_s_total``;
     * emits one ``worker_heartbeat`` event per live worker (these reach
       the live stream via the recorder's stream hook);
     * emits a ``worker_stalled`` event (once per episode, counted by
@@ -396,40 +399,36 @@ class HeartbeatMonitor:
 
     def tick(self, now: float | None = None) -> list[dict[str, Any]]:
         """One monitoring pass; returns the stall events it emitted."""
-        now = time.time() if now is None else now
         rec = self.recorder
+        summary = summarize_heartbeats(
+            self.directory,
+            stall_after_s=self.stall_after_s,
+            slow_task_after_s=self.slow_task_after_s,
+            now=now,
+        )
         stalls: list[dict[str, Any]] = []
         alive = 0
         cpu_total = 0.0
-        for hb in read_heartbeats(self.directory):
-            pid = hb.get("pid")
-            age = max(0.0, now - float(hb.get("t", now)))
-            fresh = age <= self.stall_after_s
-            task_age = None
-            if hb.get("tile") is not None:
-                task_age = max(0.0, now - float(hb.get("task_started_t", now)))
-            if fresh:
+        for worker in summary["workers"]:
+            pid = worker["pid"]
+            kind = worker["status"]
+            if kind != "no_heartbeat":
                 alive += 1
-                cpu_total += float(hb.get("cpu_s") or 0.0)
-                rss = hb.get("rss_bytes")
+                cpu_total += float(worker["cpu_s"] or 0.0)
+                rss = worker["rss_bytes"]
                 if isinstance(rss, (int, float)):
                     self._rss_peak = max(self._rss_peak, int(rss))
                 if self.heartbeat_events:
                     rec.event(
                         "worker_heartbeat",
                         pid=pid,
-                        tile=hb.get("tile"),
-                        attempt=hb.get("attempt"),
-                        rss_bytes=hb.get("rss_bytes"),
-                        cpu_s=hb.get("cpu_s"),
-                        age_s=round(age, 3),
+                        tile=worker["task"],
+                        attempt=worker.get("attempt"),
+                        rss_bytes=worker["rss_bytes"],
+                        cpu_s=worker["cpu_s"],
+                        age_s=worker["age_s"],
                     )
-            kind = None
-            if not fresh:
-                kind = "no_heartbeat"
-            elif task_age is not None and task_age > self.slow_task_after_s:
-                kind = "slow_task"
-            if kind is None:
+            if kind == "alive":
                 self._stalled.pop(pid, None)
                 continue
             if self._stalled.get(pid) == kind:
@@ -438,9 +437,12 @@ class HeartbeatMonitor:
             stall = {
                 "pid": pid,
                 "kind": kind,
-                "tile": hb.get("tile"),
-                "attempt": hb.get("attempt"),
-                "age_s": round(age if kind == "no_heartbeat" else task_age, 3),
+                "tile": worker["task"],
+                "attempt": worker.get("attempt"),
+                "age_s": (
+                    worker["age_s"] if kind == "no_heartbeat"
+                    else worker["task_age_s"]
+                ),
             }
             stalls.append(stall)
             rec.incr("windowed.worker_stalls")

@@ -34,7 +34,7 @@ harness (daemon SIGKILL, disk-full shim, byte corruption, stalled
 clients, submit floods) that proves it.
 """
 
-from repro.service.caches import ResultCache, WarmCaches
+from repro.service.caches import WarmCaches
 from repro.service.chaos import ChaosPlan
 from repro.service.client import (
     CircuitBreaker,
@@ -72,7 +72,6 @@ __all__ = [
     "JobWatchdog",
     "PriorityJobQueue",
     "QueueFull",
-    "ResultCache",
     "RetryPolicy",
     "ServiceClient",
     "ServiceError",

@@ -7,10 +7,9 @@ verbatim retry after a client crash.  Three layers of warmth, cheapest
 check first:
 
 1. **Result cache** — the library-level content-addressed
-   :class:`~repro.fracture.cache.FractureCache` (promoted out of this
-   module in the hierarchy PR; ``ResultCache`` is the historical name).
-   The sha256 of (canonical clip vertices, spec, method, window) maps
-   to the finished shot list plus its frame, so a resubmission — even a
+   :class:`~repro.fracture.cache.FractureCache`.  The sha256 of
+   (canonical clip vertices, spec, method, window) maps to the
+   finished shot list plus its frame, so a resubmission — even a
    *translated* one — costs one hash, skipping both fracture and
    verification (the stored feasibility verdict was computed from
    scratch on identical canonical geometry the first time).  With
@@ -27,7 +26,7 @@ check first:
 daemon startup, and answers the hit/miss counters that every job's
 telemetry and the ``stats`` op expose.
 
-``fingerprint_request`` is an alias of
+The result cache is keyed by
 :func:`repro.fracture.cache.canonical_fingerprint` — the single
 fingerprint function in the tree, so service and library hashes can
 never drift.
@@ -39,13 +38,9 @@ from pathlib import Path
 from typing import Any
 
 from repro.ebeam.intensity_map import ProfileBank, set_profile_bank
-from repro.fracture.cache import FractureCache, canonical_fingerprint
+from repro.fracture.cache import FractureCache
 
-__all__ = ["ResultCache", "WarmCaches", "fingerprint_request"]
-
-#: Historical service names for the promoted library primitives.
-ResultCache = FractureCache
-fingerprint_request = canonical_fingerprint
+__all__ = ["WarmCaches"]
 
 
 class WarmCaches:

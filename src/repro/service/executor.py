@@ -27,29 +27,26 @@ them onto the job state machine without string matching.
 from __future__ import annotations
 
 import json
-import os
 import threading
 import time
 from typing import Any
 
-from repro.fracture.cache import (
-    fingerprint_polygon,
-    result_to_payload,
-    translate_shots,
-)
+from repro.fracture.base import FractureResult
+from repro.fracture.cache import result_to_payload
 from repro.fracture.runtime import RunInterrupted, RuntimePolicy
 from repro.fracture.windowed import WindowedFracturer
 from repro.geometry.point import Point
 from repro.kernels import kernels_manifest
 from repro.geometry.polygon import Polygon
 from repro.mask.constraints import FractureSpec
-from repro.mask.io import rect_from_list, rect_to_list, spec_from_dict, spec_to_dict
+from repro.mask.io import spec_from_dict, spec_to_dict
 from repro.mask.shape import MaskShape
 from repro.methods import make_fracturer
 from repro.obs import (
     HeartbeatWriter,
     TelemetryRecorder,
     TelemetryStream,
+    atomic_write_text,
     ensure_disk_space,
     thread_recording,
 )
@@ -150,13 +147,16 @@ def _make_runner(
     )
 
 
-def _atomic_write_json(path, payload: dict[str, Any]) -> None:
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+def _clip_payload(result: FractureResult) -> dict[str, Any]:
+    """One clip's ``result.json`` entry: the flat keys of its cache payload."""
+    payload = result_to_payload(result)
+    return {
+        key: payload[key]
+        for key in (
+            "shots", "shot_count", "feasible", "failing_px", "runtime_s",
+            "extra",
+        )
+    }
 
 
 def execute_job(
@@ -263,34 +263,23 @@ def _run_clips(
         control.raise_if_stopped()
         vertices = job["clips"][name]
         polygon = Polygon(Point(x, y) for x, y in vertices)
-        # Canonical (translation-normalized) fingerprint: the resolved
-        # spec and registry method name match the library's cache keys
-        # exactly, so a clip fractured by an `mdp --fracture-cache` run
-        # warms the daemon and vice versa — and a *translated* clip of
-        # known geometry hits too, served by exact shot translation.
-        fingerprint, offset = fingerprint_polygon(
-            polygon, spec, job["method"], job.get("window_nm")
-        )
-        cached = caches.results.get(fingerprint) if use_cache else None
-        if cached is not None:
-            stored = cached.get("frame", [0.0, 0.0])
-            shots = translate_shots(
-                [rect_from_list(v) for v in cached["shots"]],
-                offset[0] - float(stored[0]),
-                offset[1] - float(stored[1]),
+        # The resolved spec and registry method name match the library's
+        # cache keys exactly, so a clip fractured by an `mdp
+        # --fracture-cache` run warms the daemon and vice versa — and a
+        # *translated* clip of known geometry hits too, served by exact
+        # shot translation.
+        cached = (
+            caches.results.get_result(
+                polygon, spec, job["method"], job.get("window_nm"),
+                shape_name=name,
             )
+            if use_cache else None
+        )
+        if cached is not None:
             recorder.incr("cache.result.hits")
             recorder.event("clip_done", clip=name, cached=True,
-                           shots=cached["shot_count"])
-            clips_out[name] = {
-                "shots": [rect_to_list(s) for s in shots],
-                "shot_count": cached["shot_count"],
-                "feasible": cached["feasible"],
-                "failing_px": cached["failing_px"],
-                "runtime_s": cached["runtime_s"],
-                "extra": cached.get("extra", {}),
-                "cached": True,
-            }
+                           shots=cached.shot_count)
+            clips_out[name] = {**_clip_payload(cached), "cached": True}
             continue
         if use_cache:
             recorder.incr("cache.result.misses")
@@ -311,19 +300,14 @@ def _run_clips(
             )
             control.raise_if_stopped()
             raise  # stop_check stale trip with no flag set: real error
-        stored_payload = result_to_payload(result, frame=offset)
         if use_cache:
-            caches.results.put(fingerprint, stored_payload)
-        clip_payload = {
-            key: stored_payload[key]
-            for key in (
-                "shots", "shot_count", "feasible", "failing_px",
-                "runtime_s", "extra",
+            caches.results.put_result(
+                polygon, spec, result,
+                window_nm=job.get("window_nm"), method=job["method"],
             )
-        }
         recorder.event("clip_done", clip=name, cached=False,
                        shots=result.shot_count, feasible=result.feasible)
-        clips_out[name] = {**clip_payload, "cached": False}
+        clips_out[name] = {**_clip_payload(result), "cached": False}
     if heartbeat is not None:
         heartbeat.clear_task()
     wall_s = time.perf_counter() - started
@@ -358,5 +342,5 @@ def _run_clips(
     # DiskFullError propagates as a typed job failure and the atomic
     # tmp+replace below never leaves a torn result.json behind.
     ensure_disk_space(paths.root, control.disk_floor_bytes)
-    _atomic_write_json(paths.result_json, payload)
+    atomic_write_text(paths.result_json, json.dumps(payload, indent=1))
     return payload

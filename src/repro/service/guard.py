@@ -24,9 +24,10 @@ server threads through every request:
   failure — or, when ``degrade_over_budget`` is set and the job asked
   for an expensive method, is requeued once on the deterministic
   ``partition`` baseline (PR 4's degradation ladder, service-level).
-* **Disk guard** — :func:`evict_cache_lru` frees an on-disk
-  :class:`~repro.fracture.cache.FractureCache` store LRU-by-mtime when
-  free space falls under the floor; the checkpoint journal and result
+* **Disk guard** — an on-disk
+  :class:`~repro.fracture.cache.FractureCache` store frees space
+  LRU-by-mtime (:func:`repro.fracture.cache.evict_lru`) when free
+  space falls under the floor; the checkpoint journal and result
   writers call :func:`repro.obs.ensure_disk_space` so a full disk
   fails the affected job loudly instead of leaving torn files.
 
@@ -44,8 +45,6 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Callable
 
-from repro.fracture.cache import evict_lru
-
 __all__ = [
     "AdmissionError",
     "ClientRateLimiter",
@@ -53,7 +52,6 @@ __all__ = [
     "JobWatchdog",
     "ServiceLimits",
     "TokenBucket",
-    "evict_cache_lru",
     "validate_admission",
 ]
 
@@ -387,11 +385,3 @@ class JobWatchdog:
                 self._over_budget(verdict)
         return violations
 
-
-# -- disk guard --------------------------------------------------------------
-
-#: LRU-by-mtime eviction for on-disk cache stores — the implementation
-#: lives with :class:`~repro.fracture.cache.FractureCache` (library
-#: level, shared with ``--fracture-cache`` CLI runs); re-exported here
-#: because the daemon's disk housekeeping is a guard concern.
-evict_cache_lru = evict_lru

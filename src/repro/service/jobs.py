@@ -35,13 +35,14 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
-import os
 import re
 import secrets
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
+
+from repro.obs import atomic_write_text
 
 __all__ = [
     "JOB_ID_RE",
@@ -353,13 +354,7 @@ class JobRecord:
     def save(self, paths: JobPaths) -> None:
         """Atomically persist the record (tmp + fsync + rename)."""
         paths.ensure()
-        blob = json.dumps(self.to_dict(), indent=1)
-        tmp = paths.job_json.with_suffix(".json.tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(blob)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, paths.job_json)
+        atomic_write_text(paths.job_json, json.dumps(self.to_dict(), indent=1))
 
     @classmethod
     def load(cls, paths: JobPaths) -> "JobRecord":

@@ -70,3 +70,23 @@ class TestSolutionFiles:
         path.write_text('{"format": "repro-clips", "clips": {}}')
         with pytest.raises(ValueError):
             load_solution(path)
+
+
+class TestAtomicWrites:
+    def test_failed_write_keeps_the_previous_solution(self, tmp_path, spec):
+        resource = pytest.importorskip("resource")
+        path = tmp_path / "clip.solution.json"
+        save_solution([Rect(0, 0, 10, 10)], spec, path, clip_name="clip")
+        before = path.read_bytes()
+        shots = [Rect(i, 0, i + 10, 10) for i in range(1000)]
+        soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+        # Writes past this file size fail with EFBIG (Python ignores
+        # SIGXFSZ), as a write that fills the disk fails with ENOSPC.
+        resource.setrlimit(resource.RLIMIT_FSIZE, (2 * len(before), hard))
+        try:
+            with pytest.raises(OSError):
+                save_solution(shots, spec, path, clip_name="clip")
+        finally:
+            resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]

@@ -2,8 +2,13 @@
 
 import json
 
+import pytest
+
 from repro.baselines import PartitionFracturer
+from repro.fracture.cache import FractureCache
+from repro.geometry.polygon import Polygon
 from repro.mask.mdp import MdpPipeline, MdpReport
+from repro.mask.shape import MaskShape
 from repro.obs import TelemetryRecorder, recording
 
 
@@ -132,94 +137,108 @@ class TestParallelTelemetry:
         assert names == ["mdp.shape", "mdp.shape"]
 
 
-class TestBatchJournal:
-    def test_append_load_round_trip(self, tmp_path):
-        from repro.mask.mdp import BatchJournal
+def _bar(spec) -> MaskShape:
+    polygon = Polygon([(0, 0), (100, 0), (100, 30), (0, 30)])
+    return MaskShape.from_polygon(polygon, margin=spec.grid_margin, name="bar")
 
-        journal = BatchJournal(tmp_path / "batch.index.jsonl")
-        journal.append("fp-1", "rect", {"shots": [], "shot_count": 0})
-        journal.append("fp-2", "L", {"shots": [], "shot_count": 2})
 
-        reloaded = BatchJournal(tmp_path / "batch.index.jsonl")
-        assert reloaded.load() == 2
-        assert reloaded.get("fp-2") == {"shots": [], "shot_count": 2}
-        assert reloaded.get("fp-3") is None
+class _FailOn(PartitionFracturer):
+    """Partition, except that the shape named ``fail_on`` raises ``error``."""
 
-    def test_missing_file_loads_empty(self, tmp_path):
-        from repro.mask.mdp import BatchJournal
+    def __init__(self, fail_on: str, error: type[BaseException]):
+        super().__init__()
+        self.fail_on = fail_on
+        self.error = error
 
-        assert BatchJournal(tmp_path / "nope.jsonl").load() == 0
+    def fracture_shots(self, shape, spec):
+        if shape.name == self.fail_on:
+            raise self.error(shape.name)
+        return super().fracture_shots(shape, spec)
 
-    def test_torn_trailing_line_tolerated(self, tmp_path):
-        from repro.mask.mdp import BatchJournal
 
-        path = tmp_path / "batch.index.jsonl"
-        journal = BatchJournal(path)
-        journal.append("fp-1", "rect", {"shots": []})
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write('{"v": 1, "fingerprint": "fp-2", "payl')  # crash mid-append
-        reloaded = BatchJournal(path)
-        assert reloaded.load() == 1
-        assert reloaded.get("fp-1") is not None
+class _CountingCache(FractureCache):
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.puts = 0
 
-    def test_foreign_records_ignored(self, tmp_path):
-        from repro.mask.mdp import BatchJournal
+    def put(self, fingerprint, payload):
+        self.puts += 1
+        super().put(fingerprint, payload)
 
-        path = tmp_path / "batch.index.jsonl"
-        path.write_text('{"v": 2, "fingerprint": "x", "payload": {}}\n[1,2]\n')
-        assert BatchJournal(path).load() == 0
+
+def _cached(fracturer, store):
+    fracturer.cache = FractureCache(persist_dir=store)
+    return fracturer
 
 
 class TestMdpResume:
-    def test_resume_replays_bit_identically(self, rect_shape, l_shape, spec, tmp_path):
-        journal = tmp_path / "batch.index.jsonl"
-        pipeline = MdpPipeline(PartitionFracturer(), spec)
-        first = pipeline.run([rect_shape, l_shape], journal=journal)
+    """A batch resumes by re-running against its persisted FractureCache."""
 
-        resumed = pipeline.run(
-            [rect_shape, l_shape], journal=journal, resume=True
-        )
+    def test_resume_replays_bit_identically(self, rect_shape, l_shape, spec, tmp_path):
+        shapes = [rect_shape, l_shape]
+        first = MdpPipeline(_cached(PartitionFracturer(), tmp_path), spec).run(shapes)
+
+        resumed = MdpPipeline(
+            _cached(PartitionFracturer(), tmp_path), spec
+        ).run(shapes)
         assert [r.shots for r in resumed.results] == \
             [r.shots for r in first.results]
-        assert all(r.extra.get("resumed") for r in resumed.results)
+        assert all(r.extra.get("cache_hit") for r in resumed.results)
         assert [r.report.total_failing for r in resumed.results] == \
             [r.report.total_failing for r in first.results]
 
     def test_changed_spec_invalidates_journal(self, rect_shape, spec, tmp_path):
         from dataclasses import replace
 
-        journal = tmp_path / "batch.index.jsonl"
-        MdpPipeline(PartitionFracturer(), spec).run([rect_shape], journal=journal)
+        MdpPipeline(_cached(PartitionFracturer(), tmp_path), spec).run([rect_shape])
 
         other_spec = replace(spec, lmin=spec.lmin + 1.0)
-        report = MdpPipeline(PartitionFracturer(), other_spec).run(
-            [rect_shape], journal=journal, resume=True
-        )
-        assert not report.results[0].extra.get("resumed")
-
-    def test_journal_without_resume_never_replays(self, rect_shape, spec, tmp_path):
-        journal = tmp_path / "batch.index.jsonl"
-        pipeline = MdpPipeline(PartitionFracturer(), spec)
-        pipeline.run([rect_shape], journal=journal)
-        report = pipeline.run([rect_shape], journal=journal)
-        assert not report.results[0].extra.get("resumed")
+        report = MdpPipeline(
+            _cached(PartitionFracturer(), tmp_path), other_spec
+        ).run([rect_shape])
+        assert not report.results[0].extra.get("cache_hit")
 
     def test_duplicate_shapes_journal_once(self, rect_shape, spec, tmp_path):
-        journal = tmp_path / "batch.index.jsonl"
-        pipeline = MdpPipeline(PartitionFracturer(), spec)
-        pipeline.run([rect_shape, rect_shape], journal=journal)
-        lines = [
-            line for line in
-            (tmp_path / "batch.index.jsonl").read_text().splitlines()
-            if line.strip()
-        ]
-        assert len(lines) == 1
+        pipeline = MdpPipeline(_cached(PartitionFracturer(), tmp_path), spec)
+        pipeline.run([rect_shape, rect_shape])
+        assert len(list(tmp_path.glob("*.json"))) == 1
+
+    def test_interrupted_batch_resumes_from_finished_shapes(
+        self, rect_shape, l_shape, spec, tmp_path
+    ):
+        shapes = [rect_shape, l_shape, _bar(spec)]
+        reference = MdpPipeline(PartitionFracturer(), spec).run(shapes)
+
+        flaky = _cached(_FailOn("bar", KeyboardInterrupt), tmp_path)
+        with pytest.raises(KeyboardInterrupt):
+            MdpPipeline(flaky, spec).run(shapes)
+        assert len(list(tmp_path.glob("*.json"))) == 2
+
+        recorder = TelemetryRecorder()
+        with recording(recorder):
+            resumed = MdpPipeline(
+                _cached(PartitionFracturer(), tmp_path), spec
+            ).run(shapes)
+        batch = recorder.export()["manifest"]["mdp_batch"]
+        assert batch == {"shapes": 3, "fresh": 1, "cache_hits": 2}
+        assert [bool(r.extra.get("cache_hit")) for r in resumed.results] == \
+            [True, True, False]
+        assert [r.shots for r in resumed.results] == \
+            [r.shots for r in reference.results]
+
+    def test_parallel_failure_keeps_the_shapes_finished_before_it(
+        self, rect_shape, l_shape, spec, tmp_path
+    ):
+        flaky = _cached(_FailOn("bar", RuntimeError), tmp_path)
+        with pytest.raises(RuntimeError):
+            MdpPipeline(flaky, spec).run(
+                [rect_shape, l_shape, _bar(spec)], workers=2
+            )
+        assert len(list(tmp_path.glob("*.json"))) == 2
 
 
 class TestMdpFractureCache:
     def test_within_batch_duplicates_hit(self, rect_shape, spec):
-        from repro.fracture.cache import FractureCache
-
         fracturer = PartitionFracturer()
         fracturer.cache = FractureCache()
         pipeline = MdpPipeline(fracturer, spec)
@@ -231,8 +250,6 @@ class TestMdpFractureCache:
     def test_parallel_run_detaches_cache_and_hits_in_parent(
         self, rect_shape, l_shape, spec
     ):
-        from repro.fracture.cache import FractureCache
-
         fracturer = PartitionFracturer()
         cache = FractureCache()
         fracturer.cache = cache
@@ -243,3 +260,11 @@ class TestMdpFractureCache:
         assert all(r.extra.get("cache_hit") for r in second.results)
         assert [r.shots for r in second.results] == \
             [r.shots for r in first.results]
+
+    def test_serial_batch_stores_each_fresh_shape_once(
+        self, rect_shape, l_shape, spec
+    ):
+        fracturer = PartitionFracturer()
+        fracturer.cache = _CountingCache()
+        MdpPipeline(fracturer, spec).run([rect_shape, l_shape])
+        assert fracturer.cache.puts == 2

@@ -6,42 +6,43 @@ import numpy as np
 
 from repro.baselines import PartitionFracturer
 from repro.ebeam.intensity_map import IntensityMap, get_profile_bank
+from repro.fracture.cache import FractureCache, canonical_fingerprint
 from repro.mask.constraints import FractureSpec
-from repro.service.caches import ResultCache, WarmCaches, fingerprint_request
+from repro.service.caches import WarmCaches
 
 CLIP = [[0.0, 0.0], [40.0, 0.0], [40.0, 40.0], [0.0, 40.0]]
 
 
 class TestFingerprint:
     def test_deterministic(self):
-        a = fingerprint_request(CLIP, {"sigma": 6.25}, "ours", None)
-        b = fingerprint_request(CLIP, {"sigma": 6.25}, "ours", None)
+        a = canonical_fingerprint(CLIP, {"sigma": 6.25}, "ours", None)
+        b = canonical_fingerprint(CLIP, {"sigma": 6.25}, "ours", None)
         assert a == b
 
     def test_sensitive_to_every_result_affecting_input(self):
-        base = fingerprint_request(CLIP, {}, "ours", None)
+        base = canonical_fingerprint(CLIP, {}, "ours", None)
         moved = [[0.0, 0.0], [41.0, 0.0], [41.0, 40.0], [0.0, 40.0]]
-        assert fingerprint_request(moved, {}, "ours", None) != base
-        assert fingerprint_request(CLIP, {"sigma": 7.0}, "ours", None) != base
-        assert fingerprint_request(CLIP, {}, "partition", None) != base
-        assert fingerprint_request(CLIP, {}, "ours", 300.0) != base
+        assert canonical_fingerprint(moved, {}, "ours", None) != base
+        assert canonical_fingerprint(CLIP, {"sigma": 7.0}, "ours", None) != base
+        assert canonical_fingerprint(CLIP, {}, "partition", None) != base
+        assert canonical_fingerprint(CLIP, {}, "ours", 300.0) != base
 
     def test_spec_key_order_irrelevant(self):
-        a = fingerprint_request(CLIP, {"sigma": 6.25, "rho": 0.5}, "ours", None)
-        b = fingerprint_request(CLIP, {"rho": 0.5, "sigma": 6.25}, "ours", None)
+        a = canonical_fingerprint(CLIP, {"sigma": 6.25, "rho": 0.5}, "ours", None)
+        b = canonical_fingerprint(CLIP, {"rho": 0.5, "sigma": 6.25}, "ours", None)
         assert a == b
 
 
-class TestResultCache:
+class TestFractureCache:
     def test_miss_then_hit(self):
-        cache = ResultCache()
+        cache = FractureCache()
         assert cache.get("k") is None
         cache.put("k", {"shots": []})
         assert cache.get("k") == {"shots": []}
         assert cache.stats() == {"entries": 1, "hits": 1, "misses": 1}
 
     def test_eviction_is_oldest_first(self):
-        cache = ResultCache(max_entries=2)
+        cache = FractureCache(max_entries=2)
         cache.put("a", {"n": 1})
         cache.put("b", {"n": 2})
         cache.put("c", {"n": 3})
@@ -50,7 +51,7 @@ class TestResultCache:
         assert cache.get("c") is not None
 
     def test_put_is_idempotent(self):
-        cache = ResultCache()
+        cache = FractureCache()
         cache.put("k", {"first": True})
         cache.put("k", {"second": True})
         assert cache.get("k") == {"first": True}
@@ -95,19 +96,7 @@ class TestWarmCaches:
 
 
 class TestLibraryPromotion:
-    """PR 8: the service cache is the library cache — same object, same key."""
-
-    def test_result_cache_is_the_library_fracture_cache(self):
-        from repro.fracture.cache import FractureCache
-
-        assert ResultCache is FractureCache
-
-    def test_fingerprint_request_is_canonical_fingerprint(self):
-        # Single fingerprint function in the tree: the service alias and
-        # the library function cannot drift apart.
-        from repro.fracture.cache import canonical_fingerprint
-
-        assert fingerprint_request is canonical_fingerprint
+    """The service cache is the library cache — same class, same key."""
 
     def test_service_and_library_keys_agree(self):
         from repro.fracture.cache import fingerprint_polygon
@@ -115,7 +104,7 @@ class TestLibraryPromotion:
 
         vertices = [[0.0, 0.0], [60.0, 0.0], [60.0, 40.0], [0.0, 40.0]]
         spec = FractureSpec()
-        service_key = fingerprint_request(vertices, spec, "partition", None)
+        service_key = canonical_fingerprint(vertices, spec, "partition", None)
         library_key, offset = fingerprint_polygon(
             Polygon(vertices), spec, "partition", None
         )
@@ -128,3 +117,73 @@ class TestLibraryPromotion:
         assert (tmp_path / "store" / "fp.json").exists()
         cold = WarmCaches(persist_dir=tmp_path / "store")
         assert cold.results.get("fp") == {"shots": [], "shot_count": 0}
+
+
+L_CLIP = [[0.0, 0.0], [80.0, 0.0], [80.0, 30.0], [40.0, 30.0],
+          [40.0, 70.0], [0.0, 70.0]]
+
+
+class TestExecutorCacheHits:
+    """The daemon's result-cache hit path, one shared ``WarmCaches``."""
+
+    def _run(self, tmp_path, caches, job_id, clip, **overrides):
+        from repro.obs import read_stream, stream_to_payload
+        from repro.service.executor import execute_job
+        from repro.service.jobs import JobPaths, JobRecord, validate_submission
+
+        record = JobRecord(job_id=job_id, spec=validate_submission({
+            "clips": {"L": clip}, "method": "partition", **overrides,
+        }))
+        record.attempts = 1
+        paths = JobPaths.for_job(tmp_path, job_id)
+        result = execute_job(record, paths, caches)
+        counters = stream_to_payload(read_stream(paths.stream))["counters"]
+        return result, counters
+
+    def test_resubmissions_are_served_from_the_cache(self, tmp_path):
+        caches = WarmCaches()
+        cold, cold_counters = self._run(tmp_path, caches, "job-c01d", L_CLIP)
+        assert cold["totals"]["cached_clips"] == 0
+        assert cold_counters["cache.result.misses"] == 1
+        assert "cache.result.hits" not in cold_counters
+
+        verbatim, counters = self._run(tmp_path, caches, "job-0a0a", L_CLIP)
+        assert verbatim["totals"]["cached_clips"] == 1
+        assert verbatim["clips"]["L"]["cached"] is True
+        assert counters["cache.result.hits"] == 1
+        assert verbatim["clips"]["L"]["shots"] == cold["clips"]["L"]["shots"]
+        assert verbatim["totals"]["shots"] == cold["totals"]["shots"]
+
+        dx, dy = 130.0, -70.0
+        moved = [[x + dx, y + dy] for x, y in L_CLIP]
+        translated, counters = self._run(tmp_path, caches, "job-0b0b", moved)
+        assert translated["totals"]["cached_clips"] == 1
+        assert counters["cache.result.hits"] == 1
+        assert translated["clips"]["L"]["shots"] == [
+            [x0 + dx, y0 + dy, x1 + dx, y1 + dy]
+            for x0, y0, x1, y1 in cold["clips"]["L"]["shots"]
+        ]
+        assert translated["clips"]["L"]["feasible"] == \
+            cold["clips"]["L"]["feasible"]
+        assert translated["clips"]["L"]["failing_px"] == \
+            cold["clips"]["L"]["failing_px"]
+
+    def test_job_without_result_cache_misses(self, tmp_path):
+        caches = WarmCaches()
+        cold, _ = self._run(tmp_path, caches, "job-c01d", L_CLIP)
+        uncached, counters = self._run(
+            tmp_path, caches, "job-0c0c", L_CLIP, use_result_cache=False
+        )
+        assert uncached["totals"]["cached_clips"] == 0
+        assert uncached["clips"]["L"]["cached"] is False
+        assert "cache.result.hits" not in counters
+        assert uncached["clips"]["L"]["shots"] == cold["clips"]["L"]["shots"]
+
+    def test_cached_clip_keeps_its_fracture_time_in_extra(self, tmp_path):
+        caches = WarmCaches()
+        cold, _ = self._run(tmp_path, caches, "job-c01d", L_CLIP)
+        warm, _ = self._run(tmp_path, caches, "job-0d0d", L_CLIP)
+        clip = warm["clips"]["L"]
+        assert clip["extra"]["cache_hit"] is True
+        assert clip["extra"]["cached_runtime_s"] == \
+            cold["clips"]["L"]["runtime_s"]

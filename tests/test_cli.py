@@ -569,12 +569,16 @@ class TestHierarchyCli:
         with pytest.raises(SystemExit, match="baseline"):
             main(["mdp", str(layout_gds), "--baseline", "partition"])
 
-    def test_mdp_accepts_checkpoint_without_window(self, tmp_path):
-        # PR 4 remainder: the batch journal no longer requires --window-nm.
-        args = build_parser().parse_args(
-            ["mdp", "clips.json", "--checkpoint", str(tmp_path)]
+    def test_mdp_requires_window_for_checkpoint(self, tmp_path):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as mdp_exit:
+            main(["mdp", "clips.json", "--checkpoint", str(tmp_path)])
+        with pytest.raises(SystemExit) as fracture_exit:
+            main(["fracture", "--checkpoint", str(tmp_path)])
+        assert str(mdp_exit.value) == str(fracture_exit.value) == (
+            "--checkpoint applies to the tiled executor; add --window-nm"
         )
-        assert args.checkpoint == str(tmp_path)
 
     def test_fracture_still_requires_window_for_checkpoint(self, tmp_path):
         from repro.cli import main
@@ -582,7 +586,7 @@ class TestHierarchyCli:
         with pytest.raises(SystemExit, match="window"):
             main(["fracture", "--checkpoint", str(tmp_path)])
 
-    def test_mdp_batch_journal_resume(self, tmp_path, capsys):
+    def test_mdp_fracture_cache_resume(self, tmp_path, capsys):
         from repro.cli import main
         from repro.geometry.polygon import Polygon
         from repro.mask.io import save_clips
@@ -593,13 +597,22 @@ class TestHierarchyCli:
         }
         clip_file = tmp_path / "clips.json"
         save_clips(clips, clip_file)
-        ckpt = tmp_path / "ckpt"
-        main(["mdp", str(clip_file), "--method", "partition",
-              "--checkpoint", str(ckpt)])
-        assert (ckpt / "batch.index.jsonl").exists()
+        store = tmp_path / "bcache"
+        argv = ["mdp", str(clip_file), "--method", "partition",
+                "--fracture-cache", str(store)]
+        main(argv)
         first = capsys.readouterr().out
+        entries = sorted(store.glob("*.json"))
+        assert len(entries) == 2
+        entries[0].unlink()  # as if the run stopped before that shape
 
-        main(["mdp", str(clip_file), "--method", "partition",
-              "--checkpoint", str(ckpt), "--resume"])
+        main([*argv, "--telemetry", str(tmp_path / "run.json")])
         second = capsys.readouterr().out
-        assert first.splitlines()[-1] == second.splitlines()[-1]
+        def batch_lines(out):
+            return [ln for ln in out.splitlines() if ln.startswith("batch:")]
+
+        assert len(batch_lines(first)) == 1
+        assert batch_lines(first) == batch_lines(second)
+        payload = json.loads((tmp_path / "run.json").read_text())
+        assert payload["manifest"]["mdp_batch"]["fresh"] == 1
+        assert payload["manifest"]["mdp_batch"]["cache_hits"] == 1
