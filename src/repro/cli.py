@@ -72,7 +72,7 @@ from pathlib import Path
 
 from repro import obs
 from repro.fracture.base import Fracturer
-from repro.kernels import available_backends, kernels_manifest, set_backend
+from repro.fracture.runtime import CheckpointMismatch
 from repro.mask.constraints import FractureSpec
 from repro.mask.io import load_clips, save_clips, save_solution
 from repro.mask.shape import MaskShape
@@ -374,28 +374,6 @@ def _add_spec_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--lmin", type=float, default=10.0, help="min shot size (nm)")
 
 
-def _add_kernels_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--kernels", metavar="BACKEND",
-        help="array/kernel backend: 'numpy' (vectorized, default) or "
-             "'scalar' (pure-Python oracle paths); overrides $REPRO_KERNELS",
-    )
-
-
-def _apply_kernels(args: argparse.Namespace) -> None:
-    """Install the ``--kernels`` backend before any kernel dispatch."""
-    name = getattr(args, "kernels", None)
-    if not name:
-        return
-    try:
-        set_backend(name)
-    except ValueError:
-        raise SystemExit(
-            f"unknown kernel backend {name!r}; "
-            f"available: {', '.join(available_backends())}"
-        ) from None
-
-
 def _add_telemetry_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--telemetry", metavar="PATH",
@@ -436,10 +414,7 @@ def _telemetry(args: argparse.Namespace, spec: FractureSpec):
             raise SystemExit("--profile requires --telemetry or --stream")
         yield None
         return
-    manifest = obs.run_manifest(
-        spec=spec, argv=sys.argv[1:],
-        extra={"kernels": kernels_manifest()},
-    )
+    manifest = obs.run_manifest(spec=spec, argv=sys.argv[1:])
     # One trace context per invocation: minted here, stamped on the
     # manifest, every stream record, checkpoint line and worker-side
     # span — the offline twin of the service's submit-time trace.
@@ -1153,7 +1128,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_hierarchy_arguments(p_fracture)
     _add_spec_arguments(p_fracture)
     _add_telemetry_argument(p_fracture)
-    _add_kernels_argument(p_fracture)
     p_fracture.set_defaults(func=_cmd_fracture)
 
     p_verify = sub.add_parser("verify", help="re-check a stored solution")
@@ -1171,7 +1145,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--quiet", action="store_true")
     _add_spec_arguments(p_bench)
     _add_telemetry_argument(p_bench)
-    _add_kernels_argument(p_bench)
     p_bench.set_defaults(func=_cmd_bench)
 
     p_mdp = sub.add_parser("mdp", help="batch fracture a clip file")
@@ -1196,7 +1169,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_mdp.add_argument("--output", help="directory for solution JSON files")
     _add_spec_arguments(p_mdp)
     _add_telemetry_argument(p_mdp)
-    _add_kernels_argument(p_mdp)
     p_mdp.set_defaults(func=_cmd_mdp)
 
     p_trace = sub.add_parser("trace", help="inspect a telemetry file")
@@ -1388,7 +1360,6 @@ def build_parser() -> argparse.ArgumentParser:
              "this",
     )
     _add_cache_argument(p_serve)
-    _add_kernels_argument(p_serve)
     p_serve.set_defaults(func=_cmd_serve)
 
     p_job = sub.add_parser("job", help="talk to a running fracture daemon")
@@ -1483,8 +1454,12 @@ def main(argv: list[str] | None = None) -> int:
     # default silent) logging so progress lands on stderr.
     obs.enable_console_logging()
     args = build_parser().parse_args(argv)
-    _apply_kernels(args)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except CheckpointMismatch as error:
+        # --resume against a journal from a different run is a usage
+        # error: exit with its one-line message, not a traceback.
+        raise SystemExit(str(error)) from None
 
 
 if __name__ == "__main__":

@@ -65,6 +65,7 @@ from repro.geometry.polygon import Polygon, canonical_form
 from repro.geometry.rect import Rect
 from repro.mask.constraints import FailureReport, FractureSpec
 from repro.mask.io import rect_from_list, rect_to_list, spec_to_dict
+from repro.obs.export import atomic_write_text
 from repro.obs.resources import disk_free_bytes
 
 
@@ -494,10 +495,7 @@ class FractureCache:
                     # persistence alone is best effort.)
                     self.disk_write_skips += 1
                     return
-        tmp = path.with_name(f".{fingerprint}.{os.getpid()}.tmp")
         try:
-            tmp.write_text(blob)
-            os.replace(tmp, path)
+            atomic_write_text(path, blob)
         except OSError:
-            # Persistence is best-effort; the in-memory entry stands.
-            tmp.unlink(missing_ok=True)
+            pass  # persistence is best-effort; the in-memory entry stands

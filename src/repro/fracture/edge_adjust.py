@@ -6,15 +6,13 @@ move is accepted, no other edge within 2σ of the moved edge may move in
 the same iteration — the paper's anti-cycling rule (shot intensity is
 < 1e-6 beyond 2σ outside a shot, so farther edges are independent).
 
-Candidate pricing runs through one of two engines:
-
-* ``"batched"`` (default) — gather every candidate of the iteration,
-  fill the 1-D profile cache with a single LUT evaluation, and score all
-  windowed Eq. 5 Δcosts from cached profiles
-  (:meth:`RefinementState.price_edge_moves`).
-* ``"scalar"`` — a per-candidate
-  :meth:`RefinementState.edge_move_delta_cost` loop sharing the same
-  scorer and window cropping, kept as the bit-identical oracle.
+Candidate pricing gathers every candidate of the iteration, fills the
+1-D profile cache with a single LUT evaluation, and scores all windowed
+Eq. 5 Δcosts from cached profiles
+(:meth:`RefinementState.price_edge_moves`).  :func:`_scalar_improving_moves`,
+a per-candidate :meth:`RefinementState.edge_move_delta_cost` loop sharing
+the same scorer and window cropping, is kept as the reference the
+batched pricing is gated bit-identical against.
 """
 
 from __future__ import annotations
@@ -29,28 +27,6 @@ from repro.geometry.rect import EDGES, Rect
 from repro.obs import get_recorder
 
 _IMPROVEMENT_EPS = 1e-12
-
-_DEFAULT_ENGINE = "batched"
-
-
-class pricing_engine:
-    """Temporarily select the default engine: ``with pricing_engine("scalar"):``."""
-
-    def __init__(self, engine: str):
-        if engine not in ("batched", "scalar"):
-            raise ValueError(f"unknown pricing engine {engine!r}")
-        self._engine = engine
-
-    def __enter__(self) -> "pricing_engine":
-        global _DEFAULT_ENGINE
-        self._previous = _DEFAULT_ENGINE
-        _DEFAULT_ENGINE = self._engine
-        return self
-
-    def __exit__(self, *exc: object) -> bool:
-        global _DEFAULT_ENGINE
-        _DEFAULT_ENGINE = self._previous
-        return False
 
 
 @dataclass(frozen=True, slots=True)
@@ -118,11 +94,7 @@ def edge_segment(shot: Rect, edge: str) -> Rect:
     raise ValueError(f"unknown edge {edge!r}")
 
 
-def greedy_shot_edge_adjustment(
-    state: RefinementState,
-    *,
-    engine: str | None = None,
-) -> int:
+def greedy_shot_edge_adjustment(state: RefinementState) -> int:
     """One §4.1 pass.  Returns the number of accepted edge moves.
 
     For each of the four edges of every shot, only the two moves ±Δp are
@@ -134,19 +106,12 @@ def greedy_shot_edge_adjustment(
     outright: a move can only *reduce* cost if its window already has
     positive cost (new cost ≥ 0, so Δcost < 0 needs old cost > 0).  The
     skip test reads the same cost integral that prices the old side of
-    every move, so both engines filter identically.
+    every move, so the batched pricing and its reference filter
+    identically.
     """
-    if engine is None:
-        engine = _DEFAULT_ENGINE
-    if engine == "batched":
-        improving_moves = _batched_improving_moves
-    elif engine == "scalar":
-        improving_moves = _scalar_improving_moves
-    else:
-        raise ValueError(f"unknown pricing engine {engine!r}")
     obs = get_recorder()
-    with obs.span("pricing", engine=engine):
-        moves = improving_moves(
+    with obs.span("pricing"):
+        moves = _batched_improving_moves(
             state, state.cost_integral(), state.active_integral()
         )
     moves.sort(key=lambda m: m.delta_cost)
@@ -210,7 +175,8 @@ def _scalar_improving_moves(
     cost_integral: np.ndarray,
     active_integral: np.ndarray,
 ) -> list[_Move]:
-    """The per-candidate pricing loop (the bit-identical oracle)."""
+    """The per-candidate pricing loop: the reference that
+    :func:`_batched_improving_moves` is gated bit-identical against."""
     pitch = state.spec.pitch
     moves: list[_Move] = []
     priced = 0

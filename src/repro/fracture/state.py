@@ -15,7 +15,6 @@ import numpy as np
 
 from repro.ebeam.intensity_map import IntensityMap, ProfileKey
 from repro.geometry.rect import Rect
-from repro.kernels import get_backend
 from repro.mask.constraints import FailureReport, FractureSpec
 from repro.mask.pixels import PixelSets
 from repro.mask.shape import MaskShape
@@ -35,6 +34,92 @@ class EdgeMoveCandidate(NamedTuple):
     delta: float
     window: tuple[slice, slice]
     keys: tuple[ProfileKey, ProfileKey, ProfileKey]
+
+
+#: Mean cropped band size (pixels per candidate) up to which the fused
+#: gather/scatter scoring of :func:`clamped_band_sums` beats in-place
+#: slice scoring; batches with bulkier bands are scored per candidate.
+#: The measured crossover (``benchmarks/bench_kernels.py``).
+FUSED_BAND_LIMIT = 512
+
+
+def _active_crop(active_mask: np.ndarray) -> tuple[int, int, int, int] | None:
+    """Half-open ``(r0, r1, c0, c1)`` bounding box of the active mask.
+
+    ``None`` for an empty mask, which leaves the state on the full-field
+    cost path.
+    """
+    rows = np.flatnonzero(active_mask.any(axis=1))
+    cols = np.flatnonzero(active_mask.any(axis=0))
+    if not (rows.size and cols.size):
+        return None
+    return int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1
+
+
+def clamped_band_sums(
+    row_vals: np.ndarray,
+    col_vals: np.ndarray,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    y0: np.ndarray,
+    x0: np.ndarray,
+    col_off: np.ndarray,
+    sign: np.ndarray,
+    base: np.ndarray,
+) -> np.ndarray:
+    """Batch Eq. 5 clamped scoring of separable contour bands.
+
+    Candidate ``i`` covers the window ``rows[i] × cols[i]`` anchored at
+    pixel ``(y0[i], x0[i])``; its patch is the outer product of a
+    per-row factor slice (``rows[i]`` entries of ``row_vals``, laid out
+    candidate-major) and a per-column factor slice (``cols[i]`` entries
+    of ``col_vals`` starting at ``col_off[i]``).  Returns
+    ``sum(max(sign*patch + base, 0))`` per candidate.
+
+    The elementwise pipeline (outer product, sign gather, base gather,
+    clamp) runs fused over the whole batch, but each candidate's final
+    reduction is a contiguous C-order ``.sum()``, so NumPy's pairwise
+    summation blocks — and therefore every result bit — match scoring
+    each candidate's band alone.
+    """
+    n_cand = rows.shape[0]
+    out = np.zeros(n_cand, dtype=np.float64)
+    if n_cand == 0 or row_vals.size == 0:
+        return out
+    nx = sign.shape[1]
+    # One block per (candidate, row); blocks are candidate-major so
+    # block b's row factor is simply row_vals[b].
+    block_len = np.repeat(cols, rows)
+    row_in_cand = np.arange(row_vals.size) - np.repeat(
+        np.cumsum(rows) - rows, rows
+    )
+    block_flat0 = (np.repeat(y0, rows) + row_in_cand) * nx + np.repeat(x0, rows)
+    block_col0 = np.repeat(col_off, rows)
+    # Per-element offsets within each block via a segmented arange.
+    total = int(block_len.sum())
+    within = np.arange(total) - np.repeat(
+        np.cumsum(block_len) - block_len, block_len
+    )
+    flat_idx = np.repeat(block_flat0, block_len) + within
+    col_idx = np.repeat(block_col0, block_len) + within
+    # Fused Eq. 5: patch = row⊗col, then sign-gather, base-gather,
+    # clamp — identical elementwise sequence to the per-candidate loop,
+    # over one contiguous buffer.
+    vals = np.repeat(row_vals, block_len)
+    vals *= col_vals[col_idx]
+    vals *= sign.ravel()[flat_idx]
+    vals += base.ravel()[flat_idx]
+    np.maximum(vals, 0.0, out=vals)
+    # Per-candidate pairwise sums over contiguous C-order slices:
+    # bit-identical to summing each candidate's (rows, cols) patch.
+    counts = rows * cols
+    seg = np.cumsum(counts) - counts
+    for i in range(n_cand):
+        out[i] = vals[seg[i] : seg[i] + counts[i]].sum()
+    obs = get_recorder()
+    obs.incr("kernels.fused_batches")
+    obs.incr("kernels.fused_candidates", n_cand)
+    return out
 
 
 class RefinementState:
@@ -106,21 +191,15 @@ class RefinementState:
         self._cost_bias = self._cost_sign * spec.rho
         # Region-restricted refinements confine every nonzero cost-field
         # entry to the active mask's bounding box (S is 0 outside the
-        # mask, so S·I − S·ρ is exactly 0.0 there).  When the kernel
-        # backend opts in, the per-iteration field work — base refresh,
-        # report, cost/active prefix sums — runs on that box only, so
-        # stitch cost scales with the seam area instead of the grid.
-        # ``_crop`` is ``(r0, r1, c0, c1)`` half-open pixel bounds, or
-        # None for full-grid behaviour (the scalar oracle path).
-        self._crop: tuple[int, int, int, int] | None = None
-        if active_mask is not None and get_backend().crop_stitch_field:
-            rows = np.flatnonzero(active_mask.any(axis=1))
-            cols = np.flatnonzero(active_mask.any(axis=0))
-            if rows.size and cols.size:
-                self._crop = (
-                    int(rows[0]), int(rows[-1]) + 1,
-                    int(cols[0]), int(cols[-1]) + 1,
-                )
+        # mask, so S·I − S·ρ is exactly 0.0 there), so the per-iteration
+        # field work — base refresh, report, cost/active prefix sums —
+        # runs on that box only and stitch cost scales with the seam
+        # area instead of the grid.  ``_crop`` is ``(r0, r1, c0, c1)``
+        # half-open pixel bounds, or None for the full-field path
+        # (unrestricted states; the reference the crop is gated against).
+        self._crop = (
+            _active_crop(active_mask) if active_mask is not None else None
+        )
         ny, nx = self._cost_sign.shape
         if self._crop is not None:
             # Out-of-box entries are never rewritten, so they must start
@@ -618,43 +697,15 @@ class RefinementState:
         """Δcost of every candidate, priced with one batched LUT pass.
 
         Equivalent to calling :meth:`edge_move_delta_cost` per candidate
-        (the scalar oracle) but structured for throughput: all 1-D
-        profile arguments of the sweep are concatenated and interpolated
-        in a single LUT evaluation (via the profile cache), and each
-        candidate's windowed Eq. 5 Δcost is then scored from cached
-        profiles.  When the kernel backend provides fused pricing, the
-        scoring itself runs as one gather/scatter clamped-sum kernel
-        over all candidates' contour bands
-        (:meth:`~repro.kernels.backend.KernelBackend.clamped_band_sums`);
-        otherwise (the ``scalar`` backend) each candidate is scored by
-        the per-candidate loop.  Both are bit-identical to the scalar
-        path — the profiles, patches and window costs go through the
-        same elementwise operations and per-candidate pairwise sums.
-        """
-        backend = get_backend()
-        if backend.fused_pricing:
-            return self._price_edge_moves_fused(
-                candidates, cost_integral, active_integral, backend
-            )
-        return self._price_edge_moves_loop(
-            candidates, cost_integral, active_integral
-        )
-
-    def _price_edge_moves_fused(
-        self,
-        candidates: list[EdgeMoveCandidate],
-        cost_integral: np.ndarray,
-        active_integral: np.ndarray,
-        backend,
-    ) -> np.ndarray:
-        """Batch scoring via the backend's fused clamped-sum kernel.
-
-        The per-candidate Python work shrinks to gathering geometry:
-        crop each window to its active sub-band and collect the two 1-D
-        profile factors whose outer product is the candidate's patch.
-        The entire elementwise Eq. 5 pipeline — patch, sign gather, base
-        gather, clamp — then runs once over one contiguous buffer
-        holding every candidate's contour band.
+        but structured for throughput: all 1-D profile arguments of the
+        sweep are concatenated and interpolated in a single LUT
+        evaluation (via the profile cache), and the per-candidate Python
+        work shrinks to gathering geometry — crop each window to its
+        active sub-band and collect the two 1-D profile factors whose
+        outer product is the candidate's patch.  The elementwise Eq. 5
+        pipeline — patch, sign gather, base gather, clamp — then runs
+        once over one contiguous buffer holding every candidate's
+        contour band (:func:`clamped_band_sums`).
 
         The gather/scatter layout pays per-element index arithmetic to
         eliminate per-candidate call overhead, so it wins when the
@@ -662,10 +713,11 @@ class RefinementState:
         the loop's ~6 NumPy calls per candidate dominate) and loses to
         in-place slice scoring when bands are bulky.  The batch knows
         its exact element count after cropping, so it picks per batch:
-        mean band size ≤ ``backend.fused_band_limit`` → fused kernel,
+        mean band size ≤ :data:`FUSED_BAND_LIMIT` → fused kernel,
         larger → in-place scoring of the already-gathered factors.
         Both score with identical elementwise ops and per-candidate
-        pairwise sums, so the choice never changes a single bit.
+        pairwise sums, so the choice never changes a single bit, and
+        both are bit-identical to :meth:`_price_edge_moves_loop`.
         """
         imap = self.imap
         ncand = len(candidates)
@@ -728,12 +780,11 @@ class RefinementState:
             wc1[i] = x_lo + c1
         counts = rows * cols
         total = int(counts.sum())
-        limit = backend.fused_band_limit
-        if kept and total <= limit * len(kept):
+        if kept and total <= FUSED_BAND_LIMIT * len(kept):
             col_lens = cols[cols > 0]
             col_off = np.zeros(ncand, dtype=np.int64)
             col_off[cols > 0] = np.cumsum(col_lens) - col_lens
-            costs = backend.clamped_band_sums(
+            costs = clamped_band_sums(
                 np.concatenate(row_parts),
                 np.concatenate(col_parts),
                 rows,
@@ -789,11 +840,8 @@ class RefinementState:
         cost_integral: np.ndarray,
         active_integral: np.ndarray,
     ) -> np.ndarray:
-        """Per-candidate scoring loop (the pre-kernel batched engine).
-
-        Kept verbatim as the selectable oracle the fused kernel is gated
-        against.
-        """
+        """Per-candidate scoring loop: the reference that
+        :meth:`price_edge_moves` is gated bit-identical against."""
         imap = self.imap
         get_recorder().incr("intensity.edge_deltas", len(candidates))
         if imap.profile_cache_enabled:

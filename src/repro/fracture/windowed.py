@@ -49,7 +49,6 @@ from repro.fracture.tiling import (
     seam_band_masks,
     split_seam_shots,
 )
-from repro.kernels import kernels_manifest
 from repro.geometry.rect import Rect
 from repro.mask.constraints import FractureSpec, check_solution
 from repro.mask.shape import MaskShape
@@ -61,11 +60,11 @@ class WindowedFracturer(Fracturer):
 
     ``window_nm`` is the tile size along both axes; ``workers`` the
     process-pool width of the tile executor (1 = run tiles inline);
-    ``stitch_params`` the iteration budget of the seam-band stitch;
-    ``full_repair`` enables a bounded full-shape repair refinement as a
-    safety net when the stitched solution still has failing pixels
-    outside the seam bands (rare; the final verdict always comes from
-    the independent :meth:`Fracturer.fracture` check either way).
+    ``stitch_params`` the iteration budget of the seam-band stitch and
+    of the bounded full-shape repair refinement that runs as a safety
+    net when the stitched solution still has failing pixels (rare;
+    ``nmax=0`` skips both, and the final verdict always comes from the
+    independent :meth:`Fracturer.fracture` check either way).
 
     ``runtime`` configures the fault-tolerant execution layer
     (:mod:`repro.fracture.runtime`): per-tile retry/backoff, per-tile
@@ -84,7 +83,6 @@ class WindowedFracturer(Fracturer):
         window_nm: float = 300.0,
         stitch_params: RefineParams | None = None,
         workers: int = 1,
-        full_repair: bool = True,
         runtime: RuntimePolicy | None = None,
     ):
         if window_nm <= 0.0:
@@ -101,7 +99,6 @@ class WindowedFracturer(Fracturer):
             else RefineParams(nmax=200, nh=3)
         )
         self.workers = workers
-        self.full_repair = full_repair
         self.runtime = runtime if runtime is not None else RuntimePolicy()
         self._last_extra: dict = {}
         # Cache keys match the service's scheme: the *inner* method name
@@ -270,9 +267,9 @@ class WindowedFracturer(Fracturer):
         movable, frozen = split_seam_shots(collected, plan, movable_nm)
         obs.incr("windowed.seam_shots", len(movable))
         obs.incr("windowed.frozen_shots", len(frozen))
-        # Stitch cost-field work scales with the seam-band bounding box
-        # (kernel backends with crop_stitch_field), not the grid; record
-        # both areas so the scaling is visible in traces and manifests.
+        # Stitch cost-field work scales with the seam-band bounding box,
+        # not the grid; record both areas so the scaling is visible in
+        # traces and manifests.
         seam_px = int(np.count_nonzero(active_mask))
         grid_px = int(active_mask.size)
         obs.gauge("windowed.seam_px", float(seam_px))
@@ -282,7 +279,6 @@ class WindowedFracturer(Fracturer):
             "frozen_shots": len(frozen),
             "seam_px": seam_px,
             "grid_px": grid_px,
-            "kernels": kernels_manifest(),
             "stitch_iterations": 0,
             "stitch_converged": True,
             "stitch_candidates_priced": 0,
@@ -305,7 +301,7 @@ class WindowedFracturer(Fracturer):
             stitch_converged=trace.converged,
             stitch_candidates_priced=int(priced),
         )
-        if self.full_repair and self.stitch_params.nmax > 0:
+        if self.stitch_params.nmax > 0:
             report = check_solution(stitched, shape, spec)
             if report.total_failing > 0:
                 # Failures outside the stitch's jurisdiction: the

@@ -19,6 +19,7 @@ import csv
 import io
 import json
 import os
+import threading
 from pathlib import Path
 from typing import Any
 
@@ -37,10 +38,15 @@ def atomic_write_text(path: str | Path, text: str) -> None:
 
     A crash, an interrupt or an ``OSError`` (a full disk) mid-write
     leaves the previous file at ``path`` intact, never a torn one; a
-    failed write also removes its temp file.
+    failed write also removes its temp file.  The temp name is unique
+    per process and thread, so concurrent writers of one path never
+    share a temp file: each rename lands a complete file, the last one
+    wins.
     """
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
+    tmp = path.with_name(
+        f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp"
+    )
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -36,7 +36,6 @@ from repro.fracture.cache import result_to_payload
 from repro.fracture.runtime import RunInterrupted, RuntimePolicy
 from repro.fracture.windowed import WindowedFracturer
 from repro.geometry.point import Point
-from repro.kernels import kernels_manifest
 from repro.geometry.polygon import Polygon
 from repro.mask.constraints import FractureSpec
 from repro.mask.io import spec_from_dict, spec_to_dict
@@ -184,7 +183,6 @@ def execute_job(
             "resume": resume,
             "method": job["method"],
             "priority": record.priority,
-            "kernels": kernels_manifest(),
         },
         stream=stream,
         trace=record.trace,

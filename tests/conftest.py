@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -55,3 +57,35 @@ def blob_shape(spec) -> MaskShape:
 @pytest.fixture()
 def small_grid() -> PixelGrid:
     return PixelGrid(0.0, 0.0, 1.0, 50, 40)
+
+
+@pytest.fixture()
+def scalar_references():
+    """Context manager that routes every hot spot through its reference.
+
+    Whole-run equivalence tests run once as shipped and once inside
+    ``with scalar_references():`` — per-pixel union–find labeling, the
+    per-label stats scan, the per-candidate pricing loop and the
+    full-field (uncropped) cost path — and require identical shots.
+    """
+    from repro.fracture import add_remove, state
+    from repro.geometry import labeling
+
+    @contextlib.contextmanager
+    def references():
+        with pytest.MonkeyPatch.context() as patch:
+            for module in (labeling, add_remove):
+                patch.setattr(
+                    module, "label_components", labeling.label_components_scalar
+                )
+            patch.setattr(
+                labeling, "component_stats", labeling.component_stats_scalar
+            )
+            patch.setattr(
+                state.RefinementState, "price_edge_moves",
+                state.RefinementState._price_edge_moves_loop,
+            )
+            patch.setattr(state, "_active_crop", lambda active_mask: None)
+            yield
+
+    return references

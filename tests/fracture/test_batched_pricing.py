@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 
 from repro.ebeam.intensity_map import profile_caching
+from repro.fracture import edge_adjust
 from repro.fracture.edge_adjust import (
     BlockedZoneIndex,
     edge_segment,
     greedy_shot_edge_adjustment,
-    pricing_engine,
 )
 from repro.fracture.graph_color import approximate_fracture
 from repro.fracture.refine import RefineParams, refine
@@ -95,18 +95,19 @@ class TestBatchedMatchesScalar:
 
 
 class TestEngineEquivalence:
-    def test_batched_and_scalar_runs_are_identical(self, l_shape, spec):
+    def test_batched_and_scalar_runs_are_identical(
+        self, l_shape, spec, monkeypatch
+    ):
         shots, _ = approximate_fracture(l_shape, spec)
         final_b, trace_b = refine(l_shape, spec, shots, RefineParams(nmax=25))
-        with pricing_engine("scalar"):
-            final_s, trace_s = refine(l_shape, spec, shots, RefineParams(nmax=25))
+        monkeypatch.setattr(
+            edge_adjust, "_batched_improving_moves",
+            edge_adjust._scalar_improving_moves,
+        )
+        final_s, trace_s = refine(l_shape, spec, shots, RefineParams(nmax=25))
         assert trace_b.cost_history == trace_s.cost_history
         assert trace_b.failing_history == trace_s.failing_history
         assert final_b == final_s
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="legacy"):
-            pricing_engine("legacy")
 
 
 class TestProfileCacheTransparency:

@@ -2,9 +2,9 @@
 
 The fused gather/scatter ``clamped_band_sums`` path — and both sides of
 its adaptive band-size dispatch — must reproduce the per-candidate loop
-engine bit for bit: same elementwise operation sequence, same pairwise
-per-candidate sums, so ``np.array_equal`` (not approximate closeness)
-is the bar.
+(``RefinementState._price_edge_moves_loop``) bit for bit: same
+elementwise operation sequence, same pairwise per-candidate sums, so
+``np.array_equal`` (not approximate closeness) is the bar.
 """
 
 from __future__ import annotations
@@ -14,11 +14,10 @@ import sys
 import numpy as np
 import pytest
 
+from repro.fracture import state as state_module
 from repro.fracture.graph_color import approximate_fracture
 from repro.fracture.refine import RefineParams, refine
 from repro.fracture.state import RefinementState
-from repro.kernels import use_backend
-from repro.kernels.numpy_backend import NumpyBackend
 
 
 @pytest.fixture()
@@ -33,24 +32,22 @@ def priced_inputs(l_shape, spec):
 
 
 class TestFusedBitIdentity:
-    def test_fused_kernel_equals_loop(self, priced_inputs):
+    def test_fused_kernel_equals_loop(self, priced_inputs, monkeypatch):
         state, candidates, cost_integral, active_integral = priced_inputs
-        backend = NumpyBackend()
-        backend.fused_band_limit = sys.maxsize  # force the fused kernel
-        fused = state._price_edge_moves_fused(
-            candidates, cost_integral, active_integral, backend
-        )
+        # Force the fused kernel for every batch.
+        monkeypatch.setattr(state_module, "FUSED_BAND_LIMIT", sys.maxsize)
+        fused = state.price_edge_moves(candidates, cost_integral, active_integral)
         loop = state._price_edge_moves_loop(
             candidates, cost_integral, active_integral
         )
         assert np.array_equal(fused, loop)
 
-    def test_adaptive_fallback_equals_loop(self, priced_inputs):
+    def test_adaptive_fallback_equals_loop(self, priced_inputs, monkeypatch):
         state, candidates, cost_integral, active_integral = priced_inputs
-        backend = NumpyBackend()
-        backend.fused_band_limit = 0  # force the in-place scoring branch
-        fallback = state._price_edge_moves_fused(
-            candidates, cost_integral, active_integral, backend
+        # Force the in-place scoring branch for every batch.
+        monkeypatch.setattr(state_module, "FUSED_BAND_LIMIT", 0)
+        fallback = state.price_edge_moves(
+            candidates, cost_integral, active_integral
         )
         loop = state._price_edge_moves_loop(
             candidates, cost_integral, active_integral
@@ -59,20 +56,15 @@ class TestFusedBitIdentity:
 
     def test_public_dispatch_identical_across_backends(self, priced_inputs):
         state, candidates, cost_integral, active_integral = priced_inputs
-        prices = {}
-        for name in ("numpy", "scalar"):
-            with use_backend(name):
-                prices[name] = state.price_edge_moves(
-                    candidates, cost_integral, active_integral
-                )
-        assert np.array_equal(prices["numpy"], prices["scalar"])
+        priced = state.price_edge_moves(candidates, cost_integral, active_integral)
+        loop = state._price_edge_moves_loop(
+            candidates, cost_integral, active_integral
+        )
+        assert np.array_equal(priced, loop)
 
     def test_fused_matches_scalar_oracle(self, priced_inputs):
         state, candidates, cost_integral, active_integral = priced_inputs
-        with use_backend("numpy"):
-            priced = state.price_edge_moves(
-                candidates, cost_integral, active_integral
-            )
+        priced = state.price_edge_moves(candidates, cost_integral, active_integral)
         for candidate, value in zip(candidates, priced):
             oracle = state.edge_move_delta_cost(
                 candidate.index,
@@ -87,17 +79,16 @@ class TestFusedBitIdentity:
 
 class TestEndToEndAcrossBackends:
     @pytest.mark.parametrize("fixture", ["rect_shape", "l_shape", "blob_shape"])
-    def test_refine_shots_identical(self, fixture, spec, request):
+    def test_refine_shots_identical(
+        self, fixture, spec, request, scalar_references
+    ):
         shape = request.getfixturevalue(fixture)
         initial, _ = approximate_fracture(shape, spec)
-        results = {}
-        for name in ("numpy", "scalar"):
-            with use_backend(name):
-                shots, trace = refine(
-                    shape, spec, initial, RefineParams(nmax=8)
-                )
-            results[name] = (
-                [s.as_tuple() for s in shots],
-                trace.iterations,
-            )
-        assert results["numpy"] == results["scalar"]
+
+        def run():
+            shots, trace = refine(shape, spec, initial, RefineParams(nmax=8))
+            return [s.as_tuple() for s in shots], trace.iterations
+
+        shipped = run()
+        with scalar_references():
+            assert run() == shipped

@@ -1,9 +1,9 @@
 """Equivalence gates for the seam-band cost-field crop.
 
-A region-restricted ``RefinementState`` under the numpy backend keeps
-its per-iteration cost/active fields cropped to the active-mask
-bounding box; under the scalar backend it works on the full grid.  The
-signed weight is exactly zero outside the active mask, so everything
+A region-restricted ``RefinementState`` keeps its per-iteration
+cost/active fields cropped to the active-mask bounding box; with the
+crop helper patched out it works on the full grid, the reference path.
+The signed weight is exactly zero outside the active mask, so everything
 observable — failure masks, candidate gathering, candidate prices, and
 the shots a stitch produces — must agree across the two layouts.  Cost
 *sums* may differ in final ULPs (different pairwise-summation grouping
@@ -19,6 +19,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.fracture import state as state_module
 from repro.fracture.graph_color import approximate_fracture
 from repro.fracture.pipeline import ModelBasedFracturer, RefineConfig
 from repro.fracture.refine import RefineParams
@@ -26,7 +27,6 @@ from repro.fracture.state import RefinementState
 from repro.fracture.windowed import WindowedFracturer
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
-from repro.kernels import use_backend
 from repro.mask.shape import MaskShape
 
 
@@ -42,9 +42,9 @@ def _band_mask(shape, half_width: int = 6) -> np.ndarray:
 def seam_states(l_shape, spec):
     shots, _ = approximate_fracture(l_shape, spec)
     mask = _band_mask(l_shape)
-    with use_backend("numpy"):
-        cropped = RefinementState(l_shape, spec, shots, active_mask=mask)
-    with use_backend("scalar"):
+    cropped = RefinementState(l_shape, spec, shots, active_mask=mask)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(state_module, "_active_crop", lambda active_mask: None)
         full = RefinementState(l_shape, spec, shots, active_mask=mask)
     return cropped, full
 
@@ -91,15 +91,13 @@ class TestCroppedStateMatchesFull:
         cands_f = full.gather_edge_moves(ci_f)
         key = lambda c: (c.index, c.edge, c.delta)
         assert [key(c) for c in cands_c] == [key(c) for c in cands_f]
-        with use_backend("numpy"):
-            prices_c = cropped.price_edge_moves(cands_c, ci_c, ai_c)
-        with use_backend("scalar"):
-            prices_f = full.price_edge_moves(cands_f, ci_f, ai_f)
+        prices_c = cropped.price_edge_moves(cands_c, ci_c, ai_c)
+        prices_f = full._price_edge_moves_loop(cands_f, ci_f, ai_f)
         assert np.array_equal(prices_c, prices_f)
 
 
 class TestWindowedStitchShotIdentity:
-    def test_stitch_identical_across_backends(self, spec):
+    def test_stitch_identical_across_backends(self, spec, scalar_references):
         # Wide enough for several tiles so the seam-band stitch runs.
         polygon = Polygon(
             [Point(0, 0), Point(500, 0), Point(500, 40), Point(0, 40)]
@@ -107,13 +105,14 @@ class TestWindowedStitchShotIdentity:
         bar = MaskShape.from_polygon(
             polygon, pitch=spec.pitch, margin=spec.grid_margin, name="bar"
         )
-        results = {}
-        for name in ("numpy", "scalar"):
+
+        def stitch():
             inner = ModelBasedFracturer(
                 config=RefineConfig(params=RefineParams(nmax=6, nh=3))
             )
             windowed = WindowedFracturer(inner, window_nm=150.0)
-            with use_backend(name):
-                shots = windowed.fracture_shots(bar, spec)
-            results[name] = [s.as_tuple() for s in shots]
-        assert results["numpy"] == results["scalar"]
+            return [s.as_tuple() for s in windowed.fracture_shots(bar, spec)]
+
+        shipped = stitch()
+        with scalar_references():
+            assert stitch() == shipped

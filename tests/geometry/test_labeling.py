@@ -81,23 +81,26 @@ class TestBoundingBoxes:
         assert [pixels for _, pixels in boxes] == [36, 4]
 
 
-# -- vectorized backend vs the pure-Python oracle ---------------------------
+# -- vectorized labeling vs the pure-Python references ----------------------
 #
-# The kernel contract is exact: labels AND numbering (components in
-# raster-scan order of their first pixel) must match the union-find
-# oracle bit for bit, because tile extraction, AddShot and the GSC
-# baseline all consume the ordering.
+# The contract is exact: labels AND numbering (components in raster-scan
+# order of their first pixel) must match the union-find reference bit
+# for bit, because tile extraction, AddShot and the GSC baseline all
+# consume the ordering.
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.geometry.labeling import label_components_scalar
-from repro.kernels import use_backend
+from repro.geometry import labeling
+from repro.geometry.labeling import (
+    component_stats,
+    component_stats_scalar,
+    label_components_scalar,
+)
 
 
 def _assert_labeling_identical(mask: np.ndarray) -> None:
-    with use_backend("numpy") as backend:
-        labels_v, count_v = backend.label_components(mask)
+    labels_v, count_v = label_components(mask)
     labels_s, count_s = label_components_scalar(mask)
     assert count_v == count_s
     assert np.array_equal(labels_v, labels_s)
@@ -157,24 +160,34 @@ class TestBackendBitIdentity:
     def test_numbering_is_raster_order_of_first_pixels(self):
         rng = np.random.default_rng(2015)
         mask = rng.random((40, 40)) < 0.45
-        with use_backend("numpy"):
-            labels, count = label_components(mask)
+        labels, count = label_components(mask)
         firsts = [
             int(np.flatnonzero(labels.ravel() == lab)[0])
             for lab in range(1, count + 1)
         ]
         assert firsts == sorted(firsts)
 
-    def test_bounding_boxes_identical_across_backends(self):
+    def test_component_stats_match_scan(self):
+        rng = np.random.default_rng(7)
+        mask = rng.random((40, 50)) < 0.4
+        labels, count = label_components(mask)
+        fast = component_stats(labels, count)
+        scan = component_stats_scalar(labels, count)
+        for a, b in zip(fast, scan, strict=True):
+            assert np.array_equal(a, b)
+
+    def test_bounding_boxes_identical_across_backends(self, monkeypatch):
         rng = np.random.default_rng(99)
         mask = rng.random((35, 30)) < 0.35
         grid = PixelGrid(0.0, 0.0, 1.0, 30, 35)
         labels, count = label_components_scalar(mask)
-        results = {}
-        for name in ("numpy", "scalar"):
-            with use_backend(name):
-                results[name] = [
-                    (rect.as_tuple(), pixels)
-                    for rect, pixels in bounding_boxes(labels, count, grid)
-                ]
-        assert results["numpy"] == results["scalar"]
+
+        def boxes():
+            return [
+                (rect.as_tuple(), pixels)
+                for rect, pixels in bounding_boxes(labels, count, grid)
+            ]
+
+        fast = boxes()
+        monkeypatch.setattr(labeling, "component_stats", component_stats_scalar)
+        assert boxes() == fast

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import sys
+import threading
 
 import pytest
 
@@ -10,6 +12,7 @@ from repro.mask.constraints import FractureSpec
 from repro.obs import (
     TelemetryRecorder,
     TelemetryStream,
+    atomic_write_text,
     load_telemetry,
     read_stream,
     run_manifest,
@@ -150,6 +153,36 @@ class TestAtomicWrites:
         write_telemetry(_sample_payload(), path)
         assert json.loads(path.read_text())  # complete JSON either way
         assert path.read_text().count('"schema"') == first.count('"schema"')
+
+    def test_two_writers_of_one_path(self, tmp_path):
+        # A daemon and a CLI run can share one --fracture-cache
+        # directory: concurrent writers of one path must each land a
+        # complete file, never trip over the other's temp file.
+        path = tmp_path / "entry.json"
+        texts = [json.dumps({"writer": w, "pad": "x" * 4096}) for w in (0, 1)]
+        errors: list[BaseException] = []
+
+        def write(text: str) -> None:
+            try:
+                for _ in range(100):
+                    atomic_write_text(path, text)
+            except BaseException as error:
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=write, args=(t,)) for t in texts]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert path.read_text() in texts
+        assert not list(tmp_path.glob("*.tmp"))
 
 
 class TestRecordsRoundTrip:

@@ -118,6 +118,30 @@ class TestCommands:
                 ]
             )
 
+    @pytest.mark.parametrize("command", ["fracture", "mdp"])
+    def test_resume_against_another_runs_journal_exits_cleanly(
+        self, command, tmp_path, capsys
+    ):
+        from repro.geometry.polygon import Polygon
+        from repro.mask.io import save_clips
+
+        clip_file = str(tmp_path / "clips.json")
+        save_clips(
+            {"bar": Polygon([(0, 0), (250, 0), (250, 30), (0, 30)])}, clip_file
+        )
+        clip_args = (
+            ["--clip-file", clip_file] if command == "fracture" else [clip_file]
+        )
+        run = [
+            command, *clip_args, "--method", "partition",
+            "--window-nm", "100", "--checkpoint", str(tmp_path / "ck"),
+        ]
+        main(run)
+        # A changed spec makes the journal another run's: a one-line
+        # usage error, not a CheckpointMismatch traceback.
+        with pytest.raises(SystemExit, match="journal belongs to a different run"):
+            main([*run, "--resume", "--gamma", "3"])
+
 
 class TestVerifyCommand:
     def _clip_and_solution(self, tmp_path):
