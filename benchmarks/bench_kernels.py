@@ -10,13 +10,18 @@ Three sections, one per hot-spot kernel:
   vs per-candidate in-place scoring on synthetic contour-band batches,
   at a thin band size (fused regime) and a bulky one (loop regime —
   this is why ``FUSED_BAND_LIMIT`` exists);
-* ``stitch_crop`` — per-iteration cost-field work of a seam-band
-  restricted ``RefinementState`` with the bbox crop vs the full grid
-  (the crop helper patched out), on a long-bar layout whose seam is a
-  narrow strip, so the work scales with seam area, not grid area.
+* ``stitch_crop`` — one greedy pass's pricing setup on a seam-band
+  restricted ``RefinementState``: the compressed cost integral plus the
+  active-pixel mask (``cost_integral`` + ``active_pixels``) vs their
+  dense whole-grid references (``dense_cost_integral`` +
+  ``dense_active_pixels``), on a long bar whose seam band is a narrow
+  strip and on a plus whose crossing seam bands make the crop box the
+  whole grid.
 
-Standalone by design (no pytest-benchmark): CI runs it non-gating and
-uploads the JSON artifact.
+Every case records an ``identical`` flag: labels, band sums, and every
+cost-integral corner and candidate crop against the reference.  The
+script exits 1 when any flag is false; the timings are report-only.
+Standalone by design (no pytest-benchmark):
 
     PYTHONPATH=src python benchmarks/bench_kernels.py \
         --out benchmarks/output/BENCH_kernels.json
@@ -27,17 +32,26 @@ from __future__ import annotations
 import argparse
 import json
 import platform
+import sys
 import time
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 
-from repro.fracture.graph_color import approximate_fracture
+from repro.fracture.pipeline import ModelBasedFracturer, RefineConfig
+from repro.fracture.refine import RefineParams
+from repro.fracture.runtime import fracture_tile
 from repro.fracture.state import (
     FUSED_BAND_LIMIT,
     RefinementState,
     clamped_band_sums,
+)
+from repro.fracture.tiling import (
+    extract_tile_shapes,
+    halo_nm,
+    plan_tiles,
+    seam_band_masks,
+    split_seam_shots,
 )
 from repro.geometry.labeling import label_components, label_components_scalar
 from repro.geometry.point import Point
@@ -168,63 +182,110 @@ def bench_pricing(repeats: int) -> list[dict]:
 
 # -- stitch crop ------------------------------------------------------------
 
-def _long_bar(spec: FractureSpec, length: float = 1200.0, width: float = 60.0):
-    polygon = Polygon(
-        [Point(0, 0), Point(length, 0), Point(length, width), Point(0, width)]
-    )
+def _polygon_shape(spec: FractureSpec, corners, name: str) -> MaskShape:
+    polygon = Polygon([Point(x, y) for x, y in corners])
     return MaskShape.from_polygon(
-        polygon, pitch=spec.pitch, margin=spec.grid_margin, name="long-bar"
+        polygon, pitch=spec.pitch, margin=spec.grid_margin, name=name
     )
 
 
-def bench_stitch_crop(repeats: int, iters: int = 20) -> dict:
-    spec = FractureSpec()
-    shape = _long_bar(spec)
-    shots, _ = approximate_fracture(shape, spec)
-    ny, nx = shape.grid.shape
-    # A single interior seam band: the 1-D-tiling stitch shape, where
-    # the bbox crop pays off (2-D seam lattices cross the whole grid).
-    mask = np.zeros((ny, nx), dtype=bool)
-    mid = nx // 2
-    mask[:, mid - 20:mid + 20] = True
+def _stitch_states(spec: FractureSpec) -> dict[str, RefinementState]:
+    """The first stitch pass of two tiled layouts.
 
-    def field_pass(state: RefinementState) -> None:
-        for _ in range(iters):
-            state._refresh_cost_base(None)
-            state.cost_integral()
-            state.active_integral()
-
-    def best_wall() -> float:
-        state = RefinementState(shape, spec, shots, active_mask=mask)
-        field_pass(state)  # warm-up
-        return _best_of(lambda: field_pass(state), repeats)
-
-    walls = {"numpy": best_wall()}
-    # The full-field reference: the same state with the crop patched out.
-    with mock.patch("repro.fracture.state._active_crop", return_value=None):
-        walls["scalar"] = best_wall()
-    grid_px = int(mask.size)
-    seam_px = int(np.count_nonzero(mask))
-    rows = np.flatnonzero(mask.any(axis=1))
-    cols = np.flatnonzero(mask.any(axis=0))
-    bbox_px = int((rows[-1] - rows[0] + 1) * (cols[-1] - cols[0] + 1))
-    entry = {
-        "grid_px": grid_px,
-        "seam_px": seam_px,
-        "bbox_px": bbox_px,
-        "bbox_fraction": bbox_px / grid_px,
-        "iterations": iters,
-        "full_ms": walls["scalar"] * 1e3,
-        "cropped_ms": walls["numpy"] * 1e3,
-        "speedup": walls["scalar"] / walls["numpy"],
-    }
-    print(
-        f"stitch crop: {entry['speedup']:.2f}x per-iteration field work "
-        f"({entry['full_ms']:.1f}ms -> {entry['cropped_ms']:.1f}ms for "
-        f"{iters} iterations; bbox {bbox_px}px = "
-        f"{entry['bbox_fraction']:.1%} of {grid_px}px grid)"
+    Tiles are fractured by the full method and split into seam and
+    frozen shots exactly as ``WindowedFracturer`` does.  ``strip``: a
+    1200 nm bar in two 600 nm tiles, whose single seam band gives a
+    narrow crop box (the 1-D tiling stitch).  ``lattice``: a 600 nm plus
+    in 2×2 tiles of 300 nm, whose crossing seam bands make the crop box
+    the whole grid (the 2-D tiling stitch).
+    """
+    bar = _polygon_shape(
+        spec, [(0, 0), (1200, 0), (1200, 60), (0, 60)], "long-bar"
     )
-    return entry
+    plus = _polygon_shape(spec, [
+        (270, 0), (330, 0), (330, 270), (600, 270), (600, 330), (330, 330),
+        (330, 600), (270, 600), (270, 330), (0, 330), (0, 270), (270, 270),
+    ], "plus")
+    inner = ModelBasedFracturer(
+        config=RefineConfig(params=RefineParams(nmax=120, nh=3))
+    )
+    states = {}
+    for label, shape, tile_nm in (("strip", bar, 600.0), ("lattice", plus, 300.0)):
+        plan = plan_tiles(shape, spec, tile_nm)
+        collected = []
+        for tile in plan.tiles:
+            subs = extract_tile_shapes(shape, tile, pad_nm=halo_nm(spec))
+            collected.extend(fracture_tile(inner, tile, subs, spec))
+        mask, movable_nm = seam_band_masks(shape, plan, spec)
+        movable, frozen = split_seam_shots(collected, plan, movable_nm)
+        states[label] = RefinementState(
+            shape, spec, movable, background=frozen, active_mask=mask
+        )
+    return states
+
+
+def _tables_identical(state: RefinementState) -> bool:
+    """Every dense corner and every gathered candidate's crop agree."""
+    table = state.cost_integral()
+    dense = state.dense_cost_integral()
+    expanded = table.table[np.ix_(table.rows, table.cols)]
+    if expanded.tobytes() != dense.table.tobytes():
+        return False
+    candidates = state.gather_edge_moves(table)
+    active = state.active_pixels()
+    reference = state.dense_active_pixels()
+    return [c[:4] for c in candidates] == [
+        c[:4] for c in state.gather_edge_moves(dense)
+    ] and all(
+        active.crop(*c.window) == reference.crop(*c.window) for c in candidates
+    )
+
+
+def bench_stitch_crop(repeats: int, iters: int = 20) -> list[dict]:
+    results = []
+    for label, state in _stitch_states(FractureSpec()).items():
+
+        def setup() -> None:
+            for _ in range(iters):
+                state.cost_integral()
+                state.active_pixels()
+
+        def dense_setup() -> None:
+            for _ in range(iters):
+                state.dense_cost_integral()
+                state.dense_active_pixels()
+
+        setup()  # warm-up
+        compressed = _best_of(setup, repeats)
+        dense = _best_of(dense_setup, repeats)
+        r0, r1, c0, c1 = state._box
+        table = state.cost_integral().table
+        grid_px = int(state.active_mask.size)
+        bbox_px = (r1 - r0) * (c1 - c0)
+        entry = {
+            "layout": label,
+            "grid_px": grid_px,
+            "seam_px": int(np.count_nonzero(state.active_mask)),
+            "bbox_px": bbox_px,
+            "bbox_fraction": bbox_px / grid_px,
+            "table_px": int(table.size),
+            "table_fraction": table.size / bbox_px,
+            "candidates": len(state.gather_edge_moves(state.cost_integral())),
+            "iterations": iters,
+            "dense_ms": dense * 1e3,
+            "compressed_ms": compressed * 1e3,
+            "speedup": dense / compressed,
+            "identical": _tables_identical(state),
+        }
+        results.append(entry)
+        print(
+            f"stitch crop {label}: {entry['speedup']:.2f}x pricing setup "
+            f"({entry['dense_ms']:.1f}ms -> {entry['compressed_ms']:.1f}ms "
+            f"for {iters} passes; bbox {entry['bbox_fraction']:.1%} of "
+            f"{grid_px}px grid, table {entry['table_fraction']:.2%} of "
+            f"bbox; identical={entry['identical']})"
+        )
+    return results
 
 
 def run(repeats: int) -> dict:
@@ -236,20 +297,21 @@ def run(repeats: int) -> dict:
         "labeling_min_speedup_512": min(r["speedup"] for r in at512),
         "labeling_all_identical": all(r["identical"] for r in labeling),
         "pricing_all_identical": all(r["identical"] for r in pricing),
+        "stitch_crop_all_identical": all(r["identical"] for r in stitch),
         "fused_thin_band_speedup": next(
             r["fused_speedup"] for r in pricing if r["case"] == "thin_band"
         ),
-        "stitch_crop_speedup": stitch["speedup"],
+        "stitch_crop_min_speedup": min(r["speedup"] for r in stitch),
     }
     print(
         f"aggregate: labeling >= {aggregate['labeling_min_speedup_512']:.2f}x "
         f"at 512², fused thin-band {aggregate['fused_thin_band_speedup']:.2f}x, "
-        f"stitch crop {aggregate['stitch_crop_speedup']:.2f}x"
+        f"stitch crop >= {aggregate['stitch_crop_min_speedup']:.2f}x"
     )
     return {
         "benchmark": "kernels",
         "baseline": "scalar references (pure-Python union-find, per-candidate "
-                    "loop scoring, full-grid stitch fields)",
+                    "loop scoring, dense whole-grid pricing tables)",
         "backend": "numpy",
         "repeats": repeats,
         "platform": platform.platform(),
@@ -275,6 +337,10 @@ def main() -> None:
     args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text(json.dumps(payload, indent=2))
     print(f"wrote {args.out}")
+    flags = {k: v for k, v in payload["aggregate"].items() if "identical" in k}
+    if not all(flags.values()):
+        print(f"identity check failed: {flags}", file=sys.stderr)
+        sys.exit(1)
 
 
 if __name__ == "__main__":

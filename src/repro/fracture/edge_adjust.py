@@ -20,9 +20,7 @@ from __future__ import annotations
 from bisect import bisect_right, insort
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.fracture.state import RefinementState
+from repro.fracture.state import ActivePixels, CostIntegral, RefinementState
 from repro.geometry.rect import EDGES, Rect
 from repro.obs import get_recorder
 
@@ -112,7 +110,7 @@ def greedy_shot_edge_adjustment(state: RefinementState) -> int:
     obs = get_recorder()
     with obs.span("pricing"):
         moves = _batched_improving_moves(
-            state, state.cost_integral(), state.active_integral()
+            state, state.cost_integral(), state.active_pixels()
         )
     moves.sort(key=lambda m: m.delta_cost)
 
@@ -140,7 +138,7 @@ def _edge_worth_pricing(
     state: RefinementState,
     shot: Rect,
     edge: str,
-    cost_integral: np.ndarray,
+    cost_integral: CostIntegral,
 ) -> bool:
     window = state.edge_pricing_window(shot, edge)
     return state.window_cost_from_integral(cost_integral, window) > 0.0
@@ -148,13 +146,14 @@ def _edge_worth_pricing(
 
 def _batched_improving_moves(
     state: RefinementState,
-    cost_integral: np.ndarray,
-    active_integral: np.ndarray,
+    cost_integral: CostIntegral,
+    active: ActivePixels,
 ) -> list[_Move]:
     """Gather all candidates, price them in one batch, keep the best ±Δp."""
     candidates = state.gather_edge_moves(cost_integral)
+    state.candidates_priced += len(candidates)
     get_recorder().incr("refine.candidates_priced", len(candidates))
-    costs = state.price_edge_moves(candidates, cost_integral, active_integral)
+    costs = state.price_edge_moves(candidates, cost_integral, active)
     # Best improving move per (shot, edge); candidates arrive in
     # (index, edge, +Δp, −Δp) order, and dicts preserve insertion order,
     # so ties and final ordering match the scalar loop exactly.
@@ -172,8 +171,8 @@ def _batched_improving_moves(
 
 def _scalar_improving_moves(
     state: RefinementState,
-    cost_integral: np.ndarray,
-    active_integral: np.ndarray,
+    cost_integral: CostIntegral,
+    active: ActivePixels,
 ) -> list[_Move]:
     """The per-candidate pricing loop: the reference that
     :func:`_batched_improving_moves` is gated bit-identical against."""
@@ -188,7 +187,7 @@ def _scalar_improving_moves(
             best: _Move | None = None
             for delta in (pitch, -pitch):
                 dcost = state.edge_move_delta_cost(
-                    index, edge, delta, cost_integral, active_integral
+                    index, edge, delta, cost_integral, active
                 )
                 if dcost is None:
                     continue
@@ -199,6 +198,7 @@ def _scalar_improving_moves(
                     best = _Move(dcost, index, edge, delta)
             if best is not None:
                 moves.append(best)
+    state.candidates_priced += priced
     get_recorder().incr("refine.candidates_priced", priced)
     return moves
 

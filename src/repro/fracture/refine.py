@@ -47,6 +47,7 @@ class RefineTrace:
     cost_history: list[float] = field(default_factory=list)
     failing_history: list[int] = field(default_factory=list)
     edge_moves: int = 0
+    candidates_priced: int = 0
     bias_steps: int = 0
     shots_added: int = 0
     shots_removed: int = 0
@@ -161,6 +162,7 @@ def refine(
                 best_shots = state.snapshot()
         elif trace.converged:
             best_shots = state.snapshot()
+        trace.candidates_priced = state.candidates_priced
         span.annotate(
             iterations=trace.iterations, converged=trace.converged,
             final_shots=len(best_shots),

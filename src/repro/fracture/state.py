@@ -36,6 +36,92 @@ class EdgeMoveCandidate(NamedTuple):
     keys: tuple[ProfileKey, ProfileKey, ProfileKey]
 
 
+class CostIntegral(NamedTuple):
+    """Prefix sums of the Eq. 5 cost field, kept only where cost lives.
+
+    ``table`` holds the 2-D prefix sums (zero first row and column) of
+    the cost field restricted to the rows and columns that carry a
+    positive pixel; ``rows[i]``/``cols[j]`` count those rows/columns
+    below dense corner ``i``/``j``, so the dense prefix value at corner
+    ``(i, j)`` is ``table[rows[i], cols[j]]`` for every corner of the
+    grid, inside the crop box or past it.
+    """
+
+    table: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+
+
+_any_of = np.bitwise_or.reduce
+
+
+class ActivePixels:
+    """Pixels a ±Δp move could possibly affect, over the crop box.
+
+    ``mask`` is ``base > −patch_bound`` on the box whose top-left pixel
+    is ``(r0, c0)``; :meth:`crop` shrinks a candidate window (which lies
+    inside the box) to the bounding box of its active pixels.
+    """
+
+    __slots__ = ("mask", "r0", "c0")
+
+    def __init__(self, mask: np.ndarray, r0: int, c0: int):
+        # Reduced as uint8: bitwise_or.reduce along rows runs about
+        # twice as fast as bool any(), and this runs per candidate.
+        self.mask = mask.view(np.uint8)
+        self.r0 = r0
+        self.c0 = c0
+
+    def crop(self, ys: slice, xs: slice) -> tuple[int, int, int, int] | None:
+        """Row/column sub-range of the window holding all active pixels.
+
+        Returns ``(r0, r1, c0, c1)`` offsets within the window, or
+        ``None`` when the window contains no active pixel (the move's
+        Δcost is exactly zero).
+        """
+        sub = self.mask[
+            ys.start - self.r0 : ys.stop - self.r0,
+            xs.start - self.c0 : xs.stop - self.c0,
+        ]
+        rows = _any_of(sub, axis=1).nonzero()[0]
+        if not rows.size:
+            return None
+        r0 = int(rows[0])
+        r1 = int(rows[-1]) + 1
+        cols = _any_of(sub[r0:r1], axis=0).nonzero()[0]
+        return r0, r1, int(cols[0]), int(cols[-1]) + 1
+
+
+class ActiveIntegral:
+    """Reference for :class:`ActivePixels`: the crop read from dense
+    int32 prefix counts of the grid's active pixels."""
+
+    __slots__ = ("integral",)
+
+    def __init__(self, active: np.ndarray):
+        self.integral = np.zeros(np.add(active.shape, 1), dtype=np.int32)
+        np.cumsum(active, axis=0, out=self.integral[1:, 1:])
+        np.cumsum(self.integral[1:, 1:], axis=1, out=self.integral[1:, 1:])
+
+    def crop(self, ys: slice, xs: slice) -> tuple[int, int, int, int] | None:
+        integral = self.integral
+        rowcum = (
+            integral[ys.start : ys.stop + 1, xs.stop]
+            - integral[ys.start : ys.stop + 1, xs.start]
+        )
+        if rowcum[-1] == rowcum[0]:
+            return None
+        r0 = int(rowcum.searchsorted(rowcum[0], side="right")) - 1
+        r1 = int(rowcum.searchsorted(rowcum[-1], side="left"))
+        colcum = (
+            integral[ys.stop, xs.start : xs.stop + 1]
+            - integral[ys.start, xs.start : xs.stop + 1]
+        )
+        c0 = int(colcum.searchsorted(colcum[0], side="right")) - 1
+        c1 = int(colcum.searchsorted(colcum[-1], side="left"))
+        return r0, r1, c0, c1
+
+
 #: Mean cropped band size (pixels per candidate) up to which the fused
 #: gather/scatter scoring of :func:`clamped_band_sums` beats in-place
 #: slice scoring; batches with bulkier bands are scored per candidate.
@@ -122,6 +208,19 @@ def clamped_band_sums(
     return out
 
 
+def _subtract_window_costs(
+    costs: np.ndarray, integral: CostIntegral, wr0, wr1, wc0, wc1
+) -> np.ndarray:
+    """``costs`` minus each window's current cost, looked up in one
+    vectorized pass in the A − B − C + D order of
+    :meth:`RefinementState.window_cost_from_integral`, so every result
+    matches the scalar lookup bit for bit."""
+    table, rows, cols = integral
+    y0, y1, x0, x1 = rows[wr0], rows[wr1], cols[wc0], cols[wc1]
+    costs -= table[y1, x1] - table[y0, x1] - table[y1, x0] + table[y0, x0]
+    return costs
+
+
 class RefinementState:
     """Shots + intensity + pixel classes for one refinement run.
 
@@ -141,9 +240,9 @@ class RefinementState:
     __slots__ = (
         "shape", "spec", "pixels", "imap", "shots", "background",
         "active_mask",
+        "candidates_priced",
         "_cost_sign", "_cost_bias", "_cost_base", "_scratch",
-        "_gather_memo", "_cost_integral", "_active_integral",
-        "_field_scratch", "_active_scratch", "_crop",
+        "_gather_memo", "_field_scratch", "_active_scratch", "_crop", "_box",
     )
 
     def __init__(
@@ -192,22 +291,24 @@ class RefinementState:
         # Region-restricted refinements confine every nonzero cost-field
         # entry to the active mask's bounding box (S is 0 outside the
         # mask, so S·I − S·ρ is exactly 0.0 there), so the per-iteration
-        # field work — base refresh, report, cost/active prefix sums —
-        # runs on that box only and stitch cost scales with the seam
-        # area instead of the grid.  ``_crop`` is ``(r0, r1, c0, c1)``
+        # field work — base refresh, report, pricing tables — runs on
+        # that box only and stitch cost scales with the seam area
+        # instead of the grid.  ``_crop`` is ``(r0, r1, c0, c1)``
         # half-open pixel bounds, or None for the full-field path
-        # (unrestricted states; the reference the crop is gated against).
+        # (unrestricted states; the reference the crop is gated against);
+        # ``_box`` is the crop or, without one, the whole grid.
         self._crop = (
             _active_crop(active_mask) if active_mask is not None else None
         )
         ny, nx = self._cost_sign.shape
+        self._box = self._crop or (0, ny, 0, nx)
+        r0, r1, c0, c1 = self._box
+        self._field_scratch = np.empty((r1 - r0, c1 - c0), dtype=np.float64)
+        self._active_scratch = np.empty((r1 - r0, c1 - c0), dtype=bool)
         if self._crop is not None:
             # Out-of-box entries are never rewritten, so they must start
             # at their exact value: 0.0 (see above).
             self._cost_base = np.zeros_like(self._cost_sign)
-            r0, r1, c0, c1 = self._crop
-            self._field_scratch = np.empty((r1 - r0, c1 - c0), dtype=np.float64)
-            self._active_scratch = np.empty((r1 - r0, c1 - c0), dtype=bool)
             obs = get_recorder()
             obs.gauge("kernels.stitch_grid_px", float(ny * nx))
             obs.gauge(
@@ -215,36 +316,26 @@ class RefinementState:
             )
         else:
             self._cost_base = np.empty_like(self._cost_sign)
-            self._field_scratch = np.empty_like(self._cost_sign)
-            self._active_scratch = np.empty((ny, nx), dtype=bool)
         self._scratch = np.empty(0, dtype=np.float64)
-        # Candidate geometry memo (windows + profile keys per shot rect)
-        # and reused prefix-sum buffers — rebuilt contents every greedy
-        # pass, but the allocations are paid once.
+        # Candidate geometry memo (windows + profile keys per shot rect);
+        # pure geometry, so it is never invalidated.
         self._gather_memo: dict[tuple, tuple] = {}
-        self._cost_integral = np.zeros((ny + 1, nx + 1), dtype=np.float64)
-        self._active_integral = np.zeros((ny + 1, nx + 1), dtype=np.int32)
+        #: Candidates priced by greedy edge adjustment on this state.
+        self.candidates_priced = 0
         self._refresh_cost_base()
 
     def _refresh_cost_base(
         self, window: tuple[slice, slice] | None = None
     ) -> None:
-        """Recompute ``S·I − S·ρ`` where I_tot changed (or everywhere)."""
+        """Recompute ``S·I − S·ρ`` where I_tot changed (or on the whole
+        box: everything outside a crop box is exactly 0.0 and was
+        initialized so)."""
         if window is None:
-            if self._crop is not None:
-                # Everything outside the crop box is exactly 0.0 and was
-                # initialized so; refresh the box only.
-                r0, r1, c0, c1 = self._crop
-                window = (slice(r0, r1), slice(c0, c1))
-            else:
-                np.multiply(
-                    self._cost_sign, self.imap.total, out=self._cost_base
-                )
-                self._cost_base -= self._cost_bias
-                return
-        base = self._cost_sign[window] * self.imap.total[window]
+            r0, r1, c0, c1 = self._box
+            window = (slice(r0, r1), slice(c0, c1))
+        base = self._cost_base[window]
+        np.multiply(self._cost_sign[window], self.imap.total[window], out=base)
         base -= self._cost_bias[window]
-        self._cost_base[window] = base
 
     # -- cost evaluation --------------------------------------------------
 
@@ -331,133 +422,88 @@ class RefinementState:
         """
         return (self.spec.pitch / self.spec.sigma) / math.sqrt(math.pi)
 
-    def active_integral(self) -> np.ndarray:
-        """Prefix counts of pixels a ±Δp move could possibly affect.
+    def active_pixels(self) -> ActivePixels:
+        """Mask of the pixels a ±Δp move could possibly affect.
 
         A pixel with ``base ≤ −patch_bound`` is clamped to zero cost both
         before and after any single-pitch move (``max(base ± |ΔI|, 0) =
         0`` exactly), so it contributes *exactly nothing* to any Δcost.
         Candidate windows are cropped to the bounding box of the
         remaining "active" pixels — typically a thin band around the
-        contour — before the per-pixel scoring runs.  Rebuild per greedy
-        pass, like :meth:`cost_integral`.
+        contour — before the per-pixel scoring runs.  Built over the
+        crop box only (every candidate window lies inside it: gather and
+        mutation guards keep windows inside the active mask) into a
+        reused buffer, so it is valid until the next call; rebuild per
+        greedy pass, like :meth:`cost_integral`.
         """
-        # int32 is plenty (counts are bounded by the pixel count) and
-        # halves the cumsum traffic; the buffer (zero first row/column,
-        # interior fully overwritten — box interior only when cropped,
-        # the rest stays at its exact initial value) is reused across
-        # passes and only valid until the next call.
-        integral = self._active_integral
-        if self._crop is not None:
-            # Outside the box, base ≡ 0 > −patch_bound: those pixels
-            # count as "active", but crop_to_active consumes only
-            # *differences* of the prefix counts, and every candidate
-            # window lies inside the active mask (gather/mutation
-            # guards), where box-local and full prefix counts differ by
-            # a constant per row/column that cancels.
-            r0, r1, c0, c1 = self._crop
-            box = (slice(r0, r1), slice(c0, c1))
-            interior = integral[r0 + 1 : r1 + 1, c0 + 1 : c1 + 1]
-            active = np.greater(
-                self._cost_base[box], -self.patch_bound(),
-                out=self._active_scratch,
-            )
-            np.cumsum(active, axis=0, out=interior)
-            np.cumsum(interior, axis=1, out=interior)
-            # The box's leading guard row/column and everything outside
-            # the box stay at the buffer's initial zeros (they are never
-            # written in cropped mode), which is their exact value.
-            return integral
-        active = np.greater(
-            self._cost_base, -self.patch_bound(), out=self._active_scratch
+        r0, r1, c0, c1 = self._box
+        mask = np.greater(
+            self._cost_base[r0:r1, c0:c1], -self.patch_bound(),
+            out=self._active_scratch,
         )
-        np.cumsum(active, axis=0, out=integral[1:, 1:])
-        np.cumsum(integral[1:, 1:], axis=1, out=integral[1:, 1:])
-        return integral
+        return ActivePixels(mask, r0, c0)
 
-    @staticmethod
-    def crop_to_active(
-        active_integral: np.ndarray, window: tuple[slice, slice]
-    ) -> tuple[int, int, int, int] | None:
-        """Row/column sub-range of ``window`` holding all active pixels.
+    def dense_active_pixels(self) -> ActiveIntegral:
+        """Reference for :meth:`active_pixels`: crops from whole-grid
+        int32 prefix counts (outside the crop box ``base`` is exactly
+        0.0, so those pixels count as active, as without a crop)."""
+        return ActiveIntegral(self._cost_base > -self.patch_bound())
 
-        Returns ``(r0, r1, c0, c1)`` offsets within the window, or
-        ``None`` when the window contains no active pixel (the move's
-        Δcost is exactly zero).  Marginal counts come straight from the
-        2-D prefix sums, so the crop costs two small 1-D subtractions.
-        """
-        ys, xs = window
-        rowcum = (
-            active_integral[ys.start : ys.stop + 1, xs.stop]
-            - active_integral[ys.start : ys.stop + 1, xs.start]
-        )
-        if rowcum[-1] == rowcum[0]:
-            return None
-        # ndarray.searchsorted skips the np.searchsorted dispatch layer;
-        # this runs four times per candidate.
-        r0 = int(rowcum.searchsorted(rowcum[0], side="right")) - 1
-        r1 = int(rowcum.searchsorted(rowcum[-1], side="left"))
-        colcum = (
-            active_integral[ys.stop, xs.start : xs.stop + 1]
-            - active_integral[ys.start, xs.start : xs.stop + 1]
-        )
-        c0 = int(colcum.searchsorted(colcum[0], side="right")) - 1
-        c1 = int(colcum.searchsorted(colcum[-1], side="left"))
-        return r0, r1, c0, c1
-
-    def cost_integral(self) -> np.ndarray:
+    def cost_integral(self) -> CostIntegral:
         """Prefix sums of the per-pixel Eq. 5 cost field.
 
-        ``integral[y2, x2] - integral[y1, x2] - integral[y2, x1] +
-        integral[y1, x1]`` gives the *current* cost of any index window
-        in O(1) — edge pricing then only has to evaluate the candidate
-        side.  Rebuild after every committed change (one per refinement
-        iteration is enough; GreedyShotEdgeAdjustment does so itself).
+        :meth:`window_cost_from_integral` then gives the *current* cost
+        of any index window in O(1) — edge pricing only has to evaluate
+        the candidate side.  Rebuild after every committed change (one
+        per refinement iteration is enough; GreedyShotEdgeAdjustment
+        does so itself).
+
+        The sums run over the sub-grid of the crop box's rows and
+        columns that hold a positive-cost pixel — a small fraction of
+        the box once refinement is under way — and every other corner
+        is answered through the :class:`CostIntegral` index maps.  The
+        values are those of :meth:`dense_cost_integral` bit for bit:
+        ``np.cumsum`` accumulates in sequence, and a skipped row or
+        column only ever added exact ``+0.0`` terms (``np.maximum(x,
+        0.0)`` of a non-positive ``x`` is ``+0.0``).  A pairwise
+        reduction would break this; keep the cumsums.
         """
-        integral = self._cost_integral
-        if self._crop is not None:
-            # Cost is exactly 0.0 outside the crop box (S = 0 there), so
-            # the prefix sums only have to cover the box: entries above
-            # or left of it are exact zeros from the buffer's init, and
-            # any lookup whose corner lands beyond the box is clamped to
-            # the box edge (same value — nothing accumulates past it).
-            # Work per iteration scales with the seam-band bounding box,
-            # not the grid.
-            r0, r1, c0, c1 = self._crop
-            box = (slice(r0, r1), slice(c0, c1))
-            interior = integral[r0 + 1 : r1 + 1, c0 + 1 : c1 + 1]
-            cost_field = np.maximum(
-                self._cost_base[box], 0.0, out=self._field_scratch
-            )
-            np.cumsum(cost_field, axis=0, out=interior)
-            np.cumsum(interior, axis=1, out=interior)
-            return integral
-        cost_field = np.maximum(self._cost_base, 0.0, out=self._field_scratch)
-        # Reused buffer: zero first row/column, interior fully
-        # overwritten; only valid until the next call.
-        np.cumsum(cost_field, axis=0, out=integral[1:, 1:])
-        np.cumsum(integral[1:, 1:], axis=1, out=integral[1:, 1:])
-        return integral
+        ny, nx = self._cost_base.shape
+        r0, r1, c0, c1 = self._box
+        base = self._cost_base[r0:r1, c0:c1]
+        rows = np.flatnonzero(base.max(axis=1) > 0.0)
+        sub = base[rows]
+        cols = np.flatnonzero((sub > 0.0).any(axis=0))
+        table = np.zeros((rows.size + 1, cols.size + 1), dtype=np.float64)
+        inner = table[1:, 1:]
+        np.maximum(sub[:, cols], 0.0, out=inner)
+        np.cumsum(inner, axis=0, out=inner)
+        np.cumsum(inner, axis=1, out=inner)
+        # Positive rows (columns) strictly below each dense corner.
+        return CostIntegral(
+            table,
+            np.searchsorted(rows + r0, np.arange(ny + 1)),
+            np.searchsorted(cols + c0, np.arange(nx + 1)),
+        )
+
+    def dense_cost_integral(self) -> CostIntegral:
+        """Reference for :meth:`cost_integral`: the dense (ny+1)×(nx+1)
+        prefix sums of the whole grid's cost field, identity maps."""
+        ny, nx = self._cost_base.shape
+        table = np.zeros((ny + 1, nx + 1), dtype=np.float64)
+        np.cumsum(np.maximum(self._cost_base, 0.0), axis=0, out=table[1:, 1:])
+        np.cumsum(table[1:, 1:], axis=1, out=table[1:, 1:])
+        return CostIntegral(table, np.arange(ny + 1), np.arange(nx + 1))
 
     def window_cost_from_integral(
-        self, integral: np.ndarray, window: tuple[slice, slice]
+        self, integral: CostIntegral, window: tuple[slice, slice]
     ) -> float:
+        table, rows, cols = integral
         ys, xs = window
-        y0, y1 = ys.start, ys.stop
-        x0, x1 = xs.start, xs.stop
-        if self._crop is not None:
-            # Clamp to the crop box: the cost field is exactly zero past
-            # it, so the true prefix value at any outside corner equals
-            # the value at the clamped edge (which the cropped buffer
-            # holds; beyond it the buffer is stale zeros).
-            r1, c1 = self._crop[1], self._crop[3]
-            y0, y1 = min(y0, r1), min(y1, r1)
-            x0, x1 = min(x0, c1), min(x1, c1)
+        y0, y1 = rows[ys.start], rows[ys.stop]
+        x0, x1 = cols[xs.start], cols[xs.stop]
         return float(
-            integral[y1, x1]
-            - integral[y0, x1]
-            - integral[y1, x0]
-            + integral[y0, x0]
+            table[y1, x1] - table[y0, x1] - table[y1, x0] + table[y0, x0]
         )
 
     def edge_move_delta_cost(
@@ -465,16 +511,16 @@ class RefinementState:
         index: int,
         edge: str,
         delta: float,
-        cost_integral: np.ndarray | None = None,
-        active_integral: np.ndarray | None = None,
+        cost_integral: CostIntegral | None = None,
+        active: ActivePixels | None = None,
     ) -> float | None:
         """Cost change of moving one edge of shot ``index`` by ``delta``.
 
         Returns ``None`` for invalid moves (shot would fall below L_min or
         invert).  Does not modify the state.  ``cost_integral`` (from
         :meth:`cost_integral`, current as of the last committed change)
-        makes the old-cost side an O(1) lookup; ``active_integral`` (from
-        :meth:`active_integral`, only valid for ``|delta| ≤ Δp``) crops
+        makes the old-cost side an O(1) lookup; ``active`` (from
+        :meth:`active_pixels`, only valid for ``|delta| ≤ Δp``) crops
         the scoring to the active sub-window.
         """
         shot = self.shots[index]
@@ -489,8 +535,8 @@ class RefinementState:
         ):
             return None
         window, patch_delta = self.imap.edge_move_delta(shot, candidate, edge)
-        if active_integral is not None:
-            crop = self.crop_to_active(active_integral, window)
+        if active is not None:
+            crop = active.crop(*window)
             if crop is None:
                 return 0.0
             r0, r1, c0, c1 = crop
@@ -640,7 +686,7 @@ class RefinementState:
         return tuple(groups)
 
     def gather_edge_moves(
-        self, cost_integral: np.ndarray
+        self, cost_integral: CostIntegral
     ) -> list[EdgeMoveCandidate]:
         """All valid ±Δp edge-move candidates worth pricing, in the same
         (shot, edge, +Δp, −Δp) order the scalar loop enumerates.
@@ -657,7 +703,9 @@ class RefinementState:
         """
         memo = self._gather_memo
         mask = self.active_mask
-        crop = self._crop
+        table = cost_integral.table
+        row_map = cost_integral.rows.tolist()
+        col_map = cost_integral.cols.tolist()
         candidates: list[EdgeMoveCandidate] = []
         append = candidates.append
         for index, shot in enumerate(self.shots):
@@ -668,18 +716,10 @@ class RefinementState:
                     memo.clear()
                 groups = memo[key] = self._build_move_geometry(shot)
             for edge, (ys, xs), moves in groups:
-                y0, y1, x0, x1 = ys.start, ys.stop, xs.start, xs.stop
-                if crop is not None:
-                    # Pricing regions reach one pitch + blur outside the
-                    # shot and can leave the crop box; clamp like
-                    # window_cost_from_integral (zero cost past the box).
-                    y0, y1 = min(y0, crop[1]), min(y1, crop[1])
-                    x0, x1 = min(x0, crop[3]), min(x1, crop[3])
+                y0, y1 = row_map[ys.start], row_map[ys.stop]
+                x0, x1 = col_map[xs.start], col_map[xs.stop]
                 if (
-                    cost_integral[y1, x1]
-                    - cost_integral[y0, x1]
-                    - cost_integral[y1, x0]
-                    + cost_integral[y0, x0]
+                    table[y1, x1] - table[y0, x1] - table[y1, x0] + table[y0, x0]
                 ) <= 0.0:
                     continue
                 for delta, window, keys in moves:
@@ -691,8 +731,8 @@ class RefinementState:
     def price_edge_moves(
         self,
         candidates: list[EdgeMoveCandidate],
-        cost_integral: np.ndarray,
-        active_integral: np.ndarray,
+        cost_integral: CostIntegral,
+        active: ActivePixels,
     ) -> np.ndarray:
         """Δcost of every candidate, priced with one batched LUT pass.
 
@@ -733,8 +773,6 @@ class RefinementState:
         # row/column factors, laid out candidate-major for the kernel.
         rows = np.zeros(ncand, dtype=np.int64)
         cols = np.zeros(ncand, dtype=np.int64)
-        y0s = np.zeros(ncand, dtype=np.int64)
-        x0s = np.zeros(ncand, dtype=np.int64)
         wr0 = np.zeros(ncand, dtype=np.intp)
         wr1 = np.zeros(ncand, dtype=np.intp)
         wc0 = np.zeros(ncand, dtype=np.intp)
@@ -742,25 +780,13 @@ class RefinementState:
         kept: list[int] = []
         row_parts: list[np.ndarray] = []
         col_parts: list[np.ndarray] = []
+        crop = active.crop
         for i, cand in enumerate(candidates):
             _, edge, _, (ys, xs), (k_old, k_new, k_fixed) = cand
-            y_lo = ys.start
-            x_lo = xs.start
-            # crop_to_active, inlined (see _price_edge_moves_loop).
-            rowcum = (
-                active_integral[y_lo : ys.stop + 1, xs.stop]
-                - active_integral[y_lo : ys.stop + 1, x_lo]
-            )
-            if rowcum[-1] == rowcum[0]:
+            cropped = crop(ys, xs)
+            if cropped is None:
                 continue
-            r0 = int(rowcum.searchsorted(rowcum[0], side="right")) - 1
-            r1 = int(rowcum.searchsorted(rowcum[-1], side="left"))
-            colcum = (
-                active_integral[ys.stop, x_lo : xs.stop + 1]
-                - active_integral[y_lo, x_lo : xs.stop + 1]
-            )
-            c0 = int(colcum.searchsorted(colcum[0], side="right")) - 1
-            c1 = int(colcum.searchsorted(colcum[-1], side="left"))
+            r0, r1, c0, c1 = cropped
             delta = delta_profile(k_old, k_new)
             p_fixed = cached_profile(k_fixed)
             if edge in ("left", "right"):
@@ -772,12 +798,10 @@ class RefinementState:
             kept.append(i)
             rows[i] = r1 - r0
             cols[i] = c1 - c0
-            y0s[i] = y_lo + r0
-            x0s[i] = x_lo + c0
-            wr0[i] = y_lo + r0
-            wr1[i] = y_lo + r1
-            wc0[i] = x_lo + c0
-            wc1[i] = x_lo + c1
+            wr0[i] = ys.start + r0
+            wr1[i] = ys.start + r1
+            wc0[i] = xs.start + c0
+            wc1[i] = xs.start + c1
         counts = rows * cols
         total = int(counts.sum())
         if kept and total <= FUSED_BAND_LIMIT * len(kept):
@@ -789,8 +813,8 @@ class RefinementState:
                 np.concatenate(col_parts),
                 rows,
                 cols,
-                y0s,
-                x0s,
+                wr0,
+                wc0,
                 col_off,
                 self._cost_sign,
                 self._cost_base,
@@ -813,8 +837,8 @@ class RefinementState:
                 c = int(cols[i])
                 seg = scratch[: r * c].reshape(r, c)
                 window = (
-                    slice(int(y0s[i]), int(y0s[i]) + r),
-                    slice(int(x0s[i]), int(x0s[i]) + c),
+                    slice(int(wr0[i]), int(wr1[i])),
+                    slice(int(wc0[i]), int(wc1[i])),
                 )
                 multiply(
                     row_parts[j][:, None], col_parts[j][None, :], out=seg
@@ -826,19 +850,13 @@ class RefinementState:
         # Deferred old-cost lookup, same A − B − C + D order as
         # window_cost_from_integral; all-zero corners (skipped
         # candidates) contribute a zero old cost by construction.
-        costs -= (
-            cost_integral[wr1, wc1]
-            - cost_integral[wr0, wc1]
-            - cost_integral[wr1, wc0]
-            + cost_integral[wr0, wc0]
-        )
-        return costs
+        return _subtract_window_costs(costs, cost_integral, wr0, wr1, wc0, wc1)
 
     def _price_edge_moves_loop(
         self,
         candidates: list[EdgeMoveCandidate],
-        cost_integral: np.ndarray,
-        active_integral: np.ndarray,
+        cost_integral: CostIntegral,
+        active: ActivePixels,
     ) -> np.ndarray:
         """Per-candidate scoring loop: the reference that
         :meth:`price_edge_moves` is gated bit-identical against."""
@@ -865,26 +883,12 @@ class RefinementState:
         wc1 = np.zeros(ncand, dtype=np.intp)
         for i, cand in enumerate(candidates):
             _, edge, _, (ys, xs), (k_old, k_new, k_fixed) = cand
-            # crop_to_active, inlined: this runs once per candidate and
-            # the call/tuple overhead is measurable.
-            y_lo = ys.start
-            x_lo = xs.start
-            rowcum = (
-                active_integral[y_lo : ys.stop + 1, xs.stop]
-                - active_integral[y_lo : ys.stop + 1, x_lo]
-            )
-            if rowcum[-1] == rowcum[0]:
+            cropped = active.crop(ys, xs)
+            if cropped is None:
                 continue
-            r0 = int(rowcum.searchsorted(rowcum[0], side="right")) - 1
-            r1 = int(rowcum.searchsorted(rowcum[-1], side="left"))
-            colcum = (
-                active_integral[ys.stop, x_lo : xs.stop + 1]
-                - active_integral[y_lo, x_lo : xs.stop + 1]
-            )
-            c0 = int(colcum.searchsorted(colcum[0], side="right")) - 1
-            c1 = int(colcum.searchsorted(colcum[-1], side="left"))
-            ys = slice(y_lo + r0, y_lo + r1)
-            xs = slice(x_lo + c0, x_lo + c1)
+            r0, r1, c0, c1 = cropped
+            ys = slice(ys.start + r0, ys.start + r1)
+            xs = slice(xs.start + c0, xs.start + c1)
             delta = delta_profile(k_old, k_new)
             p_fixed = cached_profile(k_fixed)
             rows = r1 - r0
@@ -911,17 +915,7 @@ class RefinementState:
             wr1[i] = ys.stop
             wc0[i] = xs.start
             wc1[i] = xs.stop
-        if ncand:
-            # Same A − B − C + D order as window_cost_from_integral, in
-            # float64 — elementwise results match the scalar lookups bit
-            # for bit.
-            costs -= (
-                cost_integral[wr1, wc1]
-                - cost_integral[wr0, wc1]
-                - cost_integral[wr1, wc0]
-                + cost_integral[wr0, wc0]
-            )
-        return costs
+        return _subtract_window_costs(costs, cost_integral, wr0, wr1, wc0, wc1)
 
     # -- mutation -----------------------------------------------------------
 

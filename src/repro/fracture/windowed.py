@@ -259,17 +259,20 @@ class WindowedFracturer(Fracturer):
         refined; the rest contribute frozen background dose.  Cost and
         failures are evaluated only inside the seam-band active mask,
         and mutations whose dose reach would leave the mask are
-        forbidden, so the priced candidate count scales with seam area
-        (tracked by the ``windowed.stitch_candidates_priced`` counter).
+        forbidden, so the priced candidate count scales with seam area.
+        The refinement trace counts it, so ``stitch_candidates_priced``
+        in the info is the same with telemetry on or off; the
+        ``windowed.stitch_candidates_priced`` counter repeats it.
         """
         obs = get_recorder()
         active_mask, movable_nm = seam_band_masks(shape, plan, spec)
         movable, frozen = split_seam_shots(collected, plan, movable_nm)
         obs.incr("windowed.seam_shots", len(movable))
         obs.incr("windowed.frozen_shots", len(frozen))
-        # Stitch cost-field work scales with the seam-band bounding box,
-        # not the grid; record both areas so the scaling is visible in
-        # traces and manifests.
+        # Stitch cost-field work scales with the seam-band bounding box
+        # (and the pricing tables with the rows and columns that carry
+        # cost), not the grid; record both areas so the scaling is
+        # visible in traces and manifests.
         seam_px = int(np.count_nonzero(active_mask))
         grid_px = int(active_mask.size)
         obs.gauge("windowed.seam_px", float(seam_px))
@@ -286,20 +289,17 @@ class WindowedFracturer(Fracturer):
         }
         if not movable:
             return list(collected), info
-        counters = getattr(obs, "counters", {})
-        priced_before = counters.get("refine.candidates_priced", 0)
         with obs.span("stitch", seam_shots=len(movable)):
             refined, trace = refine(
                 shape, spec, movable, self.stitch_params,
                 background=frozen, active_mask=active_mask,
             )
-        priced = counters.get("refine.candidates_priced", 0) - priced_before
-        obs.incr("windowed.stitch_candidates_priced", priced)
+        obs.incr("windowed.stitch_candidates_priced", trace.candidates_priced)
         stitched = frozen + refined
         info.update(
             stitch_iterations=trace.iterations,
             stitch_converged=trace.converged,
-            stitch_candidates_priced=int(priced),
+            stitch_candidates_priced=trace.candidates_priced,
         )
         if self.stitch_params.nmax > 0:
             report = check_solution(stitched, shape, spec)

@@ -65,8 +65,10 @@ def scalar_references():
 
     Whole-run equivalence tests run once as shipped and once inside
     ``with scalar_references():`` — per-pixel union–find labeling, the
-    per-label stats scan, the per-candidate pricing loop and the
-    full-field (uncropped) cost path — and require identical shots.
+    per-label stats scan, the per-candidate pricing loop, the dense
+    whole-grid cost integral, the crop from dense active-pixel prefix
+    counts and the full-field (uncropped) cost path — and require
+    identical shots.
     """
     from repro.fracture import add_remove, state
     from repro.geometry import labeling
@@ -84,6 +86,14 @@ def scalar_references():
             patch.setattr(
                 state.RefinementState, "price_edge_moves",
                 state.RefinementState._price_edge_moves_loop,
+            )
+            patch.setattr(
+                state.RefinementState, "cost_integral",
+                state.RefinementState.dense_cost_integral,
+            )
+            patch.setattr(
+                state.RefinementState, "active_pixels",
+                state.RefinementState.dense_active_pixels,
             )
             patch.setattr(state, "_active_crop", lambda active_mask: None)
             yield

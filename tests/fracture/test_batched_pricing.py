@@ -33,18 +33,18 @@ def fractured_state(l_shape, spec) -> RefinementState:
 class TestBatchedMatchesScalar:
     def test_per_candidate_within_1e12(self, fractured_state):
         state = fractured_state
-        cost_integral = state.cost_integral().copy()
-        active_integral = state.active_integral().copy()
+        cost_integral = state.cost_integral()
+        active = state.active_pixels()
         candidates = state.gather_edge_moves(cost_integral)
         assert candidates, "expected candidates on an unrefined fracture"
-        batched = state.price_edge_moves(candidates, cost_integral, active_integral)
+        batched = state.price_edge_moves(candidates, cost_integral, active)
         for candidate, priced in zip(candidates, batched):
             oracle = state.edge_move_delta_cost(
                 candidate.index,
                 candidate.edge,
                 candidate.delta,
                 cost_integral,
-                active_integral,
+                active,
             )
             assert oracle is not None
             assert abs(priced - oracle) <= 1e-12
@@ -57,11 +57,11 @@ class TestBatchedMatchesScalar:
             state = RefinementState(shape, spec, shots)
             for _ in range(3):
                 greedy_shot_edge_adjustment(state)
-            cost_integral = state.cost_integral().copy()
-            active_integral = state.active_integral().copy()
+            cost_integral = state.cost_integral()
+            active = state.active_pixels()
             candidates = state.gather_edge_moves(cost_integral)
             batched = state.price_edge_moves(
-                candidates, cost_integral, active_integral
+                candidates, cost_integral, active
             )
             for candidate, priced in zip(candidates, batched):
                 oracle = state.edge_move_delta_cost(
@@ -69,7 +69,7 @@ class TestBatchedMatchesScalar:
                     candidate.edge,
                     candidate.delta,
                     cost_integral,
-                    active_integral,
+                    active,
                 )
                 assert abs(priced - oracle) <= 1e-12
 
@@ -78,15 +78,15 @@ class TestBatchedMatchesScalar:
         # is exactly zero on both sides, so it must not move any Δcost by
         # more than accumulated float noise.
         state = fractured_state
-        cost_integral = state.cost_integral().copy()
-        active_integral = state.active_integral().copy()
+        cost_integral = state.cost_integral()
+        active = state.active_pixels()
         for candidate in state.gather_edge_moves(cost_integral):
             cropped = state.edge_move_delta_cost(
                 candidate.index,
                 candidate.edge,
                 candidate.delta,
                 cost_integral,
-                active_integral,
+                active,
             )
             full = state.edge_move_delta_cost(
                 candidate.index, candidate.edge, candidate.delta, cost_integral
@@ -130,12 +130,12 @@ class TestProfileCacheTransparency:
         state = fractured_state
         recorder = TelemetryRecorder()
         with recording(recorder):
-            cost_integral = state.cost_integral().copy()
-            active_integral = state.active_integral().copy()
+            cost_integral = state.cost_integral()
+            active = state.active_pixels()
             candidates = state.gather_edge_moves(cost_integral)
-            state.price_edge_moves(candidates, cost_integral, active_integral)
+            state.price_edge_moves(candidates, cost_integral, active)
             misses_first = recorder.counters.get("cache.profile.misses", 0)
-            state.price_edge_moves(candidates, cost_integral, active_integral)
+            state.price_edge_moves(candidates, cost_integral, active)
             misses_second = recorder.counters.get("cache.profile.misses", 0)
             hits = recorder.counters.get("cache.profile.hits", 0)
         assert misses_first > 0
@@ -151,10 +151,10 @@ class TestProfileCacheTransparency:
         state.imap.clear_profile_cache()
         recorder = TelemetryRecorder()
         with recording(recorder):
-            cost_integral = state.cost_integral().copy()
-            active_integral = state.active_integral().copy()
+            cost_integral = state.cost_integral()
+            active = state.active_pixels()
             candidates = state.gather_edge_moves(cost_integral)
-            state.price_edge_moves(candidates, cost_integral, active_integral)
+            state.price_edge_moves(candidates, cost_integral, active)
         assert state.imap.profile_cache_size <= 8
         assert recorder.counters.get("cache.profile.evictions", 0) > 0
 

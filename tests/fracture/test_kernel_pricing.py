@@ -24,54 +24,54 @@ from repro.fracture.state import RefinementState
 def priced_inputs(l_shape, spec):
     shots, _ = approximate_fracture(l_shape, spec)
     state = RefinementState(l_shape, spec, shots)
-    cost_integral = state.cost_integral().copy()
-    active_integral = state.active_integral().copy()
+    cost_integral = state.cost_integral()
+    active = state.active_pixels()
     candidates = state.gather_edge_moves(cost_integral)
     assert candidates, "expected candidates on an unrefined fracture"
-    return state, candidates, cost_integral, active_integral
+    return state, candidates, cost_integral, active
 
 
 class TestFusedBitIdentity:
     def test_fused_kernel_equals_loop(self, priced_inputs, monkeypatch):
-        state, candidates, cost_integral, active_integral = priced_inputs
+        state, candidates, cost_integral, active = priced_inputs
         # Force the fused kernel for every batch.
         monkeypatch.setattr(state_module, "FUSED_BAND_LIMIT", sys.maxsize)
-        fused = state.price_edge_moves(candidates, cost_integral, active_integral)
+        fused = state.price_edge_moves(candidates, cost_integral, active)
         loop = state._price_edge_moves_loop(
-            candidates, cost_integral, active_integral
+            candidates, cost_integral, active
         )
         assert np.array_equal(fused, loop)
 
     def test_adaptive_fallback_equals_loop(self, priced_inputs, monkeypatch):
-        state, candidates, cost_integral, active_integral = priced_inputs
+        state, candidates, cost_integral, active = priced_inputs
         # Force the in-place scoring branch for every batch.
         monkeypatch.setattr(state_module, "FUSED_BAND_LIMIT", 0)
         fallback = state.price_edge_moves(
-            candidates, cost_integral, active_integral
+            candidates, cost_integral, active
         )
         loop = state._price_edge_moves_loop(
-            candidates, cost_integral, active_integral
+            candidates, cost_integral, active
         )
         assert np.array_equal(fallback, loop)
 
     def test_public_dispatch_identical_across_backends(self, priced_inputs):
-        state, candidates, cost_integral, active_integral = priced_inputs
-        priced = state.price_edge_moves(candidates, cost_integral, active_integral)
+        state, candidates, cost_integral, active = priced_inputs
+        priced = state.price_edge_moves(candidates, cost_integral, active)
         loop = state._price_edge_moves_loop(
-            candidates, cost_integral, active_integral
+            candidates, cost_integral, active
         )
         assert np.array_equal(priced, loop)
 
     def test_fused_matches_scalar_oracle(self, priced_inputs):
-        state, candidates, cost_integral, active_integral = priced_inputs
-        priced = state.price_edge_moves(candidates, cost_integral, active_integral)
+        state, candidates, cost_integral, active = priced_inputs
+        priced = state.price_edge_moves(candidates, cost_integral, active)
         for candidate, value in zip(candidates, priced):
             oracle = state.edge_move_delta_cost(
                 candidate.index,
                 candidate.edge,
                 candidate.delta,
                 cost_integral,
-                active_integral,
+                active,
             )
             assert oracle is not None
             assert abs(value - oracle) <= 1e-12

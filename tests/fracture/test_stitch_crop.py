@@ -1,15 +1,15 @@
 """Equivalence gates for the seam-band cost-field crop.
 
 A region-restricted ``RefinementState`` keeps its per-iteration
-cost/active fields cropped to the active-mask bounding box; with the
-crop helper patched out it works on the full grid, the reference path.
-The signed weight is exactly zero outside the active mask, so everything
-observable — failure masks, candidate gathering, candidate prices, and
-the shots a stitch produces — must agree across the two layouts.  Cost
-*sums* may differ in final ULPs (different pairwise-summation grouping
-over the same nonzero values), which is why the gate is at the
-shot/decision level with exact equality and at the scalar-cost level
-with 1e-12 closeness.
+cost field and pricing tables cropped to the active-mask bounding box;
+with the crop helper patched out it works on the full grid, the
+reference path.  The signed weight is exactly zero outside the active
+mask, so everything observable — failure masks, candidate gathering,
+candidate prices, and the shots a stitch produces — must agree across
+the two layouts.  Cost *sums* may differ in final ULPs (different
+pairwise-summation grouping over the same nonzero values), which is why
+the gate is at the shot/decision level with exact equality and at the
+scalar-cost level with 1e-12 closeness.
 """
 
 from __future__ import annotations
@@ -28,9 +28,10 @@ from repro.fracture.windowed import WindowedFracturer
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
 from repro.mask.shape import MaskShape
+from repro.obs import TelemetryRecorder, recording
 
 
-def _band_mask(shape, half_width: int = 6) -> np.ndarray:
+def _band_mask(shape, half_width: int = 40) -> np.ndarray:
     ny, nx = shape.grid.shape
     mask = np.zeros((ny, nx), dtype=bool)
     mid = nx // 2
@@ -65,14 +66,15 @@ class TestCroppedStateMatchesFull:
         assert np.array_equal(rep_c.fail_off, rep_f.fail_off)
         assert math.isclose(rep_c.cost, rep_f.cost, rel_tol=1e-12, abs_tol=1e-12)
 
-    def test_integral_lookups_identical_inside_mask(self, seam_states):
+    def test_integral_lookups_identical_inside_and_past_box(self, seam_states):
+        # Windows anywhere on the grid: inside the box, across its edge
+        # and past it.
         cropped, full = seam_states
         ci_c = cropped.cost_integral()
-        ci_f = full.cost_integral()
+        ci_f = full.dense_cost_integral()
         rng = np.random.default_rng(42)
         ny, nx = cropped.pixels.on.shape
-        r0, r1, c0, c1 = cropped._crop
-        for _ in range(50):
+        for _ in range(200):
             y0 = int(rng.integers(0, ny - 1))
             x0 = int(rng.integers(0, nx - 1))
             y1 = int(rng.integers(y0 + 1, ny + 1))
@@ -83,36 +85,87 @@ class TestCroppedStateMatchesFull:
 
     def test_gather_and_prices_identical(self, seam_states):
         cropped, full = seam_states
-        ci_c = cropped.cost_integral().copy()
-        ai_c = cropped.active_integral().copy()
-        ci_f = full.cost_integral().copy()
-        ai_f = full.active_integral().copy()
+        ci_c = cropped.cost_integral()
+        active_c = cropped.active_pixels()
+        ci_f = full.dense_cost_integral()
+        active_f = full.dense_active_pixels()
         cands_c = cropped.gather_edge_moves(ci_c)
         cands_f = full.gather_edge_moves(ci_f)
         key = lambda c: (c.index, c.edge, c.delta)
+        assert cands_c, "expected candidates inside the seam band"
         assert [key(c) for c in cands_c] == [key(c) for c in cands_f]
-        prices_c = cropped.price_edge_moves(cands_c, ci_c, ai_c)
-        prices_f = full._price_edge_moves_loop(cands_f, ci_f, ai_f)
-        assert np.array_equal(prices_c, prices_f)
+        for cand in cands_c:
+            assert active_c.crop(*cand.window) == active_f.crop(*cand.window)
+        prices_c = cropped.price_edge_moves(cands_c, ci_c, active_c)
+        prices_f = full._price_edge_moves_loop(cands_f, ci_f, active_f)
+        assert prices_c.tobytes() == prices_f.tobytes()
+
+
+def _bar(spec) -> MaskShape:
+    polygon = Polygon(
+        [Point(0, 0), Point(500, 0), Point(500, 40), Point(0, 40)]
+    )
+    return MaskShape.from_polygon(
+        polygon, pitch=spec.pitch, margin=spec.grid_margin, name="bar"
+    )
+
+
+def _plus(spec) -> MaskShape:
+    """Two crossing 240 nm arms: 2×2 tiles at 150 nm, so a vertical and
+    a horizontal seam band cross and the crop box is the whole grid."""
+    corners = [
+        (100, 0), (140, 0), (140, 100), (240, 100), (240, 140), (140, 140),
+        (140, 240), (100, 240), (100, 140), (0, 140), (0, 100), (100, 100),
+    ]
+    polygon = Polygon([Point(x, y) for x, y in corners])
+    return MaskShape.from_polygon(
+        polygon, pitch=spec.pitch, margin=spec.grid_margin, name="plus"
+    )
 
 
 class TestWindowedStitchShotIdentity:
-    def test_stitch_identical_across_backends(self, spec, scalar_references):
-        # Wide enough for several tiles so the seam-band stitch runs.
-        polygon = Polygon(
-            [Point(0, 0), Point(500, 0), Point(500, 40), Point(0, 40)]
-        )
-        bar = MaskShape.from_polygon(
-            polygon, pitch=spec.pitch, margin=spec.grid_margin, name="bar"
-        )
+    @pytest.mark.parametrize(
+        ("layout", "tiles"),
+        [
+            # 1-D tiling: the seam band's crop box is a narrow strip.
+            pytest.param(_bar, (4, 1), id="bar"),
+            # 2-D seam lattice: the crop box is the whole grid.
+            pytest.param(_plus, (2, 2), id="lattice"),
+        ],
+    )
+    def test_stitch_identical_across_backends(
+        self, spec, scalar_references, layout, tiles
+    ):
+        shape = layout(spec)
 
         def stitch():
             inner = ModelBasedFracturer(
                 config=RefineConfig(params=RefineParams(nmax=6, nh=3))
             )
             windowed = WindowedFracturer(inner, window_nm=150.0)
-            return [s.as_tuple() for s in windowed.fracture_shots(bar, spec)]
+            shots = [s.as_tuple() for s in windowed.fracture_shots(shape, spec)]
+            extra = windowed._last_extra
+            assert (extra["tiles_x"], extra["tiles_y"]) == tiles
+            assert extra["stitch_candidates_priced"] > 0
+            return shots
 
         shipped = stitch()
         with scalar_references():
             assert stitch() == shipped
+
+
+class TestStitchCandidateCount:
+    def test_count_does_not_depend_on_telemetry(self, spec):
+        inner = ModelBasedFracturer(
+            config=RefineConfig(params=RefineParams(nmax=20))
+        )
+        windowed = WindowedFracturer(inner, window_nm=150.0)
+        untraced = windowed.fracture(_bar(spec), spec).extra
+        recorder = TelemetryRecorder()
+        with recording(recorder):
+            traced = windowed.fracture(_bar(spec), spec).extra
+        assert untraced["stitch_iterations"] > 0
+        assert untraced["stitch_candidates_priced"] > 0
+        assert untraced["stitch_candidates_priced"] == \
+            traced["stitch_candidates_priced"] == \
+            recorder.counters["windowed.stitch_candidates_priced"]
