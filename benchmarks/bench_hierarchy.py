@@ -15,9 +15,11 @@ flows over the same placements:
   placement served from cache, zero fresh fractures.
 
 Recorded per layout: wall time, total shots, failing pixels, unique
-geometries vs instances, cache hit rates, bit-identity of the three
-shot lists, and the warm-vs-cold / vs-flattened speedups (the PR's
-acceptance bar: warm ≥ 5× faster than the cold run).
+geometries vs instances, fingerprints computed per flow (one per
+unique (cell, polygon, orientation), not one per placement), cache hit
+rates, bit-identity of the three shot lists, and the warm-vs-cold /
+vs-flattened speedups (the acceptance bar: warm ≥ 5× faster than the
+cold run).
 
 The default method is ``partition``: its fracture is a pure function
 of the local geometry, so template replay is bit-identical to the
@@ -28,8 +30,10 @@ legitimately differ in the last ulp (and a greedy near-tie can flip a
 shot's extension axis); with ``--method ours`` identity is still
 *recorded* but not gated.
 
-Standalone by design (no pytest-benchmark): CI runs it non-gating and
-diffs the JSON against the committed baseline.
+Standalone by design (no pytest-benchmark).  CI's ``hierarchy-cache``
+job gates on its exit code and asserts on the JSON (identity, hit
+rates, fingerprints, warm speedup); only its diff against the
+committed baseline is report-only.
 
     PYTHONPATH=src python benchmarks/bench_hierarchy.py \
         --out benchmarks/output/BENCH_hierarchy.json
@@ -117,6 +121,7 @@ def bench_layout(name, layout, method, store: Path) -> dict:
         "flattened": {
             "wall_s": flat_wall,
             "shots": flat_report.shot_count,
+            "fingerprints": flat_report.stats["fingerprints"],
             "failing": sum(
                 r.report.total_failing for r in flat_report.results
             ),
@@ -124,6 +129,7 @@ def bench_layout(name, layout, method, store: Path) -> dict:
         "cold": {
             "wall_s": cold_wall,
             "shots": cold_report.shot_count,
+            "fingerprints": stats["fingerprints"],
             "template_fractures": stats["template_fractures"],
             "cache_hits": stats["cache_hits"],
             "hit_rate": stats["hit_rate"],
@@ -133,6 +139,7 @@ def bench_layout(name, layout, method, store: Path) -> dict:
         "warm": {
             "wall_s": warm_wall,
             "shots": warm_report.shot_count,
+            "fingerprints": warm_report.stats["fingerprints"],
             "template_fractures": warm_report.stats["template_fractures"],
             "hit_rate": warm_report.stats["hit_rate"],
             "identical_to_flattened": shot_key(warm_report.shots) == flat_shots,

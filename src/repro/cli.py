@@ -327,7 +327,7 @@ def _run_layout(
         with _graceful_signals(), _telemetry(args, spec):
             report = fracture_layout(
                 layout, fracturer, spec,
-                cache=cache, hierarchy=args.hierarchy, verbose=False,
+                cache=cache, hierarchy=args.hierarchy,
             )
     except KeyboardInterrupt:
         print("interrupted — telemetry closed, checkpoints flushed",

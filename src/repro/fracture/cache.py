@@ -366,6 +366,14 @@ class FractureCache:
             self._entries.clear()
 
     def stats(self) -> dict[str, int]:
+        # List the store before taking the lock: the daemon reads stats
+        # after every job, and get/put must not wait on a directory
+        # listing that grows with the store.
+        disk_entries = (
+            sum(1 for _ in self.persist_dir.glob("*.json"))
+            if self.persist_dir is not None
+            else 0
+        )
         with self._lock:
             stats = {
                 "entries": len(self._entries),
@@ -374,9 +382,7 @@ class FractureCache:
             }
             if self.persist_dir is not None:
                 stats["disk_hits"] = self.disk_hits
-                stats["disk_entries"] = sum(
-                    1 for _ in self.persist_dir.glob("*.json")
-                )
+                stats["disk_entries"] = disk_entries
                 stats["corrupt_quarantined"] = self.corrupt_quarantined
                 stats["disk_evictions"] = self.disk_evictions
                 stats["disk_write_skips"] = self.disk_write_skips

@@ -1,6 +1,8 @@
 """Unit tests for the content-addressed fracture result cache."""
 
 import json
+import threading
+from pathlib import Path
 
 import pytest
 
@@ -167,6 +169,37 @@ class TestPersistence:
         assert cold.get(fp) is None
         (store / f"{fp}.json").write_text(json.dumps({"no": "shots"}))
         assert FractureCache(persist_dir=store).get(fp) is None
+
+    def test_stats_lists_the_store_outside_the_lock(
+        self, tmp_path, monkeypatch
+    ):
+        cache = FractureCache(persist_dir=tmp_path / "cache")
+        payload = result_to_payload(fracture(rect_poly()))
+        cache.put("fp", payload)
+        listing, release = threading.Event(), threading.Event()
+        glob = Path.glob
+
+        def blocked_glob(self, pattern):
+            listing.set()
+            release.wait(10)
+            return glob(self, pattern)
+
+        monkeypatch.setattr(Path, "glob", blocked_glob)
+        stats = threading.Thread(target=cache.stats, daemon=True)
+        stats.start()
+        assert listing.wait(10)
+        got = []
+        getter = threading.Thread(
+            target=lambda: got.append(cache.get("fp")), daemon=True
+        )
+        getter.start()
+        getter.join(timeout=1)
+        returned = not getter.is_alive()
+        release.set()
+        getter.join(timeout=10)
+        stats.join(timeout=10)
+        assert returned, "get waited for stats() to list the disk store"
+        assert got == [payload]
 
     def test_memoryless_stats_without_persist_dir(self):
         assert "disk_hits" not in FractureCache().stats()

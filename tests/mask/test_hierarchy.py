@@ -3,7 +3,7 @@ template sharing, and cache accounting."""
 
 import pytest
 
-from repro.fracture.cache import FractureCache
+from repro.fracture.cache import FractureCache, fingerprint_polygon
 from repro.geometry.polygon import Polygon
 from repro.mask.constraints import FractureSpec
 from repro.mask.gds import GdsCell, GdsRef, Layout, TARGET_LAYER
@@ -68,10 +68,55 @@ class TestTemplateSharing:
         # (the mirrored placement canonicalizes onto the plain one).
         assert stats["polygon_instances"] == 21
         assert stats["unique_geometries"] == 5
+        # One fingerprint per (cell, polygon, orientation): UNIT's two
+        # polygons plain, rotated and mirrored, plus TOP's square.
+        assert stats["fingerprints"] == 7
         assert stats["template_fractures"] == stats["unique_geometries"]
         assert stats["cache_hits"] == 16
         assert stats["hit_rate"] == pytest.approx(16 / 21)
         assert stats["mode"] == "hierarchy"
+
+    def test_fractional_placements_fingerprint_their_own_polygon(self):
+        """An AREF pitch of 200.5 puts the middle column at a fractional
+        x: its polygons are placed and fingerprinted one by one, while
+        the whole columns share one fingerprint per polygon."""
+        unit = GdsCell("UNIT", polygons=[
+            (TARGET_LAYER, Polygon([(0, 0), (120, 0), (120, 40), (0, 40)])),
+            (TARGET_LAYER, Polygon([(0, 60), (40, 60), (40, 120), (0, 120)])),
+        ])
+        top = GdsCell("TOP", refs=[
+            GdsRef.array("UNIT", origin=(0.0, 0.0), cols=3, rows=1,
+                         col_pitch=200.5, row_pitch=0.0),
+        ])
+        layout = Layout(cells={"UNIT": unit, "TOP": top}, top="TOP")
+        frac = make_fracturer("partition")
+        report = fracture_layout(layout, frac, SPEC)
+        assert report.stats["polygon_instances"] == 6
+        assert report.stats["fingerprints"] == 2 + 2
+        flat = fracture_layout(layout, frac, SPEC, hierarchy=False)
+        assert report.shots == flat.shots
+
+    def test_far_placement_keeps_its_own_winding(self):
+        """At 2^30 nm the float shoelace sum of a 40x1 nm bar rounds to
+        the other sign, so the placed copy canonicalizes to the reversed
+        loop, a geometry of its own.  The walk must fingerprint it as
+        placed rather than reuse the bar's memoized fingerprint."""
+        bar = GdsCell("BAR", polygons=[
+            (TARGET_LAYER, Polygon([(0, 0), (40, 0), (40, 1), (0, 1)])),
+        ])
+        top = GdsCell("TOP", refs=[
+            GdsRef("BAR", origin=(0.0, 0.0)),
+            GdsRef("BAR", origin=(2.0**30 + 7, 2.0**30 - 10)),
+        ])
+        layout = Layout(cells={"BAR": bar, "TOP": top}, top="TOP")
+        placed = {
+            fingerprint_polygon(polygon, SPEC, "partition")[0]
+            for _, polygon in placed_polygons(layout)
+        }
+        assert len(placed) == 2
+        report = fracture_layout(layout, make_fracturer("partition"), SPEC)
+        assert report.stats["unique_geometries"] == 2
+        assert report.stats["fingerprints"] == 2
 
     def test_flatten_mode_never_caches(self, layout):
         report = fracture_layout(
