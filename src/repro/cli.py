@@ -175,6 +175,7 @@ def _runtime_policy(args: argparse.Namespace):
         raise SystemExit("--resume requires --checkpoint DIR")
     tile_only = [
         ("--inject-fault", args.inject_fault),
+        ("--tile-retries", args.tile_retries is not None),
         ("--tile-timeout", args.tile_timeout),
         ("--heartbeat", getattr(args, "heartbeat", None)),
         ("--checkpoint", args.checkpoint),
@@ -185,7 +186,8 @@ def _runtime_policy(args: argparse.Namespace):
             raise SystemExit(
                 f"{flag} applies to the tiled executor; add --window-nm"
             )
-    if args.tile_retries < 0:
+    retries = 2 if args.tile_retries is None else args.tile_retries
+    if retries < 0:
         raise SystemExit("--tile-retries must be 0 or more")
     fault_plan = None
     if args.inject_fault:
@@ -195,7 +197,7 @@ def _runtime_policy(args: argparse.Namespace):
             raise SystemExit(str(error)) from None
     return RuntimePolicy(
         retry=RetryPolicy(
-            max_attempts=args.tile_retries + 1,
+            max_attempts=retries + 1,
             tile_deadline_s=args.tile_timeout,
         ),
         fault_plan=fault_plan,
@@ -236,7 +238,7 @@ def _add_window_arguments(parser: argparse.ArgumentParser) -> None:
 def _add_runtime_arguments(parser: argparse.ArgumentParser) -> None:
     """Fault-tolerance flags of the tiled executor (require --window-nm)."""
     parser.add_argument(
-        "--tile-retries", type=int, default=2, metavar="N",
+        "--tile-retries", type=int, metavar="N",
         help="retries per tile before degrading to the partition "
              "baseline (default 2)",
     )
@@ -813,10 +815,15 @@ def _load_payload(path: Path) -> dict:
 
 
 def _load_diffable(path: str) -> dict:
-    """Load one ``trace diff`` input: payload, stream or benchmark JSON."""
+    """Load one ``trace diff`` input: a telemetry payload or stream."""
     if not Path(path).exists():
         raise SystemExit(f"no such file: {path!r}")
-    return _load_payload(Path(path))
+    payload = _load_payload(Path(path))
+    try:
+        obs.payload_metrics(payload)
+    except ValueError as error:
+        raise SystemExit(f"{path}: {error}") from None
+    return payload
 
 
 def _cmd_trace_diff(args: argparse.Namespace) -> int:
@@ -1206,7 +1213,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_tail.set_defaults(func=_cmd_trace_tail)
     p_diff = trace_sub.add_parser(
-        "diff", help="compare two telemetry/benchmark runs for regressions"
+        "diff", help="compare two telemetry runs for regressions"
     )
     p_diff.add_argument("base", help="baseline file (.json/.jsonl)")
     p_diff.add_argument("head", help="candidate file (.json/.jsonl)")

@@ -95,9 +95,9 @@ class ErfLookupTable:
 
 _DEFAULT_LUT: ErfLookupTable | None = None
 # Concurrent jobs in the service daemon share the default table; the
-# lock makes the lazy build and the swap race-free.  The fast path
-# (table already built) reads one reference without locking — atomic
-# under the GIL — so per-evaluation cost is unchanged.
+# lock makes the lazy build race-free.  The fast path (table already
+# built) reads one reference without locking — atomic under the GIL —
+# so per-evaluation cost is unchanged.
 _DEFAULT_LUT_LOCK = threading.Lock()
 
 
@@ -117,20 +117,3 @@ def default_lut() -> ErfLookupTable:
             _DEFAULT_LUT = ErfLookupTable()
         return _DEFAULT_LUT
 
-
-def set_default_lut(lut: ErfLookupTable | None) -> ErfLookupTable | None:
-    """Swap the process-wide table; returns the previous one.
-
-    The LUT-resolution sweep benchmark uses this to re-run the same
-    fracture under tables of different ``(bound, samples)`` without
-    threading a table through every constructor.  Pass ``None`` to reset
-    to lazy default construction.  Existing :class:`IntensityMap`
-    instances keep the table they captured at construction.  The swap is
-    serialized against concurrent :func:`default_lut` builds, so readers
-    always observe either the old or the new table, never a torn state.
-    """
-    global _DEFAULT_LUT
-    with _DEFAULT_LUT_LOCK:
-        previous = _DEFAULT_LUT
-        _DEFAULT_LUT = lut
-        return previous

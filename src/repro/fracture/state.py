@@ -125,7 +125,8 @@ class ActiveIntegral:
 #: Mean cropped band size (pixels per candidate) up to which the fused
 #: gather/scatter scoring of :func:`clamped_band_sums` beats in-place
 #: slice scoring; batches with bulkier bands are scored per candidate.
-#: The measured crossover (``benchmarks/bench_kernels.py``).
+#: The crossover measured in ``benchmarks/output/BENCH_kernels.json``;
+#: both sides are bit-identical (``tests/fracture/test_kernel_pricing.py``).
 FUSED_BAND_LIMIT = 512
 
 

@@ -28,8 +28,8 @@ fractured fresh, and a repeat placement costs a dict lookup, a cache
 get and a shot translation.
 
 ``hierarchy=False`` runs the same loop with no cache — the flattened
-reference path with identical placement ordering, used by tests, the CI
-bit-identity gate and ``benchmarks/bench_hierarchy.py``.
+reference path with identical placement ordering, which the tests and
+the ``--flatten`` CLI flag use as the bit-identity reference.
 """
 
 from __future__ import annotations

@@ -1,19 +1,14 @@
-"""Regression diff of two telemetry payloads or benchmark JSON files.
+"""Regression diff of two telemetry runs.
 
 ``trace diff base.json head.json`` turns two runs into one verdict:
 
-1. each input is flattened into a set of named numeric metrics —
-   * a ``repro.obs/v1`` telemetry payload contributes per-phase wall/CPU
-     time (via :func:`repro.obs.summarize.phase_breakdown`), every
-     counter and gauge, and the total shot count of its ``tile_outcome``
-     events;
-   * a telemetry *stream* (``repro.obs.stream/v1`` JSONL) is folded into
-     a payload first (:func:`repro.obs.stream.stream_to_payload`);
-   * any other JSON document (the ``BENCH_*.json`` artifacts) is
-     flattened generically: numeric leaves become dotted paths, list
-     items are labelled by their identifying key (``layout`` / ``clip``
-     / ``name`` / ``workers`` / ``samples``) so reordering does not
-     misalign runs;
+1. each input is turned into a set of named numeric metrics — a
+   ``repro.obs/v1`` telemetry payload contributes per-phase wall/CPU
+   time (via :func:`repro.obs.summarize.phase_breakdown`), every
+   counter and gauge, and the total shot count of its ``tile_outcome``
+   events; a telemetry *stream* (``repro.obs.stream/v1`` JSONL) is
+   folded into a payload first (:func:`repro.obs.stream.stream_to_payload`).
+   Any other document is refused with a :class:`ValueError`;
 2. metrics present in both are compared; a metric **regresses** when
 
    * *time* (``…wall_s``): head exceeds base by more than
@@ -25,8 +20,7 @@
      more than ``count_rel`` relatively and by at least 1;
    * everything else is informational.
 
-The CLI exits nonzero when any metric regresses, which is what the
-non-gating CI bench jobs surface as a per-PR report.
+The CLI exits nonzero when any metric regresses.
 """
 
 from __future__ import annotations
@@ -51,7 +45,6 @@ KIND_COUNT = "count"
 KIND_INFO = "info"
 
 _COUNT_MARKERS = ("shots", "failing", "fallback", "undersize", "stall")
-_LIST_LABEL_KEYS = ("layout", "clip", "name", "tile", "benchmark")
 
 
 @dataclass(frozen=True)
@@ -99,11 +92,10 @@ class DiffResult:
 
 def classify_metric(name: str) -> str:
     """Kind of a metric from its dotted name (time / count / info)."""
-    leaf = name.rsplit(".", 1)[-1].lower()
-    if leaf.endswith("wall_s") or leaf == "runtime_s" or leaf == "wall":
-        return KIND_TIME
     lowered = name.lower()
-    if "eta" in lowered or "ewma" in lowered or "speedup" in lowered:
+    if lowered.endswith("wall_s"):
+        return KIND_TIME
+    if "eta" in lowered or "ewma" in lowered:
         return KIND_INFO
     if any(marker in lowered for marker in _COUNT_MARKERS):
         return KIND_COUNT
@@ -111,17 +103,15 @@ def classify_metric(name: str) -> str:
 
 
 def payload_metrics(payload: Any) -> dict[str, float]:
-    """Flatten one diffable document into named numeric metrics."""
-    if isinstance(payload, dict) and str(payload.get("schema", "")).startswith(
-        "repro.obs"
+    """Named numeric metrics of one telemetry payload."""
+    if not (
+        isinstance(payload, dict)
+        and str(payload.get("schema", "")).startswith("repro.obs")
     ):
-        return _telemetry_metrics(payload)
-    out: dict[str, float] = {}
-    _flatten(payload, "", out)
-    return out
-
-
-def _telemetry_metrics(payload: dict[str, Any]) -> dict[str, float]:
+        raise ValueError(
+            "not a telemetry payload: trace diff takes a --telemetry "
+            ".json export or a --stream .jsonl file"
+        )
     out: dict[str, float] = {}
     for entry in phase_breakdown(payload):
         prefix = f"phase.{entry['phase']}"
@@ -148,39 +138,6 @@ def _telemetry_metrics(payload: dict[str, Any]) -> dict[str, float]:
     return out
 
 
-def _item_label(item: dict[str, Any], index: int) -> str:
-    for key in _LIST_LABEL_KEYS:
-        value = item.get(key)
-        if isinstance(value, (str, int, float)) and not isinstance(value, bool):
-            return str(value)
-    for key in ("workers", "samples"):
-        value = item.get(key)
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            return f"{key[0]}{value:g}"
-    return str(index)
-
-
-def _flatten(obj: Any, prefix: str, out: dict[str, float]) -> None:
-    if isinstance(obj, bool) or obj is None:
-        return
-    if isinstance(obj, (int, float)):
-        if math.isfinite(obj):
-            out[prefix or "value"] = float(obj)
-        return
-    if isinstance(obj, dict):
-        for key, value in obj.items():
-            sub = f"{prefix}.{key}" if prefix else str(key)
-            _flatten(value, sub, out)
-        return
-    if isinstance(obj, (list, tuple)):
-        for index, item in enumerate(obj):
-            if isinstance(item, dict):
-                label = _item_label(item, index)
-            else:
-                label = str(index)
-            _flatten(item, f"{prefix}[{label}]" if prefix else f"[{label}]", out)
-
-
 def _regresses(
     kind: str, base: float, head: float, thresholds: DiffThresholds
 ) -> bool:
@@ -203,7 +160,7 @@ def diff_payloads(
     head: Any,
     thresholds: DiffThresholds | None = None,
 ) -> DiffResult:
-    """Compare two diffable documents metric by metric."""
+    """Compare two telemetry payloads metric by metric."""
     thresholds = thresholds if thresholds is not None else DiffThresholds()
     base_metrics = payload_metrics(base)
     head_metrics = payload_metrics(head)

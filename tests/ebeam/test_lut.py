@@ -85,24 +85,3 @@ class TestEvalConcat:
 class TestSharedInstance:
     def test_default_lut_is_cached(self):
         assert default_lut() is default_lut()
-
-    def test_set_default_lut_swaps_and_restores(self):
-        from repro.ebeam.lut import set_default_lut
-
-        coarse = ErfLookupTable(samples=101)
-        previous = set_default_lut(coarse)
-        try:
-            assert default_lut() is coarse
-        finally:
-            set_default_lut(previous)
-        assert default_lut() is not coarse
-
-    def test_set_default_lut_none_resets_to_lazy_default(self):
-        from repro.ebeam.lut import set_default_lut
-
-        previous = set_default_lut(None)
-        try:
-            fresh = default_lut()
-            assert fresh is default_lut()  # re-cached
-        finally:
-            set_default_lut(previous)

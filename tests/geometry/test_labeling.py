@@ -126,6 +126,21 @@ def _spiral_mask(n: int) -> np.ndarray:
     return mask
 
 
+def _layout_masks(size: int) -> list[tuple[str, np.ndarray]]:
+    """Whole-layout sizes: p=0.5 noise (thousands of components at
+    512²), chunky block noise, and long diagonal runs."""
+    rng = np.random.default_rng(20150607)
+    block = max(1, size // 64)
+    coarse = rng.random((size // block + 1, size // block + 1)) < 0.5
+    blocks = np.repeat(np.repeat(coarse, block, 0), block, 1)[:size, :size]
+    iy, ix = np.indices((size, size))
+    return [
+        (f"random_{size}", rng.random((size, size)) < 0.5),
+        (f"blocks_{size}", blocks),
+        (f"stripes_{size}", ((iy + ix) // 7) % 2 == 0),
+    ]
+
+
 class TestBackendBitIdentity:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -152,6 +167,8 @@ class TestBackendBitIdentity:
             ),
             ("spiral", _spiral_mask(25)),
             ("spiral_even", _spiral_mask(32)),
+            *_layout_masks(128),
+            *_layout_masks(512),
         ],
     )
     def test_adversarial_structures(self, name, mask):

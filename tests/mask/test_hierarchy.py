@@ -1,6 +1,8 @@
 """Hierarchy-aware fracturing: bit-identity with the flattened path,
 template sharing, and cache accounting."""
 
+import time
+
 import pytest
 
 from repro.fracture.cache import FractureCache, fingerprint_polygon
@@ -26,6 +28,27 @@ def layout() -> Layout:
                      col_pitch=200.0, row_pitch=200.0),
         GdsRef("UNIT", origin=(1000.0, 0.0), rotation=90),
         GdsRef("UNIT", origin=(1000.0, 400.0), mirror_x=True),
+    ])
+    return Layout(cells={"UNIT": unit, "TOP": top}, top="TOP")
+
+
+def arrayed_layout(cols: int, rows: int) -> Layout:
+    """A ``cols×rows`` AREF of a bar/contact/L unit cell, plus one
+    rotated and one mirrored placement of it."""
+    unit = GdsCell("UNIT", polygons=[
+        (TARGET_LAYER, Polygon([(0, 0), (120, 0), (120, 40), (0, 40)])),
+        (TARGET_LAYER, Polygon([(160, 0), (200, 0), (200, 40), (160, 40)])),
+        (TARGET_LAYER, Polygon(
+            [(0, 60), (80, 60), (80, 100), (40, 100), (40, 140), (0, 140)]
+        )),
+    ])
+    pitch = 260.0
+    top = GdsCell("TOP", refs=[
+        GdsRef.array("UNIT", origin=(0.0, 0.0), cols=cols, rows=rows,
+                     col_pitch=pitch, row_pitch=pitch),
+        GdsRef("UNIT", origin=(cols * pitch + 200.0, 0.0), rotation=90),
+        GdsRef("UNIT", origin=(cols * pitch + 200.0, rows * pitch),
+               mirror_x=True),
     ])
     return Layout(cells={"UNIT": unit, "TOP": top}, top="TOP")
 
@@ -152,3 +175,35 @@ class TestTemplateSharing:
         assert frac.cache is sentinel
         # The hook was not consulted (the layout loop drives its own).
         assert sentinel.stats()["hits"] == 0 and sentinel.stats()["misses"] == 0
+
+
+class TestArrayedLayoutWarmCache:
+    def test_warm_run_replays_everything_at_least_5x_faster(self, tmp_path):
+        """81 placements fractured cold into an on-disk cache, then warm
+        from it with a fresh in-memory cache: both match the flattened
+        run, and the warm run fractures nothing (best of 3 each)."""
+        layout = arrayed_layout(5, 5)
+        frac = make_fracturer("partition")
+        flat = fracture_layout(layout, frac, SPEC, hierarchy=False)
+
+        def timed(store):
+            cache = FractureCache(max_entries=4096, persist_dir=store)
+            start = time.perf_counter()
+            report = fracture_layout(layout, frac, SPEC, cache=cache)
+            return report, time.perf_counter() - start
+
+        colds, warms = [], []
+        for i in range(3):
+            colds.append(timed(tmp_path / f"store{i}"))
+            warms.append(timed(tmp_path / f"store{i}"))
+        for report, _ in colds + warms:
+            assert report.shots == flat.shots
+            assert report.stats["hit_rate"] >= 0.9
+        for report, _ in colds:
+            # 3 unit polygons × 3 orientations, not one per placement.
+            assert report.stats["fingerprints"] <= 9
+        for report, _ in warms:
+            assert report.stats["template_fractures"] == 0
+        cold_s = min(wall for _, wall in colds)
+        warm_s = min(wall for _, wall in warms)
+        assert cold_s >= 5 * warm_s, (cold_s, warm_s)

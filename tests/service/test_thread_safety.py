@@ -2,11 +2,11 @@
 
 Concurrent service jobs share the default erf LUT and the installed
 profile bank.  Before the locks landed, two jobs racing the lazy
-default-LUT build could each construct a table (one leaked) or, worse,
-observe a half-swapped module global during a ``set_default_lut``.
-These tests hammer the same interleavings from many threads; they are
-timing-sensitive by nature, so they assert invariants (exactly one
-table, no exceptions, bit-identical physics) rather than schedules.
+default-LUT build could each construct a table (one leaked), and a
+reader racing ``set_profile_bank`` could observe a half-swapped module
+global.  These tests hammer the same interleavings from many threads;
+they are timing-sensitive by nature, so they assert invariants (exactly
+one table, no exceptions, bit-identical physics) rather than schedules.
 """
 
 from __future__ import annotations
@@ -22,59 +22,25 @@ from repro.ebeam.intensity_map import (
     get_profile_bank,
     set_profile_bank,
 )
-from repro.ebeam.lut import ErfLookupTable, default_lut, set_default_lut
+from repro.ebeam import lut as lut_module
+from repro.ebeam.lut import ErfLookupTable, default_lut
 
 THREADS = 16
 
 
 class TestDefaultLutRaces:
-    def test_concurrent_first_build_yields_one_table(self):
-        previous = set_default_lut(None)  # force the lazy-build path
-        try:
-            barrier = threading.Barrier(THREADS)
+    def test_concurrent_first_build_yields_one_table(self, monkeypatch):
+        # Force the lazy-build path; monkeypatch restores the table.
+        monkeypatch.setattr(lut_module, "_DEFAULT_LUT", None)
+        barrier = threading.Barrier(THREADS)
 
-            def build() -> ErfLookupTable:
-                barrier.wait()  # maximise the racing window
-                return default_lut()
+        def build() -> ErfLookupTable:
+            barrier.wait()  # maximise the racing window
+            return default_lut()
 
-            with ThreadPoolExecutor(THREADS) as pool:
-                tables = list(pool.map(lambda _: build(), range(THREADS)))
-            assert all(table is tables[0] for table in tables)
-        finally:
-            set_default_lut(previous)
-
-    def test_swap_race_never_exposes_torn_state(self):
-        """Readers racing set_default_lut see a whole table, old or new."""
-        previous = set_default_lut(None)
-        tables = [ErfLookupTable(samples=2001) for _ in range(4)]
-        candidates = {id(t) for t in tables}
-        stop = threading.Event()
-        seen_foreign: list[int] = []
-
-        def reader() -> None:
-            while not stop.is_set():
-                lut = default_lut()
-                # Every observed table is either one of ours or a
-                # freshly lazy-built default — never garbage.
-                if id(lut) not in candidates and lut.key != (5.0, 20001):
-                    seen_foreign.append(id(lut))
-                float(lut(0.5))  # usable, not half-initialised
-
-        try:
-            readers = [threading.Thread(target=reader) for _ in range(4)]
-            for thread in readers:
-                thread.start()
-            for _ in range(50):
-                for table in tables:
-                    set_default_lut(table)
-            stop.set()
-            for thread in readers:
-                thread.join(timeout=10)
-                assert not thread.is_alive()
-            assert seen_foreign == []
-        finally:
-            stop.set()
-            set_default_lut(previous)
+        with ThreadPoolExecutor(THREADS) as pool:
+            tables = list(pool.map(lambda _: build(), range(THREADS)))
+        assert all(table is tables[0] for table in tables)
 
 
 class TestProfileBankRaces:

@@ -54,6 +54,32 @@ class TestParser:
         with pytest.raises(SystemExit, match="--window-nm"):
             main(["fracture", "--clip", "ILT-1", "--checkpoint", "ckpt"])
 
+    @pytest.mark.parametrize("retries", ["0", "5"])
+    @pytest.mark.parametrize(
+        "command",
+        [["fracture", "--clip", "ILT-1", "--method", "partition"],
+         ["mdp", "clips.json", "--method", "partition"]],
+        ids=["fracture", "mdp"],
+    )
+    def test_tile_retries_requires_window(self, command, retries):
+        with pytest.raises(SystemExit) as caught:
+            main([*command, "--tile-retries", retries])
+        assert str(caught.value) == (
+            "--tile-retries applies to the tiled executor; add --window-nm"
+        )
+
+    @pytest.mark.parametrize("command", [["fracture"], ["mdp", "clips.json"]])
+    def test_tile_retries_sets_attempts_with_window(self, command):
+        from repro.cli import _runtime_policy
+
+        def attempts(*flags):
+            argv = [*command, "--window-nm", "300", *flags]
+            return _runtime_policy(build_parser().parse_args(argv)).retry.max_attempts
+
+        assert attempts() == 3
+        assert attempts("--tile-retries", "5") == 6
+        assert attempts("--tile-retries", "0") == 1
+
     def test_bad_fault_spec_rejected(self, capsys):
         with pytest.raises(SystemExit, match="bad fault spec"):
             main(
@@ -457,7 +483,20 @@ class TestTraceTail:
 
 
 class TestTraceDiff:
-    def _write(self, tmp_path, name, payload):
+    def _write(self, tmp_path, name, counters=None, wall_s=None):
+        """A ``--telemetry`` payload holding ``counters`` and, with
+        ``wall_s``, one span of that wall time."""
+        from repro.obs import TelemetryRecorder
+
+        rec = TelemetryRecorder()
+        if wall_s is not None:
+            with rec.span("a"):
+                pass
+        for key, value in (counters or {}).items():
+            rec.incr(key, value)
+        payload = rec.export()
+        if wall_s is not None:
+            payload["spans"]["children"][0]["wall_s"] = wall_s
         path = tmp_path / name
         path.write_text(json.dumps(payload))
         return str(path)
@@ -476,8 +515,8 @@ class TestTraceDiff:
         assert "verdict: REGRESSED" in out
 
     def test_thresholds_are_adjustable(self, tmp_path, capsys):
-        base = self._write(tmp_path, "base.json", {"a": {"wall_s": 1.0}})
-        head = self._write(tmp_path, "head.json", {"a": {"wall_s": 1.5}})
+        base = self._write(tmp_path, "base.json", wall_s=1.0)
+        head = self._write(tmp_path, "head.json", wall_s=1.5)
         assert main(["trace", "diff", base, head]) == 1
         capsys.readouterr()
         assert main(
@@ -503,6 +542,16 @@ class TestTraceDiff:
         with pytest.raises(SystemExit, match="no such file"):
             main(["trace", "diff", str(tmp_path / "a.json"),
                   str(tmp_path / "b.json")])
+
+    def test_other_json_is_refused_in_one_line(self, tmp_path):
+        bench = tmp_path / "BENCH_x.json"
+        bench.write_text(json.dumps({"benchmark": "x", "total_shots": 100}))
+        payload = self._write(tmp_path, "run.json", {"total_shots": 100})
+        with pytest.raises(SystemExit) as caught:
+            main(["trace", "diff", payload, str(bench)])
+        message = str(caught.value)
+        assert "BENCH_x.json: not a telemetry payload" in message
+        assert "\n" not in message
 
 
 class TestHierarchyCli:
@@ -562,7 +611,9 @@ class TestHierarchyCli:
             "--clip-file", str(layout_gds),
             "--fracture-cache", str(cache_dir),
         ])
-        assert "hit_rate=100.0%" in capsys.readouterr().out
+        warm = capsys.readouterr().out
+        assert "shots, 0 fractured fresh" in warm
+        assert "hit_rate=100.0%" in warm
 
     def test_flatten_matches_hierarchy_shots(self, layout_gds, tmp_path, capsys):
         from repro.cli import main
