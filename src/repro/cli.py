@@ -28,7 +28,7 @@ Sub-commands:
 Every run and job carries a trace context: ``--telemetry``/``--stream``
 runs mint a trace id locally, and ``job submit`` mints one client-side
 that the daemon persists on the job record — the same trace id stamps
-every span, stream record, heartbeat and checkpoint line across worker
+every span, stream record, heartbeat and stored tile across worker
 processes and daemon restarts, and ``trace export`` carries it into
 the exported profile.  ``--profile [SECONDS]`` (with ``--telemetry``)
 attaches a sampling profiler whose collapsed stacks land in the
@@ -49,14 +49,12 @@ flagged before the per-tile deadline fires.
 
 With ``--window-nm`` the tiled executor additionally accepts the
 fault-tolerance flags ``--tile-retries`` / ``--tile-timeout`` /
-``--checkpoint DIR`` / ``--resume`` / ``--inject-fault`` (see
-:mod:`repro.fracture.runtime`): an interrupted run re-invoked with
-``--checkpoint DIR --resume`` replays completed tiles from the journal
-bit-identically and re-executes only the rest.  Those flags need
-``--window-nm`` on ``mdp`` too.  An interrupted ``mdp`` batch resumes
-by re-running it against the same ``--fracture-cache DIR``: each shape
-is stored there as soon as it finishes, and the re-run replays the
-finished shapes bit-identically.
+``--inject-fault`` (see :mod:`repro.fracture.runtime`); those flags
+need ``--window-nm`` on ``mdp`` too.  Every interrupted run resumes the
+same way: run it again against the same ``--fracture-cache DIR``.  Each
+shape is stored there as soon as it finishes, and with ``--window-nm``
+so is each settled tile; the re-run replays them bit-identically and
+fractures only the rest.
 """
 
 from __future__ import annotations
@@ -72,11 +70,16 @@ from pathlib import Path
 
 from repro import obs
 from repro.fracture.base import Fracturer
-from repro.fracture.runtime import CheckpointMismatch
 from repro.mask.constraints import FractureSpec
 from repro.mask.io import load_clips, save_clips, save_solution
 from repro.mask.shape import MaskShape
 from repro.methods import make_fracturer, method_names
+
+
+_INTERRUPTED = (
+    "interrupted — telemetry closed; re-run against the same "
+    "--fracture-cache DIR to resume"
+)
 
 
 def _make_fracturer(name: str) -> Fracturer:
@@ -93,8 +96,9 @@ def _graceful_signals():
     Long ``fracture`` / ``mdp`` runs then share one shutdown path for
     Ctrl-C and ``kill``: the exception unwinds through ``_telemetry``,
     which closes the live stream with ``status="interrupted"``, and
-    past the checkpoint journal, whose completed-tile lines are already
-    fsynced — so a re-run with ``--resume`` continues bit-identically.
+    past the ``--fracture-cache`` store, whose finished shapes and
+    settled tiles are already on disk — so a re-run against the same
+    store continues bit-identically.
     Restores the previous handler; a no-op off the main thread.
     """
     if threading.current_thread() is not threading.main_thread():
@@ -171,20 +175,25 @@ def _runtime_policy(args: argparse.Namespace):
     """Build the tiled executor's fault-tolerance policy from CLI flags."""
     from repro.fracture.runtime import FaultPlan, RetryPolicy, RuntimePolicy
 
-    if args.resume and not args.checkpoint:
-        raise SystemExit("--resume requires --checkpoint DIR")
     tile_only = [
         ("--inject-fault", args.inject_fault),
         ("--tile-retries", args.tile_retries is not None),
         ("--tile-timeout", args.tile_timeout),
-        ("--heartbeat", getattr(args, "heartbeat", None)),
-        ("--checkpoint", args.checkpoint),
-        ("--resume", args.resume),
+        ("--heartbeat", args.heartbeat),
     ]
     for flag, value in tile_only:
         if value and not args.window_nm:
             raise SystemExit(
                 f"{flag} applies to the tiled executor; add --window-nm"
+            )
+    # One worker runs tiles inline: no deadline, no heartbeat monitor.
+    for flag, value in (
+        ("--tile-timeout", args.tile_timeout),
+        ("--heartbeat", args.heartbeat),
+    ):
+        if value and args.workers < 2:
+            raise SystemExit(
+                f"{flag} needs a tile pool; add --workers 2 or more"
             )
     retries = 2 if args.tile_retries is None else args.tile_retries
     if retries < 0:
@@ -201,26 +210,32 @@ def _runtime_policy(args: argparse.Namespace):
             tile_deadline_s=args.tile_timeout,
         ),
         fault_plan=fault_plan,
-        checkpoint_dir=args.checkpoint,
-        resume=args.resume,
-        heartbeat_s=getattr(args, "heartbeat", None),
+        heartbeat_s=args.heartbeat,
     )
 
 
-def _maybe_windowed(fracturer: Fracturer, args: argparse.Namespace) -> Fracturer:
-    """Wrap the method in the tiled executor when ``--window-nm`` is set."""
+def _build_fracturer(args: argparse.Namespace):
+    """The requested method, tiled when ``--window-nm`` is set, and the
+    ``--fracture-cache`` store attached to it (``None`` without one).
+
+    Finished shapes go to the store, and with ``--window-nm`` so does
+    each settled tile: one DIR holds both, so an interrupted run resumes
+    by running it again against the same DIR.
+    """
     runtime = _runtime_policy(args)
-    window_nm = getattr(args, "window_nm", None)
-    if not window_nm:
-        return fracturer
-    from repro.fracture.windowed import WindowedFracturer
+    fracturer = _make_fracturer(args.method)
+    cache = _fracture_cache(args)
+    if args.window_nm:
+        from repro.fracture.windowed import WindowedFracturer
 
-    return WindowedFracturer(
-        fracturer,
-        window_nm=window_nm,
-        workers=getattr(args, "workers", 1) or 1,
-        runtime=runtime,
-    )
+        runtime.store = cache
+        fracturer = WindowedFracturer(
+            fracturer, window_nm=args.window_nm, workers=args.workers,
+            runtime=runtime,
+        )
+    if cache is not None:
+        fracturer.cache = cache
+    return fracturer, cache
 
 
 def _add_window_arguments(parser: argparse.ArgumentParser) -> None:
@@ -245,18 +260,8 @@ def _add_runtime_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--tile-timeout", type=_positive_float, metavar="SECONDS",
         help="per-tile deadline; an overrunning tile is killed and "
-             "retried (needs --workers > 1)",
-    )
-    parser.add_argument(
-        "--checkpoint", metavar="DIR",
-        help="journal completed tiles to DIR/<shape>.tiles.jsonl so an "
-             "interrupted run can be resumed (finished shapes of a batch "
-             "resume from --fracture-cache instead)",
-    )
-    parser.add_argument(
-        "--resume", action="store_true",
-        help="replay completed tiles from the --checkpoint journal and "
-             "re-execute only the rest (bit-identical result)",
+             "retried (needs --workers > 1; a run with a single tile "
+             "runs it inline, with no deadline)",
     )
     parser.add_argument(
         "--inject-fault", action="append", metavar="TILE:ACTION[:TIMES]",
@@ -276,8 +281,9 @@ def _add_cache_argument(parser: argparse.ArgumentParser) -> None:
         "--fracture-cache", metavar="DIR",
         help="content-addressed on-disk fracture cache: results keyed by "
              "canonical geometry + spec + method + window are reused "
-             "across shapes, runs and the service daemon (re-running an "
-             "interrupted batch against the same DIR resumes it)",
+             "across shapes, runs and the service daemon; with "
+             "--window-nm each settled tile is stored too, so re-running "
+             "an interrupted run against the same DIR resumes it",
     )
 
 
@@ -310,7 +316,10 @@ def _is_gds(path: str | None) -> bool:
 
 
 def _run_layout(
-    args: argparse.Namespace, spec: FractureSpec, fracturer: Fracturer
+    args: argparse.Namespace,
+    spec: FractureSpec,
+    fracturer: Fracturer,
+    cache,
 ) -> int:
     """Fracture a hierarchical GDSII layout (``fracture``/``mdp`` path)."""
     from repro.mask.gds import GdsError, read_layout
@@ -322,9 +331,6 @@ def _run_layout(
         layout = read_layout(clip_file)
     except GdsError as error:
         raise SystemExit(f"{clip_file}: {error}") from None
-    cache = _fracture_cache(args)
-    if cache is not None:
-        fracturer.cache = cache
     try:
         with _graceful_signals(), _telemetry(args, spec):
             report = fracture_layout(
@@ -332,8 +338,7 @@ def _run_layout(
                 cache=cache, hierarchy=args.hierarchy,
             )
     except KeyboardInterrupt:
-        print("interrupted — telemetry closed, checkpoints flushed",
-              file=sys.stderr)
+        print(_INTERRUPTED, file=sys.stderr)
         return 130
     print(report.summary())
     stats = report.stats
@@ -418,8 +423,8 @@ def _telemetry(args: argparse.Namespace, spec: FractureSpec):
         return
     manifest = obs.run_manifest(spec=spec, argv=sys.argv[1:])
     # One trace context per invocation: minted here, stamped on the
-    # manifest, every stream record, checkpoint line and worker-side
-    # span — the offline twin of the service's submit-time trace.
+    # manifest, every stream record, stored tile and worker-side span —
+    # the offline twin of the service's submit-time trace.
     trace = obs.mint_trace()
     stream = (
         obs.TelemetryStream(stream_path, trace_id=trace.trace_id)
@@ -461,7 +466,7 @@ def _telemetry(args: argparse.Namespace, spec: FractureSpec):
 
 def _cmd_fracture(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
-    fracturer = _maybe_windowed(_make_fracturer(args.method), args)
+    fracturer, cache = _build_fracturer(args)
     if _is_gds(args.clip_file):
         if args.svg or args.gds:
             raise SystemExit(
@@ -471,10 +476,7 @@ def _cmd_fracture(args: argparse.Namespace) -> int:
             )
         if args.clip:
             raise SystemExit("--clip does not apply to GDSII layout input")
-        return _run_layout(args, spec, fracturer)
-    cache = _fracture_cache(args)
-    if cache is not None:
-        fracturer.cache = cache
+        return _run_layout(args, spec, fracturer, cache)
     if args.clip_file:
         clips = load_clips(args.clip_file)
         if args.clip and args.clip not in clips:
@@ -495,8 +497,7 @@ def _cmd_fracture(args: argparse.Namespace) -> int:
         with _graceful_signals(), _telemetry(args, spec):
             _fracture_shapes(args, spec, fracturer, shapes)
     except KeyboardInterrupt:
-        print("interrupted — telemetry closed, checkpoints flushed",
-              file=sys.stderr)
+        print(_INTERRUPTED, file=sys.stderr)
         return 130
     return 0
 
@@ -603,16 +604,13 @@ def _cmd_mdp(args: argparse.Namespace) -> int:
     from repro.mask.mdp import MdpPipeline
 
     spec = _spec_from_args(args)
-    fracturer = _maybe_windowed(_make_fracturer(args.method), args)
+    fracturer, cache = _build_fracturer(args)
     if _is_gds(args.clip_file):
         if args.baseline:
             raise SystemExit(
                 "--baseline is not supported for hierarchical GDSII input"
             )
-        return _run_layout(args, spec, fracturer)
-    cache = _fracture_cache(args)
-    if cache is not None:
-        fracturer.cache = cache
+        return _run_layout(args, spec, fracturer, cache)
     clips = load_clips(args.clip_file)
     shapes = [
         MaskShape.from_polygon(poly, pitch=spec.pitch,
@@ -631,8 +629,7 @@ def _cmd_mdp(args: argparse.Namespace) -> int:
                 verbose=True,
             )
     except KeyboardInterrupt:
-        print("interrupted — telemetry closed, checkpoints flushed",
-              file=sys.stderr)
+        print(_INTERRUPTED, file=sys.stderr)
         return 130
     print(
         f"batch: {report.total_shots} shots over {len(report.results)} shapes, "
@@ -974,7 +971,6 @@ def _cmd_job_submit(args: argparse.Namespace) -> int:
             tile_workers=args.workers,
             spec=spec,
             use_result_cache=not args.no_cache,
-            checkpoint=not args.no_checkpoint,
         )
         print(job_id)
         print(
@@ -1347,7 +1343,10 @@ def build_parser() -> argparse.ArgumentParser:
     limits_group.add_argument(
         "--job-rss-budget-mb", type=_positive_float, default=None,
         metavar="MB",
-        help="cancel jobs whose worker RSS exceeds this (heartbeat-based)",
+        help="cancel running jobs once the daemon process's RSS exceeds "
+             "this (read from the job heartbeats, which the daemon writes; "
+             "tile-pool workers are not counted, so crossing it flags "
+             "every running job at once)",
     )
     limits_group.add_argument(
         "--watchdog-interval", type=_positive_float, default=None,
@@ -1362,9 +1361,9 @@ def build_parser() -> argparse.ArgumentParser:
     limits_group.add_argument(
         "--disk-floor-mb", type=_nonnegative_float, default=None,
         metavar="MB",
-        help="refuse checkpoint/result/cache writes (typed disk_full "
-             "failure, LRU cache eviction) when free space drops below "
-             "this",
+        help="when free space drops below this, fail result writes "
+             "(typed disk_full failure) and evict LRU cache entries, "
+             "then skip cache and tile-store writes",
     )
     _add_cache_argument(p_serve)
     p_serve.set_defaults(func=_cmd_serve)
@@ -1393,10 +1392,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_submit.add_argument(
         "--no-cache", action="store_true",
         help="bypass the daemon's content-addressed result cache",
-    )
-    p_submit.add_argument(
-        "--no-checkpoint", action="store_true",
-        help="skip the per-job tile checkpoint journal",
     )
     p_submit.add_argument(
         "--wait", type=_positive_float, nargs="?", const=3600.0,
@@ -1438,8 +1433,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_state_dir_argument(p_shutdown)
     p_shutdown.add_argument(
         "--mode", choices=("drain", "interrupt"), default="drain",
-        help="drain finishes running jobs; interrupt checkpoints and "
-             "requeues them for the next daemon (default drain)",
+        help="drain finishes running jobs; interrupt stops them at the "
+             "next tile or clip and requeues them for the next daemon "
+             "(default drain)",
     )
     p_shutdown.set_defaults(func=_cmd_job_shutdown)
 
@@ -1461,12 +1457,7 @@ def main(argv: list[str] | None = None) -> int:
     # default silent) logging so progress lands on stderr.
     obs.enable_console_logging()
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except CheckpointMismatch as error:
-        # --resume against a journal from a different run is a usage
-        # error: exit with its one-line message, not a traceback.
-        raise SystemExit(str(error)) from None
+    return args.func(args)
 
 
 if __name__ == "__main__":

@@ -25,7 +25,6 @@ from repro.fracture.corner_points import CornerType, ShotCornerPoint, extract_co
 from repro.fracture.graph_color import GraphColoringFracturer, build_compatibility_graph
 from repro.fracture.pipeline import ModelBasedFracturer, RefineConfig
 from repro.fracture.runtime import (
-    CheckpointJournal,
     FaultPlan,
     PoolBroken,
     RetryPolicy,
@@ -40,7 +39,6 @@ from repro.fracture.tiling import Tile, TilePlan, plan_tiles
 from repro.fracture.windowed import WindowedFracturer
 
 __all__ = [
-    "CheckpointJournal",
     "CornerType",
     "FaultPlan",
     "FractureCache",

@@ -12,17 +12,21 @@ key format) backs
 * the hierarchy layer (:mod:`repro.mask.hierarchy`) — the thousandth
   placement of a cell costs a lookup plus a translation,
 * the windowed/tiled executor — re-runs of a windowed layout reuse the
-  finished result wholesale, and
+  finished result wholesale, and each settled tile is stored too, so
+  an interrupted tiled run resumes by running it again against the
+  same store, and
 * the service's :class:`~repro.service.caches.WarmCaches`, whose
   result cache is a :class:`FractureCache`.
 
-**Key.**  :func:`canonical_fingerprint` is the single fingerprint
-function for every layer, hashing the version-tagged JSON of (clip
-vertices, spec, method, window).
-:func:`fingerprint_polygon` feeds it *canonical* geometry — the
-translation-normalized, ordering-canonical vertex loop from
-:func:`repro.geometry.polygon.canonical_form` — so a clip and its
-translate share one entry.
+**Keys.**  There are two fingerprint functions.  Shapes are keyed by
+:func:`canonical_fingerprint`, hashing the version-tagged JSON of (clip
+vertices, spec, method, window); :func:`fingerprint_polygon` feeds it
+*canonical* geometry — the translation-normalized, ordering-canonical
+vertex loop from :func:`repro.geometry.polygon.canonical_form` — so a
+clip and its translate share one entry.  Tiles are keyed by
+:func:`tile_fingerprint`, which is exact, not placement-invariant: it
+hashes everything one tile's fracture reads, in place, so a stored tile
+replays only into the tile it came from.
 
 **Frames.**  Entries remember the frame offset the stored shots were
 produced in (``payload["frame"]``, the canonical→stored translation).
@@ -81,8 +85,8 @@ def evict_lru(
     deterministically even when free space is shimmed (chaos tests) or
     statvfs lags the unlink.  When everything matching ``pattern`` is
     gone and the floor still cannot be met, the caller decides whether
-    to fail loudly (journal/result writes) or skip quietly (best-effort
-    cache puts).
+    to fail loudly (result writes) or skip quietly (best-effort cache
+    puts).
     """
     directory = Path(directory)
     free = disk_free_bytes(directory)
@@ -116,6 +120,7 @@ __all__ = [
     "fingerprint_polygon",
     "result_to_payload",
     "result_from_payload",
+    "tile_fingerprint",
     "translate_shots",
 ]
 
@@ -137,9 +142,8 @@ def canonical_fingerprint(
     Everything that can change the shot list is in the key; everything
     that cannot (priority, telemetry, worker count — the tiled merge is
     worker-count-invariant) is out, so the cache hits exactly when a
-    recomputation would be bit-identical.  This is the only fingerprint
-    function in the tree, so library and service hashes can never
-    drift.
+    recomputation would be bit-identical.  Library and service share
+    this one shape key, so their hashes can never drift.
     """
     spec = _spec_dict(spec)
     # `c + 0.0` coerces integer coordinates to floats and collapses -0.0
@@ -173,6 +177,42 @@ def fingerprint_polygon(
     """
     vertices, offset = canonical_form(polygon)
     return canonical_fingerprint(vertices, spec, method, window_nm), offset
+
+
+def tile_fingerprint(
+    method: str,
+    spec: FractureSpec | dict[str, float],
+    tile: Any,
+    subs: list[Any],
+) -> str:
+    """Exact content address of one tile's fracture.
+
+    Hashes every input of ``fracture_tile(inner, tile, subs, spec)``:
+    the inner method's cache-key name, the spec, the tile's core (the
+    only part of the tile that ownership reads) and, per sub-shape, its
+    grid and packed pixel mask — the sub-shape's polygon is traced from
+    that mask and its name is not an input.  Deliberately not
+    translation-invariant: a stored tile replays only in place.
+    """
+    spec = _spec_dict(spec)
+    header = {
+        "v": 1,
+        "kind": "tile",
+        "method": method,
+        "spec": {k: spec[k] for k in sorted(spec)},
+        "core": [c + 0.0 for c in tile.core.as_tuple()],
+        "subs": [
+            [s.grid.x0 + 0.0, s.grid.y0 + 0.0, s.grid.pitch + 0.0,
+             s.grid.nx, s.grid.ny]
+            for s in subs
+        ],
+    }
+    digest = hashlib.sha256(
+        json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    )
+    for sub in subs:
+        digest.update(np.packbits(sub.inside).tobytes())
+    return digest.hexdigest()
 
 
 # -- payload conversion ------------------------------------------------------
@@ -496,8 +536,8 @@ class FractureCache:
                 free = disk_free_bytes(self.persist_dir)
                 if free is not None and free - len(blob) < self.min_free_bytes:
                     # The floor cannot be met even with an empty store;
-                    # skip the write rather than breach it.  (Journal and
-                    # result writes fail *loudly* in this state — cache
+                    # skip the write rather than breach it.  (Result
+                    # writes fail *loudly* in this state — cache
                     # persistence alone is best effort.)
                     self.disk_write_skips += 1
                     return

@@ -23,11 +23,12 @@ every completed tile.  This module wraps the per-tile work of
   baseline for that tile and is flagged (``windowed.tile_fallbacks``,
   the run manifest, :attr:`TileOutcome.fallback`) instead of failing
   the run;
-* an **atomic JSONL checkpoint journal** (:class:`CheckpointJournal`):
-  every completed tile is appended (write + flush + fsync) as one JSON
-  line, so an interrupted run resumed with ``--resume`` replays the
-  completed tiles from disk bit-identically and re-executes only the
-  rest;
+* a **tile store** (:attr:`RuntimePolicy.store`, a
+  :class:`~repro.fracture.cache.FractureCache`): every tile whose model
+  run succeeds is stored under its exact content key
+  (:func:`~repro.fracture.cache.tile_fingerprint`), so running an
+  interrupted run again against the same store replays the settled
+  tiles bit-identically and re-executes only the rest;
 * a **deterministic failure-injection hook** (:class:`FaultPlan`):
   crash / hang / raise on named tiles, armed per attempt, with a
   seeded random-subset constructor — usable from tests and the CLI
@@ -43,8 +44,6 @@ are explicitly flagged.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 import random
 import shutil
@@ -55,24 +54,15 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
+from repro.fracture.cache import FractureCache, tile_fingerprint
 from repro.geometry.rect import Rect
 from repro.mask.constraints import FractureSpec
+from repro.mask.io import rect_from_list, rect_to_list
 from repro.mask.shape import MaskShape
-from repro.obs import (
-    TelemetryRecorder,
-    atomic_write_text,
-    get_recorder,
-    recording,
-)
-from repro.obs.resources import (
-    HeartbeatMonitor,
-    HeartbeatWriter,
-    ensure_disk_space,
-)
+from repro.obs import TelemetryRecorder, get_recorder, recording
+from repro.obs.resources import HeartbeatMonitor, HeartbeatWriter
 
 __all__ = [
-    "CheckpointJournal",
-    "CheckpointMismatch",
     "FaultPlan",
     "FaultSpec",
     "InjectedCrash",
@@ -125,11 +115,12 @@ class RunInterrupted(RuntimeError):
     """A graceful-shutdown hook stopped the run between tile settlements.
 
     Raised when :attr:`RuntimePolicy.stop_check` returns true.  The run
-    stops at a *clean* point: every settled tile has its checkpoint
-    journal line flushed and fsynced, no tile is half-recorded, and the
-    pool is torn down by the normal cleanup path — so re-running with
-    ``resume`` replays the completed tiles bit-identically and executes
-    only the rest.  ``done`` / ``total`` report how far the run got.
+    stops at a *clean* point: every settled tile is already in the
+    store (when there is one), no tile is half-recorded, and the pool
+    is torn down by the normal cleanup path — so running again against
+    the same store replays the completed tiles bit-identically and
+    executes only the rest.  ``done`` / ``total`` report how far the
+    run got.
     """
 
     def __init__(self, done: int, total: int):
@@ -288,27 +279,27 @@ class RuntimePolicy:
     ``stop_check`` is the graceful-shutdown hook: a zero-argument
     callable polled between tile settlements.  When it returns true the
     runner raises :class:`RunInterrupted` at the next clean point —
-    after the in-flight settlements are journaled, before new work is
+    after the in-flight settlements are stored, before new work is
     started — so a daemon draining on SIGTERM can requeue the job and
     resume it bit-identically later.
+
+    ``store`` is where settled tiles go and where a run looks them up
+    first: each tile whose model run succeeded is stored under its
+    exact content key; fallback tiles are never stored, so a store
+    shared across runs holds only results a fault-free run would
+    produce.  ``None`` runs every tile.
     """
 
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     fault_plan: FaultPlan | None = None
-    checkpoint_dir: str | Path | None = None
-    resume: bool = False
+    store: FractureCache | None = None
     heartbeat_s: float | None = None
     stall_after_s: float | None = None
     stop_check: Callable[[], bool] | None = None
-    #: Free-disk floor (bytes) enforced before every checkpoint append;
-    #: ``None`` disables the guard.  Threaded from the service's
-    #: ``ServiceLimits.disk_floor_bytes`` so a daemon job on a full disk
-    #: fails with a typed error instead of journaling torn lines.
-    disk_floor_bytes: int | None = None
     #: Trace context dict (``{"trace_id", ...}``) correlating this run
-    #: with its submitter; stamped on the checkpoint journal, every
-    #: worker heartbeat and every worker-side span.  ``None`` falls back
-    #: to the installed recorder's manifest trace (the executor path).
+    #: with its submitter; stamped on every stored tile, every worker
+    #: heartbeat and every worker-side span.  ``None`` falls back to the
+    #: installed recorder's manifest trace (the executor path).
     trace: dict[str, Any] | None = None
 
 
@@ -365,186 +356,6 @@ class RunStats:
             "tile_fallbacks": self.tile_fallbacks,
             "tiles_replayed": self.tiles_replayed,
         }
-
-
-# -- checkpoint journal ------------------------------------------------------
-
-
-class CheckpointMismatch(ValueError):
-    """An existing journal belongs to a different run configuration."""
-
-
-class CheckpointJournal:
-    """Atomic per-tile JSONL checkpoint of one tiled run.
-
-    Line 1 is a header carrying the *run key* (shape, spec, window size,
-    tile fingerprint); every further line is one completed tile with its
-    exact shot list.  Appends write one full line, flush and fsync, so a
-    crash mid-write loses at most the trailing partial line — which the
-    loader ignores.  JSON round-trips Python floats exactly, so replayed
-    tiles are bit-identical to their original execution.
-    """
-
-    SCHEMA = "repro.checkpoint/v1"
-
-    def __init__(
-        self,
-        path: Path,
-        run_key: dict[str, Any],
-        min_free_bytes: int | None = None,
-        trace_id: str | None = None,
-    ):
-        self.path = Path(path)
-        self.run_key = run_key
-        self.completed: dict[str, dict[str, Any]] = {}
-        #: Disk floor: appends below it raise
-        #: :class:`repro.obs.DiskFullError` *before* touching the file,
-        #: so a full disk fails the run loudly instead of leaving a torn
-        #: journal that a later ``--resume`` would silently truncate.
-        self.min_free_bytes = min_free_bytes
-        #: Trace id stamped on the header and every tile line so the
-        #: journal joins the run's correlated trace.  Deliberately *not*
-        #: part of the run key: a resumed attempt carries the same
-        #: trace_id, but even a divergent one must never block replay.
-        self.trace_id = trace_id
-
-    @classmethod
-    def open(
-        cls,
-        path: str | Path,
-        run_key: dict[str, Any],
-        resume: bool = False,
-        min_free_bytes: int | None = None,
-        trace_id: str | None = None,
-    ) -> "CheckpointJournal":
-        """Open (resuming) or start (overwriting) a journal at ``path``.
-
-        With ``resume`` an existing journal is loaded and validated
-        against ``run_key`` (:class:`CheckpointMismatch` on conflict); a
-        missing file simply starts a fresh run.  Without ``resume`` any
-        existing journal is truncated.
-        """
-        journal = cls(
-            Path(path), run_key, min_free_bytes=min_free_bytes,
-            trace_id=trace_id,
-        )
-        journal.path.parent.mkdir(parents=True, exist_ok=True)
-        if resume and journal.path.exists():
-            journal._load()
-        else:
-            journal._write_header()
-        return journal
-
-    def _header_line(self) -> dict[str, Any]:
-        header = {"kind": "header", "schema": self.SCHEMA, "run_key": self.run_key}
-        if self.trace_id:
-            header["trace_id"] = self.trace_id
-        return header
-
-    def _write_header(self) -> None:
-        ensure_disk_space(self.path.parent, self.min_free_bytes)
-        header = self._header_line()
-        with open(self.path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(header) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-
-    def _load(self) -> None:
-        lines = self.path.read_text(encoding="utf-8").splitlines()
-        if not lines:
-            self._write_header()
-            return
-        try:
-            header = json.loads(lines[0])
-        except json.JSONDecodeError:
-            header = None
-        if not isinstance(header, dict):
-            # The header line itself is torn (crash before the first
-            # fsync landed): a crash artifact, not a different run.
-            # Quarantine the corpse for inspection and start fresh —
-            # every tile recomputes, bit-identically.
-            try:
-                os.replace(
-                    self.path, self.path.with_suffix(self.path.suffix + ".bad")
-                )
-            except OSError:
-                pass
-            self._write_header()
-            return
-        if header.get("kind") != "header" or header.get("schema") != self.SCHEMA:
-            raise CheckpointMismatch(f"{self.path}: not a {self.SCHEMA} journal")
-        if header.get("run_key") != self.run_key:
-            raise CheckpointMismatch(
-                f"{self.path}: journal belongs to a different run "
-                f"(shape/spec/window/tiling changed); delete it or drop --resume"
-            )
-        torn = False
-        for line in lines[1:]:
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                # Partial line from an interrupted (or truncated) append.
-                torn = True
-                continue
-            if record.get("kind") == "tile" and "tile" in record:
-                self.completed[record["tile"]] = record
-        if torn:
-            # Heal before any append: a new record written after a torn
-            # partial line would concatenate onto it, poisoning the
-            # *next* resume.  Rewrite header + settled tiles atomically.
-            self._rewrite()
-
-    def _rewrite(self) -> None:
-        records = [self._header_line(), *self.completed.values()]
-        atomic_write_text(
-            self.path, "".join(json.dumps(r) + "\n" for r in records)
-        )
-
-    def record(self, outcome: TileOutcome) -> None:
-        """Append one completed tile — atomically, then fsync.
-
-        Checked against the disk floor first: a full disk surfaces as a
-        typed :class:`repro.obs.DiskFullError` with zero bytes written,
-        never as a torn line.
-        """
-        ensure_disk_space(self.path.parent, self.min_free_bytes)
-        record = {
-            "kind": "tile",
-            "tile": outcome.tile_name,
-            "status": "fallback" if outcome.fallback else "ok",
-            "attempts": outcome.attempts,
-            "shots": [list(shot.as_tuple()) for shot in outcome.shots],
-        }
-        if self.trace_id:
-            record["trace_id"] = self.trace_id
-        if outcome.error:
-            record["error"] = outcome.error
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(record) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-
-    def replay(self, index: int, tile_name: str) -> TileOutcome | None:
-        """Outcome of ``tile_name`` from the journal, or ``None``."""
-        record = self.completed.get(tile_name)
-        if record is None:
-            return None
-        return TileOutcome(
-            index=index,
-            tile_name=tile_name,
-            ok=True,
-            shots=[Rect(*vals) for vals in record.get("shots", ())],
-            attempts=int(record.get("attempts", 1)),
-            fallback=record.get("status") == "fallback",
-            replayed=True,
-            error=record.get("error"),
-        )
-
-
-def run_key_fingerprint(run_key: dict[str, Any]) -> str:
-    """Short stable digest of a run key (manifest/debug convenience)."""
-    blob = json.dumps(run_key, sort_keys=True).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()[:16]
 
 
 # -- tile work ---------------------------------------------------------------
@@ -696,7 +507,7 @@ class _TileRunner:
         workers: int,
         retry: RetryPolicy,
         fault_plan: FaultPlan | None,
-        journal: CheckpointJournal | None,
+        store: FractureCache | None,
         telemetry_enabled: bool,
         fallback: Callable[[Any, list[MaskShape], FractureSpec], list[Rect]],
         heartbeat_s: float | None = None,
@@ -710,7 +521,7 @@ class _TileRunner:
         self.workers = workers
         self.retry = retry
         self.fault_plan = fault_plan
-        self.journal = journal
+        self.store = store
         self.telemetry_enabled = telemetry_enabled
         self.fallback = fallback
         self.heartbeat_s = heartbeat_s
@@ -723,10 +534,26 @@ class _TileRunner:
         self.stats = RunStats()
         self.outcomes: list[TileOutcome | None] = [None] * len(jobs)
         self.pending: list[_Pending] = []
+        # Store keys, computed here in the parent only: pool workers
+        # never see the store.  Cores differ, so no two tiles of one
+        # run share a key and completion order cannot change a replay.
+        method = getattr(inner, "cache_method", None) or inner.name
+        self.keys = [
+            tile_fingerprint(method, spec, tile, subs) if store is not None
+            else None
+            for tile, subs in jobs
+        ]
         for idx, (tile, _subs) in enumerate(jobs):
-            replayed = journal.replay(idx, tile.name) if journal else None
-            if replayed is not None:
-                self.outcomes[idx] = replayed
+            stored = store.get(self.keys[idx]) if store is not None else None
+            if stored is not None:
+                self.outcomes[idx] = TileOutcome(
+                    index=idx,
+                    tile_name=tile.name,
+                    ok=True,
+                    shots=[rect_from_list(v) for v in stored["shots"]],
+                    attempts=int(stored.get("attempts", 1)),
+                    replayed=True,
+                )
                 self.stats.tiles_replayed += 1
                 self.obs.incr("windowed.tiles_replayed")
             else:
@@ -798,8 +625,13 @@ class _TileRunner:
             worker_pid=worker_pid,
         )
         self.outcomes[p.idx] = outcome
-        if self.journal is not None:
-            self.journal.record(outcome)
+        if self.store is not None:
+            self.store.put(self.keys[p.idx], {
+                "tile": outcome.tile_name,
+                "shots": [rect_to_list(shot) for shot in shots],
+                "attempts": p.attempt,
+                "trace_id": (self.trace or {}).get("trace_id"),
+            })
         if p.attempt > 1:
             self.obs.event("tile_recovered", **outcome.to_record())
         wall_s = time.monotonic() - p.started if p.started else None
@@ -849,8 +681,6 @@ class _TileRunner:
             error=reason.splitlines()[0],
         )
         self.outcomes[p.idx] = outcome
-        if self.journal is not None:
-            self.journal.record(outcome)
         self.obs.event("tile_fallback", **outcome.to_record())
         self._note_progress(outcome, time.monotonic() - started)
 
@@ -887,7 +717,7 @@ class _TileRunner:
         """Raise :class:`RunInterrupted` when the shutdown hook fires.
 
         Only called between settlements, so every completed tile is
-        already journaled and no partial state escapes.
+        already stored and no partial state escapes.
         """
         if self.stop_check is not None and self.stop_check():
             self.obs.event(
@@ -1136,7 +966,7 @@ def run_tiles(
     workers: int = 1,
     retry: RetryPolicy | None = None,
     fault_plan: FaultPlan | None = None,
-    journal: CheckpointJournal | None = None,
+    store: FractureCache | None = None,
     telemetry_enabled: bool = False,
     fallback: Callable[[Any, list[MaskShape], FractureSpec], list[Rect]]
     | None = None,
@@ -1161,7 +991,7 @@ def run_tiles(
         workers=workers,
         retry=retry if retry is not None else RetryPolicy(),
         fault_plan=fault_plan,
-        journal=journal,
+        store=store,
         telemetry_enabled=telemetry_enabled,
         fallback=fallback if fallback is not None else partition_fallback,
         heartbeat_s=heartbeat_s,

@@ -23,23 +23,18 @@ Tile execution is fault-tolerant (:mod:`repro.fracture.runtime`): a
 worker crash, hang or infeasible tile is retried with backoff, the
 pool is respawned when it breaks, a tile that exhausts its retries
 degrades to the deterministic partition baseline (flagged, never
-fatal), and an optional JSONL checkpoint journal lets an interrupted
-run resume bit-identically (``--checkpoint`` / ``--resume``).
+fatal), and an optional tile store (``--fracture-cache DIR``) lets an
+interrupted run resume bit-identically: run it again against the same
+store.
 """
 
 from __future__ import annotations
-
-from pathlib import Path
 
 import numpy as np
 
 from repro.fracture.base import Fracturer
 from repro.fracture.refine import RefineParams, refine
-from repro.fracture.runtime import (
-    CheckpointJournal,
-    RuntimePolicy,
-    run_tiles,
-)
+from repro.fracture.runtime import RuntimePolicy, run_tiles
 from repro.fracture.tiling import (
     Tile,
     TilePlan,
@@ -69,10 +64,9 @@ class WindowedFracturer(Fracturer):
     ``runtime`` configures the fault-tolerant execution layer
     (:mod:`repro.fracture.runtime`): per-tile retry/backoff, per-tile
     deadlines, pool recovery, the partition-baseline degradation
-    ladder, fault injection and the JSONL checkpoint journal behind
-    the CLI's ``--checkpoint``/``--resume``.  ``None`` means the
-    default :class:`~repro.fracture.runtime.RetryPolicy` with no
-    checkpointing and no injected faults.
+    ladder, fault injection and the tile store.  ``None`` means the
+    default :class:`~repro.fracture.runtime.RetryPolicy` with no store
+    and no injected faults.
     """
 
     name = "WINDOWED"
@@ -126,7 +120,7 @@ class WindowedFracturer(Fracturer):
             tiles_y=plan.tiles_y, workers=self.workers,
         ):
             jobs = self._plan_jobs(shape, spec, plan)
-            collected, exec_info = self._execute(shape, spec, plan, jobs)
+            collected, exec_info = self._execute(shape, spec, jobs)
             obs.incr("windowed.tiles", len(plan))
             obs.incr("windowed.tiles_used", exec_info["tiles_used"])
             stitched, stitch_info = self._stitch(shape, spec, plan, collected)
@@ -161,15 +155,14 @@ class WindowedFracturer(Fracturer):
         self,
         shape: MaskShape,
         spec: FractureSpec,
-        plan: TilePlan,
         jobs: list[tuple[Tile, list[MaskShape]]],
     ) -> tuple[list[Rect], dict]:
         """Fracture all tile jobs and merge owned shots in tile order.
 
         Execution goes through the fault-tolerant runtime layer
         (:func:`repro.fracture.runtime.run_tiles`): per-tile retries,
-        deadlines, pool recovery, fallback degradation and the
-        checkpoint journal all live there.  The merge is deterministic
+        deadlines, pool recovery, fallback degradation and the tile
+        store all live there.  The merge is deterministic
         regardless of worker count, retries or resume: outcomes come
         back in row-major tile order and each tile's output depends
         only on its own sub-shapes.
@@ -179,15 +172,6 @@ class WindowedFracturer(Fracturer):
         # the installed recorder's manifest carries (the CLI/daemon
         # paths both stamp it there).
         trace = self.runtime.trace or getattr(obs, "trace", None)
-        journal = None
-        if self.runtime.checkpoint_dir is not None:
-            journal = CheckpointJournal.open(
-                Path(self.runtime.checkpoint_dir) / f"{shape.name}.tiles.jsonl",
-                run_key=self._run_key(shape, spec, plan, jobs),
-                resume=self.runtime.resume,
-                min_free_bytes=self.runtime.disk_floor_bytes,
-                trace_id=(trace or {}).get("trace_id"),
-            )
         outcomes, stats = run_tiles(
             jobs,
             inner=self.inner,
@@ -195,7 +179,7 @@ class WindowedFracturer(Fracturer):
             workers=self.workers,
             retry=self.runtime.retry,
             fault_plan=self.runtime.fault_plan,
-            journal=journal,
+            store=self.runtime.store,
             telemetry_enabled=obs.enabled,
             heartbeat_s=self.runtime.heartbeat_s,
             stall_after_s=self.runtime.stall_after_s,
@@ -222,27 +206,6 @@ class WindowedFracturer(Fracturer):
             **stats.as_dict(),
         }])
         return collected, info
-
-    def _run_key(
-        self,
-        shape: MaskShape,
-        spec: FractureSpec,
-        plan: TilePlan,
-        jobs: list[tuple[Tile, list[MaskShape]]],
-    ) -> dict:
-        """Checkpoint-compatibility key: same key ⇒ same tile results."""
-        return {
-            "shape": shape.name,
-            "inner": self.inner.name,
-            "window_nm": self.window_nm,
-            "spec": [spec.sigma, spec.gamma, spec.pitch, spec.rho, spec.lmin],
-            "tiles_x": plan.tiles_x,
-            "tiles_y": plan.tiles_y,
-            "jobs": [
-                [tile.name, len(subs), list(tile.core.as_tuple())]
-                for tile, subs in jobs
-            ],
-        }
 
     # -- stitching ----------------------------------------------------------
 

@@ -17,7 +17,7 @@ The measurement substrate for the fracturing pipeline:
   stream records, written as ``.json`` (or a convergence ``.csv``) by
   ``--telemetry`` and rendered by ``trace summarize``;
 * a **trace context** (:class:`TraceContext`) correlating every span,
-  stream line, heartbeat and checkpoint record of one logical run
+  stream line, heartbeat and stored tile of one logical run
   across processes and daemon restarts, with chrome-trace / speedscope
   exporters (:mod:`repro.obs.flame`) and Prometheus text exposition
   (:mod:`repro.obs.metrics`).

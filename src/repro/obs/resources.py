@@ -72,7 +72,7 @@ class DiskFullError(OSError):
     """Free disk space under a configured floor — the write was refused.
 
     Raised *before* any bytes hit the file, so callers never leave a
-    torn checkpoint/journal/result behind; the job carrying the write
+    torn result file behind; the job carrying the write
     fails loudly with a typed error instead.
     """
 

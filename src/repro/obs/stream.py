@@ -10,10 +10,10 @@ is the run's complete telemetry: every ``repro.obs/v1`` payload — the
 recorder's own :meth:`~repro.obs.TelemetryRecorder.export` included —
 is :func:`stream_to_payload` folded over the run's records.
 
-Durability contract (same as the checkpoint journal): records are
-serialized to whole lines and written with a single ``write`` call
-followed by a flush, so concurrent writer threads interleave at line
-granularity and a crash tears at most the trailing line.  Readers
+Durability contract: records are serialized to whole lines and
+written with a single ``write`` call followed by a flush, so concurrent
+writer threads interleave at line granularity and a crash tears at
+most the trailing line.  Readers
 (:func:`read_stream`, :func:`follow_stream`) skip torn or undecodable
 lines instead of raising.  The stream is *observational only* — nothing
 in the fracturing pipeline reads it back, so enabling it cannot change

@@ -2,7 +2,7 @@
 
 The observability pieces — spans (:mod:`repro.obs.recorder`), JSONL
 streams (:mod:`repro.obs.stream`), heartbeats
-(:mod:`repro.obs.resources`), checkpoint journals
+(:mod:`repro.obs.resources`), stored tiles
 (:mod:`repro.fracture.runtime`) — each record *their* process's view of
 a run.  What joins them is a :class:`TraceContext`: a ``trace_id``
 minted once at the outermost caller (the CLI command or
@@ -13,7 +13,7 @@ minted once at the outermost caller (the CLI command or
 * the durable :class:`~repro.service.jobs.JobRecord` (so the id
   survives daemon restarts and joins both attempts of a resumed job),
 * the executor's recorder manifest, live stream (every line is stamped
-  ``trace_id``), heartbeat files and checkpoint journal lines,
+  ``trace_id``), heartbeat files and stored tile entries,
 * pool-worker initializers, so worker-side heartbeats and merged
   worker span trees carry the same id.
 

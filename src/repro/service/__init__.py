@@ -2,7 +2,7 @@
 
 PRs 1–5 built every hard piece of a service as library code: a
 streaming JSONL event bus, worker heartbeats with stall detection,
-checkpoint/resume journals, retry/degradation ladders.  This package
+a content-addressed result store, retry/degradation ladders.  This package
 composes them behind a persistent asyncio daemon so a batch MDP
 workload stops paying process startup and cold caches per clip:
 
@@ -11,7 +11,7 @@ workload stops paying process startup and cold caches per clip:
   managed worker pool behind a bounded priority queue (FIFO within
   priority, backpressure when full), and survives restarts: queued and
   in-flight jobs are recovered from the state directory and resumed
-  from their checkpoint journals bit-identically.
+  from their stored tiles bit-identically.
 * :class:`ServiceClient` (:mod:`repro.service.client`) — the thin
   synchronous client behind ``repro job submit/status/result/cancel``.
 * :class:`WarmCaches` (:mod:`repro.service.caches`) — daemon-lifetime
@@ -23,7 +23,7 @@ Every job owns a directory under ``<state>/jobs/<id>/`` holding its
 manifest (``job.json``), its telemetry stream (``stream.jsonl``,
 viewable live with ``trace tail <job-id> --follow``; its fold is the
 job's telemetry payload, as ``trace export <job-id>`` renders it),
-checkpoint journals and the final ``result.json``.
+its tile store (``ckpt/``) and the final ``result.json``.
 
 The daemon does not trust its clients: :mod:`repro.service.guard`
 bounds what a submission may ask for (:class:`ServiceLimits`,

@@ -7,16 +7,16 @@ from its seed.  The harness knows five faults — the ones the hardening
 work defends against:
 
 ``kill_daemon``      SIGKILL mid-operation (no atexit, no cleanup);
-                     recovery must resume bit-identically from
-                     journals.
+                     recovery must resume bit-identically from the
+                     stored tiles.
 ``disk_full``        free-space shim via
                      :func:`repro.obs.set_disk_free_override` (or the
                      ``REPRO_CHAOS_DISK_FREE`` env var for subprocess
                      daemons); guarded writers must fail typed, never
                      torn.
-``corrupt_cache``    flip bytes in an on-disk cache entry / journal
-``corrupt_journal``  line; readers must quarantine or skip, never
-                     crash or serve garbage.
+``corrupt_cache``    flip bytes in an on-disk cache entry (a stored
+                     tile is one too); readers must quarantine or
+                     skip, never crash or serve garbage.
 ``stall_client``     hold a half-written request line open; the read
                      deadline must reclaim the handler.
 ``flood``            submit far past the rate limit; healthy clients
@@ -57,7 +57,6 @@ CHAOS_ACTIONS = (
     "kill_daemon",
     "disk_full",
     "corrupt_cache",
-    "corrupt_journal",
     "stall_client",
     "flood",
 )

@@ -262,7 +262,6 @@ class ServiceClient:
         tile_workers: int = 1,
         spec: dict[str, float] | None = None,
         use_result_cache: bool = True,
-        checkpoint: bool = True,
         idempotent: bool = True,
         trace: TraceContext | dict[str, Any] | None = None,
     ) -> str:
@@ -279,7 +278,7 @@ class ServiceClient:
         dict form); when omitted a fresh one is minted, so every
         submission is traceable.  The accepted trace id comes back in
         :attr:`last_trace_id` and stamps the job record, every stream
-        line, heartbeat and checkpoint of every attempt.
+        line, heartbeat and stored tile of every attempt.
         """
         job = {
             "name": name,
@@ -290,7 +289,6 @@ class ServiceClient:
             "tile_workers": tile_workers,
             "spec": spec or {},
             "use_result_cache": use_result_cache,
-            "checkpoint": checkpoint,
         }
         payload: dict[str, Any] = {"op": "submit", "job": job}
         if trace is None:

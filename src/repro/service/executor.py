@@ -14,10 +14,13 @@ and composes the pieces the earlier PRs built:
   fracture *and* verification: the stored verdict was computed from
   scratch on identical inputs), and every ``IntensityMap`` built on a
   miss attaches to the warm profile bank automatically;
-* the fault-tolerant tiled runtime — windowed jobs get a checkpoint
-  journal under the job directory and a ``stop_check`` wired to the
-  daemon's shutdown/cancel events, so SIGTERM checkpoints mid-clip and
-  the resumed attempt replays settled tiles bit-identically.
+* the fault-tolerant tiled runtime — windowed jobs get their own tile
+  store under the job directory and a ``stop_check`` wired to the
+  daemon's shutdown/cancel events, so SIGTERM stops mid-clip and the
+  next attempt replays the settled tiles bit-identically.  The store
+  is per job, not the shared result cache: resume works without
+  ``serve --fracture-cache``, and tile entries never churn the warm
+  result cache.
 
 Cancellation and interruption surface as typed exceptions
 (:class:`JobCancelled`, :class:`JobInterrupted`) so the server can map
@@ -32,7 +35,7 @@ import time
 from typing import Any
 
 from repro.fracture.base import FractureResult
-from repro.fracture.cache import result_to_payload
+from repro.fracture.cache import FractureCache, result_to_payload
 from repro.fracture.runtime import RunInterrupted, RuntimePolicy
 from repro.fracture.windowed import WindowedFracturer
 from repro.geometry.point import Point
@@ -70,7 +73,7 @@ class JobCancelled(Exception):
 
 
 class JobInterrupted(Exception):
-    """The daemon is shutting down; the job checkpointed and can resume."""
+    """The daemon is shutting down; the job stopped and can resume."""
 
 
 class JobControl:
@@ -122,20 +125,25 @@ def _build_spec(fields: dict[str, float]) -> FractureSpec:
 def _make_runner(
     job: dict[str, Any],
     paths: JobPaths,
-    resume: bool,
     control: JobControl,
     trace: dict[str, Any] | None = None,
 ):
-    """Instantiate the fracturer a job asked for (windowed when sized)."""
+    """Instantiate the fracturer a job asked for (windowed when sized).
+
+    A windowed job stores its settled tiles in its own store under the
+    job directory, whatever the attempt: entries are content-keyed, so
+    a later attempt replays exactly the tiles whose inputs are unchanged.
+    """
     inner = make_fracturer(job["method"])
     window_nm = job.get("window_nm")
     if window_nm is None:
         return inner
     runtime = RuntimePolicy(
-        checkpoint_dir=paths.checkpoint_dir if job.get("checkpoint") else None,
-        resume=resume,
+        store=FractureCache(
+            persist_dir=paths.checkpoint_dir,
+            min_free_bytes=control.disk_floor_bytes,
+        ),
         stop_check=control.should_stop,
-        disk_floor_bytes=control.disk_floor_bytes,
         trace=trace,
     )
     return WindowedFracturer(
@@ -167,7 +175,7 @@ def execute_job(
     """Run one job to completion; returns the ``result.json`` payload.
 
     Raises :class:`JobCancelled` / :class:`JobInterrupted` when stopped
-    (telemetry stream detached, checkpoints flushed) and propagates any
+    (telemetry stream detached, settled tiles stored) and propagates any
     other exception as a job failure after closing the stream with
     ``status="error"``.
     """
@@ -243,10 +251,7 @@ def _run_clips(
     job = record.spec
     spec = _build_spec(job.get("spec", {}))
     use_cache = caches is not None and job.get("use_result_cache", True)
-    runner = _make_runner(
-        job, paths, bool(record.resume), control,
-        trace=recorder.trace,
-    )
+    runner = _make_runner(job, paths, control, trace=recorder.trace)
     recorder.event(
         "job_start",
         job_id=record.job_id,

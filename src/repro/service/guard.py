@@ -17,9 +17,13 @@ server threads through every request:
   bucket (keyed on the client-declared id, anonymous traffic shares
   one bucket) with a fair-share cap on queued jobs per client, layered
   on top of the queue's bounded-depth backpressure.
-* **Resource governance** — :class:`JobWatchdog` enforces per-job
-  wall-clock and RSS budgets from the existing per-job heartbeat files
-  (:mod:`repro.obs.resources`); an over-budget job is cancelled within
+* **Resource governance** — :class:`JobWatchdog` enforces a per-job
+  wall-clock budget and an RSS budget read from the existing per-job
+  heartbeat files (:mod:`repro.obs.resources`).  A thread of the
+  daemon writes those files, so their RSS is the daemon process's, not
+  the job's: tile-pool workers are not counted, and crossing the RSS
+  budget flags every running job at once.  An over-budget job is
+  cancelled within
   one watchdog interval and surfaces as a typed ``over_budget``
   failure — or, when ``degrade_over_budget`` is set and the job asked
   for an expensive method, is requeued once on the deterministic
@@ -27,8 +31,9 @@ server threads through every request:
 * **Disk guard** — an on-disk
   :class:`~repro.fracture.cache.FractureCache` store frees space
   LRU-by-mtime (:func:`repro.fracture.cache.evict_lru`) when free
-  space falls under the floor; the checkpoint journal and result
-  writers call :func:`repro.obs.ensure_disk_space` so a full disk
+  space falls under the floor, then skips the write — the shared
+  result cache and each windowed job's tile store alike.  The result
+  writer calls :func:`repro.obs.ensure_disk_space`, so a full disk
   fails the affected job loudly instead of leaving torn files.
 
 Everything here is synchronous and event-loop-agnostic; the server owns
@@ -319,7 +324,11 @@ class JobWatchdog:
     ``limits.watchdog_interval_s`` — and directly by tests with a fake
     ``now``.  RSS comes from the per-job heartbeat file the executor
     already publishes (``hb-<job-id>.json``), so a wedged job that
-    stops cooperating is still measured.
+    stops cooperating is still measured.  That file is written by a
+    thread of the daemon, so its ``rss_bytes`` is the daemon process's
+    RSS (``/proc/self/status``), not the job's own: tile-pool workers
+    are separate processes and are not counted, and once the daemon
+    crosses the budget every running job is flagged at once.
     """
 
     def __init__(

@@ -14,8 +14,8 @@ Every transition is persisted atomically to the job's ``job.json``
 (tmp + rename) before it is acknowledged, so a killed daemon recovers
 the exact queue on restart: ``queued`` jobs re-enter the queue in their
 original (priority, submission) order and ``running`` jobs are requeued
-with ``resume`` set — their checkpoint journals replay the completed
-tiles bit-identically.
+with ``resume`` set — their tile stores replay the settled tiles
+bit-identically.
 
 On-disk layout (one directory per job, the unit CI uploads as the job
 manifest artifact)::
@@ -27,7 +27,8 @@ manifest artifact)::
                         job's payload (trace export <job-id>, trace
                         summarize <state>/jobs/<job-id>/stream.jsonl)
         result.json     shot lists + counters, written on completion
-        ckpt/           per-shape tile checkpoint journals
+        ckpt/           the job's tile store: one <key>.json per settled
+                        tile (a FractureCache directory)
 """
 
 from __future__ import annotations
@@ -149,7 +150,6 @@ _SUBMIT_DEFAULTS: dict[str, Any] = {
     "window_nm": None,
     "tile_workers": 1,
     "use_result_cache": True,
-    "checkpoint": True,
     "spec": {},
 }
 
@@ -212,7 +212,6 @@ def validate_submission(job: dict[str, Any]) -> dict[str, Any]:
         raise ValueError(f"unknown spec fields: {sorted(unknown)}")
     out["spec"] = {k: float(v) for k, v in spec.items()}
     out["use_result_cache"] = bool(out["use_result_cache"])
-    out["checkpoint"] = bool(out["checkpoint"])
     out["name"] = str(out["name"] or "")
     return out
 
@@ -247,7 +246,7 @@ class JobRecord:
     seq: int = 0  # submission order; FIFO tiebreak within priority
     state: JobState = JobState.QUEUED
     attempts: int = 0  # execution attempts (restarts bump this)
-    resume: bool = False  # next attempt should replay checkpoints
+    resume: bool = False  # next attempt appends to the job's stream
     error: str | None = None
     #: machine-readable failure class (``over_budget``, ``disk_full``);
     #: ``None`` for generic failures — clients branch without parsing.

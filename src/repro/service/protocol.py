@@ -24,7 +24,7 @@ Operations (``OPS``):
                 Prometheus exposition text (``{"text": ...}``) for
                 scrapers — see :mod:`repro.obs.metrics`
 ``shutdown``    stop the daemon (``"drain"`` finishes running jobs,
-                ``"interrupt"`` checkpoints and requeues them)
+                ``"interrupt"`` stops and requeues them)
 ==============  ========================================================
 
 Error codes: ``bad_request``, ``unknown_op``, ``unknown_job``,

@@ -18,13 +18,13 @@
   indexed for ``status``/``result``, queued jobs re-enter the queue
   with their original (priority, seq) so pre-crash FIFO order
   survives, and jobs found ``running`` (the daemon died under them)
-  are requeued with ``resume`` — their checkpoint journals replay the
-  settled tiles bit-identically.
+  are requeued with ``resume`` — their tile stores replay the settled
+  tiles bit-identically.
 
 Shutdown modes: ``drain`` stops admissions and finishes running jobs;
 ``interrupt`` (the SIGTERM/SIGINT default) additionally flips the
-stop event so running jobs checkpoint at the next tile boundary and
-go back to ``queued`` with ``resume`` set.  Either way queued jobs
+stop event so running jobs stop at the next tile boundary and go back
+to ``queued`` with ``resume`` set.  Either way queued jobs
 stay queued on disk for the next daemon.
 
 A stale ``daemon.json`` (pid no longer alive — SIGKILL, OOM) is
@@ -269,9 +269,9 @@ class FractureService:
                 recovered.append(record)
                 self.recovered["queued"] += 1
             elif record.state is JobState.RUNNING:
-                # The previous daemon died mid-job.  Its checkpoint
-                # journal is intact (fsync per tile), so requeue with
-                # resume; the next attempt replays settled tiles.
+                # The previous daemon died mid-job.  Its tile store is
+                # intact (one atomic, fsynced file per tile), so requeue
+                # with resume; the next attempt replays settled tiles.
                 record.state = JobState.QUEUED
                 record.resume = True
                 record.started_unix = None
@@ -301,7 +301,7 @@ class FractureService:
 
     async def stop(self, mode: str = "interrupt") -> None:
         """Stop the daemon: ``drain`` finishes running jobs, ``interrupt``
-        checkpoints and requeues them.  Queued jobs stay queued on disk."""
+        stops and requeues them.  Queued jobs stay queued on disk."""
         self._stopping = True
         if mode == "interrupt" and self._stop_threads is not None:
             self._stop_threads.set()
@@ -383,14 +383,14 @@ class FractureService:
         except JobInterrupted:
             # Back to the queue with resume; the *next* daemon (or a
             # later pump, if this was a lone cancelled-stop) replays
-            # the checkpoints.  Not settled: waiters keep waiting.
+            # the stored tiles.  Not settled: waiters keep waiting.
             record.state = JobState.QUEUED
             record.resume = True
             record.started_unix = None
             settled = False
         except DiskFullError as error:
-            # The disk guard refused a write (checkpoint / result /
-            # cache): typed failure, no torn files on disk.
+            # The disk guard refused the result write: typed failure,
+            # no torn files on disk.
             record.state = JobState.FAILED
             record.error = str(error)
             record.error_code = "disk_full"
@@ -420,8 +420,8 @@ class FractureService:
         Default: typed ``over_budget`` failure.  With
         ``degrade_over_budget`` set and the job on a non-baseline
         method, the job is instead requeued *once* on the deterministic
-        ``partition`` baseline (fresh run: the old method's checkpoints
-        do not apply to the new one).
+        ``partition`` baseline (fresh run: the old method's stored tiles
+        are keyed by method, so none of them replay).
         """
         self.guard_counters["over_budget"] += 1
         reason = control.over_budget

@@ -5,16 +5,18 @@ The acceptance bar of the fault layer: an injected hard crash (worker
 neither fails the run nor changes the final shot list — retries, pool
 respawns, resume and any worker count reproduce the fault-free
 single-worker result bit for bit (fallback tiles excepted and flagged).
+A resumed run is a re-run against the store that holds the settled
+tiles.
 """
 
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.fracture.cache import FractureCache
 from repro.fracture.pipeline import ModelBasedFracturer, RefineConfig
 from repro.fracture.refine import RefineParams
 from repro.fracture.runtime import (
@@ -73,6 +75,21 @@ def tile_names(bar_field, spec_module):
 
 
 _FAST_RETRY = RetryPolicy(max_attempts=3, backoff_s=0.0, backoff_cap_s=0.0)
+
+
+def _stored(store_dir) -> RuntimePolicy:
+    """A policy over a fresh store on ``store_dir`` (a new process's view)."""
+    return RuntimePolicy(store=FractureCache(persist_dir=store_dir))
+
+
+def _interrupt(store_dir, keep: int) -> None:
+    """Simulate an interrupt: keep only the first ``keep`` tiles' entries."""
+    entries = sorted(
+        (json.loads(path.read_text())["tile"], path)
+        for path in store_dir.glob("*.json")
+    )
+    for _tile, path in entries[keep:]:
+        path.unlink()
 
 
 class TestCrashRecovery:
@@ -177,23 +194,20 @@ class TestCheckpointResume:
     def test_mid_run_interrupt_and_resume(
         self, bar_field, spec_module, clean_shots, tmp_path
     ):
-        """Kill the run after one tile (simulated by truncating the
-        journal), resume: bit-identical result, only the unfinished
-        tiles re-execute."""
+        """Kill the run after one tile (simulated by deleting the other
+        tiles' stored entries), run again: bit-identical result, only
+        the unfinished tiles re-execute."""
         ckpt = tmp_path / "ckpt"
-        full = _windowed(
-            workers=1, runtime=RuntimePolicy(checkpoint_dir=ckpt)
-        ).fracture_shots(bar_field, spec_module)
+        full = _windowed(workers=1, runtime=_stored(ckpt)).fracture_shots(
+            bar_field, spec_module
+        )
         assert full == clean_shots
-        journal_path = ckpt / "bar-field.tiles.jsonl"
-        lines = journal_path.read_text().splitlines()
-        assert len(lines) == 4  # header + 3 tiles
-        journal_path.write_text("\n".join(lines[:2]) + "\n")
+        assert len(list(ckpt.glob("*.json"))) == 3
+        _interrupt(ckpt, keep=1)
         recorder = TelemetryRecorder()
         with recording(recorder):
             resumed = _windowed(
-                workers=1,
-                runtime=RuntimePolicy(checkpoint_dir=ckpt, resume=True),
+                workers=1, runtime=_stored(ckpt)
             ).fracture_shots(bar_field, spec_module)
         assert resumed == clean_shots
         assert recorder.counters.get("windowed.tiles_replayed") == 1
@@ -202,14 +216,16 @@ class TestCheckpointResume:
         self, bar_field, spec_module, tmp_path
     ):
         ckpt = tmp_path / "ckpt"
-        _windowed(
-            workers=1, runtime=RuntimePolicy(checkpoint_dir=ckpt)
-        ).fracture_shots(bar_field, spec_module)
-        lines = (ckpt / "bar-field.tiles.jsonl").read_text().splitlines()
-        records = [json.loads(line) for line in lines]
-        assert records[0]["kind"] == "header"
-        assert all(r["kind"] == "tile" for r in records[1:])
-        assert all(r["status"] == "ok" for r in records[1:])
+        _windowed(workers=1, runtime=_stored(ckpt)).fracture_shots(
+            bar_field, spec_module
+        )
+        records = [json.loads(p.read_text()) for p in ckpt.glob("*.json")]
+        assert sorted(r["tile"] for r in records) == ["t0,0", "t1,0", "t2,0"]
+        assert all(
+            set(r) == {"tile", "shots", "attempts", "trace_id"}
+            for r in records
+        )
+        assert all(r["attempts"] == 1 and r["shots"] for r in records)
 
 
 class TestBitIdentityProperty:
@@ -228,25 +244,22 @@ class TestBitIdentityProperty:
         seed, workers, keep,
     ):
         """Property: a crash injected on a seeded random tile subset
-        (then retried), and a --resume from a mid-run checkpoint, are
-        both bit-identical to the clean run at workers ∈ {1, 4}."""
+        (then retried), and a re-run after a mid-run interrupt, are both
+        bit-identical to the clean run at workers ∈ {1, 4}."""
         plan = FaultPlan.seeded(tile_names, seed=seed, action="crash", fraction=0.5)
+        ckpt = tmp_path_factory.mktemp("ckpt")
         shots = _windowed(
             workers=workers,
-            runtime=RuntimePolicy(retry=_FAST_RETRY, fault_plan=plan),
+            runtime=RuntimePolicy(
+                retry=_FAST_RETRY, fault_plan=plan,
+                store=FractureCache(persist_dir=ckpt),
+            ),
         ).fracture_shots(bar_field, spec_module)
         assert shots == clean_shots
 
-        # Mid-run checkpoint: keep a prefix of completed tiles, resume.
-        ckpt = tmp_path_factory.mktemp("ckpt")
-        _windowed(
-            workers=1, runtime=RuntimePolicy(checkpoint_dir=ckpt)
-        ).fracture_shots(bar_field, spec_module)
-        journal_path = ckpt / "bar-field.tiles.jsonl"
-        lines = journal_path.read_text().splitlines()
-        journal_path.write_text("\n".join(lines[: 1 + keep]) + "\n")
+        # Mid-run interrupt: keep a prefix of the stored tiles, re-run.
+        _interrupt(ckpt, keep=keep)
         resumed = _windowed(
-            workers=workers,
-            runtime=RuntimePolicy(checkpoint_dir=ckpt, resume=True),
+            workers=workers, runtime=_stored(ckpt)
         ).fracture_shots(bar_field, spec_module)
         assert resumed == clean_shots

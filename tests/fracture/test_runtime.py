@@ -1,17 +1,18 @@
 """Unit tests for the fault-tolerant tile execution layer.
 
 Fast by construction: stub tiles and a stub inner fracturer make every
-``run_tiles`` call a few milliseconds, so retry/backoff/fallback/journal
+``run_tiles`` call a few milliseconds, so retry/backoff/fallback/store
 logic is exercised without real fracturing.
 """
 
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from repro.fracture.cache import FractureCache
 from repro.fracture.runtime import (
-    CheckpointJournal,
-    CheckpointMismatch,
     FaultPlan,
     FaultSpec,
     InjectedCrash,
@@ -21,19 +22,21 @@ from repro.fracture.runtime import (
     TileCrash,
     TileError,
     TileInfeasible,
-    TileOutcome,
     TileTimeout,
     run_tiles,
 )
+from repro.geometry.raster import PixelGrid
 from repro.geometry.rect import Rect
 from repro.mask.constraints import FractureSpec
+from repro.mask.shape import MaskShape
 
 
 class StubTile:
-    """Minimal tile: a name and an accept-everything ownership rule."""
+    """Minimal tile: a name, a core and an accept-everything ownership rule."""
 
-    def __init__(self, name: str):
+    def __init__(self, name: str, core: Rect):
         self.name = name
+        self.core = core
 
     def owns(self, x: float, y: float) -> bool:
         return True
@@ -48,10 +51,32 @@ class StubInner:
         return [Rect(0.0, 0.0, 10.0, 10.0)]
 
 
+#: A 2x2-pixel sub-shape: real enough for the store key, and the stub
+#: inner ignores it.
+SUB = MaskShape.from_mask(
+    np.ones((2, 2), dtype=bool), PixelGrid(0.0, 0.0, 1.0, 2, 2)
+)
+
+
 def _jobs(n: int = 3, subs_per_tile: int = 1):
     return [
-        (StubTile(f"t{i},0"), [object()] * subs_per_tile) for i in range(n)
+        (StubTile(f"t{i},0", Rect(10.0 * i, 0.0, 10.0 * i + 10.0, 10.0)),
+         [SUB] * subs_per_tile)
+        for i in range(n)
     ]
+
+
+def _store(directory) -> FractureCache:
+    """A fresh store over ``directory``: what a new process would open."""
+    return FractureCache(persist_dir=directory)
+
+
+def _entries(directory) -> dict[str, Path]:
+    """The stored tile entry files, by tile name."""
+    return {
+        json.loads(path.read_text())["tile"]: path
+        for path in directory.glob("*.json")
+    }
 
 
 def _fast_retry(**overrides) -> RetryPolicy:
@@ -121,66 +146,103 @@ class TestFaultPlan:
             plan.fire("b", attempt=1, inline=True)
 
 
-class TestCheckpointJournal:
-    RUN_KEY = {"shape": "s", "window_nm": 100.0}
+class TestTileStore:
+    class OddInner(StubInner):
+        """Shots whose coordinates are not short decimals."""
 
-    def _outcome(self, idx=0, name="t0,0", fallback=False):
-        return TileOutcome(
-            index=idx, tile_name=name, ok=True,
-            shots=[Rect(0.25, 0.5, 10.125, 20.0625)],
-            attempts=2, fallback=fallback,
-        )
+        def fracture_shots(self, sub, spec):
+            return [Rect(0.25, 0.1 + 0.2, 10.125, 20.0625)]
 
     def test_roundtrip_replays_exact_shots(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        journal = CheckpointJournal.open(path, self.RUN_KEY)
-        journal.record(self._outcome())
-        resumed = CheckpointJournal.open(path, self.RUN_KEY, resume=True)
-        replayed = resumed.replay(0, "t0,0")
-        assert replayed is not None
-        assert replayed.replayed
-        assert replayed.shots == [Rect(0.25, 0.5, 10.125, 20.0625)]
-        assert replayed.attempts == 2
-        assert resumed.replay(1, "t1,0") is None
+        first, _ = run_tiles(
+            _jobs(3), inner=self.OddInner(), spec=SPEC, retry=_fast_retry(),
+            fault_plan=FaultPlan(faults={"t0,0": FaultSpec("raise", 1)}),
+            store=_store(tmp_path),
+        )
+        entry = json.loads(_entries(tmp_path)["t0,0"].read_text())
+        assert set(entry) == {"tile", "shots", "attempts", "trace_id"}
+        replayed, stats = run_tiles(
+            _jobs(3), inner=self.OddInner(), spec=SPEC, retry=_fast_retry(),
+            store=_store(tmp_path),
+        )
+        assert stats.tiles_replayed == 3
+        assert all(o.replayed for o in replayed)
+        assert [o.shots for o in replayed] == [o.shots for o in first]
+        assert replayed[0].shots == [Rect(0.25, 0.1 + 0.2, 10.125, 20.0625)]
+        assert [o.attempts for o in replayed] == [2, 1, 1]
 
-    def test_fallback_flag_survives_resume(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        journal = CheckpointJournal.open(path, self.RUN_KEY)
-        journal.record(self._outcome(fallback=True))
-        resumed = CheckpointJournal.open(path, self.RUN_KEY, resume=True)
-        assert resumed.replay(0, "t0,0").fallback
+    def test_fallback_tile_is_not_stored(self, tmp_path):
+        """A store can be shared across runs: a stored fallback would
+        poison later fault-free runs, so fallback tiles are attempted
+        again instead."""
+        outcomes, _ = run_tiles(
+            _jobs(3), inner=StubInner(), spec=SPEC,
+            retry=_fast_retry(max_attempts=2),
+            fault_plan=FaultPlan(faults={"t1,0": FaultSpec("raise", 99)}),
+            fallback=_stub_fallback, store=_store(tmp_path),
+        )
+        assert outcomes[1].fallback
+        assert set(_entries(tmp_path)) == {"t0,0", "t2,0"}
+        again, stats = run_tiles(
+            _jobs(3), inner=StubInner(), spec=SPEC, retry=_fast_retry(),
+            store=_store(tmp_path),
+        )
+        assert stats.tiles_replayed == 2
+        assert not again[1].replayed and not again[1].fallback
+        assert again[1].shots == [Rect(0.0, 0.0, 10.0, 10.0)]
 
-    def test_partial_trailing_line_ignored(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        journal = CheckpointJournal.open(path, self.RUN_KEY)
-        journal.record(self._outcome())
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write('{"kind": "tile", "tile": "t1,0", "sho')  # torn write
-        resumed = CheckpointJournal.open(path, self.RUN_KEY, resume=True)
-        assert set(resumed.completed) == {"t0,0"}
+    def test_torn_entry_quarantined_and_recomputed(self, tmp_path):
+        """A torn tile entry (crash mid-write, truncation) is quarantined
+        and its tile recomputed, bit-identically."""
+        first, _ = run_tiles(
+            _jobs(3), inner=self.OddInner(), spec=SPEC, retry=_fast_retry(),
+            store=_store(tmp_path),
+        )
+        torn = _entries(tmp_path)["t1,0"]
+        torn.write_text(torn.read_text()[:25])
+        store = _store(tmp_path)
+        again, stats = run_tiles(
+            _jobs(3), inner=self.OddInner(), spec=SPEC, retry=_fast_retry(),
+            store=store,
+        )
+        assert [o.shots for o in again] == [o.shots for o in first]
+        assert stats.tiles_replayed == 2 and not again[1].replayed
+        assert store.corrupt_quarantined == 1
+        assert torn.with_suffix(".json.bad").exists()
+        assert json.loads(torn.read_text())["tile"] == "t1,0"  # refilled
 
-    def test_run_key_mismatch_raises(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        CheckpointJournal.open(path, self.RUN_KEY)
-        with pytest.raises(CheckpointMismatch):
-            CheckpointJournal.open(
-                path, {"shape": "s", "window_nm": 200.0}, resume=True
-            )
+    def test_changed_input_gets_no_replay(self, tmp_path):
+        """The key holds every input of a tile and nothing else: change
+        any one and nothing stale replays."""
+        run_tiles(_jobs(3), inner=StubInner(), spec=SPEC,
+                  retry=_fast_retry(), store=_store(tmp_path))
 
-    def test_open_without_resume_truncates(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        journal = CheckpointJournal.open(path, self.RUN_KEY)
-        journal.record(self._outcome())
-        fresh = CheckpointJournal.open(path, self.RUN_KEY, resume=False)
-        assert not fresh.completed
-        assert len(path.read_text().splitlines()) == 1  # header only
+        class Renamed(StubInner):
+            name = "OTHER"
 
-    def test_resume_with_missing_file_starts_fresh(self, tmp_path):
-        path = tmp_path / "new.jsonl"
-        journal = CheckpointJournal.open(path, self.RUN_KEY, resume=True)
-        assert not journal.completed
-        header = json.loads(path.read_text().splitlines()[0])
-        assert header["kind"] == "header"
+        moved = [(StubTile(t.name, t.core.translated(1.0, 0.0)), subs)
+                 for t, subs in _jobs(3)]
+        other_sub = MaskShape.from_mask(
+            np.array([[True, True], [True, False]]), SUB.grid
+        )
+        changed = {
+            "spec": dict(spec=FractureSpec(gamma=3.0)),
+            "method": dict(inner=Renamed()),
+            "core": dict(jobs=moved),
+            "mask": dict(jobs=[(t, [other_sub]) for t, _ in _jobs(3)]),
+        }
+        for what, overrides in changed.items():
+            kwargs = dict(jobs=_jobs(3), inner=StubInner(), spec=SPEC,
+                          retry=_fast_retry(), store=_store(tmp_path))
+            kwargs.update(overrides)
+            _, stats = run_tiles(kwargs.pop("jobs"), **kwargs)
+            assert stats.tiles_replayed == 0, what
+        # A sub-shape's name is not an input.
+        renamed = MaskShape.from_mask(SUB.inside, SUB.grid, name="other")
+        _, stats = run_tiles([(t, [renamed]) for t, _ in _jobs(3)],
+                             inner=StubInner(), spec=SPEC,
+                             retry=_fast_retry(), store=_store(tmp_path))
+        assert stats.tiles_replayed == 3
 
 
 class TestRunTilesSerial:
@@ -241,22 +303,19 @@ class TestRunTilesSerial:
         assert stats.tile_retries == 0
 
     def test_journal_resume_skips_completed_tiles(self, tmp_path):
-        run_key = {"k": 1}
-        journal = CheckpointJournal.open(tmp_path / "j.jsonl", run_key)
         first, _ = run_tiles(
             _jobs(3), inner=StubInner(), spec=SPEC, retry=_fast_retry(),
-            journal=journal,
+            store=_store(tmp_path),
         )
-        resumed_journal = CheckpointJournal.open(
-            tmp_path / "j.jsonl", run_key, resume=True
-        )
+        # Interrupted before the last tile settled: its entry is missing.
+        _entries(tmp_path)["t2,0"].unlink()
         second, stats = run_tiles(
             _jobs(3), inner=StubInner(), spec=SPEC, retry=_fast_retry(),
-            journal=resumed_journal,
+            store=_store(tmp_path),
         )
-        assert stats.tiles_replayed == 3
+        assert stats.tiles_replayed == 2
         assert [o.shots for o in second] == [o.shots for o in first]
-        assert all(o.replayed for o in second)
+        assert [o.replayed for o in second] == [True, True, False]
 
     def test_outcome_record_shape(self):
         outcomes, _stats = run_tiles(
@@ -292,17 +351,13 @@ class TestProgressTelemetry:
     def test_replayed_tiles_count_as_done_up_front(self, tmp_path):
         import repro.obs as obs
 
-        run_key = {"k": 1}
-        journal = CheckpointJournal.open(tmp_path / "j.jsonl", run_key)
-        run_tiles(_jobs(3), inner=StubInner(), spec=SPEC,
-                  retry=_fast_retry(), journal=journal)
-        resumed = CheckpointJournal.open(
-            tmp_path / "j.jsonl", run_key, resume=True
-        )
+        run_tiles(_jobs(4), inner=StubInner(), spec=SPEC,
+                  retry=_fast_retry(), store=_store(tmp_path))
+        _entries(tmp_path)["t3,0"].unlink()  # interrupted before t3,0
         rec = obs.TelemetryRecorder()
         with obs.recording(rec):
             run_tiles(_jobs(4), inner=StubInner(), spec=SPEC,
-                      retry=_fast_retry(), journal=resumed)
+                      retry=_fast_retry(), store=_store(tmp_path))
         progress = [e for e in rec.events if e["name"] == "progress"]
         # Only the one fresh tile produces a progress event, starting
         # from the replayed baseline of 3.

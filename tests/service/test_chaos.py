@@ -6,10 +6,10 @@ replays bit-identically:
 
 * SIGKILL mid-job + restart → bit-identical resume, no torn state
   files;
-* disk-full (shimmed) → typed ``disk_full`` failure, zero torn journal
-  bytes, and the *next* job on freed disk succeeds;
-* corrupt/truncated journal tail → recovery replays the intact prefix
-  and recomputes the rest, still bit-identical;
+* disk-full (shimmed) → typed ``disk_full`` failure, zero torn bytes,
+  and the *next* job on freed disk succeeds;
+* a torn stored tile → recovery quarantines it, replays the intact
+  tiles and recomputes the rest, still bit-identical;
 * over-budget job cancelled within ~one watchdog interval while a
   healthy job finishes untouched;
 * stalled clients and floods never block a healthy client.
@@ -44,6 +44,7 @@ from repro.service.guard import ServiceLimits
 from repro.service.jobs import JobPaths, JobRecord, validate_submission
 from repro.service.protocol import decode_line, encode_line
 from repro.service.server import FractureService
+from tests.service.conftest import stored_tiles, wait_for_first_tile
 
 CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "20250808"))
 
@@ -88,7 +89,7 @@ async def wait_settled(
 
 def windowed_bar_payload(vertices, **overrides) -> dict:
     job = {"clips": {"bar": vertices}, "method": "partition",
-           "window_nm": 100.0, "checkpoint": True, **overrides}
+           "window_nm": 100.0, **overrides}
     return {"op": "submit", "job": job}
 
 
@@ -97,41 +98,26 @@ def assert_no_torn_state(state_dir: Path) -> int:
 
     "No torn state files" is the blanket durability gate: after any
     fault, whatever exists on disk is valid JSON/JSONL (modulo the
-    final line of an append-only journal, which recovery skips by
-    design) or is quarantined with a ``.bad`` suffix.
+    final line of an append-only stream, which readers skip by design)
+    or is quarantined with a ``.bad`` suffix.
     """
     seen = 0
     for path in sorted(state_dir.rglob("*.json")):
         seen += 1
         json.loads(path.read_text())  # raises on a torn file
-    for journal in sorted(state_dir.rglob("*.jsonl")):
+    for stream in sorted(state_dir.rglob("*.jsonl")):
         seen += 1
-        lines = journal.read_text().splitlines()
+        lines = stream.read_text().splitlines()
         for line in lines[:-1]:  # the tail may be mid-append
             json.loads(line)
     return seen
-
-
-def wait_for_first_tile(checkpoint_dir: Path, timeout_s: float = 60.0) -> None:
-    """Block until a checkpoint journal holds at least one settled tile."""
-    deadline = time.monotonic() + timeout_s
-    while time.monotonic() < deadline:
-        for journal in checkpoint_dir.glob("*.tiles.jsonl"):
-            for line in journal.read_text().splitlines():
-                try:
-                    if json.loads(line).get("kind") == "tile":
-                        return
-                except json.JSONDecodeError:
-                    continue
-        time.sleep(0.02)
-    raise AssertionError(f"no tile journaled under {checkpoint_dir}")
 
 
 def cold_reference(tmp_path: Path, vertices) -> dict:
     """The job's result computed outside any daemon (the golden copy)."""
     submission = validate_submission({
         "clips": {"bar": vertices}, "method": "partition",
-        "window_nm": 100.0, "checkpoint": True,
+        "window_nm": 100.0,
     })
     record = JobRecord(job_id="job-c0ffee00", spec=submission)
     record.attempts = 1
@@ -170,7 +156,7 @@ class TestKillRecovery:
                 {"bar": LONG_BAR}, method="partition", window_nm=100.0
             )
             paths = JobPaths.for_job(state_dir, job_id)
-            # Kill once at least one tile is journaled — mid-job, with
+            # Kill once at least one tile is stored — mid-job, with
             # settled work worth resuming.
             wait_for_first_tile(paths.checkpoint_dir)
             daemon.kill()
@@ -205,7 +191,8 @@ class TestTruncatedJournalRecovery:
     def test_torn_journal_tail_recomputes_bit_identical(
         self, tmp_path, chaos_plan
     ):
-        """A torn tail (crash mid-append) must not poison recovery."""
+        """A torn tile entry (crash mid-write, bit rot) must not poison
+        recovery: it is quarantined and its tile recomputed."""
         reference = cold_reference(tmp_path, LONG_BAR)
         state_dir = tmp_path / "state"
 
@@ -217,28 +204,20 @@ class TestTruncatedJournalRecovery:
             )
             job_id = response["job_id"]
             paths = JobPaths.for_job(state_dir, job_id)
-
-            def tile_journaled() -> bool:
-                for journal in paths.checkpoint_dir.glob("*.tiles.jsonl"):
-                    for line in journal.read_text().splitlines():
-                        try:
-                            if json.loads(line).get("kind") == "tile":
-                                return True
-                        except json.JSONDecodeError:
-                            continue
-                return False
-
             deadline = time.monotonic() + 60
-            while time.monotonic() < deadline and not tile_journaled():
+            while (
+                time.monotonic() < deadline
+                and not stored_tiles(paths.checkpoint_dir)
+            ):
                 await asyncio.sleep(0.02)
-            await service.stop("interrupt")  # checkpoint + requeue
+            await service.stop("interrupt")  # stop + requeue
             return job_id
 
         job_id = asyncio.run(interrupt_mid_job())
 
         paths = JobPaths.for_job(state_dir, job_id)
-        journal = next(iter(paths.checkpoint_dir.glob("*.tiles.jsonl")))
-        truncate_tail(journal, chaos_plan.seed)  # torn mid-line, seeded
+        entry = next(iter(stored_tiles(paths.checkpoint_dir)))
+        truncate_tail(entry, chaos_plan.seed)  # torn mid-entry, seeded
 
         async def recover() -> dict:
             service = FractureService(state_dir, workers=1)
@@ -254,6 +233,7 @@ class TestTruncatedJournalRecovery:
         result = asyncio.run(recover())
         assert result["clips"]["bar"]["shots"] == \
             reference["clips"]["bar"]["shots"], chaos_plan
+        assert entry.with_suffix(".json.bad").exists(), chaos_plan
 
 
 @pytest.mark.timeout(300)
@@ -323,11 +303,9 @@ class TestOverBudget:
             try:
                 hog = await request(service, {"op": "submit", "job": {
                     "clips": {"sq": SQUARE}, "method": "ours",
-                    "checkpoint": False,
                 }})
                 healthy = await request(service, {"op": "submit", "job": {
                     "clips": {"sq": SQUARE}, "method": "partition",
-                    "checkpoint": False,
                 }})
                 started = time.monotonic()
                 hog_job = await wait_settled(
@@ -365,7 +343,6 @@ class TestOverBudget:
             try:
                 submitted = await request(service, {"op": "submit", "job": {
                     "clips": {"sq": SQUARE}, "method": "ours",
-                    "checkpoint": False,
                 }})
                 job = await wait_settled(
                     service, submitted["job_id"], timeout_s=15
@@ -406,7 +383,6 @@ class TestStallAndFlood:
                 # While the staller squats, a healthy client round-trips.
                 submitted = await request(service, {"op": "submit", "job": {
                     "clips": {"sq": SQUARE}, "method": "partition",
-                    "checkpoint": False,
                 }})
                 job = await wait_settled(
                     service, submitted["job_id"], timeout_s=10
@@ -437,7 +413,7 @@ class TestStallAndFlood:
             def one_submit(client: ServiceClient, name: str):
                 return client.submit(
                     {"sq": SQUARE}, method="partition", name=name,
-                    checkpoint=False, idempotent=False,
+                    idempotent=False,
                 )
 
             try:
@@ -485,7 +461,6 @@ class TestCorruptCacheUnderDaemon:
             try:
                 first = await request(service, {"op": "submit", "job": {
                     "clips": {"sq": SQUARE}, "method": "partition",
-                    "checkpoint": False,
                 }})
                 job = await wait_settled(service, first["job_id"], 60)
                 assert job["state"] == "done"
@@ -496,7 +471,7 @@ class TestCorruptCacheUnderDaemon:
                 caches.results.clear()  # force the (corrupt) disk path
                 second = await request(service, {"op": "submit", "job": {
                     "clips": {"sq": SQUARE}, "method": "partition",
-                    "checkpoint": False, "name": "retry",
+                    "name": "retry",
                 }})
                 job2 = await wait_settled(service, second["job_id"], 60)
                 assert job2["state"] == "done", chaos_plan

@@ -19,7 +19,6 @@ import os
 import signal
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import pytest
@@ -28,6 +27,7 @@ from repro.obs.stream import read_stream
 from repro.service.client import ServiceClient, wait_for_daemon
 from repro.service.executor import execute_job
 from repro.service.jobs import JobPaths, JobRecord, validate_submission
+from tests.service.conftest import stored_tiles, wait_for_first_tile
 
 LONG_BAR = [[0.0, 0.0], [6600.0, 0.0], [6600.0, 60.0], [0.0, 60.0]]
 SHORT_BAR = [[0.0, 0.0], [220.0, 0.0], [220.0, 60.0], [0.0, 60.0]]
@@ -59,21 +59,6 @@ def run_cli(args: list[str], cwd: Path) -> subprocess.CompletedProcess:
     return subprocess.CompletedProcess(args, process.returncode, stdout, stderr)
 
 
-def wait_for_first_tile(checkpoint_dir: Path, timeout_s: float = 60.0) -> None:
-    """Block until a checkpoint journal holds at least one settled tile."""
-    deadline = time.monotonic() + timeout_s
-    while time.monotonic() < deadline:
-        for journal in checkpoint_dir.glob("*.tiles.jsonl"):
-            for line in journal.read_text().splitlines():
-                try:
-                    if json.loads(line).get("kind") == "tile":
-                        return
-                except json.JSONDecodeError:
-                    continue
-        time.sleep(0.02)
-    raise AssertionError(f"no tile journaled under {checkpoint_dir}")
-
-
 @pytest.mark.timeout(300)
 class TestDaemonKillRestart:
     def test_sigkill_mid_job_then_restart_is_bit_identical(self, tmp_path):
@@ -82,7 +67,6 @@ class TestDaemonKillRestart:
             "clips": {"bar": LONG_BAR},
             "method": "partition",
             "window_nm": 100.0,
-            "checkpoint": True,
         })
         reference_record = JobRecord(job_id="job-c01dc01d", spec=submission)
         reference_record.attempts = 1
@@ -167,17 +151,17 @@ class TestGracefulFractureSignals:
     def test_sigterm_flushes_checkpoint_and_closes_stream(self, tmp_path):
         clip_file = write_clip_file(tmp_path / "bar.json", "bar", LONG_BAR)
         stream = tmp_path / "stream.jsonl"
-        checkpoint_dir = tmp_path / "ckpt"
+        store_dir = tmp_path / "ckpt"
         process = spawn(
             ["fracture", "--method", "partition",
              "--clip-file", str(clip_file), "--window-nm", "100",
-             "--checkpoint", str(checkpoint_dir),
+             "--fracture-cache", str(store_dir),
              "--stream", str(stream),
              "--output", str(tmp_path / "out")],
             tmp_path,
         )
         try:
-            wait_for_first_tile(checkpoint_dir)
+            wait_for_first_tile(store_dir)
             process.send_signal(signal.SIGTERM)
             stdout, stderr = process.communicate(timeout=60)
         finally:
@@ -194,13 +178,18 @@ class TestGracefulFractureSignals:
         assert len(ends) == 1
         assert ends[0]["status"] == "interrupted"
 
-        # The journal survived with the settled tiles; a --resume run
-        # replays them and completes.
+        # The store kept the settled tiles; a re-run against it replays
+        # them and completes.
+        settled = len(stored_tiles(store_dir))
+        assert settled >= 1
         resumed = run_cli(
             ["fracture", "--method", "partition",
              "--clip-file", str(clip_file), "--window-nm", "100",
-             "--checkpoint", str(checkpoint_dir), "--resume",
+             "--fracture-cache", str(store_dir),
+             "--telemetry", str(tmp_path / "resumed.json"),
              "--output", str(tmp_path / "out")],
             tmp_path,
         )
         assert resumed.returncode == 0
+        payload = json.loads((tmp_path / "resumed.json").read_text())
+        assert payload["counters"]["windowed.tiles_replayed"] == settled

@@ -8,6 +8,7 @@ in isolation before the integration suites compose them.
 from __future__ import annotations
 
 import json
+import os
 import time
 
 import pytest
@@ -15,8 +16,10 @@ import pytest
 from repro.fracture.cache import FractureCache, evict_lru
 from repro.obs import (
     DiskFullError,
+    HeartbeatWriter,
     disk_free_bytes,
     ensure_disk_space,
+    rss_bytes,
     set_disk_free_override,
 )
 from repro.service.guard import (
@@ -200,6 +203,37 @@ class TestJobWatchdog:
             tmp_path, {"job-cccccccc": now - 1}, job_wall_budget_s=60.0
         )
         assert dog.tick(now) == [] and killed == []
+
+    def test_rss_budget_measures_the_writing_process(self, tmp_path):
+        """The executor's job heartbeats are written by threads of one
+        daemon process, so their RSS is that process's, not the job's:
+        once it crosses the budget, every running job is flagged."""
+        process_rss = rss_bytes()
+        if process_rss is None:
+            pytest.skip("no RSS source on this platform")
+        jobs = ["job-dddddddd", "job-eeeeeeee"]
+        writers = [
+            HeartbeatWriter(
+                tmp_path / "heartbeats", interval_s=60.0, name=job,
+                meta={"job_id": job},
+            ).start()
+            for job in jobs
+        ]
+        try:
+            beats = [
+                json.loads(writer.path.read_text()) for writer in writers
+            ]
+            assert {beat["pid"] for beat in beats} == {os.getpid()}
+            now = time.time()
+            dog, killed = self.make(
+                tmp_path, dict.fromkeys(jobs, now),
+                job_rss_budget_bytes=process_rss // 2,
+            )
+            assert sorted(v.job_id for v in dog.tick(now)) == jobs
+            assert {v.reason for v in killed} == {"rss"}
+        finally:
+            for writer in writers:
+                writer.stop(unlink=True)
 
 
 class TestDiskGuard:

@@ -40,8 +40,8 @@ def _square(index: int) -> dict:
     return {f"sq-{index}": [[0.0, 0.0], [size, 0.0], [size, size], [0.0, size]]}
 
 
-# 52 tiles at 100 nm, each journaled: runs longer than a watchdog
-# interval, so a tick sees it running.
+# 52 tiles at 100 nm, each stored in the job's tile store: runs longer
+# than a watchdog interval, so a tick sees it running.
 BAR = {"bar": [[0.0, 0.0], [5200.0, 0.0], [5200.0, 60.0], [0.0, 60.0]]}
 
 

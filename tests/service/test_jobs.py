@@ -28,7 +28,10 @@ class TestValidation:
         assert spec["priority"] == 0
         assert spec["window_nm"] is None
         assert spec["use_result_cache"] is True
-        assert spec["checkpoint"] is True
+        assert set(spec) == {
+            "clips", "name", "method", "priority", "window_nm",
+            "tile_workers", "use_result_cache", "spec",
+        }
 
     def test_vertices_coerced_to_floats(self):
         spec = validate_submission(GOOD)

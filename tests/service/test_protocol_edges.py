@@ -18,7 +18,7 @@ CLIPS = {"sq": [[0, 0], [40, 0], [40, 40], [0, 40]]}
 
 def submit_payload(priority: int = 0, **overrides) -> dict:
     job = {"clips": CLIPS, "method": "partition", "priority": priority,
-           "checkpoint": False, **overrides}
+           **overrides}
     return {"op": "submit", "job": job}
 
 

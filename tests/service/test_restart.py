@@ -1,22 +1,20 @@
-"""Checkpoint/resume through the service: interrupted jobs finish
-bit-identically.
+"""Resume through the service: interrupted jobs finish bit-identically.
 
 Two layers:
 
 * executor level — a stop that trips after the first tile settles must
-  leave a journal the resumed attempt replays, and the resumed shot
+  leave stored tiles the resumed attempt replays, and the resumed shot
   list must equal an uninterrupted cold run exactly;
 * daemon level — a job found ``running`` on disk (previous daemon
   died under it) is requeued with resume and completes identically.
 
 The ``bar`` clip tiles 3×1 under ``window_nm=100``, so there are real
-tile boundaries to journal and a real seam stitch in the result.
+tiles to store and a real seam stitch in the result.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
 
 import pytest
 
@@ -34,6 +32,7 @@ from repro.service.jobs import (
 )
 from repro.service.protocol import decode_line, encode_line
 from repro.service.server import FractureService
+from tests.service.conftest import stored_tiles
 
 BAR = {"bar": [[0, 0], [220, 0], [220, 60], [0, 60]]}
 
@@ -43,7 +42,6 @@ def bar_submission(**overrides) -> dict:
         "clips": BAR,
         "method": "partition",
         "window_nm": 100.0,
-        "checkpoint": True,
         **overrides,
     })
 
@@ -52,7 +50,7 @@ class TripControl(JobControl):
     """Flips the daemon stop flag after ``trip_after`` tile checks.
 
     The tiled runtime polls ``should_stop`` before each tile, so
-    ``trip_after=1`` lets exactly one tile settle (and journal) before
+    ``trip_after=1`` lets exactly one tile settle (and be stored) before
     the graceful interrupt fires — a deterministic mid-job SIGTERM.
     """
 
@@ -86,20 +84,17 @@ class TestExecutorResume:
         with pytest.raises(JobInterrupted):
             execute_job(record, paths, None, TripControl(trip_after=1))
 
-        # The journal holds the settled tile(s), fsynced before the stop.
-        journals = list(paths.checkpoint_dir.glob("*.tiles.jsonl"))
-        assert len(journals) == 1
-        journaled = [
-            json.loads(line)
-            for line in journals[0].read_text().splitlines() if line
-        ]
-        tiles_before = [e for e in journaled if e.get("kind") == "tile"]
+        # The job's store holds the settled tile(s), written before the
+        # stop.
+        tiles_before = stored_tiles(paths.checkpoint_dir)
         assert len(tiles_before) >= 1
 
         # Resumed attempt: same job dir, resume flag set.
         record.resume = True
         record.attempts = 2
         payload = execute_job(record, paths, None, JobControl())
+        extra = payload["clips"]["bar"]["extra"]
+        assert extra["tiles_replayed"] == len(tiles_before)
 
         assert payload["clips"]["bar"]["shots"] == \
             reference["clips"]["bar"]["shots"]

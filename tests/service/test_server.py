@@ -24,7 +24,7 @@ CLIPS = {"sq": [[0, 0], [40, 0], [40, 40], [0, 40]]}
 
 def submit_payload(priority: int = 0, **overrides) -> dict:
     job = {"clips": CLIPS, "method": "partition", "priority": priority,
-           "checkpoint": False, **overrides}
+           **overrides}
     return {"op": "submit", "job": job}
 
 
@@ -323,7 +323,7 @@ class TestRestartRecovery:
             )
             for name, prio in (("low", 0), ("high", 4)):
                 await request(service, submit_payload(prio, name=name))
-            # Graceful interrupt: the running blocker checkpoints and is
+            # Graceful interrupt: the running blocker stops and is
             # requeued with resume before the daemon exits.  (The
             # ungraceful SIGKILL path is covered by the CLI smoke test.)
             await service.stop("interrupt")
@@ -436,7 +436,7 @@ class TestStatsHeartbeats:
 
         record = JobRecord(
             job_id=new_job_id(),
-            spec={"clips": CLIPS, "method": "partition", "checkpoint": False},
+            spec={"clips": CLIPS, "method": "partition"},
             attempts=1,
         )
         paths = JobPaths.for_job(tmp_path, record.job_id)

@@ -6,8 +6,8 @@ minted client-side at submit, is present on
 * the durable job record (and survives a daemon restart),
 * every stream record of every attempt — spans, tiles, events —
   across both daemon processes,
-* the checkpoint journal's header and tile lines,
-* worker heartbeat files,
+* every tile entry the job stores,
+* the job heartbeat file of the resumed attempt,
 * the exported chrome trace (structurally valid, single trace_id),
 
 and enabling all of it never changes the shot output: the resumed
@@ -36,6 +36,7 @@ from repro.obs import (
 from repro.service.client import ServiceClient, wait_for_daemon
 from repro.service.executor import execute_job
 from repro.service.jobs import JobPaths, JobRecord, validate_submission
+from tests.service.conftest import stored_tiles, wait_for_first_tile
 
 LONG_BAR = [[0.0, 0.0], [6600.0, 0.0], [6600.0, 60.0], [0.0, 60.0]]
 
@@ -52,25 +53,11 @@ def spawn_daemon(state_dir: Path, cwd: Path) -> subprocess.Popen:
     )
 
 
-def wait_for_first_tile(checkpoint_dir: Path, timeout_s: float = 60.0) -> None:
-    deadline = time.monotonic() + timeout_s
-    while time.monotonic() < deadline:
-        for journal in checkpoint_dir.glob("*.tiles.jsonl"):
-            for line in journal.read_text().splitlines():
-                try:
-                    if json.loads(line).get("kind") == "tile":
-                        return
-                except json.JSONDecodeError:
-                    continue
-        time.sleep(0.02)
-    raise AssertionError(f"no tile journaled under {checkpoint_dir}")
-
-
 def cold_reference(tmp_path: Path) -> dict:
     """The same job outside any daemon, with tracing entirely off."""
     submission = validate_submission({
         "clips": {"bar": LONG_BAR}, "method": "partition",
-        "window_nm": 100.0, "checkpoint": True,
+        "window_nm": 100.0,
     })
     record = JobRecord(job_id="job-c0ffee00", spec=submission)
     record.attempts = 1
@@ -106,6 +93,26 @@ class TestTraceSurvivesSigkill:
 
         daemon2 = spawn_daemon(state_dir, tmp_path)
         try:
+            # -- heartbeat: read while the resumed attempt runs -----------
+            # The executor unlinks the job's heartbeat file when the
+            # attempt ends, and the killed first attempt left its own
+            # file behind, so only a beat stamped attempt >= 2 counts.
+            beat_file = state_dir / "heartbeats" / f"hb-{job_id}.json"
+            resumed_beats = []
+            deadline = time.monotonic() + 120
+            while not resumed_beats and time.monotonic() < deadline:
+                try:
+                    beat = json.loads(beat_file.read_text())
+                except (OSError, ValueError):
+                    beat = {}
+                if beat.get("attempt", 0) >= 2:
+                    resumed_beats.append(beat)
+                elif JobRecord.load(paths).state.settled:
+                    break
+                time.sleep(0.005)
+            assert resumed_beats, "no heartbeat of the resumed attempt read"
+            assert resumed_beats[0].get("trace_id") == trace.trace_id
+
             wait_for_daemon(state_dir, timeout_s=30)
             client = ServiceClient(state_dir)
             finished = client.wait(job_id, timeout_s=120)
@@ -149,31 +156,10 @@ class TestTraceSurvivesSigkill:
         assert any(r["type"] == "span_open" for r in stamped)
         assert any(r["type"] == "span_close" for r in stamped)
 
-        # -- checkpoint journal: tile lines carry the id ------------------
-        journal = next(iter(paths.checkpoint_dir.glob("*.tiles.jsonl")))
-        entries = []
-        for line in journal.read_text().splitlines():
-            try:
-                entries.append(json.loads(line))
-            except json.JSONDecodeError:
-                continue  # torn tail from the kill
-        assert entries
-        journal_ids = {
-            e["trace_id"] for e in entries if "trace_id" in e
-        }
-        assert journal_ids == {trace.trace_id}
-        tiles = [e for e in entries if e.get("kind") == "tile"]
-        assert tiles and all(
-            e.get("trace_id") == trace.trace_id for e in tiles
-        )
-
-        # -- heartbeats: whatever survived is stamped ---------------------
-        heartbeats_dir = state_dir / "heartbeats"
-        for beat_file in heartbeats_dir.glob("*.json"):
-            beat = json.loads(beat_file.read_text())
-            meta = beat.get("meta") or {}
-            if meta.get("job_id") == job_id:
-                assert meta.get("trace_id") == trace.trace_id
+        # -- tile store: every stored tile carries the id ----------------
+        entries = list(stored_tiles(paths.checkpoint_dir).values())
+        assert len(entries) == result["clips"]["bar"]["extra"]["tiles_used"]
+        assert {e["trace_id"] for e in entries} == {trace.trace_id}
 
         # -- chrome export: valid, joined to the same id ------------------
         doc = chrome_from_payload(load_telemetry(paths.stream))

@@ -46,13 +46,9 @@ class TestParser:
         err = capsys.readouterr().err
         assert "must be" in err or "expected a" in err
 
-    def test_resume_requires_checkpoint(self, capsys):
-        with pytest.raises(SystemExit, match="--resume requires --checkpoint"):
-            main(["fracture", "--clip", "ILT-1", "--window-nm", "300", "--resume"])
-
     def test_runtime_flags_require_window(self, capsys):
         with pytest.raises(SystemExit, match="--window-nm"):
-            main(["fracture", "--clip", "ILT-1", "--checkpoint", "ckpt"])
+            main(["fracture", "--clip", "ILT-1", "--tile-retries", "1"])
 
     @pytest.mark.parametrize("retries", ["0", "5"])
     @pytest.mark.parametrize(
@@ -67,6 +63,30 @@ class TestParser:
         assert str(caught.value) == (
             "--tile-retries applies to the tiled executor; add --window-nm"
         )
+
+    @pytest.mark.parametrize("flag", ["--tile-timeout", "--heartbeat"])
+    @pytest.mark.parametrize(
+        "command",
+        [["fracture", "--clip", "ILT-1", "--method", "partition"],
+         ["mdp", "clips.json", "--method", "partition"]],
+        ids=["fracture", "mdp"],
+    )
+    def test_pool_flags_require_two_workers(self, command, flag):
+        """One worker runs tiles inline, with no deadline and no
+        heartbeat monitor: the flag would be silently ignored."""
+        from repro.cli import _runtime_policy
+
+        tiled = [*command, "--window-nm", "100", flag, "0.5"]
+        for workers in ([], ["--workers", "1"]):
+            with pytest.raises(SystemExit) as caught:
+                main([*tiled, *workers])
+            assert str(caught.value) == (
+                f"{flag} needs a tile pool; add --workers 2 or more"
+            )
+        policy = _runtime_policy(
+            build_parser().parse_args([*tiled, "--workers", "2"])
+        )
+        assert 0.5 in (policy.retry.tile_deadline_s, policy.heartbeat_s)
 
     @pytest.mark.parametrize("command", [["fracture"], ["mdp", "clips.json"]])
     def test_tile_retries_sets_attempts_with_window(self, command):
@@ -145,28 +165,51 @@ class TestCommands:
             )
 
     @pytest.mark.parametrize("command", ["fracture", "mdp"])
-    def test_resume_against_another_runs_journal_exits_cleanly(
+    def test_stale_clip_replays_only_unchanged_tiles(
         self, command, tmp_path, capsys
     ):
+        """Edit a clip and run it again against the same store: only the
+        tiles whose inputs are unchanged replay, and the result equals a
+        cold run.  Bar ``b`` keeps ``a``'s name and bounding box but has
+        a 40x20 nm notch in its top edge, under tiles t2,0 and t3,0."""
         from repro.geometry.polygon import Polygon
-        from repro.mask.io import save_clips
+        from repro.mask.io import load_solution, save_clips
 
-        clip_file = str(tmp_path / "clips.json")
         save_clips(
-            {"bar": Polygon([(0, 0), (250, 0), (250, 30), (0, 30)])}, clip_file
+            {"bar": Polygon([(0, 0), (600, 0), (600, 60), (0, 60)])},
+            tmp_path / "a.json",
         )
-        clip_args = (
-            ["--clip-file", clip_file] if command == "fracture" else [clip_file]
+        save_clips(
+            {"bar": Polygon([(0, 0), (600, 0), (600, 60), (320, 60),
+                             (320, 40), (280, 40), (280, 60), (0, 60)])},
+            tmp_path / "b.json",
         )
-        run = [
-            command, *clip_args, "--method", "partition",
-            "--window-nm", "100", "--checkpoint", str(tmp_path / "ck"),
-        ]
-        main(run)
-        # A changed spec makes the journal another run's: a one-line
-        # usage error, not a CheckpointMismatch traceback.
-        with pytest.raises(SystemExit, match="journal belongs to a different run"):
-            main([*run, "--resume", "--gamma", "3"])
+
+        def run(clips, out, *extra):
+            clip_args = (
+                ["--clip-file", str(clips)] if command == "fracture"
+                else [str(clips)]
+            )
+            return main([command, *clip_args, "--method", "partition",
+                         "--window-nm", "100", "--output", str(out), *extra])
+
+        store = ["--fracture-cache", str(tmp_path / "ck")]
+        assert run(tmp_path / "a.json", tmp_path / "a", *store) == 0
+        assert run(tmp_path / "b.json", tmp_path / "b", *store,
+                   "--telemetry", str(tmp_path / "b.tel.json")) == 0
+        assert run(tmp_path / "b.json", tmp_path / "cold") == 0
+
+        payload = json.loads((tmp_path / "b.tel.json").read_text())
+        [tiled] = payload["manifest"]["fault_tolerance"]
+        assert tiled["replayed"] == ["t0,0", "t1,0", "t4,0", "t5,0"]
+        assert payload["counters"]["windowed.tiles_replayed"] == 4
+        shots, _spec, _meta = load_solution(tmp_path / "b" / "bar.solution.json")
+        cold, _spec, _meta = load_solution(tmp_path / "cold" / "bar.solution.json")
+        assert shots == cold
+        capsys.readouterr()
+        assert main(["verify", str(tmp_path / "b" / "bar.solution.json"),
+                     "--clip-file", str(tmp_path / "b.json")]) == 0
+        assert "CD-clean" in capsys.readouterr().out
 
 
 class TestVerifyCommand:
@@ -648,18 +691,18 @@ class TestHierarchyCli:
         from repro.cli import main
 
         with pytest.raises(SystemExit) as mdp_exit:
-            main(["mdp", "clips.json", "--checkpoint", str(tmp_path)])
+            main(["mdp", "clips.json", "--tile-retries", "1"])
         with pytest.raises(SystemExit) as fracture_exit:
-            main(["fracture", "--checkpoint", str(tmp_path)])
+            main(["fracture", "--tile-retries", "1"])
         assert str(mdp_exit.value) == str(fracture_exit.value) == (
-            "--checkpoint applies to the tiled executor; add --window-nm"
+            "--tile-retries applies to the tiled executor; add --window-nm"
         )
 
     def test_fracture_still_requires_window_for_checkpoint(self, tmp_path):
         from repro.cli import main
 
         with pytest.raises(SystemExit, match="window"):
-            main(["fracture", "--checkpoint", str(tmp_path)])
+            main(["fracture", "--tile-retries", "1"])
 
     def test_mdp_fracture_cache_resume(self, tmp_path, capsys):
         from repro.cli import main
