@@ -55,6 +55,11 @@ same way: run it again against the same ``--fracture-cache DIR``.  Each
 shape is stored there as soon as it finishes, and with ``--window-nm``
 so is each settled tile; the re-run replays them bit-identically and
 fractures only the rest.
+
+``fracture``, ``mdp`` and daemon jobs run clips through one batch loop,
+:meth:`repro.mask.mdp.MdpPipeline.run`.  ``fracture`` exits 0 on clip
+input whatever the verdict, ``mdp`` 1 when any shape fails Eq. 4; both
+exit 1 on an infeasible GDSII layout and 130 when interrupted.
 """
 
 from __future__ import annotations
@@ -246,7 +251,8 @@ def _add_window_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--workers", type=_positive_int, default=1,
-        help="process-pool width of the tile executor (with --window-nm)",
+        help="process-pool width: across shapes, or across tiles of "
+             "each shape when --window-nm is set",
     )
 
 
@@ -315,6 +321,60 @@ def _is_gds(path: str | None) -> bool:
     return bool(path) and Path(path).suffix.lower() in (".gds", ".gdsii")
 
 
+def _guarded(args: argparse.Namespace, spec: FractureSpec, run):
+    """``run()`` under graceful signals and the command's telemetry;
+    ``None`` when Ctrl-C or SIGTERM stopped it."""
+    try:
+        with _graceful_signals(), _telemetry(args, spec):
+            return run()
+    except KeyboardInterrupt:
+        print(_INTERRUPTED, file=sys.stderr)
+        return None
+
+
+def _clip_shapes(
+    args: argparse.Namespace, pitch: float, margin: float
+) -> list[MaskShape]:
+    """The clips a command names, narrowed by ``--clip`` when it has one:
+    ``--clip-file`` polygons on a ``pitch`` grid padded by ``margin``,
+    or the built-in ILT suite's mask-route shapes."""
+    clip = getattr(args, "clip", None)
+    if args.clip_file:
+        clips = load_clips(args.clip_file)
+        if clip and clip not in clips:
+            raise SystemExit(f"clip {clip!r} not in {args.clip_file}")
+        return [
+            MaskShape.from_polygon(poly, pitch=pitch, margin=margin, name=name)
+            for name, poly in clips.items()
+            if not clip or name == clip
+        ]
+    from repro.bench.shapes import ilt_suite
+
+    shapes = [s for s in ilt_suite(pitch) if not clip or s.name == clip]
+    if not shapes:
+        raise SystemExit(f"no suite clip named {clip!r}")
+    return shapes
+
+
+def _run_batch(
+    args: argparse.Namespace, spec: FractureSpec, fracturer: Fracturer,
+    verbose: bool = False,
+):
+    """The batch loop over a ``fracture``/``mdp`` command's clips:
+    ``(shapes, report)``, with ``report`` ``None`` when interrupted."""
+    from repro.mask.mdp import MdpPipeline
+
+    shapes = _clip_shapes(args, spec.pitch, spec.grid_margin)
+    # With --window-nm the worker pool lives inside the tile executor
+    # (parallelism across tiles of each large shape); without it, the
+    # pool parallelizes across shapes.
+    workers = 1 if args.window_nm else args.workers
+    report = _guarded(args, spec, lambda: MdpPipeline(fracturer, spec).run(
+        shapes, output_dir=args.output, workers=workers, verbose=verbose,
+    ))
+    return shapes, report
+
+
 def _run_layout(
     args: argparse.Namespace,
     spec: FractureSpec,
@@ -324,21 +384,16 @@ def _run_layout(
     """Fracture a hierarchical GDSII layout (``fracture``/``mdp`` path)."""
     from repro.mask.gds import GdsError, read_layout
     from repro.mask.hierarchy import fracture_layout
-    from repro.mask.io import save_solution as _save
 
     clip_file = args.clip_file
     try:
         layout = read_layout(clip_file)
     except GdsError as error:
         raise SystemExit(f"{clip_file}: {error}") from None
-    try:
-        with _graceful_signals(), _telemetry(args, spec):
-            report = fracture_layout(
-                layout, fracturer, spec,
-                cache=cache, hierarchy=args.hierarchy,
-            )
-    except KeyboardInterrupt:
-        print(_INTERRUPTED, file=sys.stderr)
+    report = _guarded(args, spec, lambda: fracture_layout(
+        layout, fracturer, spec, cache=cache, hierarchy=args.hierarchy,
+    ))
+    if report is None:
         return 130
     print(report.summary())
     stats = report.stats
@@ -351,7 +406,7 @@ def _run_layout(
     if getattr(args, "output", None):
         out = Path(args.output)
         out.mkdir(parents=True, exist_ok=True)
-        _save(
+        save_solution(
             report.shots, spec,
             out / f"{layout.top or 'layout'}.solution.json",
             clip_name=layout.top,
@@ -477,48 +532,11 @@ def _cmd_fracture(args: argparse.Namespace) -> int:
         if args.clip:
             raise SystemExit("--clip does not apply to GDSII layout input")
         return _run_layout(args, spec, fracturer, cache)
-    if args.clip_file:
-        clips = load_clips(args.clip_file)
-        if args.clip and args.clip not in clips:
-            raise SystemExit(f"clip {args.clip!r} not in {args.clip_file}")
-        selected = {args.clip: clips[args.clip]} if args.clip else clips
-        shapes = [
-            MaskShape.from_polygon(poly, pitch=spec.pitch,
-                                   margin=spec.grid_margin, name=name)
-            for name, poly in selected.items()
-        ]
-    else:
-        from repro.bench.shapes import ilt_suite
-
-        shapes = [s for s in ilt_suite(spec.pitch) if not args.clip or s.name == args.clip]
-        if not shapes:
-            raise SystemExit(f"no suite clip named {args.clip!r}")
-    try:
-        with _graceful_signals(), _telemetry(args, spec):
-            _fracture_shapes(args, spec, fracturer, shapes)
-    except KeyboardInterrupt:
-        print(_INTERRUPTED, file=sys.stderr)
+    shapes, report = _run_batch(args, spec, fracturer)
+    if report is None:
         return 130
-    return 0
-
-
-def _fracture_shapes(
-    args: argparse.Namespace,
-    spec: FractureSpec,
-    fracturer: Fracturer,
-    shapes: list[MaskShape],
-) -> None:
-    for shape in shapes:
-        result = fracturer.fracture(shape, spec)
+    for shape, result in zip(shapes, report.results):
         print(result.summary())
-        if args.output:
-            out = Path(args.output)
-            out.mkdir(parents=True, exist_ok=True)
-            save_solution(
-                result.shots, spec, out / f"{shape.name}.solution.json",
-                clip_name=shape.name,
-                metadata={"method": result.method, "runtime_s": result.runtime_s},
-            )
         if args.svg:
             from repro.viz.render import render_fracture
 
@@ -536,6 +554,7 @@ def _fracture_shapes(
                 shape.polygon, result.shots, out / f"{shape.name}.gds",
                 cell_name=shape.name or "CLIP",
             )
+    return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -611,33 +630,16 @@ def _cmd_mdp(args: argparse.Namespace) -> int:
                 "--baseline is not supported for hierarchical GDSII input"
             )
         return _run_layout(args, spec, fracturer, cache)
-    clips = load_clips(args.clip_file)
-    shapes = [
-        MaskShape.from_polygon(poly, pitch=spec.pitch,
-                               margin=spec.grid_margin, name=name)
-        for name, poly in clips.items()
-    ]
-    pipeline = MdpPipeline(fracturer, spec)
-    # With --window-nm the worker pool lives inside the tile executor
-    # (parallelism across tiles of each large shape); without it, the
-    # pool parallelizes across shapes as before.
-    batch_workers = 1 if args.window_nm else args.workers
-    try:
-        with _graceful_signals(), _telemetry(args, spec):
-            report = pipeline.run(
-                shapes, output_dir=args.output, workers=batch_workers,
-                verbose=True,
-            )
-    except KeyboardInterrupt:
-        print(_INTERRUPTED, file=sys.stderr)
+    shapes, report = _run_batch(args, spec, fracturer, verbose=True)
+    if report is None:
         return 130
     print(
         f"batch: {report.total_shots} shots over {len(report.results)} shapes, "
         f"{report.feasible_count} feasible"
     )
     if args.baseline:
-        baseline = MdpPipeline(_make_fracturer(args.baseline), spec).run(shapes)
-        saving = pipeline.projected_saving(baseline, report)
+        reference = MdpPipeline(_make_fracturer(args.baseline), spec)
+        saving = reference.projected_saving(reference.run(shapes), report)
         print(
             f"vs {args.baseline}: {saving['shot_reduction']:.1%} fewer shots "
             f"≈ {saving['mask_cost_saving_fraction']:.1%} mask cost "
@@ -920,30 +922,6 @@ def _service_client(args: argparse.Namespace):
     return ServiceClient(args.state_dir)
 
 
-def _job_clips(args: argparse.Namespace) -> dict[str, list[list[float]]]:
-    """Clip geometry for a submission: a clip file or built-in suite clips."""
-    if args.clip_file:
-        clips = load_clips(args.clip_file)
-        if args.clip and args.clip not in clips:
-            raise SystemExit(f"clip {args.clip!r} not in {args.clip_file}")
-        selected = {args.clip: clips[args.clip]} if args.clip else clips
-        return {
-            name: [[p.x, p.y] for p in poly.vertices]
-            for name, poly in selected.items()
-        }
-    from repro.bench.shapes import ilt_suite
-
-    shapes = [
-        s for s in ilt_suite(args.pitch)
-        if not args.clip or s.name == args.clip
-    ]
-    if not shapes:
-        raise SystemExit(f"no suite clip named {args.clip!r}")
-    return {
-        s.name: [[p.x, p.y] for p in s.polygon.vertices] for s in shapes
-    }
-
-
 def _run_client_op(args: argparse.Namespace, op) -> int:
     """Run one client operation with uniform daemon-error reporting."""
     from repro.service.client import ServiceError
@@ -955,7 +933,11 @@ def _run_client_op(args: argparse.Namespace, op) -> int:
 
 
 def _cmd_job_submit(args: argparse.Namespace) -> int:
-    clips = _job_clips(args)
+    # Only the polygons travel; the daemon places them on its own grid.
+    clips = {
+        shape.name: [[p.x, p.y] for p in shape.polygon.vertices]
+        for shape in _clip_shapes(args, args.pitch, margin=0.0)
+    }
     spec = {
         "sigma": args.sigma, "gamma": args.gamma, "pitch": args.pitch,
         "rho": args.rho, "lmin": args.lmin,
@@ -1156,16 +1138,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_mdp.add_argument("--method", default="ours")
     p_mdp.add_argument("--baseline", help="compare economics against this method")
-    p_mdp.add_argument(
-        "--workers", type=_positive_int, default=1,
-        help="process-pool width: across shapes, or across tiles of "
-             "each shape when --window-nm is set",
-    )
-    p_mdp.add_argument(
-        "--window-nm", type=_positive_float, metavar="NM",
-        help="tile large shapes into NM-sized 2-D windows (tiled "
-             "executor; --workers then parallelizes tiles)",
-    )
+    _add_window_arguments(p_mdp)
     _add_runtime_arguments(p_mdp)
     _add_cache_argument(p_mdp)
     _add_hierarchy_arguments(p_mdp)

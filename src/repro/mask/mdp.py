@@ -1,23 +1,24 @@
-"""Multi-shape mask data preparation pipeline.
+"""Multi-shape mask data preparation pipeline: the one clip loop.
 
 A full-field mask contains billions of polygons; each is fractured
-independently (paper §2).  :class:`MdpPipeline` is the batch driver a
-downstream user runs over a clip library: fracture every shape, verify,
-aggregate shot counts and write-time/cost projections, and optionally
-persist the solutions.
+independently (paper §2).  :meth:`MdpPipeline.run` is the batch loop
+every front end runs over its clips — ``fracture`` and ``mdp`` on the
+CLI, daemon jobs (:mod:`repro.service.executor`) and the e2e
+benchmark: fracture every shape, verify, persist each solution as it
+finishes, and aggregate shot counts and write-time/cost projections.
 
 Work avoidance is the :class:`~repro.fracture.cache.FractureCache` on
-the fracturer (``fracturer.cache``): repeated geometry inside one
-batch, across batches, or already fractured by the service hits by
-canonical content hash and is served by exact shot translation.  Every
-finished shape is stored as soon as it finishes, so with a persisted
-cache (``persist_dir``, the CLI's ``--fracture-cache DIR``) an
-interrupted batch resumes by re-running against the same directory:
-finished shapes replay bit-identically and only the remainder is
-fractured.  The key holds geometry, spec, method and window, so a
-changed spec, method or clip never replays a stale result.  Parallel
-runs consult the cache in the parent loop and ship only misses to the
-worker pool.
+the fracturer (``fracturer.cache``): the CLI's ``--fracture-cache DIR``
+or the daemon's warm result cache.  Repeated geometry inside one
+batch, across batches, or already fractured by another front end hits
+by canonical content hash, costs a fingerprint and no raster, and is
+served by exact shot translation.  Every finished shape is stored as
+soon as it finishes, so with a persisted cache an interrupted batch
+resumes by re-running against the same directory: finished shapes
+replay bit-identically and only the remainder is fractured.  The key
+holds geometry, spec, method and window, so a changed spec, method or
+clip never replays a stale result.  Parallel runs consult the cache in
+the parent loop and ship only misses to the worker pool.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 from repro.fracture.base import FractureResult, Fracturer
 from repro.mask.constraints import FractureSpec
@@ -92,6 +93,7 @@ class MdpPipeline:
         output_dir: str | Path | None = None,
         verbose: bool = False,
         workers: int = 1,
+        before_clip: Callable[[str], None] | None = None,
     ) -> MdpReport:
         """Fracture every shape; optionally persist per-shape solutions.
 
@@ -102,50 +104,27 @@ class MdpPipeline:
         collects its own buffer and the parent merges them on join, so
         parallel runs lose no observability.
 
-        With a fracture cache on the fracturer, hits are served in the
-        parent loop and only misses are dispatched.  Each fresh result
-        is stored as soon as it finishes, so a batch stopped part way
-        leaves every finished shape for the re-run to replay.
+        ``before_clip(name)`` runs before each shape is looked up or
+        fractured; what it raises stops the batch there (the daemon's
+        stop check).  Each shape emits ``clip_start`` and ``clip_done``
+        events.  Each solution is written, and each fresh result stored
+        in the fracturer's cache, as soon as it finishes, so a batch
+        stopped part way keeps every finished shape.
         """
         obs = get_recorder()
-        report = MdpReport()
         out = Path(output_dir) if output_dir is not None else None
         if out is not None:
             out.mkdir(parents=True, exist_ok=True)
-        cache = self.fracturer.cache
         results: list[FractureResult | None] = [None] * len(shapes)
-        with obs.span("mdp.batch", shapes=len(shapes), workers=workers):
-            pending: list[tuple[int, MaskShape]] = []
-            for index, shape in enumerate(shapes):
-                if cache is not None and workers > 1:
-                    # Parallel dispatch pre-consults so known work never
-                    # ships to the pool; the serial path below leaves the
-                    # hook attached instead, so within-batch duplicates
-                    # hit as soon as their first instance finishes.
-                    hit = self.fracturer.fracture_cached(shape, self.spec)
-                    if hit is not None:
-                        results[index] = hit
-                        continue
-                pending.append((index, shape))
-            if workers > 1 and len(pending) > 1:
-                fresh = self._run_parallel([s for _, s in pending], workers)
-                for (index, _), result in zip(pending, fresh):
-                    results[index] = result
-            else:
-                for index, shape in pending:
-                    with obs.span("mdp.shape", shape=shape.name):
-                        results[index] = self.fracturer.fracture(
-                            shape, self.spec
-                        )
-        if cache is not None:
-            hits = sum(1 for r in results if r.extra.get("cache_hit"))
-            obs.manifest_section(
-                "mdp_batch",
-                {"shapes": len(shapes), "fresh": len(shapes) - hits,
-                 "cache_hits": hits},
+
+        def finish(index: int, result: FractureResult) -> None:
+            shape = shapes[index]
+            results[index] = result
+            obs.event(
+                "clip_done", clip=shape.name,
+                cached=bool(result.extra.get("cache_hit")),
+                shots=result.shot_count, feasible=result.feasible,
             )
-        for shape, result in zip(shapes, results):
-            report.results.append(result)
             if verbose:
                 logger.info("%s", result.summary())
             if out is not None:
@@ -160,11 +139,44 @@ class MdpPipeline:
                         "failing_pixels": result.report.total_failing,
                     },
                 )
-        return report
+
+        parallel = workers > 1 and len(shapes) > 1
+        with obs.span("mdp.batch", shapes=len(shapes), workers=workers):
+            pending: list[int] = []
+            for index, shape in enumerate(shapes):
+                if before_clip is not None:
+                    before_clip(shape.name)
+                obs.event("clip_start", clip=shape.name)
+                if not parallel:
+                    # The cache hook stays attached, so within-batch
+                    # duplicates hit as soon as their first instance
+                    # finishes.
+                    with obs.span("mdp.shape", shape=shape.name):
+                        finish(index, self.fracturer.fracture(shape, self.spec))
+                    continue
+                # Parallel dispatch pre-consults so known work never
+                # ships to the pool.
+                hit = self.fracturer.fracture_cached(shape, self.spec)
+                if hit is None:
+                    pending.append(index)
+                else:
+                    finish(index, hit)
+            fresh = self._run_parallel([shapes[i] for i in pending], workers)
+            for index, result in zip(pending, fresh):
+                finish(index, result)
+        if self.fracturer.cache is not None:
+            hits = sum(1 for r in results if r.extra.get("cache_hit"))
+            obs.manifest_section(
+                "mdp_batch",
+                {"shapes": len(shapes), "fresh": len(shapes) - hits,
+                 "cache_hits": hits},
+            )
+        return MdpReport(results=list(results))
 
     def _run_parallel(
         self, shapes: Sequence[MaskShape], workers: int
-    ) -> list[FractureResult]:
+    ) -> Iterator[FractureResult]:
+        """Each shape's fresh result, in order, as the pool yields it."""
         from concurrent.futures import ProcessPoolExecutor
 
         obs = get_recorder()
@@ -176,15 +188,13 @@ class MdpPipeline:
         bare = copy.copy(self.fracturer)
         bare.cache = None
         jobs = [(bare, shape, self.spec, obs.enabled) for shape in shapes]
-        results = []
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = pool.map(_fracture_job, jobs)
             for shape, (result, telemetry) in zip(shapes, outcomes):
                 if telemetry is not None:
                     obs.merge_child(telemetry, label=shape.name or "shape")
                 self.fracturer.store_cached(shape, self.spec, result)
-                results.append(result)
-        return results
+                yield result
 
     def projected_saving(
         self, baseline: MdpReport, improved: MdpReport

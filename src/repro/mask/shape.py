@@ -3,7 +3,9 @@
 A :class:`MaskShape` bundles everything a fracturer needs about one
 target: the boundary polygon ``V_M``, the pixel grid, the rasterized
 inside-mask, a summed-area table for overlap queries, and (cached) the
-P_on/P_off/P_x classification for a given γ.
+P_on/P_off/P_x classification for a given γ.  A polygon rasterizes on
+first use, so a fracture-cache hit, which reads only the polygon,
+never pays for it.
 """
 
 from __future__ import annotations
@@ -26,17 +28,13 @@ class MaskShape:
     blur reach so P_off constraints outside the shape are represented.
     """
 
-    __slots__ = ("name", "polygon", "grid", "inside", "_sat", "_pixel_cache")
+    __slots__ = ("name", "polygon", "grid", "_inside", "_sat", "_pixel_cache")
 
-    def __init__(self, polygon: Polygon, grid: PixelGrid, inside: np.ndarray, name: str = ""):
-        if inside.shape != grid.shape:
-            raise ValueError(f"mask shape {inside.shape} != grid shape {grid.shape}")
-        if not inside.any():
-            raise ValueError("target shape rasterizes to no pixels")
+    def __init__(self, polygon: Polygon, grid: PixelGrid, inside: np.ndarray | None, name: str = ""):
         self.name = name
         self.polygon = polygon
         self.grid = grid
-        self.inside = inside
+        self._inside = None if inside is None else _checked_mask(inside, grid)
         self._sat: SummedAreaTable | None = None
         self._pixel_cache: dict[float, PixelSets] = {}
 
@@ -50,10 +48,9 @@ class MaskShape:
         margin: float = 30.0,
         name: str = "",
     ) -> "MaskShape":
-        """Rasterize a boundary polygon onto a padded pixel grid."""
+        """Place a boundary polygon on a padded grid (rasterized on first use)."""
         grid = PixelGrid.for_rect(polygon.bounding_box(), pitch, margin=margin)
-        inside = rasterize_polygon(polygon, grid)
-        return cls(polygon, grid, inside, name=name)
+        return cls(polygon, grid, None, name=name)
 
     @classmethod
     def from_mask(
@@ -64,6 +61,14 @@ class MaskShape:
         return cls(polygon, grid, inside, name=name)
 
     # -- cached derived data ---------------------------------------------------
+
+    @property
+    def inside(self) -> np.ndarray:
+        """Boolean inside-mask on :attr:`grid`."""
+        if self._inside is None:
+            inside = rasterize_polygon(self.polygon, self.grid)
+            self._inside = _checked_mask(inside, self.grid)
+        return self._inside
 
     @property
     def sat(self) -> SummedAreaTable:
@@ -97,3 +102,11 @@ class MaskShape:
             f"MaskShape({label!r}, {self.vertex_count} vertices, "
             f"{self.area:.0f} nm², grid {self.grid.ny}x{self.grid.nx})"
         )
+
+
+def _checked_mask(inside: np.ndarray, grid: PixelGrid) -> np.ndarray:
+    if inside.shape != grid.shape:
+        raise ValueError(f"mask shape {inside.shape} != grid shape {grid.shape}")
+    if not inside.any():
+        raise ValueError("target shape rasterizes to no pixels")
+    return inside

@@ -10,9 +10,11 @@ check first:
    :class:`~repro.fracture.cache.FractureCache`.  The sha256 of
    (canonical clip vertices, spec, method, window) maps to the
    finished shot list plus its frame, so a resubmission — even a
-   *translated* one — costs one hash, skipping both fracture and
-   verification (the stored feasibility verdict was computed from
-   scratch on identical canonical geometry the first time).  With
+   *translated* one — costs one hash, skipping rasterization,
+   fracture and verification (the stored feasibility verdict was
+   computed from scratch on identical canonical geometry the first
+   time).  The executor attaches it as the job fracturer's ``cache``,
+   so a hit counts as ``cache.fracture.hits``, as in a CLI run.  With
    ``persist_dir`` set, entries survive daemon restarts on disk.
 2. **Profile bank** (:class:`~repro.ebeam.intensity_map.ProfileBank`)
    — keyed 1-D edge profiles shared by every ``IntensityMap`` over the
@@ -23,13 +25,12 @@ check first:
    per process, shared by all jobs (thread-safe double-checked build).
 
 :class:`WarmCaches` owns layers 1–2, installs the bank process-wide on
-daemon startup, and answers the hit/miss counters that every job's
-telemetry and the ``stats`` op expose.
+daemon startup, and answers the daemon-wide store gauges that the
+``stats`` op, ``metrics`` and ``top`` expose.
 
 The result cache is keyed by
-:func:`repro.fracture.cache.canonical_fingerprint` — the single
-fingerprint function in the tree, so service and library hashes can
-never drift.
+:func:`repro.fracture.cache.canonical_fingerprint`, the library's shape
+key, so service and library hashes can never drift.
 """
 
 from __future__ import annotations
@@ -88,11 +89,10 @@ class WarmCaches:
     def stats(self) -> dict[str, Any]:
         """Gauges for the ``stats`` op and per-job telemetry.
 
-        Keys follow the unified cache telemetry namespace — the same
-        ``cache.<name>.*`` families the recorder counters use
-        (``cache.result.hits``, ``cache.profile.hits``, …) — so the
-        ``stats`` op, the ``metrics`` exposition and per-run manifests
-        all agree on naming.
+        Keys follow the unified ``cache.<name>.*`` namespace
+        (``cache.result.entries``, ``cache.profile.layouts``, …), so
+        the ``stats`` op, the ``metrics`` exposition and per-job
+        manifests all agree on naming.
         """
         return {
             "result": self.results.stats(),

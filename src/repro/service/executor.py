@@ -9,11 +9,15 @@ and composes the pieces the earlier PRs built:
   spans or counters — streaming live to the job's ``stream.jsonl``,
   the job's one telemetry file (append mode on resumed attempts: one
   stream, and so one folded payload, tells the whole story);
-* the shared :class:`~repro.service.caches.WarmCaches` — each clip is
-  first looked up in the content-addressed result cache (a hit skips
-  fracture *and* verification: the stored verdict was computed from
-  scratch on identical inputs), and every ``IntensityMap`` built on a
-  miss attaches to the warm profile bank automatically;
+* the one clip loop, :meth:`~repro.mask.mdp.MdpPipeline.run`, which
+  ``fracture`` and ``mdp`` run too, with a ``before_clip`` hook for
+  the stop check and the heartbeat task;
+* the shared :class:`~repro.service.caches.WarmCaches` — its result
+  cache is the fracturer's ``cache`` (unless the job sets
+  ``use_result_cache: false``), so a clip is looked up as in a CLI
+  run: a hit skips rasterization, fracture *and* verification and
+  counts as ``cache.fracture.hits``; and every ``IntensityMap`` built
+  on a miss attaches to the warm profile bank automatically;
 * the fault-tolerant tiled runtime — windowed jobs get their own tile
   store under the job directory and a ``stop_check`` wired to the
   daemon's shutdown/cancel events, so SIGTERM stops mid-clip and the
@@ -42,6 +46,7 @@ from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
 from repro.mask.constraints import FractureSpec
 from repro.mask.io import spec_from_dict, spec_to_dict
+from repro.mask.mdp import MdpPipeline
 from repro.mask.shape import MaskShape
 from repro.methods import make_fracturer
 from repro.obs import (
@@ -250,8 +255,14 @@ def _run_clips(
 ) -> dict[str, Any]:
     job = record.spec
     spec = _build_spec(job.get("spec", {}))
-    use_cache = caches is not None and job.get("use_result_cache", True)
     runner = _make_runner(job, paths, control, trace=recorder.trace)
+    if caches is not None and job.get("use_result_cache", True):
+        # The resolved spec and registry method name match the library's
+        # cache keys exactly, so a clip fractured by an `mdp
+        # --fracture-cache` run warms the daemon and vice versa — and a
+        # *translated* clip of known geometry hits too, served by exact
+        # shot translation.
+        runner.cache = caches.results
     recorder.event(
         "job_start",
         job_id=record.job_id,
@@ -260,59 +271,40 @@ def _run_clips(
         clips=len(job["clips"]),
         method=job["method"],
     )
-    clips_out: dict[str, dict[str, Any]] = {}
-    started = time.perf_counter()
-    for name in sorted(job["clips"]):
-        control.raise_if_stopped()
-        vertices = job["clips"][name]
-        polygon = Polygon(Point(x, y) for x, y in vertices)
-        # The resolved spec and registry method name match the library's
-        # cache keys exactly, so a clip fractured by an `mdp
-        # --fracture-cache` run warms the daemon and vice versa — and a
-        # *translated* clip of known geometry hits too, served by exact
-        # shot translation.
-        cached = (
-            caches.results.get_result(
-                polygon, spec, job["method"], job.get("window_nm"),
-                shape_name=name,
-            )
-            if use_cache else None
+    names = sorted(job["clips"])
+    shapes = [
+        MaskShape.from_polygon(
+            Polygon(Point(x, y) for x, y in job["clips"][name]),
+            pitch=spec.pitch, margin=spec.grid_margin, name=name,
         )
-        if cached is not None:
-            recorder.incr("cache.result.hits")
-            recorder.event("clip_done", clip=name, cached=True,
-                           shots=cached.shot_count)
-            clips_out[name] = {**_clip_payload(cached), "cached": True}
-            continue
-        if use_cache:
-            recorder.incr("cache.result.misses")
-        recorder.event("clip_start", clip=name, cached=False)
+        for name in names
+    ]
+
+    def before_clip(name: str) -> None:
+        control.raise_if_stopped()
         if heartbeat is not None:
             heartbeat.set_task(name, record.attempts)
-        shape = MaskShape.from_polygon(
-            polygon, pitch=spec.pitch, margin=spec.grid_margin, name=name
+
+    started = time.perf_counter()
+    try:
+        report = MdpPipeline(runner, spec).run(shapes, before_clip=before_clip)
+    except RunInterrupted as stopped:
+        # The tiled runtime stops for either flag; map back to the
+        # one that fired (cancel wins: it is job-specific intent).  The
+        # clip is the one the last `clip_start` event names.
+        recorder.event(
+            "clip_interrupted",
+            tiles_done=stopped.done, tiles_total=stopped.total,
         )
-        try:
-            result = runner.fracture(shape, spec)
-        except RunInterrupted as stopped:
-            # The tiled runtime stops for either flag; map back to the
-            # one that fired (cancel wins: it is job-specific intent).
-            recorder.event(
-                "clip_interrupted", clip=name,
-                tiles_done=stopped.done, tiles_total=stopped.total,
-            )
-            control.raise_if_stopped()
-            raise  # stop_check stale trip with no flag set: real error
-        if use_cache:
-            caches.results.put_result(
-                polygon, spec, result,
-                window_nm=job.get("window_nm"), method=job["method"],
-            )
-        recorder.event("clip_done", clip=name, cached=False,
-                       shots=result.shot_count, feasible=result.feasible)
-        clips_out[name] = {**_clip_payload(result), "cached": False}
+        control.raise_if_stopped()
+        raise  # stop_check stale trip with no flag set: real error
     if heartbeat is not None:
         heartbeat.clear_task()
+    clips_out = {
+        name: {**_clip_payload(result),
+               "cached": bool(result.extra.get("cache_hit"))}
+        for name, result in zip(names, report.results)
+    }
     wall_s = time.perf_counter() - started
     if caches is not None:
         stats = caches.stats()

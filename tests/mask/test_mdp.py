@@ -226,6 +226,18 @@ class TestMdpResume:
         assert [r.shots for r in resumed.results] == \
             [r.shots for r in reference.results]
 
+    def test_interrupted_batch_keeps_the_solutions_that_finished(
+        self, rect_shape, l_shape, spec, tmp_path
+    ):
+        out = tmp_path / "out"
+        with pytest.raises(KeyboardInterrupt):
+            MdpPipeline(_FailOn("bar", KeyboardInterrupt), spec).run(
+                [rect_shape, l_shape, _bar(spec)], output_dir=out
+            )
+        assert sorted(p.name for p in out.iterdir()) == [
+            "L.solution.json", "rect.solution.json",
+        ]
+
     def test_parallel_failure_keeps_the_shapes_finished_before_it(
         self, rect_shape, l_shape, spec, tmp_path
     ):
@@ -268,3 +280,51 @@ class TestMdpFractureCache:
         fracturer.cache = _CountingCache()
         MdpPipeline(fracturer, spec).run([rect_shape, l_shape])
         assert fracturer.cache.puts == 2
+
+
+class TestBatchHooks:
+    def test_before_clip_runs_per_shape_and_can_stop_the_batch(
+        self, rect_shape, l_shape, spec, tmp_path
+    ):
+        seen = []
+
+        def before_clip(name):
+            seen.append(name)
+            if name == "L":
+                raise RuntimeError("stop")
+
+        with pytest.raises(RuntimeError, match="stop"):
+            MdpPipeline(PartitionFracturer(), spec).run(
+                [rect_shape, l_shape, _bar(spec)], output_dir=tmp_path,
+                before_clip=before_clip,
+            )
+        assert seen == ["rect", "L"]
+        assert [p.name for p in tmp_path.iterdir()] == ["rect.solution.json"]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_clip_events_for_every_shape_cached_or_not(
+        self, rect_shape, l_shape, spec, workers
+    ):
+        fracturer = PartitionFracturer()
+        fracturer.cache = FractureCache()
+        MdpPipeline(fracturer, spec).run([rect_shape])
+        recorder = TelemetryRecorder()
+        with recording(recorder):
+            report = MdpPipeline(fracturer, spec).run(
+                [rect_shape, l_shape], workers=workers
+            )
+        done = [
+            (e["clip"], e["cached"], e["shots"], e["feasible"])
+            for e in recorder.export()["events"] if e["name"] == "clip_done"
+        ]
+        assert done == [
+            (r.shape_name, bool(r.extra.get("cache_hit")), r.shot_count,
+             r.feasible)
+            for r in report.results
+        ]
+        assert [cached for _, cached, _, _ in done] == [True, False]
+        started = [
+            e["clip"] for e in recorder.export()["events"]
+            if e["name"] == "clip_start"
+        ]
+        assert started == ["rect", "L"]

@@ -2,13 +2,22 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
+import pytest
 
 from repro.baselines import PartitionFracturer
+from repro.cli import main
 from repro.ebeam.intensity_map import IntensityMap, get_profile_bank
 from repro.fracture.cache import FractureCache, canonical_fingerprint
+from repro.geometry.polygon import Polygon
 from repro.mask.constraints import FractureSpec
+from repro.mask.io import load_clips, load_solution, rect_from_list, save_clips
+from repro.obs import load_telemetry
 from repro.service.caches import WarmCaches
+from repro.service.executor import execute_job
+from repro.service.jobs import JobPaths, JobRecord, validate_submission
 
 CLIP = [[0.0, 0.0], [40.0, 0.0], [40.0, 40.0], [0.0, 40.0]]
 
@@ -144,13 +153,13 @@ class TestExecutorCacheHits:
         caches = WarmCaches()
         cold, cold_counters = self._run(tmp_path, caches, "job-c01d", L_CLIP)
         assert cold["totals"]["cached_clips"] == 0
-        assert cold_counters["cache.result.misses"] == 1
-        assert "cache.result.hits" not in cold_counters
+        assert cold_counters["cache.fracture.misses"] == 1
+        assert "cache.fracture.hits" not in cold_counters
 
         verbatim, counters = self._run(tmp_path, caches, "job-0a0a", L_CLIP)
         assert verbatim["totals"]["cached_clips"] == 1
         assert verbatim["clips"]["L"]["cached"] is True
-        assert counters["cache.result.hits"] == 1
+        assert counters["cache.fracture.hits"] == 1
         assert verbatim["clips"]["L"]["shots"] == cold["clips"]["L"]["shots"]
         assert verbatim["totals"]["shots"] == cold["totals"]["shots"]
 
@@ -158,7 +167,7 @@ class TestExecutorCacheHits:
         moved = [[x + dx, y + dy] for x, y in L_CLIP]
         translated, counters = self._run(tmp_path, caches, "job-0b0b", moved)
         assert translated["totals"]["cached_clips"] == 1
-        assert counters["cache.result.hits"] == 1
+        assert counters["cache.fracture.hits"] == 1
         assert translated["clips"]["L"]["shots"] == [
             [x0 + dx, y0 + dy, x1 + dx, y1 + dy]
             for x0, y0, x1, y1 in cold["clips"]["L"]["shots"]
@@ -176,7 +185,7 @@ class TestExecutorCacheHits:
         )
         assert uncached["totals"]["cached_clips"] == 0
         assert uncached["clips"]["L"]["cached"] is False
-        assert "cache.result.hits" not in counters
+        assert "cache.fracture.hits" not in counters
         assert uncached["clips"]["L"]["shots"] == cold["clips"]["L"]["shots"]
 
     def test_cached_clip_keeps_its_fracture_time_in_extra(self, tmp_path):
@@ -187,3 +196,122 @@ class TestExecutorCacheHits:
         assert clip["extra"]["cache_hit"] is True
         assert clip["extra"]["cached_runtime_s"] == \
             cold["clips"]["L"]["runtime_s"]
+
+
+def _job(tmp_path, caches, job_id, clips, **overrides):
+    """Run one partition job on ``caches``; its result and stream counters."""
+    record = JobRecord(job_id=job_id, spec=validate_submission({
+        "clips": clips, "method": "partition", **overrides,
+    }))
+    record.attempts = 1
+    paths = JobPaths.for_job(tmp_path / "state", job_id)
+    result = execute_job(record, paths, caches)
+    return result, load_telemetry(paths.stream)["counters"]
+
+
+def _mdp(clip_file, store, window_nm, *extra):
+    argv = ["mdp", str(clip_file), "--method", "partition",
+            "--fracture-cache", str(store), *extra]
+    if window_nm is not None:
+        argv += ["--window-nm", str(window_nm)]
+    # Exit 1 only says some clip fails Eq. 4; partition is not CD-clean.
+    assert main(argv) in (0, 1)
+
+
+@pytest.fixture(scope="module")
+def ilt_clip_file(tmp_path_factory):
+    out = tmp_path_factory.mktemp("clips")
+    assert main(["generate", "--output", str(out)]) == 0
+    return out / "ilt_suite.clips.json"
+
+
+@pytest.mark.parametrize("window_nm", [None, 300.0])
+class TestCliAndDaemonShareOneStore:
+    """`mdp --fracture-cache DIR` and a daemon job on
+    `WarmCaches(persist_dir=DIR)` call one clip loop with one store."""
+
+    def _job(self, tmp_path, clip_file, store, window_nm):
+        clips = {
+            name: [[p.x, p.y] for p in poly.vertices]
+            for name, poly in load_clips(clip_file).items()
+        }
+        return _job(
+            tmp_path, WarmCaches(persist_dir=store), "job-5a5e0001", clips,
+            window_nm=window_nm,
+        )
+
+    def test_daemon_replays_what_mdp_stored(
+        self, tmp_path, ilt_clip_file, window_nm
+    ):
+        store, out, stream = (
+            tmp_path / "store", tmp_path / "out", tmp_path / "mdp.jsonl"
+        )
+        _mdp(ilt_clip_file, store, window_nm,
+             "--output", str(out), "--stream", str(stream))
+        done = {
+            e["clip"]: e for e in load_telemetry(stream)["events"]
+            if e["name"] == "clip_done"
+        }
+        result, counters = self._job(tmp_path, ilt_clip_file, store, window_nm)
+        assert sorted(result["clips"]) == sorted(done)
+        assert len(done) == 10
+        for name, clip in result["clips"].items():
+            shots, _spec, meta = load_solution(out / f"{name}.solution.json")
+            assert clip["cached"] is True
+            assert [rect_from_list(s) for s in clip["shots"]] == shots
+            assert clip["failing_px"] == meta["failing_pixels"]
+            assert clip["feasible"] == done[name]["feasible"]
+        assert counters["cache.fracture.hits"] == len(done)
+
+    def test_mdp_replays_what_the_daemon_stored(
+        self, tmp_path, ilt_clip_file, window_nm
+    ):
+        store, telemetry = tmp_path / "store", tmp_path / "mdp.json"
+        result, _ = self._job(tmp_path, ilt_clip_file, store, window_nm)
+        assert result["totals"]["cached_clips"] == 0
+        _mdp(ilt_clip_file, store, window_nm, "--telemetry", str(telemetry))
+        batch = json.loads(telemetry.read_text())["manifest"]["mdp_batch"]
+        assert batch["cache_hits"] == batch["shapes"] == len(result["clips"])
+
+
+class TestStoreHitsDoNotRasterize:
+    """A store hit costs a fingerprint: the clip is never rasterized."""
+
+    @pytest.fixture
+    def rasterized(self, monkeypatch):
+        import repro.mask.shape as shape_module
+
+        calls = []
+        real = shape_module.rasterize_polygon
+
+        def counting(polygon, grid):
+            calls.append(polygon)
+            return real(polygon, grid)
+
+        monkeypatch.setattr(shape_module, "rasterize_polygon", counting)
+        return calls
+
+    def test_warm_daemon_resubmission(self, tmp_path, rasterized):
+        caches = WarmCaches()
+        _job(tmp_path, caches, "job-c01d", {"L": L_CLIP})
+        assert rasterized
+        rasterized.clear()
+        warm, _ = _job(tmp_path, caches, "job-0a0a", {"L": L_CLIP})
+        assert warm["totals"]["cached_clips"] == 1
+        assert rasterized == []
+
+    def test_mdp_replay_of_a_finished_batch(self, tmp_path, rasterized):
+        clip_file = tmp_path / "clips.json"
+        save_clips(
+            {"L": Polygon([tuple(v) for v in L_CLIP]),
+             "sq": Polygon([tuple(v) for v in CLIP])},
+            clip_file,
+        )
+        store = tmp_path / "store"
+        _mdp(clip_file, store, None)
+        assert len(rasterized) == 2
+        rasterized.clear()
+        _mdp(clip_file, store, None, "--telemetry", str(tmp_path / "t.json"))
+        batch = json.loads((tmp_path / "t.json").read_text())
+        assert batch["manifest"]["mdp_batch"]["cache_hits"] == 2
+        assert rasterized == []

@@ -236,8 +236,8 @@ class TestDaemonFoldMatchesCli:
 
         assert pairs(daemon_phases) == pairs(phase_breakdown(cli))
         assert ("tile", 3) in pairs(daemon_phases)
-        [fracture] = daemon["spans"]["children"]
-        assert fracture["name"] == "fracture"
+        [batch] = daemon["spans"]["children"]
+        assert batch["name"] == "mdp.batch"
         assert sum(p["self_s"] for p in daemon_phases) == pytest.approx(
-            fracture["wall_s"]
+            batch["wall_s"]
         )
