@@ -48,7 +48,9 @@ class GreedySetCoverFracturer(Fracturer):
             report = state.report()
             if report.count_on == 0:
                 break
-            candidates = _candidate_shots(allowed, shape, spec, report.fail_on)
+            candidates = _candidate_shots(
+                allowed, shape, spec, state.failing_on()
+            )
             best_shot = None
             best_gain = 0
             for shot in candidates:

@@ -3,12 +3,14 @@
 AddShot: merge neighbouring failing P_on pixels into connected
 components, expand each component's bounding box to the minimum shot
 size, and add the box covering the most failing pixels.  One shot per
-refinement iteration.
+refinement iteration.  Only the bounding box of the failing P_on pixels
+is labeled: every component lies inside it.
 
 RemoveShot: pick the shot with the most failing P_off pixels within
 distance σ of it — the shot's own intensity exceeds 0.5 inside that
 band, so removing it likely clears those violations (at the price of new
-P_on violations that later iterations repair).
+P_on violations that later iterations repair).  Each shot counts them
+over its own σ-window: no pixel outside it can be that close.
 
 Both moves honour :meth:`RefinementState.mutation_allowed`: in a
 region-restricted refinement, a shot is only added or removed when its
@@ -19,21 +21,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.fracture.state import RefinementState
+from repro.fracture.state import RefinementState, StateReport
 from repro.geometry.labeling import bounding_boxes, label_components
 from repro.geometry.rect import Rect
-from repro.mask.constraints import FailureReport
 
 
-def add_shot(state: RefinementState, report: FailureReport) -> Rect | None:
+def add_shot(state: RefinementState, report: StateReport) -> Rect | None:
     """Add one shot over the worst cluster of failing P_on pixels."""
-    fail_on = report.fail_on
-    if not fail_on.any():
+    failing = state.failing_on_bbox() if report.count_on else None
+    if failing is None:
         return None
+    fail_on, r0, c0 = failing
     labels, count = label_components(fail_on)
-    boxes = bounding_boxes(labels, count, state.shape.grid)
-    if not boxes:
-        return None
+    grid = state.shape.grid
+    boxes = bounding_boxes(labels, count, grid, origin=(r0, c0))
+    h, w = fail_on.shape
     lmin = state.spec.lmin
     best_shot: Rect | None = None
     best_covered = -1
@@ -41,7 +43,15 @@ def add_shot(state: RefinementState, report: FailureReport) -> Rect | None:
         shot = _expand_to_min_size(box, lmin)
         if not state.mutation_allowed(state.imap.window_of(shot)):
             continue
-        covered = _covered_failing(fail_on, shot, state)
+        # Failing pixels whose centres the shot covers; none lie outside
+        # the labeled box, so the window is clipped to it.
+        ys, xs = grid.rect_to_slices(shot)
+        covered = int(
+            fail_on[
+                min(max(ys.start - r0, 0), h) : max(ys.stop - r0, 0),
+                min(max(xs.start - c0, 0), w) : max(xs.stop - c0, 0),
+            ].sum()
+        )
         if covered > best_covered:
             best_covered = covered
             best_shot = shot
@@ -51,26 +61,29 @@ def add_shot(state: RefinementState, report: FailureReport) -> Rect | None:
     return best_shot
 
 
-def remove_shot(state: RefinementState, report: FailureReport) -> Rect | None:
+def remove_shot(state: RefinementState, report: StateReport) -> Rect | None:
     """Remove the shot blamed for the most nearby failing P_off pixels."""
-    if not state.shots:
-        return None
-    fail_off = report.fail_off
-    ys, xs = np.nonzero(fail_off)
-    if len(ys) == 0:
+    if not state.shots or not report.count_off:
         return None
     grid = state.shape.grid
-    px = grid.x0 + (xs + 0.5) * grid.pitch
-    py = grid.y0 + (ys + 0.5) * grid.pitch
     sigma = state.spec.sigma
+    # One pixel wider than σ, so rounding in the window bounds can never
+    # drop a pixel the distance test below would count.
+    margin = sigma + grid.pitch
     best_index = -1
     best_count = -1
     for index, shot in enumerate(state.shots):
         if not state.mutation_allowed(state.imap.window_of(shot)):
             continue
-        dx = np.maximum(np.maximum(shot.xbl - px, px - shot.xtr), 0.0)
-        dy = np.maximum(np.maximum(shot.ybl - py, py - shot.ytr), 0.0)
-        count = int(((dx * dx + dy * dy) < sigma * sigma).sum())
+        window = grid.rect_to_slices(shot, margin=margin)
+        ys, xs = np.nonzero(state.failing_off(window))
+        count = 0
+        if ys.size:
+            px = grid.x0 + (xs + window[1].start + 0.5) * grid.pitch
+            py = grid.y0 + (ys + window[0].start + 0.5) * grid.pitch
+            dx = np.maximum(np.maximum(shot.xbl - px, px - shot.xtr), 0.0)
+            dy = np.maximum(np.maximum(shot.ybl - py, py - shot.ytr), 0.0)
+            count = int(((dx * dx + dy * dy) < sigma * sigma).sum())
         if count > best_count:
             best_count = count
             best_index = index
@@ -89,11 +102,3 @@ def _expand_to_min_size(box: Rect, lmin: float) -> Rect:
         cy = (ybl + ytr) / 2.0
         ybl, ytr = cy - lmin / 2.0, cy + lmin / 2.0
     return Rect(xbl, ybl, xtr, ytr)
-
-
-def _covered_failing(
-    fail_on: np.ndarray, shot: Rect, state: RefinementState
-) -> int:
-    """Failing P_on pixels whose centres the candidate shot covers."""
-    window = state.shape.grid.rect_to_slices(shot)
-    return int(fail_on[window].sum())

@@ -17,13 +17,12 @@ in EXPERIMENTS.md.
 
 from __future__ import annotations
 
-from repro.fracture.state import RefinementState
-from repro.mask.constraints import FailureReport
+from repro.fracture.state import RefinementState, StateReport
 
 
 def bias_all_shots(
     state: RefinementState,
-    report: FailureReport,
+    report: StateReport,
     paper_text_direction: bool = False,
 ) -> None:
     """Grow or shrink every shot edge by one pixel.

@@ -4,6 +4,10 @@ Holds the shot list, the incrementally maintained intensity map and the
 pixel classification, and provides the *windowed* cost evaluation that
 makes greedy edge adjustment affordable: the cost change of an edge move
 only depends on pixels within the blur reach of the two shot versions.
+The same holds for the Eq. 4 failure counts and the clamped Eq. 5 field,
+so every mutation updates them over its own window and
+:meth:`RefinementState.report` reads two integers and one sum; failure
+masks are built only when a move asks for them, over a window.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import numpy as np
 
 from repro.ebeam.intensity_map import IntensityMap, ProfileKey
 from repro.geometry.rect import Rect
-from repro.mask.constraints import FailureReport, FractureSpec
+from repro.mask.constraints import FractureSpec
 from repro.mask.pixels import PixelSets
 from repro.mask.shape import MaskShape
 from repro.obs import get_recorder
@@ -34,6 +38,27 @@ class EdgeMoveCandidate(NamedTuple):
     delta: float
     window: tuple[slice, slice]
     keys: tuple[ProfileKey, ProfileKey, ProfileKey]
+
+
+class StateReport(NamedTuple):
+    """Eq. 4 failure counts and Eq. 5 cost of a refinement state.
+
+    Carries no pixel masks: a move that needs the failing pixels builds
+    them from the state, over a window
+    (:meth:`RefinementState.failing_on`, :meth:`RefinementState.failing_off`).
+    """
+
+    count_on: int
+    count_off: int
+    cost: float
+
+    @property
+    def total_failing(self) -> int:
+        return self.count_on + self.count_off
+
+    @property
+    def feasible(self) -> bool:
+        return self.total_failing == 0
 
 
 class CostIntegral(NamedTuple):
@@ -122,14 +147,6 @@ class ActiveIntegral:
         return r0, r1, c0, c1
 
 
-#: Mean cropped band size (pixels per candidate) up to which the fused
-#: gather/scatter scoring of :func:`clamped_band_sums` beats in-place
-#: slice scoring; batches with bulkier bands are scored per candidate.
-#: The crossover measured in ``benchmarks/output/BENCH_kernels.json``;
-#: both sides are bit-identical (``tests/fracture/test_kernel_pricing.py``).
-FUSED_BAND_LIMIT = 512
-
-
 def _active_crop(active_mask: np.ndarray) -> tuple[int, int, int, int] | None:
     """Half-open ``(r0, r1, c0, c1)`` bounding box of the active mask.
 
@@ -143,70 +160,15 @@ def _active_crop(active_mask: np.ndarray) -> tuple[int, int, int, int] | None:
     return int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1
 
 
-def clamped_band_sums(
-    row_vals: np.ndarray,
-    col_vals: np.ndarray,
-    rows: np.ndarray,
-    cols: np.ndarray,
-    y0: np.ndarray,
-    x0: np.ndarray,
-    col_off: np.ndarray,
-    sign: np.ndarray,
-    base: np.ndarray,
-) -> np.ndarray:
-    """Batch Eq. 5 clamped scoring of separable contour bands.
-
-    Candidate ``i`` covers the window ``rows[i] × cols[i]`` anchored at
-    pixel ``(y0[i], x0[i])``; its patch is the outer product of a
-    per-row factor slice (``rows[i]`` entries of ``row_vals``, laid out
-    candidate-major) and a per-column factor slice (``cols[i]`` entries
-    of ``col_vals`` starting at ``col_off[i]``).  Returns
-    ``sum(max(sign*patch + base, 0))`` per candidate.
-
-    The elementwise pipeline (outer product, sign gather, base gather,
-    clamp) runs fused over the whole batch, but each candidate's final
-    reduction is a contiguous C-order ``.sum()``, so NumPy's pairwise
-    summation blocks — and therefore every result bit — match scoring
-    each candidate's band alone.
-    """
-    n_cand = rows.shape[0]
-    out = np.zeros(n_cand, dtype=np.float64)
-    if n_cand == 0 or row_vals.size == 0:
-        return out
-    nx = sign.shape[1]
-    # One block per (candidate, row); blocks are candidate-major so
-    # block b's row factor is simply row_vals[b].
-    block_len = np.repeat(cols, rows)
-    row_in_cand = np.arange(row_vals.size) - np.repeat(
-        np.cumsum(rows) - rows, rows
+def _failing_counts(
+    on: np.ndarray, off: np.ndarray, base: np.ndarray
+) -> tuple[int, int]:
+    """Failing P_on and P_off pixels of one window of the cost field: an
+    on pixel fails iff ``base > 0``, an off pixel iff ``base ≥ 0``."""
+    return (
+        int(np.count_nonzero(on & (base > 0.0))),
+        int(np.count_nonzero(off & (base >= 0.0))),
     )
-    block_flat0 = (np.repeat(y0, rows) + row_in_cand) * nx + np.repeat(x0, rows)
-    block_col0 = np.repeat(col_off, rows)
-    # Per-element offsets within each block via a segmented arange.
-    total = int(block_len.sum())
-    within = np.arange(total) - np.repeat(
-        np.cumsum(block_len) - block_len, block_len
-    )
-    flat_idx = np.repeat(block_flat0, block_len) + within
-    col_idx = np.repeat(block_col0, block_len) + within
-    # Fused Eq. 5: patch = row⊗col, then sign-gather, base-gather,
-    # clamp — identical elementwise sequence to the per-candidate loop,
-    # over one contiguous buffer.
-    vals = np.repeat(row_vals, block_len)
-    vals *= col_vals[col_idx]
-    vals *= sign.ravel()[flat_idx]
-    vals += base.ravel()[flat_idx]
-    np.maximum(vals, 0.0, out=vals)
-    # Per-candidate pairwise sums over contiguous C-order slices:
-    # bit-identical to summing each candidate's (rows, cols) patch.
-    counts = rows * cols
-    seg = np.cumsum(counts) - counts
-    for i in range(n_cand):
-        out[i] = vals[seg[i] : seg[i] + counts[i]].sum()
-    obs = get_recorder()
-    obs.incr("kernels.fused_batches")
-    obs.incr("kernels.fused_candidates", n_cand)
-    return out
 
 
 def _subtract_window_costs(
@@ -243,7 +205,8 @@ class RefinementState:
         "active_mask",
         "candidates_priced",
         "_cost_sign", "_cost_bias", "_cost_base", "_scratch",
-        "_gather_memo", "_field_scratch", "_active_scratch", "_crop", "_box",
+        "_gather_memo", "_clamped", "_active_scratch", "_crop", "_box",
+        "_count_on", "_count_off", "_cost",
     )
 
     def __init__(
@@ -304,7 +267,10 @@ class RefinementState:
         ny, nx = self._cost_sign.shape
         self._box = self._crop or (0, ny, 0, nx)
         r0, r1, c0, c1 = self._box
-        self._field_scratch = np.empty((r1 - r0, c1 - c0), dtype=np.float64)
+        # The clamped Eq. 5 field max(base, 0) over the box, kept current
+        # with ``_cost_base``; a contiguous box-shaped array, so its sum is
+        # NumPy's pairwise sum over the box in C order.
+        self._clamped = np.empty((r1 - r0, c1 - c0), dtype=np.float64)
         self._active_scratch = np.empty((r1 - r0, c1 - c0), dtype=bool)
         if self._crop is not None:
             # Out-of-box entries are never rewritten, so they must start
@@ -323,64 +289,103 @@ class RefinementState:
         self._gather_memo: dict[tuple, tuple] = {}
         #: Candidates priced by greedy edge adjustment on this state.
         self.candidates_priced = 0
+        # The Eq. 5 cost of the current field, summed on first report.
+        self._cost: float | None = None
         self._refresh_cost_base()
 
     def _refresh_cost_base(
         self, window: tuple[slice, slice] | None = None
     ) -> None:
-        """Recompute ``S·I − S·ρ`` where I_tot changed (or on the whole
-        box: everything outside a crop box is exactly 0.0 and was
-        initialized so)."""
-        if window is None:
+        """Recompute ``S·I − S·ρ`` where I_tot changed, and keep the
+        failure counts and the clamped field current over that window.
+
+        Without a window the whole box is recomputed and recounted
+        (everything outside a crop box is exactly 0.0 and was initialized
+        so, and holds no P_on or P_off pixel).
+        """
+        self._cost = None
+        full = window is None
+        if full:
             r0, r1, c0, c1 = self._box
             window = (slice(r0, r1), slice(c0, c1))
+        on = self.pixels.on[window]
+        off = self.pixels.off[window]
         base = self._cost_base[window]
+        if full:
+            self._count_on = self._count_off = 0
+        else:
+            count_on, count_off = _failing_counts(on, off, base)
+            self._count_on -= count_on
+            self._count_off -= count_off
         np.multiply(self._cost_sign[window], self.imap.total[window], out=base)
         base -= self._cost_bias[window]
+        count_on, count_off = _failing_counts(on, off, base)
+        self._count_on += count_on
+        self._count_off += count_off
+        ys, xs = window
+        r0, r1, c0, c1 = self._box
+        y0, y1 = max(ys.start, r0), min(ys.stop, r1)
+        x0, x1 = max(xs.start, c0), min(xs.stop, c1)
+        if y0 < y1 and x0 < x1:
+            np.maximum(
+                self._cost_base[y0:y1, x0:x1], 0.0,
+                out=self._clamped[y0 - r0 : y1 - r0, x0 - c0 : x1 - c0],
+            )
 
     # -- cost evaluation --------------------------------------------------
 
-    def report(self) -> FailureReport:
-        """Full-grid Eq. 4 / Eq. 5 evaluation of the current state.
+    def report(self) -> StateReport:
+        """Eq. 4 failure counts and Eq. 5 cost of the current state.
 
-        Reads the maintained ``_cost_base`` field instead of re-deriving
-        everything from I_tot: an on pixel fails iff ``ρ − I > 0`` and an
-        off pixel iff ``I − ρ ≥ 0``, which are exactly ``base > 0`` /
-        ``base ≥ 0`` (the subtraction happens around ρ, where it is exact
-        by Sterbenz' lemma, so the masks match
-        :func:`~repro.mask.constraints.failure_report` bit for bit), and
-        the Eq. 5 cost is the sum of the clamped base field.
+        Both counts are kept by every mutation over its window, and the
+        cost is the pairwise sum of the maintained clamped field over the
+        box — the excluded terms outside a crop box are exact zeros —
+        taken once per change of the field, so this reads two integers
+        and at most sums one array.  An on pixel fails iff ``ρ − I > 0``
+        and an off pixel iff ``I − ρ ≥ 0``, which are exactly
+        ``base > 0`` / ``base ≥ 0`` (the subtraction happens around ρ,
+        where it is exact by Sterbenz' lemma), so the counts match
+        :func:`~repro.mask.constraints.failure_report`.
         """
-        if self._crop is not None:
-            # Cropped evaluation: pixels outside the active-mask box are
-            # don't-care (S = 0), so they can neither fail nor carry
-            # cost; the returned masks are still full-size for the
-            # add/remove consumers.  The cost sum runs over the box only
-            # — the excluded terms are exact zeros, and NumPy's pairwise
-            # summation of the box slice is the documented accumulation
-            # order for cropped states (gated against the full-grid
-            # oracle at the shot level, not the ULP level).
-            r0, r1, c0, c1 = self._crop
-            box = (slice(r0, r1), slice(c0, c1))
-            base_box = self._cost_base[box]
-            fail_on = np.zeros(self._cost_base.shape, dtype=bool)
-            fail_off = np.zeros(self._cost_base.shape, dtype=bool)
-            fail_on[box] = self.pixels.on[box] & (base_box > 0.0)
-            fail_off[box] = self.pixels.off[box] & (base_box >= 0.0)
-            cost = float(
-                np.maximum(base_box, 0.0, out=self._field_scratch).sum()
-            )
-        else:
-            base = self._cost_base
-            fail_on = self.pixels.on & (base > 0.0)
-            fail_off = self.pixels.off & (base >= 0.0)
-            cost = float(np.maximum(base, 0.0).sum())
-        return FailureReport(
-            fail_on=fail_on,
-            fail_off=fail_off,
-            cost=cost,
-            _count_on=int(np.count_nonzero(fail_on)),
-            _count_off=int(np.count_nonzero(fail_off)),
+        if self._cost is None:
+            self._cost = float(self._clamped.sum())
+        return StateReport(self._count_on, self._count_off, self._cost)
+
+    def failing_on(
+        self, window: tuple[slice, slice] | None = None
+    ) -> np.ndarray:
+        """Mask of the failing P_on pixels over ``window`` (default: the
+        whole grid), built from the current field."""
+        if window is None:
+            window = (slice(None), slice(None))
+        return self.pixels.on[window] & (self._cost_base[window] > 0.0)
+
+    def failing_off(
+        self, window: tuple[slice, slice] | None = None
+    ) -> np.ndarray:
+        """Mask of the failing P_off pixels over ``window`` (default: the
+        whole grid), built from the current field."""
+        if window is None:
+            window = (slice(None), slice(None))
+        return self.pixels.off[window] & (self._cost_base[window] >= 0.0)
+
+    def failing_on_bbox(self) -> tuple[np.ndarray, int, int] | None:
+        """Failing P_on pixels cropped to their bounding box.
+
+        Returns ``(mask, r0, c0)`` — the mask and the grid index of its
+        first pixel — or ``None`` when no P_on pixel fails.
+        """
+        r0, r1, c0, c1 = self._box
+        fail = self.failing_on((slice(r0, r1), slice(c0, c1)))
+        rows = np.flatnonzero(fail.any(axis=1))
+        if not rows.size:
+            return None
+        fail = fail[rows[0] : rows[-1] + 1]
+        cols = np.flatnonzero(fail.any(axis=0))
+        return (
+            fail[:, cols[0] : cols[-1] + 1],
+            r0 + int(rows[0]),
+            c0 + int(cols[0]),
         )
 
     def window_cost(
@@ -735,187 +740,70 @@ class RefinementState:
         cost_integral: CostIntegral,
         active: ActivePixels,
     ) -> np.ndarray:
-        """Δcost of every candidate, priced with one batched LUT pass.
+        """Δcost of every candidate: crop, gather, score, one at a time.
 
         Equivalent to calling :meth:`edge_move_delta_cost` per candidate
         but structured for throughput: all 1-D profile arguments of the
         sweep are concatenated and interpolated in a single LUT
-        evaluation (via the profile cache), and the per-candidate Python
-        work shrinks to gathering geometry — crop each window to its
-        active sub-band and collect the two 1-D profile factors whose
-        outer product is the candidate's patch.  The elementwise Eq. 5
-        pipeline — patch, sign gather, base gather, clamp — then runs
-        once over one contiguous buffer holding every candidate's
-        contour band (:func:`clamped_band_sums`).
-
-        The gather/scatter layout pays per-element index arithmetic to
-        eliminate per-candidate call overhead, so it wins when the
-        cropped bands are thin (the seam-stitch/contour regime, where
-        the loop's ~6 NumPy calls per candidate dominate) and loses to
-        in-place slice scoring when bands are bulky.  The batch knows
-        its exact element count after cropping, so it picks per batch:
-        mean band size ≤ :data:`FUSED_BAND_LIMIT` → fused kernel,
-        larger → in-place scoring of the already-gathered factors.
-        Both score with identical elementwise ops and per-candidate
-        pairwise sums, so the choice never changes a single bit, and
-        both are bit-identical to :meth:`_price_edge_moves_loop`.
+        evaluation (via the profile cache), and each candidate then costs
+        a crop of its window to its active sub-band, two cached profile
+        lookups and the Eq. 5 scoring of their outer product in a reused
+        scratch buffer.  The old-cost side is looked up for the whole
+        batch at the end.
         """
         imap = self.imap
         ncand = len(candidates)
         get_recorder().incr("intensity.edge_deltas", ncand)
-        costs = np.zeros(ncand, dtype=np.float64)
-        if not ncand:
-            return costs
         if imap.profile_cache_enabled:
             imap.ensure_profiles(key for c in candidates for key in c.keys)
         delta_profile = imap.delta_profile
         cached_profile = imap.cached_profile
-        # Per-candidate geometry of the cropped windows, plus the 1-D
-        # row/column factors, laid out candidate-major for the kernel.
-        rows = np.zeros(ncand, dtype=np.int64)
-        cols = np.zeros(ncand, dtype=np.int64)
+        crop = active.crop
+        sign = self._cost_sign
+        base = self._cost_base
+        maximum = np.maximum
+        multiply = np.multiply
+        scratch = self._scratch
+        costs = np.zeros(ncand, dtype=np.float64)
+        # Final window corners per candidate for the deferred old-cost
+        # lookup; all-zero corners (skipped candidates) contribute a zero
+        # old cost by construction.
         wr0 = np.zeros(ncand, dtype=np.intp)
         wr1 = np.zeros(ncand, dtype=np.intp)
         wc0 = np.zeros(ncand, dtype=np.intp)
         wc1 = np.zeros(ncand, dtype=np.intp)
-        kept: list[int] = []
-        row_parts: list[np.ndarray] = []
-        col_parts: list[np.ndarray] = []
-        crop = active.crop
         for i, cand in enumerate(candidates):
             _, edge, _, (ys, xs), (k_old, k_new, k_fixed) = cand
             cropped = crop(ys, xs)
             if cropped is None:
                 continue
             r0, r1, c0, c1 = cropped
+            y0 = ys.start + r0
+            y1 = ys.start + r1
+            x0 = xs.start + c0
+            x1 = xs.start + c1
             delta = delta_profile(k_old, k_new)
             p_fixed = cached_profile(k_fixed)
-            if edge in ("left", "right"):
-                row_parts.append(p_fixed[r0:r1])
-                col_parts.append(delta[c0:c1])
-            else:
-                row_parts.append(delta[r0:r1])
-                col_parts.append(p_fixed[c0:c1])
-            kept.append(i)
-            rows[i] = r1 - r0
-            cols[i] = c1 - c0
-            wr0[i] = ys.start + r0
-            wr1[i] = ys.start + r1
-            wc0[i] = xs.start + c0
-            wc1[i] = xs.start + c1
-        counts = rows * cols
-        total = int(counts.sum())
-        if kept and total <= FUSED_BAND_LIMIT * len(kept):
-            col_lens = cols[cols > 0]
-            col_off = np.zeros(ncand, dtype=np.int64)
-            col_off[cols > 0] = np.cumsum(col_lens) - col_lens
-            costs = clamped_band_sums(
-                np.concatenate(row_parts),
-                np.concatenate(col_parts),
-                rows,
-                cols,
-                wr0,
-                wc0,
-                col_off,
-                self._cost_sign,
-                self._cost_base,
-            )
-        elif kept:
-            # Bulky bands: per-element index math would cost more than
-            # it saves — score each gathered factor pair in place, with
-            # the exact operation sequence of the scoring loop.
-            get_recorder().incr("kernels.band_loop_batches")
-            sign = self._cost_sign
-            base = self._cost_base
-            maximum = np.maximum
-            multiply = np.multiply
-            scratch = self._scratch
-            if scratch.size < int(counts.max()):
-                scratch = np.empty(int(counts.max()), dtype=np.float64)
-                self._scratch = scratch
-            for j, i in enumerate(kept):
-                r = int(rows[i])
-                c = int(cols[i])
-                seg = scratch[: r * c].reshape(r, c)
-                window = (
-                    slice(int(wr0[i]), int(wr1[i])),
-                    slice(int(wc0[i]), int(wc1[i])),
-                )
-                multiply(
-                    row_parts[j][:, None], col_parts[j][None, :], out=seg
-                )
-                seg *= sign[window]
-                seg += base[window]
-                maximum(seg, 0.0, out=seg)
-                costs[i] = seg.sum()
-        # Deferred old-cost lookup, same A − B − C + D order as
-        # window_cost_from_integral; all-zero corners (skipped
-        # candidates) contribute a zero old cost by construction.
-        return _subtract_window_costs(costs, cost_integral, wr0, wr1, wc0, wc1)
-
-    def _price_edge_moves_loop(
-        self,
-        candidates: list[EdgeMoveCandidate],
-        cost_integral: CostIntegral,
-        active: ActivePixels,
-    ) -> np.ndarray:
-        """Per-candidate scoring loop: the reference that
-        :meth:`price_edge_moves` is gated bit-identical against."""
-        imap = self.imap
-        get_recorder().incr("intensity.edge_deltas", len(candidates))
-        if imap.profile_cache_enabled:
-            imap.ensure_profiles(key for c in candidates for key in c.keys)
-        delta_profile = imap.delta_profile
-        cached_profile = imap.cached_profile
-        sign = self._cost_sign
-        base = self._cost_base
-        maximum = np.maximum
-        multiply = np.multiply
-        scratch = self._scratch
-        ncand = len(candidates)
-        costs = np.zeros(ncand, dtype=np.float64)
-        # Deferred old-cost lookup: final window corners per candidate,
-        # gathered from the cost integral in one vectorized pass after
-        # the loop.  All-zero corners (skipped candidates) contribute a
-        # zero old cost by construction.
-        wr0 = np.zeros(ncand, dtype=np.intp)
-        wr1 = np.zeros(ncand, dtype=np.intp)
-        wc0 = np.zeros(ncand, dtype=np.intp)
-        wc1 = np.zeros(ncand, dtype=np.intp)
-        for i, cand in enumerate(candidates):
-            _, edge, _, (ys, xs), (k_old, k_new, k_fixed) = cand
-            cropped = active.crop(ys, xs)
-            if cropped is None:
-                continue
-            r0, r1, c0, c1 = cropped
-            ys = slice(ys.start + r0, ys.start + r1)
-            xs = slice(xs.start + c0, xs.start + c1)
-            delta = delta_profile(k_old, k_new)
-            p_fixed = cached_profile(k_fixed)
-            rows = r1 - r0
-            cols = c1 - c0
-            n = rows * cols
+            n = (r1 - r0) * (c1 - c0)
             if scratch.size < n:
                 scratch = np.empty(n, dtype=np.float64)
                 self._scratch = scratch
-            # The patch is materialized into a reused scratch buffer; the
-            # 2-D view has the same shape/contiguity as the (cropped)
-            # array the scalar path scores, and the ops below mirror
-            # score_move_patch exactly, so the Δcost is bit-identical.
-            seg = scratch[:n].reshape(rows, cols)
-            window = (ys, xs)
+            # The 2-D view has the shape and contiguity of the cropped
+            # patch edge_move_delta_cost scores, and the ops below mirror
+            # score_move_patch, so each Δcost is that one bit for bit.
+            seg = scratch[:n].reshape(r1 - r0, c1 - c0)
             if edge in ("left", "right"):
                 multiply(p_fixed[r0:r1, None], delta[None, c0:c1], out=seg)
             else:
                 multiply(delta[r0:r1, None], p_fixed[None, c0:c1], out=seg)
-            seg *= sign[window]
-            seg += base[window]
+            seg *= sign[y0:y1, x0:x1]
+            seg += base[y0:y1, x0:x1]
             maximum(seg, 0.0, out=seg)
             costs[i] = seg.sum()
-            wr0[i] = ys.start
-            wr1[i] = ys.stop
-            wc0[i] = xs.start
-            wc1[i] = xs.stop
+            wr0[i] = y0
+            wr1[i] = y1
+            wc0[i] = x0
+            wc1[i] = x1
         return _subtract_window_costs(costs, cost_integral, wr0, wr1, wc0, wc1)
 
     # -- mutation -----------------------------------------------------------

@@ -7,17 +7,20 @@ raster-scan order of their first pixel — tile extraction, AddShot, and
 the GSC baseline all consume that ordering, so it is part of the
 contract, not an implementation detail.
 
-:func:`label_components` is the vectorized run-length/row-merge labeler
-and :func:`component_stats` the one-pass per-component bounding-box
-scan.  :func:`label_components_scalar` (per-pixel two-pass union–find)
-and :func:`component_stats_scalar` (per-label ``np.nonzero`` scan) are
-the original implementations, kept as the references both are gated
-bit-identical against.
+:func:`label_components` is ``scipy.ndimage.label`` with the 4-connected
+cross structure (its single raster scan numbers components by their
+first pixel), and :func:`component_stats` reads every component's pixel
+count and bounding box from one ``bincount`` and one
+``ndimage.find_objects`` pass.  :func:`label_components_scalar`
+(per-pixel two-pass union–find) and :func:`component_stats_scalar`
+(per-label ``np.nonzero`` scan) are the original implementations, kept
+as the references both are gated bit-identical against.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy import ndimage
 
 from repro.geometry.raster import PixelGrid
 from repro.geometry.rect import Rect
@@ -48,77 +51,24 @@ class _UnionFind:
             self.parent[max(ra, rb)] = min(ra, rb)
 
 
-def _merge_run_graph(
-    n_runs: int, edges_a: np.ndarray, edges_b: np.ndarray
-) -> np.ndarray:
-    """Component id per run for the undirected run-overlap graph."""
-    # Imported on first call, not at module import: the scipy.sparse
-    # import is a measurable share of start-up for runs that never label.
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import connected_components
-
-    graph = coo_matrix(
-        (np.ones(edges_a.size, dtype=np.int8), (edges_a, edges_b)),
-        shape=(n_runs, n_runs),
-    )
-    _, comp = connected_components(graph, directed=False)
-    return comp
+#: 4-connectivity: a pixel's neighbours share an edge, not a corner.
+_FOUR_CONNECTED = ndimage.generate_binary_structure(2, 1)
 
 
 def label_components(mask: np.ndarray) -> tuple[np.ndarray, int]:
-    """4-connected component labeling by run-length row merging.
+    """4-connected component labeling.
 
-    Returns ``(labels, count)`` where ``labels`` holds 0 for background and
-    1..count for components, numbered in raster-scan order of their first
-    pixel — exactly (labels AND numbering) what
-    :func:`label_components_scalar` produces.  Runs are emitted in raster
-    order, so the smallest run id in a component sits at the component's
-    raster-first pixel; the final remap sorts components by that id.
+    Returns ``(labels, count)`` where ``labels`` (int32) holds 0 for
+    background and 1..count for components, numbered in raster-scan
+    order of their first pixel — exactly (labels AND numbering) what
+    :func:`label_components_scalar` produces.
     """
-    mask = np.ascontiguousarray(mask, dtype=bool)
-    ny, nx = mask.shape
-    labels = np.zeros((ny, nx), dtype=np.int32)
-    if mask.size == 0 or not mask.any():
-        return labels, 0
+    mask = np.asarray(mask, dtype=bool)
+    if not mask.any():
+        return np.zeros(mask.shape, dtype=np.int32), 0
     get_recorder().incr("kernels.label_calls")
-    # Run-length encode every row at once.  With a False guard column
-    # on each side, +1 transitions mark run starts and -1 transitions
-    # mark (exclusive) run ends; np.nonzero yields both in raster order,
-    # so starts[i]/ends[i] pair up globally.
-    padded = np.zeros((ny, nx + 2), dtype=np.int8)
-    padded[:, 1:-1] = mask
-    step = np.diff(padded, axis=1)
-    run_rows, starts = np.nonzero(step == 1)
-    ends = np.nonzero(step == -1)[1]
-    n_runs = run_rows.size
-    # 4-connectivity: a run in row r joins every run in row r-1 whose
-    # column interval overlaps.  Runs within a row are disjoint and
-    # sorted, so with row-composite keys the overlap set is one
-    # contiguous slice found by two searchsorted calls over all row
-    # pairs at once.
-    span = nx + 2
-    key_start = run_rows.astype(np.int64) * span + starts
-    key_end = run_rows.astype(np.int64) * span + ends
-    lo = np.searchsorted(key_end, key_start - span, side="right")
-    hi = np.searchsorted(key_start, key_end - span, side="left")
-    degree = hi - lo
-    cur = np.repeat(np.arange(n_runs), degree)
-    prev = np.arange(degree.sum()) - np.repeat(
-        np.cumsum(degree) - degree, degree
-    ) + np.repeat(lo, degree)
-    comp = _merge_run_graph(n_runs, cur, prev)
-    # Canonical numbering: components ordered by their smallest run id
-    # = raster order of each component's first pixel.
-    first_run = np.full(int(comp.max()) + 1, n_runs, dtype=np.int64)
-    np.minimum.at(first_run, comp, np.arange(n_runs))
-    remap = np.empty(first_run.size, dtype=np.int32)
-    remap[np.argsort(first_run, kind="stable")] = np.arange(
-        1, first_run.size + 1, dtype=np.int32
-    )
-    run_label = remap[comp]
-    # Paint: runs cover exactly the True pixels in raster order.
-    labels[mask] = np.repeat(run_label, ends - starts)
-    return labels, int(first_run.size)
+    labels, count = ndimage.label(mask, structure=_FOUR_CONNECTED)
+    return labels, int(count)
 
 
 def label_components_scalar(mask: np.ndarray) -> tuple[np.ndarray, int]:
@@ -190,31 +140,27 @@ def component_masks(mask: np.ndarray) -> list[np.ndarray]:
 def component_stats(
     labels: np.ndarray, count: int
 ) -> tuple[np.ndarray, ...]:
-    """Pixel count and bounding box of every label, in one pass.
+    """Pixel count and bounding box of every label.
 
     Returns ``(present, counts, ymin, ymax, xmin, xmax)`` — parallel
     arrays over the labels that actually occur, in ascending label
-    order; absent labels in ``1..count`` are simply not listed.  Equal
-    to :func:`component_stats_scalar` array for array.
+    order; absent labels in ``1..count`` are simply not listed.  One
+    ``bincount`` gives the counts and one ``ndimage.find_objects`` pass
+    the boxes.  Equal to :func:`component_stats_scalar` array for array.
     """
-    ys, xs = np.nonzero(labels)
-    empty = np.empty(0, dtype=np.int64)
-    if ys.size == 0:
-        return (empty,) * 6
-    lab = labels[ys, xs]
-    order = np.argsort(lab, kind="stable")
-    lab_sorted = lab[order]
-    seg_starts = np.flatnonzero(np.diff(lab_sorted, prepend=lab_sorted[0] - 1))
-    present = lab_sorted[seg_starts].astype(np.int64)
-    counts = np.diff(np.append(seg_starts, lab_sorted.size))
-    ys_g, xs_g = ys[order], xs[order]
-    # Stable sort keeps raster order inside each label segment, so rows
-    # are non-decreasing per segment: min/max are the segment ends.
-    seg_ends = np.append(seg_starts[1:], lab_sorted.size) - 1
-    ymin, ymax = ys_g[seg_starts], ys_g[seg_ends]
-    xmin = np.minimum.reduceat(xs_g, seg_starts)
-    xmax = np.maximum.reduceat(xs_g, seg_starts)
-    return present, counts, ymin, ymax, xmin, xmax
+    counts = np.bincount(labels.ravel(), minlength=count + 1)[1 : count + 1]
+    present = np.flatnonzero(counts) + 1
+    spans = np.array(
+        [
+            (ys.start, ys.stop - 1, xs.start, xs.stop - 1)
+            for ys, xs in filter(
+                None, ndimage.find_objects(labels, max_label=count)
+            )
+        ],
+        dtype=np.int64,
+    ).reshape(-1, 4)
+    ymin, ymax, xmin, xmax = spans.T
+    return present, counts[present - 1], ymin, ymax, xmin, xmax
 
 
 def component_stats_scalar(
@@ -239,7 +185,10 @@ def component_stats_scalar(
 
 
 def bounding_boxes(
-    labels: np.ndarray, count: int, grid: PixelGrid
+    labels: np.ndarray,
+    count: int,
+    grid: PixelGrid,
+    origin: tuple[int, int] = (0, 0),
 ) -> list[tuple[Rect, int]]:
     """Bounding box and pixel count of every labeled component.
 
@@ -249,8 +198,14 @@ def bounding_boxes(
     ascending label order (Python's stable sort), matching the original
     per-label scan.  All boxes and counts come from a single pass over
     the label array (:func:`component_stats`).
+
+    ``labels`` may cover only a window of ``grid`` whose first pixel is
+    ``origin`` (row, column): the pixel indices are shifted, not the grid
+    origin, so a box has the same bits whatever window it was labeled in.
     """
     present, counts, ymin, ymax, xmin, xmax = component_stats(labels, count)
+    r0, c0 = origin
+    ymin, ymax, xmin, xmax = ymin + r0, ymax + r0, xmin + c0, xmax + c0
     out: list[tuple[Rect, int]] = []
     for i in range(present.shape[0]):
         rect = Rect(

@@ -66,7 +66,7 @@ def save_clips(clips: dict[str, Polygon], path: str | Path) -> None:
         "version": FORMAT_VERSION,
         "clips": {name: polygon_to_dict(poly) for name, poly in clips.items()},
     }
-    atomic_write_text(path, json.dumps(payload, indent=1))
+    atomic_write_text(path, json.dumps(payload))
 
 
 def load_clips(path: str | Path) -> dict[str, Polygon]:
@@ -98,7 +98,9 @@ def save_solution(
         "shots": [rect_to_list(s) for s in shots],
         "metadata": metadata or {},
     }
-    atomic_write_text(path, json.dumps(payload, indent=1))
+    # No indent: ``json`` encodes with its C encoder only without one,
+    # and a layout's solution holds tens of thousands of shots.
+    atomic_write_text(path, json.dumps(payload))
 
 
 def load_solution(path: str | Path) -> tuple[list[Rect], FractureSpec, dict[str, Any]]:

@@ -337,5 +337,5 @@ def _run_clips(
     # DiskFullError propagates as a typed job failure and the atomic
     # tmp+replace below never leaves a torn result.json behind.
     ensure_disk_space(paths.root, control.disk_floor_bytes)
-    atomic_write_text(paths.result_json, json.dumps(payload, indent=1))
+    atomic_write_text(paths.result_json, json.dumps(payload))
     return payload

@@ -65,13 +65,15 @@ def scalar_references():
 
     Whole-run equivalence tests run once as shipped and once inside
     ``with scalar_references():`` — per-pixel union–find labeling, the
-    per-label stats scan, the per-candidate pricing loop, the dense
-    whole-grid cost integral, the crop from dense active-pixel prefix
-    counts and the full-field (uncropped) cost path — and require
-    identical shots.
+    per-label stats scan, the dense whole-grid cost integral, the crop
+    from dense active-pixel prefix counts, the full-field (uncropped)
+    cost path, and the whole-grid ``report()``, AddShot and RemoveShot of
+    ``tests/fracture/test_state_bookkeeping.py`` — and require identical
+    shots.
     """
-    from repro.fracture import add_remove, state
+    from repro.fracture import add_remove, refine, state
     from repro.geometry import labeling
+    from tests.fracture import test_state_bookkeeping as whole_grid
 
     @contextlib.contextmanager
     def references():
@@ -84,8 +86,11 @@ def scalar_references():
                 labeling, "component_stats", labeling.component_stats_scalar
             )
             patch.setattr(
-                state.RefinementState, "price_edge_moves",
-                state.RefinementState._price_edge_moves_loop,
+                state.RefinementState, "report", whole_grid.reference_report
+            )
+            patch.setattr(refine, "add_shot", whole_grid.reference_add_shot)
+            patch.setattr(
+                refine, "remove_shot", whole_grid.reference_remove_shot
             )
             patch.setattr(
                 state.RefinementState, "cost_integral",

@@ -62,8 +62,11 @@ class TestCroppedStateMatchesFull:
         cropped, full = seam_states
         rep_c = cropped.report()
         rep_f = full.report()
-        assert np.array_equal(rep_c.fail_on, rep_f.fail_on)
-        assert np.array_equal(rep_c.fail_off, rep_f.fail_off)
+        assert np.array_equal(cropped.failing_on(), full.failing_on())
+        assert np.array_equal(cropped.failing_off(), full.failing_off())
+        assert (rep_c.count_on, rep_c.count_off) == (
+            rep_f.count_on, rep_f.count_off,
+        )
         assert math.isclose(rep_c.cost, rep_f.cost, rel_tol=1e-12, abs_tol=1e-12)
 
     def test_integral_lookups_identical_inside_and_past_box(self, seam_states):
@@ -97,7 +100,7 @@ class TestCroppedStateMatchesFull:
         for cand in cands_c:
             assert active_c.crop(*cand.window) == active_f.crop(*cand.window)
         prices_c = cropped.price_edge_moves(cands_c, ci_c, active_c)
-        prices_f = full._price_edge_moves_loop(cands_f, ci_f, active_f)
+        prices_f = full.price_edge_moves(cands_f, ci_f, active_f)
         assert prices_c.tobytes() == prices_f.tobytes()
 
 

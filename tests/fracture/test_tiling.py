@@ -196,6 +196,6 @@ class TestMutationGuard:
 
         state, shot = self._restricted_state(rect_shape, spec)
         report = state.report()
-        if report.fail_off.any():
+        if report.count_off:
             assert remove_shot(state, report) is None
         assert state.shots == [shot]

@@ -193,6 +193,27 @@ class TestBackendBitIdentity:
         for a, b in zip(fast, scan, strict=True):
             assert np.array_equal(a, b)
 
+    def test_window_origin_gives_the_whole_grid_boxes(self):
+        """Labeling the bounding box of a mask with its origin passed in
+        gives the boxes of labeling the whole grid, bit for bit, on a
+        grid whose origin is not a whole number."""
+        rng = np.random.default_rng(17)
+        grid = PixelGrid(3.4505, -7.25, 1.0, 60, 50)
+        mask = np.zeros((50, 60), dtype=bool)
+        mask[12:41, 9:47] = rng.random((29, 38)) < 0.45
+        rows = np.flatnonzero(mask.any(axis=1))
+        cols = np.flatnonzero(mask.any(axis=0))
+        window = mask[rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1]
+        labels, count = label_components(window)
+        windowed = bounding_boxes(
+            labels, count, grid, origin=(int(rows[0]), int(cols[0]))
+        )
+        whole = bounding_boxes(*label_components(mask), grid)
+        assert len(whole) > 1
+        assert [(r.as_tuple(), n) for r, n in windowed] == [
+            (r.as_tuple(), n) for r, n in whole
+        ]
+
     def test_bounding_boxes_identical_across_backends(self, monkeypatch):
         rng = np.random.default_rng(99)
         mask = rng.random((35, 30)) < 0.35

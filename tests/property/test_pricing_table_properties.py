@@ -97,8 +97,8 @@ def _assert_tables_match(state: RefinementState, rng) -> None:
     for cand in candidates:
         assert active.crop(*cand.window) == reference.crop(*cand.window)
     priced = state.price_edge_moves(candidates, table, active)
-    loop = state._price_edge_moves_loop(candidates, dense, reference)
-    assert priced.tobytes() == loop.tobytes()
+    dense_priced = state.price_edge_moves(candidates, dense, reference)
+    assert priced.tobytes() == dense_priced.tobytes()
 
 
 class TestPricingTables:
