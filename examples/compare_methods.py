@@ -56,17 +56,6 @@ def main() -> None:
         if name != "OURS" and ours:
             print(f"OURS vs {name}: {count / ours:.2f}x shots")
 
-    # Beyond shot count: how the best method uses the writer.
-    from repro.bench.metrics import solution_metrics
-
-    shape = shapes[0]
-    result = ModelBasedFracturer().fracture(shape, spec)
-    metrics = solution_metrics(result.shots, shape, spec)
-    print(f"\n{shape.name} with OURS: overlap ratio "
-          f"{metrics.overlap_ratio:.2f}, coverage {metrics.coverage_ratio:.2f}, "
-          f"sizes {metrics.min_shot_side:.0f}-{metrics.max_shot_side:.0f} nm, "
-          f"{metrics.sliver_count} slivers")
-
 
 if __name__ == "__main__":
     main()

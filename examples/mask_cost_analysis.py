@@ -54,9 +54,8 @@ def main() -> None:
           f"check: {cost.cost_saving_fraction(0.10):.1%})")
 
     # Second-order quality of the model-based solution on one clip:
-    # dose latitude (drift tolerance) and write-order travel.
+    # dose latitude (drift tolerance).
     from repro.ebeam.latitude import dose_window
-    from repro.ebeam.schedule import greedy_schedule, natural_schedule
 
     shape = shapes[0]
     shots = improved.results[0].shots
@@ -64,10 +63,6 @@ def main() -> None:
     print(f"\n{shape.name} quality: dose window "
           f"[{window.s_min:.3f}, {window.s_max:.3f}] "
           f"(latitude {window.latitude:.1%} of nominal)")
-    naive = natural_schedule(shots)
-    ordered = greedy_schedule(shots)
-    print(f"write order: {naive.travel_nm:.0f} nm deflection travel as-is, "
-          f"{ordered.travel_nm:.0f} nm after nearest-neighbour ordering")
 
 
 if __name__ == "__main__":

@@ -14,13 +14,11 @@ Regenerates every table and figure of the paper's evaluation:
 """
 
 from repro.bench.bounds import lower_bound_shots, upper_bound_shots
-from repro.bench.metrics import SolutionMetrics, solution_metrics
 from repro.bench.runner import SuiteResult, run_suite
 from repro.bench.shapes import agb_suite, ilt_suite, rgb_suite
 from repro.bench.tables import format_table2, format_table3
 
 __all__ = [
-    "SolutionMetrics",
     "SuiteResult",
     "agb_suite",
     "format_table2",
@@ -29,6 +27,5 @@ __all__ = [
     "lower_bound_shots",
     "rgb_suite",
     "run_suite",
-    "solution_metrics",
     "upper_bound_shots",
 ]

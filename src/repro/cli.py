@@ -352,7 +352,9 @@ def _clip_shapes(
 
     shapes = [s for s in ilt_suite(pitch) if not clip or s.name == clip]
     if not shapes:
-        raise SystemExit(f"no suite clip named {clip!r}")
+        raise SystemExit(
+            f"no suite clip named {clip!r}; pass --clip-file for custom clips"
+        )
     return shapes
 
 
@@ -562,26 +564,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     from repro.mask.constraints import check_solution
     from repro.mask.io import load_solution
 
-    shots, spec, metadata = load_solution(args.solution)
-    if args.clip_file:
-        clips = load_clips(args.clip_file)
-        name = args.clip or next(iter(clips))
-        if name not in clips:
-            raise SystemExit(f"clip {name!r} not in {args.clip_file}")
-        shape = MaskShape.from_polygon(
-            clips[name], pitch=spec.pitch, margin=spec.grid_margin, name=name
-        )
-    else:
-        from repro.bench.shapes import ilt_suite
-
-        name = args.clip or metadata.get("clip", "")
-        matches = [s for s in ilt_suite(spec.pitch) if s.name == (args.clip or name)]
-        if not matches:
-            raise SystemExit(
-                f"no suite clip named {args.clip!r}; pass --clip-file for "
-                "custom clips"
-            )
-        shape = matches[0]
+    shots, spec, _metadata = load_solution(args.solution)
+    # Without --clip, check the clip the solution was written for.
+    args.clip = args.clip or json.loads(Path(args.solution).read_text()).get("clip")
+    shapes = _clip_shapes(args, spec.pitch, spec.grid_margin)
+    if len(shapes) != 1:
+        raise SystemExit(f"{args.solution} names no clip; pass --clip")
+    shape = shapes[0]
     report = check_solution(shots, shape, spec)
     status = "CD-clean" if report.feasible else (
         f"{report.total_failing} failing pixels "
@@ -996,8 +985,11 @@ def _cmd_job_result(args: argparse.Namespace) -> int:
                 save_solution(
                     [rect_from_list(s) for s in clip["shots"]],
                     spec, out / f"{name}.solution.json", clip_name=name,
+                    # The batch loop's keys, then the job's own.
                     metadata={
                         "method": result["method"],
+                        "runtime_s": clip["runtime_s"],
+                        "failing_pixels": clip["failing_px"],
                         "job_id": result["job_id"],
                         "cached": clip["cached"],
                     },

@@ -17,9 +17,9 @@ Implements the fixed-dose exposure model of paper §2:
   within the CD tolerance (Fig. 2).
 * :mod:`repro.ebeam.writer` — variable-shaped-beam writer time model used
   by the mask cost analysis.
-* :mod:`repro.ebeam.dose` — optional variable-dose extension (import the
-  module directly; it sits above the mask layer and is therefore not
-  re-exported here).
+* :mod:`repro.ebeam.latitude` — the dose window a solution tolerates
+  (import the module directly; it sits above the mask layer and is
+  therefore not re-exported here).
 """
 
 from repro.ebeam.corner import compute_lth, corner_rounding_contour

@@ -24,11 +24,6 @@ provides the primitives every other subsystem builds on:
   used by the conventional-fracturing baseline).
 """
 
-from repro.geometry.boolean import (
-    polygon_difference,
-    polygon_intersection,
-    polygon_union,
-)
 from repro.geometry.labeling import bounding_boxes, label_components
 from repro.geometry.partition import partition_rectilinear
 from repro.geometry.point import Point
@@ -47,9 +42,6 @@ __all__ = [
     "bounding_boxes",
     "label_components",
     "partition_rectilinear",
-    "polygon_difference",
-    "polygon_intersection",
-    "polygon_union",
     "rasterize_polygon",
     "rdp_simplify",
     "trace_boundary",

@@ -29,13 +29,12 @@ The daemon does not trust its clients: :mod:`repro.service.guard`
 bounds what a submission may ask for (:class:`ServiceLimits`,
 ``job_rejected`` responses), rate-limits per client, enforces per-job
 wall/RSS budgets via a watchdog and guards every durable write behind
-a disk-space floor; :mod:`repro.service.chaos` is the seeded fault
-harness (daemon SIGKILL, disk-full shim, byte corruption, stalled
-clients, submit floods) that proves it.
+a disk-space floor.  The seeded fault harness that proves it (daemon
+SIGKILL, disk-full shim, byte corruption, stalled clients, submit
+floods) lives with its tests, in ``tests/service/chaos.py``.
 """
 
 from repro.service.caches import WarmCaches
-from repro.service.chaos import ChaosPlan
 from repro.service.client import (
     CircuitBreaker,
     RetryPolicy,
@@ -62,7 +61,6 @@ from repro.service.server import FractureService
 
 __all__ = [
     "AdmissionError",
-    "ChaosPlan",
     "CircuitBreaker",
     "FractureService",
     "JobOverBudget",

@@ -1,109 +1,15 @@
-"""Hypothesis property tests for the analysis modules (schedule, boolean,
-latitude)."""
+"""Hypothesis property tests for the analysis modules (latitude)."""
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ebeam.latitude import dose_window
-from repro.ebeam.schedule import (
-    greedy_schedule,
-    natural_schedule,
-    schedule_time,
-    subfield_schedule,
-)
-from repro.geometry.boolean import (
-    polygon_area_of,
-    polygon_difference,
-    polygon_intersection,
-    polygon_union,
-)
 from repro.geometry.polygon import Polygon
 from repro.geometry.rect import Rect
 from repro.mask.constraints import FractureSpec
 from repro.mask.shape import MaskShape
 
 SPEC = FractureSpec()
-
-
-@st.composite
-def shot_lists(draw) -> list[Rect]:
-    n = draw(st.integers(min_value=1, max_value=12))
-    shots = []
-    for _ in range(n):
-        x = draw(st.floats(0, 900, allow_nan=False))
-        y = draw(st.floats(0, 900, allow_nan=False))
-        w = draw(st.floats(10, 80))
-        h = draw(st.floats(10, 80))
-        shots.append(Rect(x, y, x + w, y + h))
-    return shots
-
-
-@st.composite
-def rect_polygons(draw) -> Polygon:
-    x = draw(st.integers(0, 60))
-    y = draw(st.integers(0, 60))
-    w = draw(st.integers(10, 50))
-    h = draw(st.integers(10, 50))
-    return Polygon([(x, y), (x + w, y), (x + w, y + h), (x, y + h)])
-
-
-class TestScheduleProperties:
-    @given(shot_lists())
-    @settings(max_examples=40, deadline=None)
-    def test_orders_are_permutations(self, shots):
-        for schedule in (
-            natural_schedule(shots),
-            greedy_schedule(shots),
-            subfield_schedule(shots),
-        ):
-            assert sorted(schedule.order) == list(range(len(shots)))
-
-    @given(shot_lists())
-    @settings(max_examples=40, deadline=None)
-    def test_greedy_never_worse_than_natural(self, shots):
-        assert (
-            greedy_schedule(shots).total_time_us
-            <= natural_schedule(shots).total_time_us + 1e-9
-        )
-
-    @given(shot_lists())
-    @settings(max_examples=40, deadline=None)
-    def test_time_lower_bound_is_flash_sum(self, shots):
-        from repro.ebeam.schedule import TravelModel
-
-        model = TravelModel()
-        total, _ = schedule_time(shots, list(range(len(shots))), model)
-        assert total >= len(shots) * model.flash_us - 1e-9
-
-
-class TestBooleanProperties:
-    @given(rect_polygons(), rect_polygons())
-    @settings(max_examples=25, deadline=None)
-    def test_commutativity(self, a, b):
-        assert polygon_area_of(polygon_union(a, b)) == polygon_area_of(
-            polygon_union(b, a)
-        )
-        assert polygon_area_of(polygon_intersection(a, b)) == polygon_area_of(
-            polygon_intersection(b, a)
-        )
-
-    @given(rect_polygons(), rect_polygons())
-    @settings(max_examples=25, deadline=None)
-    def test_area_bounds(self, a, b):
-        union = polygon_area_of(polygon_union(a, b))
-        inter = polygon_area_of(polygon_intersection(a, b))
-        assert inter <= min(a.area, b.area) + 1.0
-        assert union >= max(a.area, b.area) - 1.0
-        assert union <= a.area + b.area + 1.0
-
-    @given(rect_polygons(), rect_polygons())
-    @settings(max_examples=25, deadline=None)
-    def test_difference_partition(self, a, b):
-        """|A\\B| + |A∩B| = |A| at pixel resolution."""
-        diff = polygon_area_of(polygon_difference(a, b))
-        inter = polygon_area_of(polygon_intersection(a, b))
-        assert abs((diff + inter) - a.area) <= 0.02 * a.area + 2.0
 
 
 class TestLatitudeProperties:

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import repro.cli
 from repro.baselines import PartitionFracturer
 from repro.cli import main
 from repro.ebeam.intensity_map import IntensityMap, get_profile_bank
@@ -241,7 +243,7 @@ class TestCliAndDaemonShareOneStore:
         )
 
     def test_daemon_replays_what_mdp_stored(
-        self, tmp_path, ilt_clip_file, window_nm
+        self, tmp_path, ilt_clip_file, window_nm, monkeypatch
     ):
         store, out, stream = (
             tmp_path / "store", tmp_path / "out", tmp_path / "mdp.jsonl"
@@ -255,11 +257,25 @@ class TestCliAndDaemonShareOneStore:
         result, counters = self._job(tmp_path, ilt_clip_file, store, window_nm)
         assert sorted(result["clips"]) == sorted(done)
         assert len(done) == 10
+        # `job result --output` writes the job's solutions as the batch
+        # loop writes its own.
+        monkeypatch.setattr(
+            repro.cli, "_service_client",
+            lambda args: SimpleNamespace(result=lambda job_id: result),
+        )
+        daemon_out = tmp_path / "daemon-out"
+        assert main(["job", "result", result["job_id"],
+                     "--output", str(daemon_out)]) == 0
         for name, clip in result["clips"].items():
             shots, _spec, meta = load_solution(out / f"{name}.solution.json")
+            daemon_shots, _spec, daemon_meta = load_solution(
+                daemon_out / f"{name}.solution.json"
+            )
             assert clip["cached"] is True
             assert [rect_from_list(s) for s in clip["shots"]] == shots
-            assert clip["failing_px"] == meta["failing_pixels"]
+            assert daemon_shots == shots
+            assert set(meta) <= set(daemon_meta)
+            assert daemon_meta["failing_pixels"] == meta["failing_pixels"]
             assert clip["feasible"] == done[name]["feasible"]
         assert counters["cache.fracture.hits"] == len(done)
 

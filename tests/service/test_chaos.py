@@ -1,8 +1,8 @@
 """Daemon chaos harness: seeded faults against real daemons.
 
-Acceptance gates of the hardening PR, each driven through
-:mod:`repro.service.chaos` with a seed printed on failure so any run
-replays bit-identically:
+Acceptance gates of the daemon hardening, each driven through the
+harness in ``tests/service/chaos.py`` with a seed printed on failure so
+any run replays bit-identically:
 
 * SIGKILL mid-job + restart → bit-identical resume, no torn state
   files;
@@ -30,7 +30,7 @@ from pathlib import Path
 import pytest
 
 from repro.obs import set_disk_free_override
-from repro.service.chaos import (
+from tests.service.chaos import (
     ChaosPlan,
     corrupt_bytes,
     disk_full,

@@ -247,6 +247,51 @@ class TestVerifyCommand:
             main(["verify", str(good), "--clip-file", str(clip_file),
                   "--clip", "nope"])
 
+    def test_verify_uses_the_solutions_clip_in_a_clip_file(self, tmp_path, capsys):
+        """Without --clip, a solution is checked against the clip it was
+        written for, not the clip file's first one."""
+        from repro.geometry.polygon import Polygon
+        from repro.geometry.rect import Rect
+        from repro.mask.constraints import FractureSpec
+        from repro.mask.io import save_clips, save_solution
+
+        clip_file = tmp_path / "clips.json"
+        save_clips({
+            "first": Polygon([(0, 0), (60, 0), (60, 40), (0, 40)]),
+            "second": Polygon([(0, 0), (40, 0), (40, 60), (0, 60)]),
+        }, clip_file)
+        solution = tmp_path / "second.json"
+        save_solution([Rect(-1, -1, 41, 61)], FractureSpec(), solution,
+                      clip_name="second")
+        assert main(["verify", str(solution), "--clip-file", str(clip_file)]) == 0
+        assert capsys.readouterr().out.startswith("second: 1 shots — CD-clean")
+
+    def test_verify_suite_solution_without_clip(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        main(["fracture", "--clip", "ILT-3", "--method", "partition",
+              "--output", str(out)])
+        solution = str(out / "ILT-3.solution.json")
+        capsys.readouterr()
+        named = main(["verify", solution, "--clip", "ILT-3"])
+        expected = capsys.readouterr().out
+        assert expected.startswith("ILT-3: ")
+        assert main(["verify", solution]) == named
+        assert capsys.readouterr().out == expected
+
+    def test_verify_names_the_missing_clip(self, tmp_path):
+        from repro.geometry.rect import Rect
+        from repro.mask.constraints import FractureSpec
+        from repro.mask.io import save_solution
+
+        solution = tmp_path / "sol.json"
+        save_solution([Rect(0, 0, 20, 20)], FractureSpec(), solution,
+                      clip_name="ILT-99")
+        with pytest.raises(SystemExit, match="ILT-99"):
+            main(["verify", str(solution)])
+        save_solution([Rect(0, 0, 20, 20)], FractureSpec(), solution)
+        with pytest.raises(SystemExit, match="names no clip"):
+            main(["verify", str(solution)])
+
 
 class TestGdsExport:
     def test_fracture_writes_gds(self, tmp_path, capsys):
