@@ -22,13 +22,16 @@ import numpy as np
 from scipy.special import erfinv
 
 from repro.fracture.base import FractureResult
-from repro.geometry.rect import Rect
 from repro.geometry.sat import SummedAreaTable
 from repro.mask.constraints import FractureSpec
 from repro.mask.shape import MaskShape
 
 #: Slide positions probed per axis when testing pair coverability.
 _SLIDES = 5
+_FRACTIONS = np.linspace(0.0, 1.0, _SLIDES)
+
+#: Scan points tested against the witness set per vectorized gather.
+_BLOCK = 256
 
 
 def overdose_depth(spec: FractureSpec) -> float:
@@ -69,53 +72,82 @@ def lower_bound_shots(
     best = 1
     for order in orderings:
         ys, xs = ys_all[order][::sample_step], xs_all[order][::sample_step]
-        witnesses: list[tuple[float, float]] = []
-        for iy, ix in zip(ys, xs):
-            px = grid.x0 + (ix + 0.5) * grid.pitch
-            py = grid.y0 + (iy + 0.5) * grid.pitch
-            if all(
-                not _pair_coverable(off_sat, spec, depth, (px, py), w)
-                for w in witnesses
-            ):
-                witnesses.append((px, py))
-        best = max(best, len(witnesses))
+        points = np.column_stack((
+            grid.x0 + (xs + 0.5) * grid.pitch,
+            grid.y0 + (ys + 0.5) * grid.pitch,
+        ))
+        best = max(best, len(_greedy_witnesses(off_sat, spec, depth, points)))
     return best
+
+
+def _greedy_witnesses(
+    off_sat: SummedAreaTable,
+    spec: FractureSpec,
+    depth: float,
+    points: np.ndarray,
+) -> np.ndarray:
+    """The witnesses a greedy scan of ``points`` (rows ``(x, y)``) picks.
+
+    A point becomes a witness when no earlier witness can share a valid
+    shot with it.  The scan tests ``_BLOCK`` points at a time against
+    the witnesses so far; the first free point of a block becomes a
+    witness and the scan resumes right after it, so every point is
+    judged against exactly the witnesses a one-by-one scan would have.
+    """
+    witnesses = points[:0]
+    start = 0
+    while start < len(points):
+        block = points[start:start + _BLOCK]
+        covered = _pair_coverable(off_sat, spec, depth, block, witnesses)
+        free = np.flatnonzero(~covered.any(axis=1))
+        if free.size == 0:
+            start += len(block)
+            continue
+        witnesses = np.concatenate((witnesses, block[free[:1]]))
+        start += int(free[0]) + 1
+    return witnesses
 
 
 def _pair_coverable(
     off_sat: SummedAreaTable,
     spec: FractureSpec,
     depth: float,
-    a: tuple[float, float],
-    b: tuple[float, float],
-) -> bool:
-    """Can one valid shot cover both points?
+    points: np.ndarray,
+    others: np.ndarray,
+) -> np.ndarray:
+    """``[i, j]``: can one valid shot cover both ``points[i]`` and ``others[j]``?
 
     Any shot containing both points contains a translate of their
     minimal bounding box (grown to L_min); the pair is declared
     uncoverable only when every probed slide position of that box traps
     a P_off pixel deeper than the overdose depth — which is sound up to
-    the finite slide sampling.
+    the finite slide sampling.  Every pair's slide positions are tested
+    in one summed-area-table gather.
     """
-    x_lo, x_hi = sorted((a[0], b[0]))
-    y_lo, y_hi = sorted((a[1], b[1]))
-    width = max(x_hi - x_lo, spec.lmin)
-    height = max(y_hi - y_lo, spec.lmin)
-    x_slack = width - (x_hi - x_lo)
-    y_slack = height - (y_hi - y_lo)
-    for fx in np.linspace(0.0, 1.0, _SLIDES):
-        for fy in np.linspace(0.0, 1.0, _SLIDES):
-            x_start = x_hi - width + fx * x_slack if x_slack > 0 else x_lo
-            y_start = y_hi - height + fy * y_slack if y_slack > 0 else y_lo
-            core = Rect(
-                x_start + depth,
-                y_start + depth,
-                max(x_start + width - depth, x_start + depth),
-                max(y_start + height - depth, y_start + depth),
-            )
-            if off_sat.rect_sum(core) == 0.0:
-                return True
-    return False
+    x_bl, x_tr = _slide_cores(points[:, 0], others[:, 0], spec.lmin, depth)
+    y_bl, y_tr = _slide_cores(points[:, 1], others[:, 1], spec.lmin, depth)
+    sums = off_sat.rect_sums(
+        x_bl[..., None, :], y_bl[..., :, None],
+        x_tr[..., None, :], y_tr[..., :, None],
+    )
+    return (sums == 0.0).any(axis=(2, 3))
+
+
+def _slide_cores(
+    a: np.ndarray, b: np.ndarray, lmin: float, depth: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Low and high core edges, along one axis, of every pair's box slides.
+
+    Entry ``[i, j, s]`` is slide position ``s`` of the box spanning
+    ``a[i]`` and ``b[j]``, grown to ``lmin`` and shrunk by ``depth`` on
+    both sides.
+    """
+    lo = np.minimum.outer(a, b)[..., None]
+    hi = np.maximum.outer(a, b)[..., None]
+    size = np.maximum(hi - lo, lmin)
+    slack = size - (hi - lo)
+    start = np.where(slack > 0, hi - size + _FRACTIONS * slack, lo)
+    return start + depth, np.maximum(start + size - depth, start + depth)
 
 
 def upper_bound_shots(results: list[FractureResult]) -> int | None:

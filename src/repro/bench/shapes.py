@@ -198,14 +198,14 @@ def _check_witnesses(
     pixels = shape.pixels(spec.gamma)
     off_sat = SummedAreaTable(pixels.off.astype(np.float64), shape.grid)
     depth = overdose_depth(spec) + shape.grid.pitch
-    centers = [(r.center.x, r.center.y) for r in rects]
-    for i in range(len(centers)):
-        for j in range(i + 1, len(centers)):
-            if _pair_coverable(off_sat, spec, depth, centers[i], centers[j]):
-                raise RuntimeError(
-                    f"{name}: one shot could cover generator rects {i} and "
-                    f"{j} — construction count is not a valid optimum"
-                )
+    centers = np.array([(r.center.x, r.center.y) for r in rects])
+    coverable = np.triu(_pair_coverable(off_sat, spec, depth, centers, centers), 1)
+    if coverable.any():
+        i, j = np.argwhere(coverable)[0]
+        raise RuntimeError(
+            f"{name}: one shot could cover generator rects {i} and "
+            f"{j} — construction count is not a valid optimum"
+        )
 
 
 def _check_no_redundant_shot(

@@ -178,7 +178,7 @@ def _fraction(value: str) -> float:
 
 def _runtime_policy(args: argparse.Namespace):
     """Build the tiled executor's fault-tolerance policy from CLI flags."""
-    from repro.fracture.runtime import FaultPlan, RetryPolicy, RuntimePolicy
+    from repro.fracture.runtime import FaultPlan, RuntimePolicy
 
     tile_only = [
         ("--inject-fault", args.inject_fault),
@@ -210,10 +210,8 @@ def _runtime_policy(args: argparse.Namespace):
         except ValueError as error:
             raise SystemExit(str(error)) from None
     return RuntimePolicy(
-        retry=RetryPolicy(
-            max_attempts=retries + 1,
-            tile_deadline_s=args.tile_timeout,
-        ),
+        max_attempts=retries + 1,
+        tile_deadline_s=args.tile_timeout,
         fault_plan=fault_plan,
         heartbeat_s=args.heartbeat,
     )
@@ -221,11 +219,12 @@ def _runtime_policy(args: argparse.Namespace):
 
 def _build_fracturer(args: argparse.Namespace):
     """The requested method, tiled when ``--window-nm`` is set, and the
-    ``--fracture-cache`` store attached to it (``None`` without one).
+    ``--fracture-cache`` store (``None`` without one).
 
-    Finished shapes go to the store, and with ``--window-nm`` so does
-    each settled tile: one DIR holds both, so an interrupted run resumes
-    by running it again against the same DIR.
+    The batch loop stores finished shapes there, and with
+    ``--window-nm`` the tile runner stores each settled tile there too:
+    one DIR holds both, so an interrupted run resumes by running it
+    again against the same DIR.
     """
     runtime = _runtime_policy(args)
     fracturer = _make_fracturer(args.method)
@@ -238,8 +237,6 @@ def _build_fracturer(args: argparse.Namespace):
             fracturer, window_nm=args.window_nm, workers=args.workers,
             runtime=runtime,
         )
-    if cache is not None:
-        fracturer.cache = cache
     return fracturer, cache
 
 
@@ -360,7 +357,7 @@ def _clip_shapes(
 
 def _run_batch(
     args: argparse.Namespace, spec: FractureSpec, fracturer: Fracturer,
-    verbose: bool = False,
+    cache, verbose: bool = False,
 ):
     """The batch loop over a ``fracture``/``mdp`` command's clips:
     ``(shapes, report)``, with ``report`` ``None`` when interrupted."""
@@ -371,9 +368,9 @@ def _run_batch(
     # (parallelism across tiles of each large shape); without it, the
     # pool parallelizes across shapes.
     workers = 1 if args.window_nm else args.workers
-    report = _guarded(args, spec, lambda: MdpPipeline(fracturer, spec).run(
-        shapes, output_dir=args.output, workers=workers, verbose=verbose,
-    ))
+    report = _guarded(args, spec, lambda: MdpPipeline(
+        fracturer, spec, cache=cache,
+    ).run(shapes, output_dir=args.output, workers=workers, verbose=verbose))
     return shapes, report
 
 
@@ -387,6 +384,13 @@ def _run_layout(
     from repro.mask.gds import GdsError, read_layout
     from repro.mask.hierarchy import fracture_layout
 
+    # The layout walk has no pool of its own: only the tile executor
+    # can use the workers.
+    if args.workers > 1 and not args.window_nm:
+        raise SystemExit(
+            "--workers on GDSII input applies to the tiled executor; "
+            "add --window-nm"
+        )
     clip_file = args.clip_file
     try:
         layout = read_layout(clip_file)
@@ -534,7 +538,7 @@ def _cmd_fracture(args: argparse.Namespace) -> int:
         if args.clip:
             raise SystemExit("--clip does not apply to GDSII layout input")
         return _run_layout(args, spec, fracturer, cache)
-    shapes, report = _run_batch(args, spec, fracturer)
+    shapes, report = _run_batch(args, spec, fracturer, cache)
     if report is None:
         return 130
     for shape, result in zip(shapes, report.results):
@@ -619,7 +623,7 @@ def _cmd_mdp(args: argparse.Namespace) -> int:
                 "--baseline is not supported for hierarchical GDSII input"
             )
         return _run_layout(args, spec, fracturer, cache)
-    shapes, report = _run_batch(args, spec, fracturer, verbose=True)
+    shapes, report = _run_batch(args, spec, fracturer, cache, verbose=True)
     if report is None:
         return 130
     print(
@@ -987,7 +991,7 @@ def _cmd_job_result(args: argparse.Namespace) -> int:
                     spec, out / f"{name}.solution.json", clip_name=name,
                     # The batch loop's keys, then the job's own.
                     metadata={
-                        "method": result["method"],
+                        "method": clip["method"],
                         "runtime_s": clip["runtime_s"],
                         "failing_pixels": clip["failing_px"],
                         "job_id": result["job_id"],

@@ -24,17 +24,7 @@ from repro.fracture.cache import (
 from repro.fracture.corner_points import CornerType, ShotCornerPoint, extract_corner_points
 from repro.fracture.graph_color import GraphColoringFracturer, build_compatibility_graph
 from repro.fracture.pipeline import ModelBasedFracturer, RefineConfig
-from repro.fracture.runtime import (
-    FaultPlan,
-    PoolBroken,
-    RetryPolicy,
-    RuntimePolicy,
-    TileCrash,
-    TileError,
-    TileInfeasible,
-    TileOutcome,
-    TileTimeout,
-)
+from repro.fracture.runtime import FaultPlan, PoolBroken, RuntimePolicy, TileOutcome
 from repro.fracture.tiling import Tile, TilePlan, plan_tiles
 from repro.fracture.windowed import WindowedFracturer
 
@@ -50,16 +40,11 @@ __all__ = [
     "ModelBasedFracturer",
     "PoolBroken",
     "RefineConfig",
-    "RetryPolicy",
     "RuntimePolicy",
     "ShotCornerPoint",
     "Tile",
-    "TileCrash",
-    "TileError",
-    "TileInfeasible",
     "TileOutcome",
     "TilePlan",
-    "TileTimeout",
     "WindowedFracturer",
     "build_compatibility_graph",
     "extract_corner_points",

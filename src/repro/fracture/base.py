@@ -48,15 +48,18 @@ class FractureResult:
 
 
 class Fracturer(abc.ABC):
-    """A mask fracturing method: target shape + spec → shot list."""
+    """A mask fracturing method: target shape + spec → shot list.
+
+    A fracturer only fractures.  Result stores belong to the loops that
+    call it — :class:`~repro.mask.mdp.MdpPipeline` for shapes,
+    :func:`~repro.mask.hierarchy.fracture_layout` for placements and the
+    tile runner (:mod:`repro.fracture.runtime`) for tiles — which key
+    their entries by :attr:`cache_method`, and shapes also by
+    :attr:`cache_window_nm`.
+    """
 
     #: Short name used in benchmark tables.
     name: str = "abstract"
-
-    #: Optional :class:`repro.fracture.cache.FractureCache`.  When set,
-    #: :meth:`fracture` serves placement-invariant hits without running
-    #: the method or re-verifying, and stores fresh results back.
-    cache = None
 
     #: Registry name used in cache keys (falls back to ``name``) — set by
     #: :func:`repro.methods.make_fracturer` so aliased registrations key
@@ -67,56 +70,12 @@ class Fracturer(abc.ABC):
     #: run is only interchangeable with an identically windowed one).
     cache_window_nm: float | None = None
 
-    def _cache_key_method(self) -> str:
-        return self.cache_method or self.name
-
-    def fracture_cached(self, shape: MaskShape, spec: FractureSpec) -> FractureResult | None:
-        """Cache lookup for ``shape``; ``None`` when absent or missing."""
-        if self.cache is None:
-            return None
-        obs = get_recorder()
-        hit = self.cache.get_result(
-            shape.polygon,
-            spec,
-            method=self._cache_key_method(),
-            window_nm=self.cache_window_nm,
-            shape_name=shape.name,
-        )
-        if hit is None:
-            obs.incr("cache.fracture.misses")
-            return None
-        obs.incr("cache.fracture.hits")
-        obs.incr("fracture.shapes")
-        obs.observe("fracture.shots", hit.shot_count)
-        return hit
-
-    def store_cached(
-        self, shape: MaskShape, spec: FractureSpec, result: FractureResult
-    ) -> None:
-        """Store a fresh ``result`` under the key :meth:`fracture_cached` reads."""
-        if self.cache is not None:
-            self.cache.put_result(
-                shape.polygon,
-                spec,
-                result,
-                window_nm=self.cache_window_nm,
-                method=self._cache_key_method(),
-            )
-
     @abc.abstractmethod
     def fracture_shots(self, shape: MaskShape, spec: FractureSpec) -> list[Rect]:
         """Produce the shot list for ``shape``.  Implemented by subclasses."""
 
     def fracture(self, shape: MaskShape, spec: FractureSpec) -> FractureResult:
-        """Run the method, time it, and verify the result independently.
-
-        With :attr:`cache` set, a placement-invariant hit short-circuits
-        both the method and the verification (the stored verdict was
-        computed from scratch on identical geometry the first time).
-        """
-        cached = self.fracture_cached(shape, spec)
-        if cached is not None:
-            return cached
+        """Run the method, time it, and verify the result independently."""
         obs = get_recorder()
         self._last_extra: dict[str, Any] = {}
         with obs.span("fracture", method=self.name, shape=shape.name) as span:
@@ -129,7 +88,7 @@ class Fracturer(abc.ABC):
         obs.incr("fracture.shapes")
         obs.observe("fracture.runtime_s", runtime)
         obs.observe("fracture.shots", len(shots))
-        result = FractureResult(
+        return FractureResult(
             method=self.name,
             shape_name=shape.name,
             shots=shots,
@@ -137,5 +96,3 @@ class Fracturer(abc.ABC):
             report=report,
             extra=dict(getattr(self, "_last_extra", {})),
         )
-        self.store_cached(shape, spec, result)
-        return result

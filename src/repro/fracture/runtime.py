@@ -5,24 +5,24 @@ worker crash, hang or infeasible tile must not abort the run and lose
 every completed tile.  This module wraps the per-tile work of
 :class:`repro.fracture.windowed.WindowedFracturer` with:
 
-* an **error taxonomy** — :class:`TileCrash` (worker process died),
-  :class:`TileTimeout` (per-tile deadline exceeded),
-  :class:`TileInfeasible` (the tile computation raised) and
-  :class:`PoolBroken` (the pool could not be kept alive) — every error
-  carries the tile identity it belongs to;
+* **tile-identity-preserving result envelopes** — a worker answers
+  ``("ok", tile, shots, …)`` or ``("error", tile, kind, message, …)``
+  with ``kind`` one of ``"crash"``, ``"hang"`` or ``"error"``; a dead
+  pool settles its in-flight tiles as ``"crash"`` and an overrun
+  deadline as ``"hang"``, so every failure is charged to its tile, and
+  :class:`PoolBroken` ends the run when the pool cannot be kept alive;
 * **per-tile retry** with capped exponential backoff
-  (:class:`RetryPolicy`) and **per-tile deadlines** enforced by
-  ``submit``-based scheduling with tile-identity-preserving result
-  envelopes (``pool.map``'s order/all-success assumption is gone);
+  (:data:`BACKOFF_S`, :data:`BACKOFF_FACTOR`, :data:`BACKOFF_CAP_S`) and
+  **per-tile deadlines** enforced by ``submit``-based scheduling;
 * **pool recovery** — a ``BrokenProcessPool`` respawns the pool,
   requeues the tiles that were in flight and *quarantines* the suspects
   to inline (in-parent) execution for their next attempt, so one
   poisonous tile cannot kill worker after worker;
 * a **degradation ladder** — a tile that exhausts its retries falls
   back to the deterministic geometric :class:`PartitionFracturer`
-  baseline for that tile and is flagged (``windowed.tile_fallbacks``,
-  the run manifest, :attr:`TileOutcome.fallback`) instead of failing
-  the run;
+  baseline (:func:`partition_fallback`) for that tile and is flagged
+  (``windowed.tile_fallbacks``, the run manifest,
+  :attr:`TileOutcome.fallback`) instead of failing the run;
 * a **tile store** (:attr:`RuntimePolicy.store`, a
   :class:`~repro.fracture.cache.FractureCache`): every tile whose model
   run succeeds is stored under its exact content key
@@ -33,6 +33,11 @@ every completed tile.  This module wraps the per-tile work of
   crash / hang / raise on named tiles, armed per attempt, with a
   seeded random-subset constructor — usable from tests and the CLI
   (``--inject-fault``).
+
+:class:`RuntimePolicy` holds the six settings callers vary; the values
+no caller varies are the module constants below, which tests patch.
+The trace context and the telemetry switch come from the installed
+recorder (:func:`repro.obs.get_recorder`), read once per run.
 
 Determinism: tile jobs are pure, so a retried attempt reproduces the
 original result exactly, and outcomes are merged in row-major job
@@ -69,42 +74,34 @@ __all__ = [
     "InjectedFault",
     "InjectedHang",
     "PoolBroken",
-    "RetryPolicy",
     "RunInterrupted",
     "RunStats",
     "RuntimePolicy",
-    "TileCrash",
-    "TileError",
-    "TileInfeasible",
     "TileOutcome",
-    "TileTimeout",
+    "backoff",
     "fracture_tile",
     "partition_fallback",
     "run_tiles",
 ]
 
 
-# -- error taxonomy ----------------------------------------------------------
+#: Delay before the first retry of a tile, in seconds; each further
+#: retry waits ``BACKOFF_FACTOR`` times longer, up to ``BACKOFF_CAP_S``.
+BACKOFF_S = 0.05
+BACKOFF_FACTOR = 2.0
+BACKOFF_CAP_S = 2.0
+
+#: Pool respawns one run may spend before it raises :class:`PoolBroken`.
+MAX_POOL_RESPAWNS = 8
 
 
-class TileError(RuntimeError):
-    """Base of the per-tile error taxonomy; carries the tile identity."""
-
-    def __init__(self, tile_name: str, message: str):
-        super().__init__(f"tile {tile_name}: {message}")
-        self.tile_name = tile_name
+def backoff(attempt: int) -> float:
+    """Delay before the retry that follows failed attempt ``attempt``."""
+    raw = BACKOFF_S * BACKOFF_FACTOR ** max(0, attempt - 1)
+    return min(raw, BACKOFF_CAP_S)
 
 
-class TileCrash(TileError):
-    """The worker process executing the tile died (e.g. SIGKILL/OOM)."""
-
-
-class TileTimeout(TileError):
-    """The tile exceeded its per-tile deadline."""
-
-
-class TileInfeasible(TileError):
-    """The tile computation raised — the sub-problem could not be solved."""
+# -- errors ------------------------------------------------------------------
 
 
 class PoolBroken(RuntimeError):
@@ -144,31 +141,6 @@ class InjectedHang(InjectedFault):
 
 
 # -- policies ----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Retry, backoff, deadline and pool-respawn budget for tile execution.
-
-    ``max_attempts`` counts the first execution: 3 means one run plus
-    two retries before the degradation ladder engages.  Backoff for the
-    retry after attempt *k* is ``backoff_s * backoff_factor**(k-1)``
-    capped at ``backoff_cap_s``.  ``tile_deadline_s`` is enforced by
-    killing and respawning the pool, so it requires ``workers > 1``;
-    inline (serial) execution cannot be preempted.
-    """
-
-    max_attempts: int = 3
-    backoff_s: float = 0.05
-    backoff_factor: float = 2.0
-    backoff_cap_s: float = 2.0
-    tile_deadline_s: float | None = None
-    max_pool_respawns: int = 8
-
-    def backoff(self, attempt: int) -> float:
-        """Delay before the retry that follows failed attempt ``attempt``."""
-        raw = self.backoff_s * self.backoff_factor ** max(0, attempt - 1)
-        return min(raw, self.backoff_cap_s)
 
 
 @dataclass(frozen=True)
@@ -265,16 +237,22 @@ class FaultPlan:
 
 @dataclass
 class RuntimePolicy:
-    """Everything the tiled executor needs beyond the happy path.
+    """The tile runner's settings: everything beyond the happy path.
+
+    ``max_attempts`` counts the first execution: 3 means one run plus
+    two retries before the degradation ladder engages.
+    ``tile_deadline_s`` is enforced by killing and respawning the pool,
+    so it needs ``workers > 1``; inline (serial) execution cannot be
+    preempted.  ``fault_plan`` injects failures (:class:`FaultPlan`).
 
     ``heartbeat_s`` enables the worker heartbeat channel
     (:mod:`repro.obs.resources`) on the pooled path: each worker
     publishes liveness/tile/RSS/CPU every ``heartbeat_s`` seconds and
     the parent folds the beats into ``windowed.*`` gauges, emitting
-    ``worker_stalled`` events for workers that stop beating
-    (``stall_after_s``, default 3 heartbeats) or sit on one tile
-    suspiciously long (half the tile deadline, when one is set).
-    ``None`` disables the channel entirely (zero overhead).
+    ``worker_stalled`` events for workers that stop beating (3
+    heartbeats) or sit on one tile suspiciously long (half the tile
+    deadline, when one is set).  ``None`` disables the channel entirely
+    (zero overhead).
 
     ``stop_check`` is the graceful-shutdown hook: a zero-argument
     callable polled between tile settlements.  When it returns true the
@@ -290,17 +268,12 @@ class RuntimePolicy:
     produce.  ``None`` runs every tile.
     """
 
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
+    max_attempts: int = 3
+    tile_deadline_s: float | None = None
     fault_plan: FaultPlan | None = None
     store: FractureCache | None = None
     heartbeat_s: float | None = None
-    stall_after_s: float | None = None
     stop_check: Callable[[], bool] | None = None
-    #: Trace context dict (``{"trace_id", ...}``) correlating this run
-    #: with its submitter; stamped on every stored tile, every worker
-    #: heartbeat and every worker-side span.  ``None`` falls back to the
-    #: installed recorder's manifest trace (the executor path).
-    trace: dict[str, Any] | None = None
 
 
 # -- outcomes ----------------------------------------------------------------
@@ -505,38 +478,25 @@ class _TileRunner:
         inner: Any,
         spec: FractureSpec,
         workers: int,
-        retry: RetryPolicy,
-        fault_plan: FaultPlan | None,
-        store: FractureCache | None,
-        telemetry_enabled: bool,
-        fallback: Callable[[Any, list[MaskShape], FractureSpec], list[Rect]],
-        heartbeat_s: float | None = None,
-        stall_after_s: float | None = None,
-        stop_check: Callable[[], bool] | None = None,
-        trace: dict[str, Any] | None = None,
+        policy: RuntimePolicy,
     ):
         self.jobs = jobs
         self.inner = inner
         self.spec = spec
         self.workers = workers
-        self.retry = retry
-        self.fault_plan = fault_plan
-        self.store = store
-        self.telemetry_enabled = telemetry_enabled
-        self.fallback = fallback
-        self.heartbeat_s = heartbeat_s
-        self.stall_after_s = stall_after_s
-        self.stop_check = stop_check
+        self.policy = policy
+        # The run's recorder decides both whether workers record and
+        # which trace id stamps stored tiles, heartbeats and worker
+        # spans: the CLI's per-invocation trace or the daemon job's.
         self.obs = get_recorder()
-        # Fall back to the installed recorder's manifest trace so CLI
-        # runs that never touch RuntimePolicy.trace still correlate.
-        self.trace = trace or getattr(self.obs, "trace", None)
+        self.trace = getattr(self.obs, "trace", None)
         self.stats = RunStats()
         self.outcomes: list[TileOutcome | None] = [None] * len(jobs)
         self.pending: list[_Pending] = []
         # Store keys, computed here in the parent only: pool workers
         # never see the store.  Cores differ, so no two tiles of one
         # run share a key and completion order cannot change a replay.
+        store = policy.store
         method = getattr(inner, "cache_method", None) or inner.name
         self.keys = [
             tile_fingerprint(method, spec, tile, subs) if store is not None
@@ -625,8 +585,8 @@ class _TileRunner:
             worker_pid=worker_pid,
         )
         self.outcomes[p.idx] = outcome
-        if self.store is not None:
-            self.store.put(self.keys[p.idx], {
+        if self.policy.store is not None:
+            self.policy.store.put(self.keys[p.idx], {
                 "tile": outcome.tile_name,
                 "shots": [rect_to_list(shot) for shot in shots],
                 "attempts": p.attempt,
@@ -642,7 +602,7 @@ class _TileRunner:
         if kind == "hang":
             self.stats.tile_timeouts += 1
             self.obs.incr("windowed.tile_timeouts")
-        if p.attempt < self.retry.max_attempts:
+        if p.attempt < self.policy.max_attempts:
             self.stats.tile_retries += 1
             self.obs.incr("windowed.tile_retries")
             self.obs.event(
@@ -657,7 +617,7 @@ class _TileRunner:
                 _Pending(
                     p.idx,
                     p.attempt + 1,
-                    time.monotonic() + self.retry.backoff(p.attempt),
+                    time.monotonic() + backoff(p.attempt),
                     inline=quarantine,
                 )
             )
@@ -670,7 +630,7 @@ class _TileRunner:
         self.obs.incr("windowed.tile_fallbacks")
         started = time.monotonic()
         with self.obs.span("tile_fallback", tile=tile.name):
-            shots = self.fallback(tile, subs, self.spec)
+            shots = partition_fallback(tile, subs, self.spec)
         outcome = TileOutcome(
             index=p.idx,
             tile_name=tile.name,
@@ -689,11 +649,11 @@ class _TileRunner:
         tile, subs = self.jobs[p.idx]
         p.started = time.monotonic()
         try:
-            if self.fault_plan is not None:
-                self.fault_plan.fire(tile.name, p.attempt, inline=True)
+            if self.policy.fault_plan is not None:
+                self.policy.fault_plan.fire(tile.name, p.attempt, inline=True)
             with self.obs.span("tile", tile=tile.name, sub_shapes=len(subs)):
                 owned = fracture_tile(self.inner, tile, subs, self.spec)
-        except Exception as error:  # noqa: BLE001 — taxonomy boundary
+        except Exception as error:  # noqa: BLE001 — envelope, not policy
             message = (
                 f"tile {tile.name} ({len(subs)} sub-shapes, attempt "
                 f"{p.attempt}): {type(error).__name__}: {error}"
@@ -719,7 +679,8 @@ class _TileRunner:
         Only called between settlements, so every completed tile is
         already stored and no partial state escapes.
         """
-        if self.stop_check is not None and self.stop_check():
+        stop_check = self.policy.stop_check
+        if stop_check is not None and stop_check():
             self.obs.event(
                 "run_interrupted", done=self._done, total=len(self.jobs)
             )
@@ -742,24 +703,22 @@ class _TileRunner:
         from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
         from concurrent.futures.process import BrokenProcessPool
 
+        policy = self.policy
+        deadline_s = policy.tile_deadline_s
         hb_dir: Path | None = None
         monitor: HeartbeatMonitor | None = None
-        if self.heartbeat_s is not None and self.heartbeat_s > 0:
+        if policy.heartbeat_s is not None and policy.heartbeat_s > 0:
             hb_dir = Path(tempfile.mkdtemp(prefix="repro-hb-"))
             # A hung worker's heartbeat *thread* keeps beating, so file
             # age alone cannot catch hangs; the slow-task check fires at
             # half the tile deadline — strictly before the deadline kill.
-            slow_task_after = (
-                0.5 * self.retry.tile_deadline_s
-                if self.retry.tile_deadline_s is not None
-                else None
-            )
             monitor = HeartbeatMonitor(
                 hb_dir,
                 self.obs,
-                interval_s=self.heartbeat_s,
-                stall_after_s=self.stall_after_s,
-                slow_task_after_s=slow_task_after,
+                interval_s=policy.heartbeat_s,
+                slow_task_after_s=(
+                    0.5 * deadline_s if deadline_s is not None else None
+                ),
             )
 
         def spawn() -> ProcessPoolExecutor:
@@ -768,9 +727,9 @@ class _TileRunner:
                 initializer=_worker_init,
                 initargs=(
                     self.inner, self.spec,
-                    self.telemetry_enabled, self.fault_plan,
+                    self.obs.enabled, policy.fault_plan,
                     str(hb_dir) if hb_dir is not None else None,
-                    self.heartbeat_s if self.heartbeat_s else 1.0,
+                    policy.heartbeat_s if policy.heartbeat_s else 1.0,
                     self.trace,
                 ),
             )
@@ -802,10 +761,10 @@ class _TileRunner:
             self.stats.pool_respawns += 1
             self.obs.incr("windowed.pool_respawns")
             self.obs.event("pool_respawn", reason=reason, respawns=respawns)
-            if respawns > self.retry.max_pool_respawns:
+            if respawns > MAX_POOL_RESPAWNS:
                 raise PoolBroken(
                     f"process pool died {respawns} times "
-                    f"(budget {self.retry.max_pool_respawns}); giving up: {reason}"
+                    f"(budget {MAX_POOL_RESPAWNS}); giving up: {reason}"
                 )
             return spawn()
 
@@ -858,15 +817,13 @@ class _TileRunner:
                     continue
                 timeouts: list[float] = []
                 now = time.monotonic()
-                if self.retry.tile_deadline_s is not None:
+                if deadline_s is not None:
                     for _p, started in inflight.values():
-                        timeouts.append(
-                            started + self.retry.tile_deadline_s - now
-                        )
+                        timeouts.append(started + deadline_s - now)
                 if next_eligible is not None:
                     timeouts.append(next_eligible - now)
                 timeout = max(0.0, min(timeouts)) if timeouts else None
-                if self.stop_check is not None:
+                if policy.stop_check is not None:
                     # Poll the shutdown hook even while every worker is
                     # deep inside a long tile.
                     timeout = 0.2 if timeout is None else min(timeout, 0.2)
@@ -902,12 +859,12 @@ class _TileRunner:
                             p, "crash", "worker process died (BrokenProcessPool)"
                         )
                     continue
-                if self.retry.tile_deadline_s is not None and inflight:
+                if deadline_s is not None and inflight:
                     now = time.monotonic()
                     overdue = [
                         future
                         for future, (_p, started) in inflight.items()
-                        if now - started >= self.retry.tile_deadline_s
+                        if now - started >= deadline_s
                     ]
                     if overdue:
                         # A hung worker cannot be preempted individually:
@@ -925,7 +882,7 @@ class _TileRunner:
                                 self._settle_failure(
                                     p, "hang",
                                     f"tile {tile.name} exceeded deadline "
-                                    f"{self.retry.tile_deadline_s:.3g}s "
+                                    f"{deadline_s:.3g}s "
                                     f"(attempt {p.attempt})",
                                 )
                             else:
@@ -964,18 +921,12 @@ def run_tiles(
     inner: Any,
     spec: FractureSpec,
     workers: int = 1,
-    retry: RetryPolicy | None = None,
-    fault_plan: FaultPlan | None = None,
-    store: FractureCache | None = None,
-    telemetry_enabled: bool = False,
-    fallback: Callable[[Any, list[MaskShape], FractureSpec], list[Rect]]
-    | None = None,
-    heartbeat_s: float | None = None,
-    stall_after_s: float | None = None,
-    stop_check: Callable[[], bool] | None = None,
-    trace: dict[str, Any] | None = None,
+    policy: RuntimePolicy | None = None,
 ) -> tuple[list[TileOutcome], RunStats]:
     """Execute tile ``jobs`` fault-tolerantly; outcomes in job order.
+
+    ``policy`` defaults to :class:`RuntimePolicy` ``()``: three attempts,
+    no deadline, no store, no injected faults, no heartbeats.
 
     The contract the tiled executor's determinism rests on: outcomes are
     returned (and their telemetry merged) in row-major job order no
@@ -989,15 +940,7 @@ def run_tiles(
         inner=inner,
         spec=spec,
         workers=workers,
-        retry=retry if retry is not None else RetryPolicy(),
-        fault_plan=fault_plan,
-        store=store,
-        telemetry_enabled=telemetry_enabled,
-        fallback=fallback if fallback is not None else partition_fallback,
-        heartbeat_s=heartbeat_s,
-        stall_after_s=stall_after_s,
-        stop_check=stop_check,
-        trace=trace,
+        policy=policy if policy is not None else RuntimePolicy(),
     )
     if workers == 1 or len(runner.pending) <= 1:
         runner.run_serial()

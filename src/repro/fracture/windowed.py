@@ -61,12 +61,11 @@ class WindowedFracturer(Fracturer):
     ``nmax=0`` skips both, and the final verdict always comes from the
     independent :meth:`Fracturer.fracture` check either way).
 
-    ``runtime`` configures the fault-tolerant execution layer
-    (:mod:`repro.fracture.runtime`): per-tile retry/backoff, per-tile
-    deadlines, pool recovery, the partition-baseline degradation
-    ladder, fault injection and the tile store.  ``None`` means the
-    default :class:`~repro.fracture.runtime.RetryPolicy` with no store
-    and no injected faults.
+    ``runtime`` is the fault-tolerant execution layer's
+    :class:`~repro.fracture.runtime.RuntimePolicy`: attempts per tile,
+    the per-tile deadline, fault injection, the tile store, the worker
+    heartbeat and the stop check.  ``None`` means the default policy:
+    three attempts, no deadline, no store and no injected faults.
     """
 
     name = "WINDOWED"
@@ -168,23 +167,9 @@ class WindowedFracturer(Fracturer):
         only on its own sub-shapes.
         """
         obs = get_recorder()
-        # The run's trace context: explicit policy wins, else whatever
-        # the installed recorder's manifest carries (the CLI/daemon
-        # paths both stamp it there).
-        trace = self.runtime.trace or getattr(obs, "trace", None)
         outcomes, stats = run_tiles(
-            jobs,
-            inner=self.inner,
-            spec=spec,
-            workers=self.workers,
-            retry=self.runtime.retry,
-            fault_plan=self.runtime.fault_plan,
-            store=self.runtime.store,
-            telemetry_enabled=obs.enabled,
-            heartbeat_s=self.runtime.heartbeat_s,
-            stall_after_s=self.runtime.stall_after_s,
-            stop_check=self.runtime.stop_check,
-            trace=trace,
+            jobs, inner=self.inner, spec=spec, workers=self.workers,
+            policy=self.runtime,
         )
         collected: list[Rect] = []
         for outcome in outcomes:

@@ -56,6 +56,26 @@ class SummedAreaTable:
         iy_hi = int(np.floor((rect.ytr - g.y0) / g.pitch - 0.5)) + 1
         return self.window_sum(iy_lo, iy_hi, ix_lo, ix_hi)
 
+    def rect_sums(
+        self, xbl: np.ndarray, ybl: np.ndarray, xtr: np.ndarray, ytr: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`rect_sum` over broadcastable arrays of rectangle edges.
+
+        The index arithmetic and clamping are the scalar call's, element
+        by element, so each entry equals ``rect_sum`` of its rectangle.
+        """
+        g = self._grid
+        ix_lo = np.ceil((xbl - g.x0) / g.pitch - 0.5).astype(np.int64)
+        ix_hi = np.floor((xtr - g.x0) / g.pitch - 0.5).astype(np.int64) + 1
+        iy_lo = np.ceil((ybl - g.y0) / g.pitch - 0.5).astype(np.int64)
+        iy_hi = np.floor((ytr - g.y0) / g.pitch - 0.5).astype(np.int64) + 1
+        iy_lo = np.minimum(np.maximum(iy_lo, 0), g.ny)
+        iy_hi = np.minimum(np.maximum(iy_hi, iy_lo), g.ny)
+        ix_lo = np.minimum(np.maximum(ix_lo, 0), g.nx)
+        ix_hi = np.minimum(np.maximum(ix_hi, ix_lo), g.nx)
+        t = self._table
+        return t[iy_hi, ix_hi] - t[iy_lo, ix_hi] - t[iy_hi, ix_lo] + t[iy_lo, ix_lo]
+
     def rect_pixel_count(self, rect: Rect) -> int:
         """Number of grid pixels whose centres lie inside ``rect``."""
         g = self._grid

@@ -209,99 +209,91 @@ def fracture_layout(
         )
     method = fracturer.cache_method or fracturer.name
     window_nm = fracturer.cache_window_nm
-
-    # Drive the cache at this level: detach the fracturer's own hook so
-    # a shared cache is not consulted twice per placement.
-    fracturer_cache = fracturer.cache
-    fracturer.cache = None
     memo: dict[tuple[str, int, int, bool], _Oriented] = {}
     unique: set[str] = set()
     fingerprints = 0
     template_fractures = 0
     cache_hits = 0
-    try:
-        with obs.span(
-            "hierarchy.fracture",
-            mode="hierarchy" if hierarchy else "flatten",
-            cells=len(layout.cells),
-            instances=instances,
+    with obs.span(
+        "hierarchy.fracture",
+        mode="hierarchy" if hierarchy else "flatten",
+        cells=len(layout.cells),
+        instances=instances,
+    ):
+        for name, cell_name, index, polygon, transform in _walk(
+            layout, visits
         ):
-            for name, cell_name, index, polygon, transform in _walk(
-                layout, visits
+            obs.incr("hierarchy.instances")
+            start = time.perf_counter()
+            key = (cell_name, index, transform.rotation, transform.mirror_x)
+            oriented = memo.get(key)
+            if oriented is None:
+                oriented = memo[key] = _Oriented(_reach(polygon))
+            tx, ty = transform.dx, transform.dy
+            placed = None
+            if (
+                abs(tx) <= oriented.reach
+                and abs(ty) <= oriented.reach
+                and float(tx).is_integer()
+                and float(ty).is_integer()
             ):
-                obs.incr("hierarchy.instances")
-                start = time.perf_counter()
-                key = (cell_name, index, transform.rotation, transform.mirror_x)
-                oriented = memo.get(key)
-                if oriented is None:
-                    oriented = memo[key] = _Oriented(_reach(polygon))
-                tx, ty = transform.dx, transform.dy
-                placed = None
-                if (
-                    abs(tx) <= oriented.reach
-                    and abs(ty) <= oriented.reach
-                    and float(tx).is_integer()
-                    and float(ty).is_integer()
-                ):
-                    if oriented.fingerprint is None:
-                        linear = Transform(
-                            rotation=transform.rotation,
-                            mirror_x=transform.mirror_x,
-                        )
-                        oriented.fingerprint, oriented.frame = (
-                            fingerprint_polygon(
-                                _place(polygon, linear), spec, method,
-                                window_nm,
-                            )
-                        )
-                        fingerprints += 1
-                    fingerprint = oriented.fingerprint
-                    fx, fy = oriented.frame
-                    offset = (
-                        oriented.frame if transform.is_identity
-                        else (fx + tx, fy + ty)
+                if oriented.fingerprint is None:
+                    linear = Transform(
+                        rotation=transform.rotation,
+                        mirror_x=transform.mirror_x,
                     )
-                else:
-                    placed = _place(polygon, transform)
-                    fingerprint, offset = fingerprint_polygon(
-                        placed, spec, method, window_nm
+                    oriented.fingerprint, oriented.frame = (
+                        fingerprint_polygon(
+                            _place(polygon, linear), spec, method,
+                            window_nm,
+                        )
                     )
                     fingerprints += 1
-                unique.add(fingerprint)
-                payload = (
-                    run_cache.get(fingerprint)
-                    if run_cache is not None
-                    else None
+                fingerprint = oriented.fingerprint
+                fx, fy = oriented.frame
+                offset = (
+                    oriented.frame if transform.is_identity
+                    else (fx + tx, fy + ty)
                 )
-                if payload is not None:
-                    result = result_from_payload(
-                        payload,
-                        shape_name=name,
-                        frame=offset,
-                        lookup_s=time.perf_counter() - start,
+            else:
+                placed = _place(polygon, transform)
+                fingerprint, offset = fingerprint_polygon(
+                    placed, spec, method, window_nm
+                )
+                fingerprints += 1
+            unique.add(fingerprint)
+            payload = (
+                run_cache.get(fingerprint)
+                if run_cache is not None
+                else None
+            )
+            if payload is not None:
+                result = result_from_payload(
+                    payload,
+                    shape_name=name,
+                    frame=offset,
+                    lookup_s=time.perf_counter() - start,
+                )
+                cache_hits += 1
+                obs.incr("cache.hierarchy.hits")
+            else:
+                if placed is None:
+                    placed = _place(polygon, transform)
+                shape = MaskShape.from_polygon(
+                    placed,
+                    pitch=spec.pitch,
+                    margin=spec.grid_margin,
+                    name=name,
+                )
+                result = fracturer.fracture(shape, spec)
+                template_fractures += 1
+                obs.incr("hierarchy.template_fractures")
+                if run_cache is not None:
+                    run_cache.put(
+                        fingerprint,
+                        result_to_payload(result, frame=offset),
                     )
-                    cache_hits += 1
-                    obs.incr("cache.hierarchy.hits")
-                else:
-                    if placed is None:
-                        placed = _place(polygon, transform)
-                    shape = MaskShape.from_polygon(
-                        placed,
-                        pitch=spec.pitch,
-                        margin=spec.grid_margin,
-                        name=name,
-                    )
-                    result = fracturer.fracture(shape, spec)
-                    template_fractures += 1
-                    obs.incr("hierarchy.template_fractures")
-                    if run_cache is not None:
-                        run_cache.put(
-                            fingerprint,
-                            result_to_payload(result, frame=offset),
-                        )
-                report.results.append(result)
-    finally:
-        fracturer.cache = fracturer_cache
+            report.results.append(result)
     obs.incr("hierarchy.fingerprints", fingerprints)
 
     report.stats = {

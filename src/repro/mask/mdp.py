@@ -7,28 +7,37 @@ CLI, daemon jobs (:mod:`repro.service.executor`) and the e2e
 benchmark: fracture every shape, verify, persist each solution as it
 finishes, and aggregate shot counts and write-time/cost projections.
 
-Work avoidance is the :class:`~repro.fracture.cache.FractureCache` on
-the fracturer (``fracturer.cache``): the CLI's ``--fracture-cache DIR``
-or the daemon's warm result cache.  Repeated geometry inside one
-batch, across batches, or already fractured by another front end hits
-by canonical content hash, costs a fingerprint and no raster, and is
-served by exact shot translation.  Every finished shape is stored as
-soon as it finishes, so with a persisted cache an interrupted batch
-resumes by re-running against the same directory: finished shapes
-replay bit-identically and only the remainder is fractured.  The key
-holds geometry, spec, method and window, so a changed spec, method or
-clip never replays a stale result.  Parallel runs consult the cache in
-the parent loop and ship only misses to the worker pool.
+Work avoidance is the loop's own store, the
+:class:`~repro.fracture.cache.FractureCache` passed as
+``MdpPipeline(..., cache=...)``: the CLI's ``--fracture-cache DIR`` or
+the daemon's warm result cache.  The loop looks every shape up before
+fracturing it and stores every fresh result as soon as it finishes, on
+one path for one worker and for the pool.  Repeated geometry inside
+one batch, across batches, or already fractured by another front end
+hits by canonical content hash, costs a fingerprint and no raster, and
+is served by exact shot translation; a shape whose geometry is already
+being fractured in this batch waits for that result instead of being
+fractured twice.  With a persisted store an interrupted batch resumes
+by re-running against the same directory: finished shapes replay
+bit-identically and only the remainder is fractured.  The key holds
+geometry, spec, method and window, so a changed spec, method or clip
+never replays a stale result.
 """
 
 from __future__ import annotations
 
-import copy
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.fracture.base import FractureResult, Fracturer
+from repro.fracture.cache import (
+    FractureCache,
+    fingerprint_polygon,
+    result_from_payload,
+    result_to_payload,
+)
 from repro.mask.constraints import FractureSpec
 from repro.mask.cost import MaskCostModel
 from repro.mask.io import save_solution
@@ -75,17 +84,24 @@ class MdpReport:
 
 
 class MdpPipeline:
-    """Fracture a batch of shapes and aggregate mask-level economics."""
+    """Fracture a batch of shapes and aggregate mask-level economics.
+
+    ``cache`` is the batch's result store (``None`` fractures every
+    shape); entries are keyed by the fracturer's ``cache_method`` (or
+    ``name``) and ``cache_window_nm``.
+    """
 
     def __init__(
         self,
         fracturer: Fracturer,
         spec: FractureSpec = FractureSpec(),
         cost_model: MaskCostModel = MaskCostModel(),
+        cache: FractureCache | None = None,
     ):
         self.fracturer = fracturer
         self.spec = spec
         self.cost_model = cost_model
+        self.cache = cache
 
     def run(
         self,
@@ -108,14 +124,20 @@ class MdpPipeline:
         fractured; what it raises stops the batch there (the daemon's
         stop check).  Each shape emits ``clip_start`` and ``clip_done``
         events.  Each solution is written, and each fresh result stored
-        in the fracturer's cache, as soon as it finishes, so a batch
-        stopped part way keeps every finished shape.
+        in :attr:`cache`, as soon as it finishes, so a batch stopped
+        part way keeps every finished shape.
         """
         obs = get_recorder()
         out = Path(output_dir) if output_dir is not None else None
         if out is not None:
             out.mkdir(parents=True, exist_ok=True)
         results: list[FractureResult | None] = [None] * len(shapes)
+        method = self.fracturer.cache_method or self.fracturer.name
+        window_nm = self.fracturer.cache_window_nm
+        # Store key and frame of each shape, and the later shapes that
+        # wait on a key whose first shape is being fractured.
+        keys: list[tuple[str, tuple[float, float]]] = []
+        waiting: dict[str, list[int]] = {}
 
         def finish(index: int, result: FractureResult) -> None:
             shape = shapes[index]
@@ -140,31 +162,54 @@ class MdpPipeline:
                     },
                 )
 
-        parallel = workers > 1 and len(shapes) > 1
-        with obs.span("mdp.batch", shapes=len(shapes), workers=workers):
-            pending: list[int] = []
+        def lookup(index: int, start: float) -> bool:
+            """Finish shape ``index`` from the store; false on a miss."""
+            key, frame = keys[index]
+            payload = self.cache.get(key)
+            if payload is None:
+                obs.incr("cache.fracture.misses")
+                return False
+            result = result_from_payload(
+                payload, shape_name=shapes[index].name, frame=frame,
+                lookup_s=time.perf_counter() - start,
+            )
+            obs.incr("cache.fracture.hits")
+            obs.incr("fracture.shapes")
+            obs.observe("fracture.shots", result.shot_count)
+            finish(index, result)
+            return True
+
+        def misses() -> Iterator[int]:
+            """Each shape the store cannot serve, as ``_fracture`` pulls it."""
             for index, shape in enumerate(shapes):
                 if before_clip is not None:
                     before_clip(shape.name)
                 obs.event("clip_start", clip=shape.name)
-                if not parallel:
-                    # The cache hook stays attached, so within-batch
-                    # duplicates hit as soon as their first instance
-                    # finishes.
-                    with obs.span("mdp.shape", shape=shape.name):
-                        finish(index, self.fracturer.fracture(shape, self.spec))
+                if self.cache is None:
+                    yield index
                     continue
-                # Parallel dispatch pre-consults so known work never
-                # ships to the pool.
-                hit = self.fracturer.fracture_cached(shape, self.spec)
-                if hit is None:
-                    pending.append(index)
-                else:
-                    finish(index, hit)
-            fresh = self._run_parallel([shapes[i] for i in pending], workers)
-            for index, result in zip(pending, fresh):
+                start = time.perf_counter()
+                keys.append(fingerprint_polygon(
+                    shape.polygon, self.spec, method, window_nm
+                ))
+                key = keys[index][0]
+                if key in waiting:
+                    waiting[key].append(index)
+                elif not lookup(index, start):
+                    waiting[key] = []
+                    yield index
+
+        with obs.span("mdp.batch", shapes=len(shapes), workers=workers):
+            for index, result in self._fracture(shapes, misses(), workers):
+                if self.cache is None:
+                    finish(index, result)
+                    continue
+                key, frame = keys[index]
+                self.cache.put(key, result_to_payload(result, frame=frame))
                 finish(index, result)
-        if self.fracturer.cache is not None:
+                for duplicate in waiting.pop(key):
+                    lookup(duplicate, time.perf_counter())
+        if self.cache is not None:
             hits = sum(1 for r in results if r.extra.get("cache_hit"))
             obs.manifest_section(
                 "mdp_batch",
@@ -173,28 +218,36 @@ class MdpPipeline:
             )
         return MdpReport(results=list(results))
 
-    def _run_parallel(
-        self, shapes: Sequence[MaskShape], workers: int
-    ) -> Iterator[FractureResult]:
-        """Each shape's fresh result, in order, as the pool yields it."""
+    def _fracture(
+        self, shapes: Sequence[MaskShape], indices: Iterable[int], workers: int
+    ) -> Iterator[tuple[int, FractureResult]]:
+        """``(index, fresh result)`` for each of ``indices``, in order.
+
+        One worker, or a batch of one shape, fractures each shape as it
+        is pulled, so the lookup of the next shape sees every result
+        stored before it; the pool pulls every index up front and yields
+        each result as it lands.
+        """
+        obs = get_recorder()
+        if workers <= 1 or len(shapes) <= 1:
+            for index in indices:
+                with obs.span("mdp.shape", shape=shapes[index].name):
+                    result = self.fracturer.fracture(shapes[index], self.spec)
+                yield index, result
+            return
         from concurrent.futures import ProcessPoolExecutor
 
-        obs = get_recorder()
-        # The cache holds a lock (unpicklable) and would be copied per
-        # worker anyway; the parent loop already consulted it, so ship
-        # a bare copy of the fracturer and store each result here as
-        # the pool yields it — a shape that fails later cannot cost the
-        # shapes that finished before it.
-        bare = copy.copy(self.fracturer)
-        bare.cache = None
-        jobs = [(bare, shape, self.spec, obs.enabled) for shape in shapes]
+        indices = list(indices)
+        jobs = [
+            (self.fracturer, shapes[index], self.spec, obs.enabled)
+            for index in indices
+        ]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = pool.map(_fracture_job, jobs)
-            for shape, (result, telemetry) in zip(shapes, outcomes):
+            for index, (result, telemetry) in zip(indices, outcomes):
                 if telemetry is not None:
-                    obs.merge_child(telemetry, label=shape.name or "shape")
-                self.fracturer.store_cached(shape, self.spec, result)
-                yield result
+                    obs.merge_child(telemetry, label=shapes[index].name or "shape")
+                yield index, result
 
     def projected_saving(
         self, baseline: MdpReport, improved: MdpReport

@@ -13,8 +13,9 @@ check first:
    *translated* one — costs one hash, skipping rasterization,
    fracture and verification (the stored feasibility verdict was
    computed from scratch on identical canonical geometry the first
-   time).  The executor attaches it as the job fracturer's ``cache``,
-   so a hit counts as ``cache.fracture.hits``, as in a CLI run.  With
+   time).  The executor passes it to the batch loop as the
+   :class:`~repro.mask.mdp.MdpPipeline` store, so a hit counts as
+   ``cache.fracture.hits``, as in a CLI run.  With
    ``persist_dir`` set, entries survive daemon restarts on disk.
 2. **Profile bank** (:class:`~repro.ebeam.intensity_map.ProfileBank`)
    — keyed 1-D edge profiles shared by every ``IntensityMap`` over the

@@ -13,7 +13,7 @@ and composes the pieces the earlier PRs built:
   ``fracture`` and ``mdp`` run too, with a ``before_clip`` hook for
   the stop check and the heartbeat task;
 * the shared :class:`~repro.service.caches.WarmCaches` — its result
-  cache is the fracturer's ``cache`` (unless the job sets
+  cache is the batch loop's store (unless the job sets
   ``use_result_cache: false``), so a clip is looked up as in a CLI
   run: a hit skips rasterization, fracture *and* verification and
   counts as ``cache.fracture.hits``; and every ``IntensityMap`` built
@@ -24,7 +24,8 @@ and composes the pieces the earlier PRs built:
   next attempt replays the settled tiles bit-identically.  The store
   is per job, not the shared result cache: resume works without
   ``serve --fracture-cache``, and tile entries never churn the warm
-  result cache.
+  result cache.  The tile runner takes the job's trace id from the
+  job's recorder, which this thread has installed.
 
 Cancellation and interruption surface as typed exceptions
 (:class:`JobCancelled`, :class:`JobInterrupted`) so the server can map
@@ -127,12 +128,7 @@ def _build_spec(fields: dict[str, float]) -> FractureSpec:
     return spec_from_dict(base)
 
 
-def _make_runner(
-    job: dict[str, Any],
-    paths: JobPaths,
-    control: JobControl,
-    trace: dict[str, Any] | None = None,
-):
+def _make_runner(job: dict[str, Any], paths: JobPaths, control: JobControl):
     """Instantiate the fracturer a job asked for (windowed when sized).
 
     A windowed job stores its settled tiles in its own store under the
@@ -149,7 +145,6 @@ def _make_runner(
             min_free_bytes=control.disk_floor_bytes,
         ),
         stop_check=control.should_stop,
-        trace=trace,
     )
     return WindowedFracturer(
         inner,
@@ -166,7 +161,7 @@ def _clip_payload(result: FractureResult) -> dict[str, Any]:
         key: payload[key]
         for key in (
             "shots", "shot_count", "feasible", "failing_px", "runtime_s",
-            "extra",
+            "extra", "method",
         )
     }
 
@@ -255,14 +250,17 @@ def _run_clips(
 ) -> dict[str, Any]:
     job = record.spec
     spec = _build_spec(job.get("spec", {}))
-    runner = _make_runner(job, paths, control, trace=recorder.trace)
-    if caches is not None and job.get("use_result_cache", True):
-        # The resolved spec and registry method name match the library's
-        # cache keys exactly, so a clip fractured by an `mdp
-        # --fracture-cache` run warms the daemon and vice versa — and a
-        # *translated* clip of known geometry hits too, served by exact
-        # shot translation.
-        runner.cache = caches.results
+    runner = _make_runner(job, paths, control)
+    # The resolved spec and registry method name match the library's
+    # cache keys exactly, so a clip fractured by an `mdp
+    # --fracture-cache` run warms the daemon and vice versa — and a
+    # *translated* clip of known geometry hits too, served by exact
+    # shot translation.
+    store = (
+        caches.results
+        if caches is not None and job.get("use_result_cache", True)
+        else None
+    )
     recorder.event(
         "job_start",
         job_id=record.job_id,
@@ -287,7 +285,9 @@ def _run_clips(
 
     started = time.perf_counter()
     try:
-        report = MdpPipeline(runner, spec).run(shapes, before_clip=before_clip)
+        report = MdpPipeline(runner, spec, cache=store).run(
+            shapes, before_clip=before_clip
+        )
     except RunInterrupted as stopped:
         # The tiled runtime stops for either flag; map back to the
         # one that fired (cancel wins: it is job-specific intent).  The

@@ -1,5 +1,7 @@
 """Unit tests for shot-count bounds."""
 
+import pytest
+
 from repro.bench.bounds import lower_bound_shots, upper_bound_shots
 from repro.fracture.base import FractureResult
 from repro.mask.constraints import FailureReport
@@ -22,6 +24,14 @@ def _result(shots: int, feasible: bool) -> FractureResult:
     )
 
 
+@pytest.fixture(scope="module")
+def rgb_bounds(spec):
+    """Each RGB clip's known optimum with its lower bound, computed once."""
+    from repro.bench.shapes import rgb_suite
+
+    return [(ko, lower_bound_shots(ko.shape, spec)) for ko in rgb_suite()]
+
+
 class TestLowerBound:
     def test_rectangle_is_one(self, rect_shape, spec):
         assert lower_bound_shots(rect_shape, spec) == 1
@@ -38,13 +48,20 @@ class TestLowerBound:
             lb = lower_bound_shots(blob_shape, spec)
             assert lb <= result.shot_count
 
-    def test_generator_construction_soundness(self, spec):
+    def test_generator_construction_soundness(self, rgb_bounds):
         """LB must not exceed the known construction count K."""
-        from repro.bench.shapes import rgb_suite
-
-        for ko in rgb_suite():
-            lb = lower_bound_shots(ko.shape, spec)
+        for ko, lb in rgb_bounds:
             assert lb <= ko.optimal_shots
+
+    def test_suite_bounds_pinned(self, spec, rgb_bounds):
+        """Table 2's LB column on ILT-1…10, and the RGB-1…5 bounds: the
+        vectorized pair test must keep every witness set."""
+        from repro.bench.shapes import ilt_suite
+
+        assert [lower_bound_shots(s, spec) for s in ilt_suite(spec.pitch)] == [
+            1, 2, 2, 3, 3, 5, 3, 4, 6, 1,
+        ]
+        assert [lb for _ko, lb in rgb_bounds] == [5, 7, 5, 9, 6]
 
 
 class TestUpperBound:

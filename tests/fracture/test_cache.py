@@ -18,6 +18,7 @@ from repro.fracture.cache import (
 from repro.geometry.polygon import Polygon
 from repro.geometry.rect import Rect
 from repro.mask.constraints import FailureReport, FractureSpec
+from repro.mask.mdp import MdpPipeline
 from repro.mask.shape import MaskShape
 from repro.methods import make_fracturer
 
@@ -210,30 +211,31 @@ class TestPersistence:
 
 
 class TestFracturerIntegration:
+    """The batch loop keys its store by the fracturer it runs."""
+
     def test_fracture_populates_and_hits(self):
-        fracturer = make_fracturer("partition")
-        fracturer.cache = FractureCache()
+        pipeline = MdpPipeline(
+            make_fracturer("partition"), SPEC, cache=FractureCache()
+        )
         shape = MaskShape.from_polygon(
             rect_poly(), pitch=SPEC.pitch, margin=SPEC.grid_margin, name="a"
         )
-        first = fracturer.fracture(shape, SPEC)
+        [first] = pipeline.run([shape]).results
         assert not first.extra.get("cache_hit")
         moved = MaskShape.from_polygon(
             rect_poly(40, 80), pitch=SPEC.pitch, margin=SPEC.grid_margin,
             name="b",
         )
-        second = fracturer.fracture(moved, SPEC)
+        [second] = pipeline.run([moved]).results
         assert second.extra.get("cache_hit") is True
         assert second.shots == translate_shots(first.shots, 40.0, 80.0)
 
     def test_registry_name_keys_the_cache(self):
         # make_fracturer sets cache_method to the registry name, so a
-        # fresh result stored via fracture() is found under that name.
-        fracturer = make_fracturer("partition")
+        # fresh result the batch loop stores is found under that name.
         cache = FractureCache()
-        fracturer.cache = cache
         shape = MaskShape.from_polygon(
             rect_poly(), pitch=SPEC.pitch, margin=SPEC.grid_margin, name="a"
         )
-        fracturer.fracture(shape, SPEC)
+        MdpPipeline(make_fracturer("partition"), SPEC, cache=cache).run([shape])
         assert cache.get_result(rect_poly(), SPEC, "partition") is not None

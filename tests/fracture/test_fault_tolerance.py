@@ -6,7 +6,8 @@ neither fails the run nor changes the final shot list — retries, pool
 respawns, resume and any worker count reproduce the fault-free
 single-worker result bit for bit (fallback tiles excepted and flagged).
 A resumed run is a re-run against the store that holds the settled
-tiles.
+tiles.  Retries run without backoff here: the runtime's ``BACKOFF_S``
+is patched to zero.
 """
 
 import json
@@ -16,15 +17,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.fracture.runtime as runtime
 from repro.fracture.cache import FractureCache
 from repro.fracture.pipeline import ModelBasedFracturer, RefineConfig
 from repro.fracture.refine import RefineParams
-from repro.fracture.runtime import (
-    FaultPlan,
-    PoolBroken,
-    RetryPolicy,
-    RuntimePolicy,
-)
+from repro.fracture.runtime import FaultPlan, PoolBroken, RuntimePolicy
 from repro.fracture.tiling import plan_tiles
 from repro.fracture.windowed import WindowedFracturer
 from repro.geometry.raster import PixelGrid
@@ -74,7 +71,9 @@ def tile_names(bar_field, spec_module):
     return [t.name for t in plan_tiles(bar_field, spec_module, 250.0).tiles]
 
 
-_FAST_RETRY = RetryPolicy(max_attempts=3, backoff_s=0.0, backoff_cap_s=0.0)
+@pytest.fixture(autouse=True)
+def no_backoff(monkeypatch):
+    monkeypatch.setattr(runtime, "BACKOFF_S", 0.0)
 
 
 def _stored(store_dir) -> RuntimePolicy:
@@ -98,13 +97,10 @@ class TestCrashRecovery:
     ):
         """A worker hard-killed mid-tile (os._exit): the pool respawns,
         the tile retries, and the final shot list is unchanged."""
-        runtime = RuntimePolicy(
-            retry=_FAST_RETRY,
-            fault_plan=FaultPlan.parse(["t1,0:crash"]),
-        )
+        policy = RuntimePolicy(fault_plan=FaultPlan.parse(["t1,0:crash"]))
         recorder = TelemetryRecorder()
         with recording(recorder):
-            shots = _windowed(workers=4, runtime=runtime).fracture_shots(
+            shots = _windowed(workers=4, runtime=policy).fracture_shots(
                 bar_field, spec_module
             )
         assert shots == clean_shots
@@ -117,29 +113,23 @@ class TestCrashRecovery:
     ):
         """workers=1 simulates the crash as an exception (a real
         SIGKILL would take down the run itself) — same result."""
-        runtime = RuntimePolicy(
-            retry=_FAST_RETRY,
-            fault_plan=FaultPlan.parse(["t1,0:crash"]),
-        )
-        shots = _windowed(workers=1, runtime=runtime).fracture_shots(
+        policy = RuntimePolicy(fault_plan=FaultPlan.parse(["t1,0:crash"]))
+        shots = _windowed(workers=1, runtime=policy).fracture_shots(
             bar_field, spec_module
         )
         assert shots == clean_shots
 
     def test_pool_respawn_budget_exhaustion_raises(
-        self, bar_field, spec_module
+        self, bar_field, spec_module, monkeypatch
     ):
         """When the pool cannot be kept alive, the failure is explicit —
         PoolBroken, not a bare BrokenProcessPool traceback."""
-        runtime = RuntimePolicy(
-            retry=RetryPolicy(
-                max_attempts=9, backoff_s=0.0, backoff_cap_s=0.0,
-                max_pool_respawns=0,
-            ),
-            fault_plan=FaultPlan.parse(["t1,0:crash:99"]),
+        monkeypatch.setattr(runtime, "MAX_POOL_RESPAWNS", 0)
+        policy = RuntimePolicy(
+            max_attempts=9, fault_plan=FaultPlan.parse(["t1,0:crash:99"]),
         )
         with pytest.raises(PoolBroken):
-            _windowed(workers=2, runtime=runtime).fracture_shots(
+            _windowed(workers=2, runtime=policy).fracture_shots(
                 bar_field, spec_module
             )
 
@@ -148,16 +138,13 @@ class TestHangRecovery:
     def test_deadline_kills_hung_worker_and_retries(
         self, bar_field, spec_module, clean_shots
     ):
-        runtime = RuntimePolicy(
-            retry=RetryPolicy(
-                max_attempts=3, backoff_s=0.0, backoff_cap_s=0.0,
-                tile_deadline_s=2.0,
-            ),
+        policy = RuntimePolicy(
+            tile_deadline_s=2.0,
             fault_plan=FaultPlan.parse(["t1,0:hang"], hang_s=60.0),
         )
         recorder = TelemetryRecorder()
         with recording(recorder):
-            shots = _windowed(workers=2, runtime=runtime).fracture_shots(
+            shots = _windowed(workers=2, runtime=policy).fracture_shots(
                 bar_field, spec_module
             )
         assert shots == clean_shots
@@ -172,12 +159,11 @@ class TestDegradationLadder:
         """A tile that fails every attempt degrades to the partition
         baseline: the run completes, the tile is flagged, the other
         tiles are untouched."""
-        runtime = RuntimePolicy(
-            retry=RetryPolicy(max_attempts=2, backoff_s=0.0, backoff_cap_s=0.0),
-            fault_plan=FaultPlan.parse(["t1,0:raise:99"]),
+        policy = RuntimePolicy(
+            max_attempts=2, fault_plan=FaultPlan.parse(["t1,0:raise:99"]),
         )
         recorder = TelemetryRecorder()
-        fracturer = _windowed(workers=1, runtime=runtime)
+        fracturer = _windowed(workers=1, runtime=policy)
         with recording(recorder):
             shots = fracturer.fracture_shots(bar_field, spec_module)
         assert shots  # the run survived
@@ -251,8 +237,7 @@ class TestBitIdentityProperty:
         shots = _windowed(
             workers=workers,
             runtime=RuntimePolicy(
-                retry=_FAST_RETRY, fault_plan=plan,
-                store=FractureCache(persist_dir=ckpt),
+                fault_plan=plan, store=FractureCache(persist_dir=ckpt),
             ),
         ).fracture_shots(bar_field, spec_module)
         assert shots == clean_shots

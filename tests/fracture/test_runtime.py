@@ -2,7 +2,8 @@
 
 Fast by construction: stub tiles and a stub inner fracturer make every
 ``run_tiles`` call a few milliseconds, so retry/backoff/fallback/store
-logic is exercised without real fracturing.
+logic is exercised without real fracturing.  Retries run without
+backoff here: the module's ``BACKOFF_S`` is patched to zero.
 """
 
 import json
@@ -11,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import repro.fracture.runtime as runtime
 from repro.fracture.cache import FractureCache
 from repro.fracture.runtime import (
     FaultPlan,
@@ -18,11 +20,7 @@ from repro.fracture.runtime import (
     InjectedCrash,
     InjectedFault,
     InjectedHang,
-    RetryPolicy,
-    TileCrash,
-    TileError,
-    TileInfeasible,
-    TileTimeout,
+    RuntimePolicy,
     run_tiles,
 )
 from repro.geometry.raster import PixelGrid
@@ -79,35 +77,32 @@ def _entries(directory) -> dict[str, Path]:
     }
 
 
-def _fast_retry(**overrides) -> RetryPolicy:
-    defaults = dict(max_attempts=3, backoff_s=0.0, backoff_cap_s=0.0)
-    defaults.update(overrides)
-    return RetryPolicy(**defaults)
+@pytest.fixture(autouse=True)
+def no_backoff(monkeypatch):
+    monkeypatch.setattr(runtime, "BACKOFF_S", 0.0)
 
 
-def _stub_fallback(tile, subs, spec):
-    return [Rect(1.0, 1.0, 2.0, 2.0)]
+@pytest.fixture
+def stub_fallback(monkeypatch):
+    """The degradation ladder's terminal, replaced by one fixed shot."""
+    monkeypatch.setattr(
+        runtime, "partition_fallback",
+        lambda tile, subs, spec: [Rect(1.0, 1.0, 2.0, 2.0)],
+    )
 
 
 SPEC = FractureSpec()
 
 
 class TestRetryPolicy:
-    def test_backoff_grows_and_caps(self):
-        policy = RetryPolicy(backoff_s=0.1, backoff_factor=2.0, backoff_cap_s=0.3)
-        assert policy.backoff(1) == pytest.approx(0.1)
-        assert policy.backoff(2) == pytest.approx(0.2)
-        assert policy.backoff(3) == pytest.approx(0.3)  # capped
-        assert policy.backoff(10) == pytest.approx(0.3)
-
-
-class TestErrorTaxonomy:
-    def test_tile_errors_carry_identity(self):
-        for cls in (TileCrash, TileTimeout, TileInfeasible):
-            error = cls("t3,7", "boom")
-            assert isinstance(error, TileError)
-            assert error.tile_name == "t3,7"
-            assert "t3,7" in str(error)
+    def test_backoff_grows_and_caps(self, monkeypatch):
+        monkeypatch.setattr(runtime, "BACKOFF_S", 0.1)
+        monkeypatch.setattr(runtime, "BACKOFF_FACTOR", 2.0)
+        monkeypatch.setattr(runtime, "BACKOFF_CAP_S", 0.3)
+        assert runtime.backoff(1) == pytest.approx(0.1)
+        assert runtime.backoff(2) == pytest.approx(0.2)
+        assert runtime.backoff(3) == pytest.approx(0.3)  # capped
+        assert runtime.backoff(10) == pytest.approx(0.3)
 
 
 class TestFaultPlan:
@@ -155,15 +150,17 @@ class TestTileStore:
 
     def test_roundtrip_replays_exact_shots(self, tmp_path):
         first, _ = run_tiles(
-            _jobs(3), inner=self.OddInner(), spec=SPEC, retry=_fast_retry(),
-            fault_plan=FaultPlan(faults={"t0,0": FaultSpec("raise", 1)}),
-            store=_store(tmp_path),
+            _jobs(3), inner=self.OddInner(), spec=SPEC,
+            policy=RuntimePolicy(
+                fault_plan=FaultPlan(faults={"t0,0": FaultSpec("raise", 1)}),
+                store=_store(tmp_path),
+            ),
         )
         entry = json.loads(_entries(tmp_path)["t0,0"].read_text())
         assert set(entry) == {"tile", "shots", "attempts", "trace_id"}
         replayed, stats = run_tiles(
-            _jobs(3), inner=self.OddInner(), spec=SPEC, retry=_fast_retry(),
-            store=_store(tmp_path),
+            _jobs(3), inner=self.OddInner(), spec=SPEC,
+            policy=RuntimePolicy(store=_store(tmp_path)),
         )
         assert stats.tiles_replayed == 3
         assert all(o.replayed for o in replayed)
@@ -171,21 +168,23 @@ class TestTileStore:
         assert replayed[0].shots == [Rect(0.25, 0.1 + 0.2, 10.125, 20.0625)]
         assert [o.attempts for o in replayed] == [2, 1, 1]
 
-    def test_fallback_tile_is_not_stored(self, tmp_path):
+    def test_fallback_tile_is_not_stored(self, tmp_path, stub_fallback):
         """A store can be shared across runs: a stored fallback would
         poison later fault-free runs, so fallback tiles are attempted
         again instead."""
         outcomes, _ = run_tiles(
             _jobs(3), inner=StubInner(), spec=SPEC,
-            retry=_fast_retry(max_attempts=2),
-            fault_plan=FaultPlan(faults={"t1,0": FaultSpec("raise", 99)}),
-            fallback=_stub_fallback, store=_store(tmp_path),
+            policy=RuntimePolicy(
+                max_attempts=2,
+                fault_plan=FaultPlan(faults={"t1,0": FaultSpec("raise", 99)}),
+                store=_store(tmp_path),
+            ),
         )
         assert outcomes[1].fallback
         assert set(_entries(tmp_path)) == {"t0,0", "t2,0"}
         again, stats = run_tiles(
-            _jobs(3), inner=StubInner(), spec=SPEC, retry=_fast_retry(),
-            store=_store(tmp_path),
+            _jobs(3), inner=StubInner(), spec=SPEC,
+            policy=RuntimePolicy(store=_store(tmp_path)),
         )
         assert stats.tiles_replayed == 2
         assert not again[1].replayed and not again[1].fallback
@@ -195,15 +194,15 @@ class TestTileStore:
         """A torn tile entry (crash mid-write, truncation) is quarantined
         and its tile recomputed, bit-identically."""
         first, _ = run_tiles(
-            _jobs(3), inner=self.OddInner(), spec=SPEC, retry=_fast_retry(),
-            store=_store(tmp_path),
+            _jobs(3), inner=self.OddInner(), spec=SPEC,
+            policy=RuntimePolicy(store=_store(tmp_path)),
         )
         torn = _entries(tmp_path)["t1,0"]
         torn.write_text(torn.read_text()[:25])
         store = _store(tmp_path)
         again, stats = run_tiles(
-            _jobs(3), inner=self.OddInner(), spec=SPEC, retry=_fast_retry(),
-            store=store,
+            _jobs(3), inner=self.OddInner(), spec=SPEC,
+            policy=RuntimePolicy(store=store),
         )
         assert [o.shots for o in again] == [o.shots for o in first]
         assert stats.tiles_replayed == 2 and not again[1].replayed
@@ -215,7 +214,7 @@ class TestTileStore:
         """The key holds every input of a tile and nothing else: change
         any one and nothing stale replays."""
         run_tiles(_jobs(3), inner=StubInner(), spec=SPEC,
-                  retry=_fast_retry(), store=_store(tmp_path))
+                  policy=RuntimePolicy(store=_store(tmp_path)))
 
         class Renamed(StubInner):
             name = "OTHER"
@@ -233,7 +232,7 @@ class TestTileStore:
         }
         for what, overrides in changed.items():
             kwargs = dict(jobs=_jobs(3), inner=StubInner(), spec=SPEC,
-                          retry=_fast_retry(), store=_store(tmp_path))
+                          policy=RuntimePolicy(store=_store(tmp_path)))
             kwargs.update(overrides)
             _, stats = run_tiles(kwargs.pop("jobs"), **kwargs)
             assert stats.tiles_replayed == 0, what
@@ -241,15 +240,13 @@ class TestTileStore:
         renamed = MaskShape.from_mask(SUB.inside, SUB.grid, name="other")
         _, stats = run_tiles([(t, [renamed]) for t, _ in _jobs(3)],
                              inner=StubInner(), spec=SPEC,
-                             retry=_fast_retry(), store=_store(tmp_path))
+                             policy=RuntimePolicy(store=_store(tmp_path)))
         assert stats.tiles_replayed == 3
 
 
 class TestRunTilesSerial:
     def test_clean_run_in_job_order(self):
-        outcomes, stats = run_tiles(
-            _jobs(3), inner=StubInner(), spec=SPEC, retry=_fast_retry()
-        )
+        outcomes, stats = run_tiles(_jobs(3), inner=StubInner(), spec=SPEC)
         assert [o.tile_name for o in outcomes] == ["t0,0", "t1,0", "t2,0"]
         assert all(o.ok and not o.fallback for o in outcomes)
         assert stats.as_dict() == {
@@ -259,8 +256,10 @@ class TestRunTilesSerial:
 
     def test_injected_raise_is_retried_then_succeeds(self):
         outcomes, stats = run_tiles(
-            _jobs(3), inner=StubInner(), spec=SPEC, retry=_fast_retry(),
-            fault_plan=FaultPlan(faults={"t1,0": FaultSpec("raise", 1)}),
+            _jobs(3), inner=StubInner(), spec=SPEC,
+            policy=RuntimePolicy(
+                fault_plan=FaultPlan(faults={"t1,0": FaultSpec("raise", 1)}),
+            ),
         )
         assert all(o.ok and not o.fallback for o in outcomes)
         assert outcomes[1].attempts == 2
@@ -268,19 +267,22 @@ class TestRunTilesSerial:
 
     def test_inline_hang_counts_as_timeout(self):
         outcomes, stats = run_tiles(
-            _jobs(2), inner=StubInner(), spec=SPEC, retry=_fast_retry(),
-            fault_plan=FaultPlan(faults={"t0,0": FaultSpec("hang", 1)}),
+            _jobs(2), inner=StubInner(), spec=SPEC,
+            policy=RuntimePolicy(
+                fault_plan=FaultPlan(faults={"t0,0": FaultSpec("hang", 1)}),
+            ),
         )
         assert all(o.ok for o in outcomes)
         assert stats.tile_timeouts == 1
         assert stats.tile_retries == 1
 
-    def test_exhausted_retries_degrade_to_fallback(self):
+    def test_exhausted_retries_degrade_to_fallback(self, stub_fallback):
         outcomes, stats = run_tiles(
             _jobs(3, subs_per_tile=2), inner=StubInner(), spec=SPEC,
-            retry=_fast_retry(max_attempts=2),
-            fault_plan=FaultPlan(faults={"t2,0": FaultSpec("raise", 99)}),
-            fallback=_stub_fallback,
+            policy=RuntimePolicy(
+                max_attempts=2,
+                fault_plan=FaultPlan(faults={"t2,0": FaultSpec("raise", 99)}),
+            ),
         )
         assert outcomes[2].fallback
         assert outcomes[2].shots == [Rect(1.0, 1.0, 2.0, 2.0)]
@@ -292,35 +294,34 @@ class TestRunTilesSerial:
         # The healthy tiles are untouched.
         assert not outcomes[0].fallback and not outcomes[1].fallback
 
-    def test_zero_retries_goes_straight_to_fallback(self):
+    def test_zero_retries_goes_straight_to_fallback(self, stub_fallback):
         outcomes, stats = run_tiles(
             _jobs(1), inner=StubInner(), spec=SPEC,
-            retry=_fast_retry(max_attempts=1),
-            fault_plan=FaultPlan(faults={"t0,0": FaultSpec("raise", 1)}),
-            fallback=_stub_fallback,
+            policy=RuntimePolicy(
+                max_attempts=1,
+                fault_plan=FaultPlan(faults={"t0,0": FaultSpec("raise", 1)}),
+            ),
         )
         assert outcomes[0].fallback
         assert stats.tile_retries == 0
 
     def test_journal_resume_skips_completed_tiles(self, tmp_path):
         first, _ = run_tiles(
-            _jobs(3), inner=StubInner(), spec=SPEC, retry=_fast_retry(),
-            store=_store(tmp_path),
+            _jobs(3), inner=StubInner(), spec=SPEC,
+            policy=RuntimePolicy(store=_store(tmp_path)),
         )
         # Interrupted before the last tile settled: its entry is missing.
         _entries(tmp_path)["t2,0"].unlink()
         second, stats = run_tiles(
-            _jobs(3), inner=StubInner(), spec=SPEC, retry=_fast_retry(),
-            store=_store(tmp_path),
+            _jobs(3), inner=StubInner(), spec=SPEC,
+            policy=RuntimePolicy(store=_store(tmp_path)),
         )
         assert stats.tiles_replayed == 2
         assert [o.shots for o in second] == [o.shots for o in first]
         assert [o.replayed for o in second] == [True, True, False]
 
     def test_outcome_record_shape(self):
-        outcomes, _stats = run_tiles(
-            _jobs(1), inner=StubInner(), spec=SPEC, retry=_fast_retry()
-        )
+        outcomes, _stats = run_tiles(_jobs(1), inner=StubInner(), spec=SPEC)
         record = outcomes[0].to_record()
         assert record == {
             "tile": "t0,0", "ok": True, "attempts": 1, "shots": 1,
@@ -334,8 +335,7 @@ class TestProgressTelemetry:
 
         rec = obs.TelemetryRecorder()
         with obs.recording(rec):
-            run_tiles(_jobs(4), inner=StubInner(), spec=SPEC,
-                      retry=_fast_retry())
+            run_tiles(_jobs(4), inner=StubInner(), spec=SPEC)
         progress = [e for e in rec.events if e["name"] == "progress"]
         assert [e["tiles_done"] for e in progress] == [1, 2, 3, 4]
         assert all(e["tiles_total"] == 4 for e in progress)
@@ -352,27 +352,28 @@ class TestProgressTelemetry:
         import repro.obs as obs
 
         run_tiles(_jobs(4), inner=StubInner(), spec=SPEC,
-                  retry=_fast_retry(), store=_store(tmp_path))
+                  policy=RuntimePolicy(store=_store(tmp_path)))
         _entries(tmp_path)["t3,0"].unlink()  # interrupted before t3,0
         rec = obs.TelemetryRecorder()
         with obs.recording(rec):
             run_tiles(_jobs(4), inner=StubInner(), spec=SPEC,
-                      retry=_fast_retry(), store=_store(tmp_path))
+                      policy=RuntimePolicy(store=_store(tmp_path)))
         progress = [e for e in rec.events if e["name"] == "progress"]
         # Only the one fresh tile produces a progress event, starting
         # from the replayed baseline of 3.
         assert [e["tiles_done"] for e in progress] == [4]
 
-    def test_fallback_tiles_still_advance_progress(self):
+    def test_fallback_tiles_still_advance_progress(self, stub_fallback):
         import repro.obs as obs
 
         rec = obs.TelemetryRecorder()
         with obs.recording(rec):
             run_tiles(
                 _jobs(2), inner=StubInner(), spec=SPEC,
-                retry=_fast_retry(max_attempts=1),
-                fault_plan=FaultPlan(faults={"t0,0": FaultSpec("raise", 1)}),
-                fallback=_stub_fallback,
+                policy=RuntimePolicy(
+                    max_attempts=1,
+                    fault_plan=FaultPlan(faults={"t0,0": FaultSpec("raise", 1)}),
+                ),
             )
         progress = [e for e in rec.events if e["name"] == "progress"]
         assert [e["tiles_done"] for e in progress] == [1, 2]
@@ -384,7 +385,6 @@ class TestHeartbeatIntegration:
 
         outcomes, _stats = run_tiles(
             _jobs(4), inner=StubInner(), spec=SPEC, workers=2,
-            retry=_fast_retry(),
         )
         pids = {o.worker_pid for o in outcomes}
         assert None not in pids
@@ -405,7 +405,7 @@ class TestHeartbeatIntegration:
         with obs.recording(rec):
             outcomes, _stats = run_tiles(
                 _jobs(8), inner=SlowInner(), spec=SPEC, workers=2,
-                retry=_fast_retry(), heartbeat_s=0.05,
+                policy=RuntimePolicy(heartbeat_s=0.05),
             )
         assert all(o.ok for o in outcomes)
         beats = [e for e in rec.events if e["name"] == "worker_heartbeat"]
@@ -420,11 +420,13 @@ class TestHeartbeatIntegration:
         with obs.recording(rec):
             outcomes, stats = run_tiles(
                 _jobs(3), inner=StubInner(), spec=SPEC, workers=2,
-                retry=_fast_retry(tile_deadline_s=2.0),
-                fault_plan=FaultPlan(
-                    faults={"t1,0": FaultSpec("hang", 1)}, hang_s=60.0
+                policy=RuntimePolicy(
+                    tile_deadline_s=2.0,
+                    fault_plan=FaultPlan(
+                        faults={"t1,0": FaultSpec("hang", 1)}, hang_s=60.0
+                    ),
+                    heartbeat_s=0.1,
                 ),
-                heartbeat_s=0.1,
             )
         assert all(o.ok for o in outcomes)
         assert stats.tile_timeouts == 1
@@ -441,16 +443,13 @@ class TestHeartbeatIntegration:
     ):
         import repro.obs as obs
 
-        baseline, _ = run_tiles(
-            _jobs(6), inner=StubInner(), spec=SPEC, retry=_fast_retry()
-        )
+        baseline, _ = run_tiles(_jobs(6), inner=StubInner(), spec=SPEC)
         stream = obs.TelemetryStream(tmp_path / "s.jsonl")
         rec = obs.TelemetryRecorder(stream=stream)
         with obs.recording(rec):
             observed, _ = run_tiles(
                 _jobs(6), inner=StubInner(), spec=SPEC, workers=2,
-                retry=_fast_retry(), telemetry_enabled=True,
-                heartbeat_s=0.05,
+                policy=RuntimePolicy(heartbeat_s=0.05),
             )
         stream.close()
         assert [o.shots for o in observed] == [o.shots for o in baseline]

@@ -51,6 +51,16 @@ class TestRectQueries:
         assert sat.rect_sum(Rect(2, 2, 6, 5)) == 12.0
         assert sat.rect_pixel_count(Rect(2, 2, 6, 5)) == 12
 
+    def test_rect_sums_equal_rect_sum_per_rectangle(self, small_grid):
+        rng = np.random.default_rng(1)
+        sat = SummedAreaTable(rng.random(small_grid.shape), small_grid)
+        lo = rng.uniform(-10.0, 60.0, (40, 2))
+        hi = lo + rng.uniform(0.0, 30.0, (40, 2))
+        sums = sat.rect_sums(lo[:, 0], lo[:, 1], hi[:, 0], hi[:, 1])
+        assert list(sums) == [
+            sat.rect_sum(Rect(*a, *b)) for a, b in zip(lo, hi)
+        ]
+
     def test_rect_fraction_inside_mask(self, small_grid):
         field = np.zeros(small_grid.shape)
         field[:, :25] = 1.0  # left half (x < 25) filled

@@ -167,15 +167,6 @@ class TestTemplateSharing:
         assert warm.stats["hit_rate"] == 1.0
         assert warm.shots == cold.shots
 
-    def test_fracturer_hook_detached_and_restored(self, layout):
-        frac = make_fracturer("partition")
-        sentinel = FractureCache()
-        frac.cache = sentinel
-        fracture_layout(layout, frac, SPEC)
-        assert frac.cache is sentinel
-        # The hook was not consulted (the layout loop drives its own).
-        assert sentinel.stats()["hits"] == 0 and sentinel.stats()["misses"] == 0
-
 
 class TestArrayedLayoutWarmCache:
     def test_warm_run_replays_everything_at_least_5x_faster(self, tmp_path):

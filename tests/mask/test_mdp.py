@@ -166,9 +166,9 @@ class _CountingCache(FractureCache):
         super().put(fingerprint, payload)
 
 
-def _cached(fracturer, store):
-    fracturer.cache = FractureCache(persist_dir=store)
-    return fracturer
+def _store(directory) -> FractureCache:
+    """A fresh store over ``directory``: what a new process would open."""
+    return FractureCache(persist_dir=directory)
 
 
 class TestMdpResume:
@@ -176,10 +176,12 @@ class TestMdpResume:
 
     def test_resume_replays_bit_identically(self, rect_shape, l_shape, spec, tmp_path):
         shapes = [rect_shape, l_shape]
-        first = MdpPipeline(_cached(PartitionFracturer(), tmp_path), spec).run(shapes)
+        first = MdpPipeline(
+            PartitionFracturer(), spec, cache=_store(tmp_path)
+        ).run(shapes)
 
         resumed = MdpPipeline(
-            _cached(PartitionFracturer(), tmp_path), spec
+            PartitionFracturer(), spec, cache=_store(tmp_path)
         ).run(shapes)
         assert [r.shots for r in resumed.results] == \
             [r.shots for r in first.results]
@@ -190,16 +192,18 @@ class TestMdpResume:
     def test_changed_spec_invalidates_journal(self, rect_shape, spec, tmp_path):
         from dataclasses import replace
 
-        MdpPipeline(_cached(PartitionFracturer(), tmp_path), spec).run([rect_shape])
+        MdpPipeline(
+            PartitionFracturer(), spec, cache=_store(tmp_path)
+        ).run([rect_shape])
 
         other_spec = replace(spec, lmin=spec.lmin + 1.0)
         report = MdpPipeline(
-            _cached(PartitionFracturer(), tmp_path), other_spec
+            PartitionFracturer(), other_spec, cache=_store(tmp_path)
         ).run([rect_shape])
         assert not report.results[0].extra.get("cache_hit")
 
     def test_duplicate_shapes_journal_once(self, rect_shape, spec, tmp_path):
-        pipeline = MdpPipeline(_cached(PartitionFracturer(), tmp_path), spec)
+        pipeline = MdpPipeline(PartitionFracturer(), spec, cache=_store(tmp_path))
         pipeline.run([rect_shape, rect_shape])
         assert len(list(tmp_path.glob("*.json"))) == 1
 
@@ -209,15 +213,15 @@ class TestMdpResume:
         shapes = [rect_shape, l_shape, _bar(spec)]
         reference = MdpPipeline(PartitionFracturer(), spec).run(shapes)
 
-        flaky = _cached(_FailOn("bar", KeyboardInterrupt), tmp_path)
+        flaky = _FailOn("bar", KeyboardInterrupt)
         with pytest.raises(KeyboardInterrupt):
-            MdpPipeline(flaky, spec).run(shapes)
+            MdpPipeline(flaky, spec, cache=_store(tmp_path)).run(shapes)
         assert len(list(tmp_path.glob("*.json"))) == 2
 
         recorder = TelemetryRecorder()
         with recording(recorder):
             resumed = MdpPipeline(
-                _cached(PartitionFracturer(), tmp_path), spec
+                PartitionFracturer(), spec, cache=_store(tmp_path)
             ).run(shapes)
         batch = recorder.export()["manifest"]["mdp_batch"]
         assert batch == {"shapes": 3, "fresh": 1, "cache_hits": 2}
@@ -241,9 +245,9 @@ class TestMdpResume:
     def test_parallel_failure_keeps_the_shapes_finished_before_it(
         self, rect_shape, l_shape, spec, tmp_path
     ):
-        flaky = _cached(_FailOn("bar", RuntimeError), tmp_path)
+        flaky = _FailOn("bar", RuntimeError)
         with pytest.raises(RuntimeError):
-            MdpPipeline(flaky, spec).run(
+            MdpPipeline(flaky, spec, cache=_store(tmp_path)).run(
                 [rect_shape, l_shape, _bar(spec)], workers=2
             )
         assert len(list(tmp_path.glob("*.json"))) == 2
@@ -251,9 +255,7 @@ class TestMdpResume:
 
 class TestMdpFractureCache:
     def test_within_batch_duplicates_hit(self, rect_shape, spec):
-        fracturer = PartitionFracturer()
-        fracturer.cache = FractureCache()
-        pipeline = MdpPipeline(fracturer, spec)
+        pipeline = MdpPipeline(PartitionFracturer(), spec, cache=FractureCache())
         report = pipeline.run([rect_shape, rect_shape])
         hits = [r for r in report.results if r.extra.get("cache_hit")]
         assert len(hits) == 1
@@ -262,12 +264,8 @@ class TestMdpFractureCache:
     def test_parallel_run_detaches_cache_and_hits_in_parent(
         self, rect_shape, l_shape, spec
     ):
-        fracturer = PartitionFracturer()
-        cache = FractureCache()
-        fracturer.cache = cache
-        pipeline = MdpPipeline(fracturer, spec)
+        pipeline = MdpPipeline(PartitionFracturer(), spec, cache=FractureCache())
         first = pipeline.run([rect_shape, l_shape], workers=2)
-        assert fracturer.cache is cache  # restored after the pool
         second = pipeline.run([rect_shape, l_shape], workers=2)
         assert all(r.extra.get("cache_hit") for r in second.results)
         assert [r.shots for r in second.results] == \
@@ -276,10 +274,37 @@ class TestMdpFractureCache:
     def test_serial_batch_stores_each_fresh_shape_once(
         self, rect_shape, l_shape, spec
     ):
-        fracturer = PartitionFracturer()
-        fracturer.cache = _CountingCache()
-        MdpPipeline(fracturer, spec).run([rect_shape, l_shape])
-        assert fracturer.cache.puts == 2
+        cache = _CountingCache()
+        MdpPipeline(PartitionFracturer(), spec, cache=cache).run(
+            [rect_shape, l_shape]
+        )
+        assert cache.puts == 2
+
+    def test_pool_looks_up_stores_and_counts_as_one_worker_does(
+        self, rect_shape, l_shape, spec
+    ):
+        """A duplicate waits for its first instance on the pool too, so
+        both paths return, store and count the same."""
+        seen = {}
+        for workers in (1, 2):
+            cache = _CountingCache()
+            recorder = TelemetryRecorder()
+            with recording(recorder):
+                report = MdpPipeline(
+                    PartitionFracturer(), spec, cache=cache
+                ).run([rect_shape, l_shape, rect_shape], workers=workers)
+            counters = recorder.export()["counters"]
+            seen[workers] = (
+                [r.shots for r in report.results],
+                [bool(r.extra.get("cache_hit")) for r in report.results],
+                cache.puts,
+                [counters.get(name) for name in (
+                    "cache.fracture.hits", "cache.fracture.misses",
+                    "fracture.shapes",
+                )],
+            )
+        assert seen[2] == seen[1]
+        assert seen[2][1:] == ([False, False, True], 2, [1, 2, 3])
 
 
 class TestBatchHooks:
@@ -305,14 +330,11 @@ class TestBatchHooks:
     def test_clip_events_for_every_shape_cached_or_not(
         self, rect_shape, l_shape, spec, workers
     ):
-        fracturer = PartitionFracturer()
-        fracturer.cache = FractureCache()
-        MdpPipeline(fracturer, spec).run([rect_shape])
+        pipeline = MdpPipeline(PartitionFracturer(), spec, cache=FractureCache())
+        pipeline.run([rect_shape])
         recorder = TelemetryRecorder()
         with recording(recorder):
-            report = MdpPipeline(fracturer, spec).run(
-                [rect_shape, l_shape], workers=workers
-            )
+            report = pipeline.run([rect_shape, l_shape], workers=workers)
         done = [
             (e["clip"], e["cached"], e["shots"], e["feasible"])
             for e in recorder.export()["events"] if e["name"] == "clip_done"

@@ -275,6 +275,7 @@ class TestCliAndDaemonShareOneStore:
             assert [rect_from_list(s) for s in clip["shots"]] == shots
             assert daemon_shots == shots
             assert set(meta) <= set(daemon_meta)
+            assert daemon_meta["method"] == meta["method"]
             assert daemon_meta["failing_pixels"] == meta["failing_pixels"]
             assert clip["feasible"] == done[name]["feasible"]
         assert counters["cache.fracture.hits"] == len(done)

@@ -86,7 +86,7 @@ class TestParser:
         policy = _runtime_policy(
             build_parser().parse_args([*tiled, "--workers", "2"])
         )
-        assert 0.5 in (policy.retry.tile_deadline_s, policy.heartbeat_s)
+        assert 0.5 in (policy.tile_deadline_s, policy.heartbeat_s)
 
     @pytest.mark.parametrize("command", [["fracture"], ["mdp", "clips.json"]])
     def test_tile_retries_sets_attempts_with_window(self, command):
@@ -94,7 +94,7 @@ class TestParser:
 
         def attempts(*flags):
             argv = [*command, "--window-nm", "300", *flags]
-            return _runtime_policy(build_parser().parse_args(argv)).retry.max_attempts
+            return _runtime_policy(build_parser().parse_args(argv)).max_attempts
 
         assert attempts() == 3
         assert attempts("--tile-retries", "5") == 6
@@ -731,6 +731,23 @@ class TestHierarchyCli:
 
         with pytest.raises(SystemExit, match="baseline"):
             main(["mdp", str(layout_gds), "--baseline", "partition"])
+
+    @pytest.mark.parametrize(
+        "command",
+        [["fracture", "--clip-file"], ["mdp"]], ids=["fracture", "mdp"],
+    )
+    def test_layout_workers_need_window(self, layout_gds, command):
+        """The layout walk has no pool of its own: without --window-nm,
+        --workers would run the layout serially without a word."""
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as caught:
+            main([*command, str(layout_gds), "--method", "partition",
+                  "--workers", "2"])
+        assert str(caught.value) == (
+            "--workers on GDSII input applies to the tiled executor; "
+            "add --window-nm"
+        )
 
     def test_mdp_requires_window_for_checkpoint(self, tmp_path):
         from repro.cli import main

@@ -173,23 +173,29 @@ class TestTiledFaultInjection:
             inner, window_nm=250.0, workers=1, runtime=runtime
         )
 
-    def test_injected_crash_recovers_bit_identically(self, two_bars, spec):
-        from repro.fracture.runtime import FaultPlan, RetryPolicy, RuntimePolicy
+    def test_injected_crash_recovers_bit_identically(
+        self, two_bars, spec, monkeypatch
+    ):
+        from repro.fracture import runtime as tile_runtime
+        from repro.fracture.runtime import FaultPlan, RuntimePolicy
 
+        monkeypatch.setattr(tile_runtime, "BACKOFF_S", 0.0)
         clean = self._windowed().fracture_shots(two_bars, spec)
         runtime = RuntimePolicy(
-            retry=RetryPolicy(max_attempts=3, backoff_s=0.0, backoff_cap_s=0.0),
             fault_plan=FaultPlan.parse(["t0,0:crash", "t1,0:raise"]),
         )
         faulted = self._windowed(runtime).fracture_shots(two_bars, spec)
         assert faulted == clean
 
-    def test_persistent_failure_degrades_not_dies(self, two_bars, spec):
-        from repro.fracture.runtime import FaultPlan, RetryPolicy, RuntimePolicy
+    def test_persistent_failure_degrades_not_dies(
+        self, two_bars, spec, monkeypatch
+    ):
+        from repro.fracture import runtime as tile_runtime
+        from repro.fracture.runtime import FaultPlan, RuntimePolicy
 
+        monkeypatch.setattr(tile_runtime, "BACKOFF_S", 0.0)
         runtime = RuntimePolicy(
-            retry=RetryPolicy(max_attempts=2, backoff_s=0.0, backoff_cap_s=0.0),
-            fault_plan=FaultPlan.parse(["t1,0:raise:99"]),
+            max_attempts=2, fault_plan=FaultPlan.parse(["t1,0:raise:99"]),
         )
         fracturer = self._windowed(runtime)
         shots = fracturer.fracture_shots(two_bars, spec)
