@@ -53,8 +53,8 @@ fault-tolerance flags ``--tile-retries`` / ``--tile-timeout`` /
 need ``--window-nm`` on ``mdp`` too.  Every interrupted run resumes the
 same way: run it again against the same ``--fracture-cache DIR``.  Each
 shape is stored there as soon as it finishes, and with ``--window-nm``
-so is each settled tile; the re-run replays them bit-identically and
-fractures only the rest.
+so is each settled tile and seam-stitch window; the re-run replays them
+bit-identically and fractures only the rest.
 
 ``fracture``, ``mdp`` and daemon jobs run clips through one batch loop,
 :meth:`repro.mask.mdp.MdpPipeline.run`.  ``fracture`` exits 0 on clip
@@ -268,8 +268,9 @@ def _add_runtime_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--inject-fault", action="append", metavar="TILE:ACTION[:TIMES]",
-        help="deterministic failure injection for testing, e.g. "
-             "'t0,0:crash' or 't1,2:raise:2' (actions: crash, hang, raise)",
+        help="deterministic failure injection for testing, on a tile "
+             "or a seam-stitch window (v0, h1, …), e.g. 't0,0:crash', "
+             "'t1,2:raise:2' or 'v0:crash' (actions: crash, hang, raise)",
     )
     parser.add_argument(
         "--heartbeat", type=_positive_float, metavar="SECONDS",

@@ -12,9 +12,9 @@ key format) backs
 * the hierarchy layer (:mod:`repro.mask.hierarchy`) — the thousandth
   placement of a cell costs a lookup plus a translation,
 * the windowed/tiled executor — re-runs of a windowed layout reuse the
-  finished result wholesale, and each settled tile is stored too, so
-  an interrupted tiled run resumes by running it again against the
-  same store, and
+  finished result wholesale, and each settled tile and stitch window is
+  stored too, so an interrupted tiled run resumes by running it again
+  against the same store, and
 * the service's :class:`~repro.service.caches.WarmCaches`, whose
   result cache is a :class:`FractureCache`.
 
@@ -24,9 +24,10 @@ vertices, spec, method, window); :func:`fingerprint_polygon` feeds it
 *canonical* geometry — the translation-normalized, ordering-canonical
 vertex loop from :func:`repro.geometry.polygon.canonical_form` — so a
 clip and its translate share one entry.  Tiles are keyed by
-:func:`tile_fingerprint`, which is exact, not placement-invariant: it
-hashes everything one tile's fracture reads, in place, so a stored tile
-replays only into the tile it came from.
+:func:`tile_fingerprint` and seam-stitch windows by
+:func:`window_fingerprint`; both are exact, not placement-invariant:
+they hash everything one job reads, in place, so a stored tile or
+window replays only into the job it came from.
 
 **Frames.**  Entries remember the frame offset the stored shots were
 produced in (``payload["frame"]``, the canonical→stored translation).
@@ -59,7 +60,6 @@ import hashlib
 import json
 import os
 import threading
-import time
 from pathlib import Path
 from typing import Any
 
@@ -122,6 +122,7 @@ __all__ = [
     "result_from_payload",
     "tile_fingerprint",
     "translate_shots",
+    "window_fingerprint",
 ]
 
 
@@ -212,6 +213,41 @@ def tile_fingerprint(
     )
     for sub in subs:
         digest.update(np.packbits(sub.inside).tobytes())
+    return digest.hexdigest()
+
+
+def _shot_lists(shots: Any) -> list[list[float]]:
+    return [[c + 0.0 for c in shot.as_tuple()] for shot in shots]
+
+
+def window_fingerprint(spec: FractureSpec, window: Any) -> str:
+    """Exact content address of one seam-stitch window's refinement.
+
+    Hashes every input of the window's ``refine`` call: the spec, the
+    refinement budget, the crop grid, the movable and background shots
+    in order (dose is summed in that order) and, packed, the crop's
+    inside mask (merges read it), its P_on and P_off classes and its
+    active band mask.  Like a tile key it is not translation-invariant.
+    """
+    shape = window.shape
+    grid = shape.grid
+    spec_dict = _spec_dict(spec)
+    header = {
+        "v": 1,
+        "kind": "window",
+        "spec": {k: spec_dict[k] for k in sorted(spec_dict)},
+        "params": [window.params.nmax, window.params.nh],
+        "grid": [grid.x0 + 0.0, grid.y0 + 0.0, grid.pitch + 0.0,
+                 grid.nx, grid.ny],
+        "movable": _shot_lists(window.movable),
+        "background": _shot_lists(window.background),
+    }
+    digest = hashlib.sha256(
+        json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    )
+    pixels = shape.pixels(spec.gamma)
+    for mask in (shape.inside, pixels.on, pixels.off, window.active):
+        digest.update(np.packbits(mask).tobytes())
     return digest.hexdigest()
 
 
@@ -427,55 +463,6 @@ class FractureCache:
                 stats["disk_evictions"] = self.disk_evictions
                 stats["disk_write_skips"] = self.disk_write_skips
             return stats
-
-    # -- result-level interface ----------------------------------------------
-
-    def get_result(
-        self,
-        polygon: Polygon,
-        spec: FractureSpec | dict[str, float],
-        method: str,
-        window_nm: float | None = None,
-        shape_name: str = "",
-    ) -> "FractureResult | None":  # noqa: F821
-        """Look up a finished result for ``polygon``, placement-invariant.
-
-        On a hit the stored template shots are translated onto the
-        polygon's frame; returns ``None`` on a miss.
-        """
-        start = time.perf_counter()
-        fingerprint, offset = fingerprint_polygon(
-            polygon, spec, method, window_nm
-        )
-        payload = self.get(fingerprint)
-        if payload is None:
-            return None
-        return result_from_payload(
-            payload,
-            shape_name=shape_name,
-            frame=offset,
-            lookup_s=time.perf_counter() - start,
-        )
-
-    def put_result(
-        self,
-        polygon: Polygon,
-        spec: FractureSpec | dict[str, float],
-        result: "FractureResult",  # noqa: F821
-        window_nm: float | None = None,
-        method: str | None = None,
-    ) -> str:
-        """Store a freshly fractured result keyed by canonical geometry.
-
-        ``method`` is the cache-key method name (the registry name, when
-        it differs from the class's display name); defaults to
-        ``result.method``.
-        """
-        fingerprint, offset = fingerprint_polygon(
-            polygon, spec, method or result.method, window_nm
-        )
-        self.put(fingerprint, result_to_payload(result, frame=offset))
-        return fingerprint
 
     # -- disk store -----------------------------------------------------------
 

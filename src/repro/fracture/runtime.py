@@ -2,11 +2,13 @@
 
 A full-chip run covers thousands of tiles and hours of wall time; one
 worker crash, hang or infeasible tile must not abort the run and lose
-every completed tile.  This module wraps the per-tile work of
-:class:`repro.fracture.windowed.WindowedFracturer` with:
+every completed tile.  This module wraps the pooled work of
+:class:`repro.fracture.windowed.WindowedFracturer` — its tiles and its
+seam-stitch windows, two :class:`JobKind` s of one runner, each with
+its own task, store key and fallback — with:
 
-* **tile-identity-preserving result envelopes** — a worker answers
-  ``("ok", tile, shots, …)`` or ``("error", tile, kind, message, …)``
+* **job-identity-preserving result envelopes** — a worker answers
+  ``("ok", name, shots, …)`` or ``("error", name, kind, message, …)``
   with ``kind`` one of ``"crash"``, ``"hang"`` or ``"error"``; a dead
   pool settles its in-flight tiles as ``"crash"`` and an overrun
   deadline as ``"hang"``, so every failure is charged to its tile, and
@@ -20,15 +22,17 @@ every completed tile.  This module wraps the per-tile work of
   poisonous tile cannot kill worker after worker;
 * a **degradation ladder** — a tile that exhausts its retries falls
   back to the deterministic geometric :class:`PartitionFracturer`
-  baseline (:func:`partition_fallback`) for that tile and is flagged
-  (``windowed.tile_fallbacks``, the run manifest,
-  :attr:`TileOutcome.fallback`) instead of failing the run;
-* a **tile store** (:attr:`RuntimePolicy.store`, a
-  :class:`~repro.fracture.cache.FractureCache`): every tile whose model
-  run succeeds is stored under its exact content key
-  (:func:`~repro.fracture.cache.tile_fingerprint`), so running an
+  baseline (:func:`partition_fallback`) for that tile, and a stitch
+  window to its input shots; either is flagged
+  (``windowed.tile_fallbacks`` / ``windowed.window_fallbacks``, the run
+  manifest, :attr:`TileOutcome.fallback`) instead of failing the run;
+* a **store** (:attr:`RuntimePolicy.store`, a
+  :class:`~repro.fracture.cache.FractureCache`): every job whose run
+  succeeds is stored under its exact content key
+  (:func:`~repro.fracture.cache.tile_fingerprint`,
+  :func:`~repro.fracture.cache.window_fingerprint`), so running an
   interrupted run again against the same store replays the settled
-  tiles bit-identically and re-executes only the rest;
+  tiles and windows bit-identically and re-executes only the rest;
 * a **deterministic failure-injection hook** (:class:`FaultPlan`):
   crash / hang / raise on named tiles, armed per attempt, with a
   seeded random-subset constructor — usable from tests and the CLI
@@ -39,12 +43,12 @@ no caller varies are the module constants below, which tests patch.
 The trace context and the telemetry switch come from the installed
 recorder (:func:`repro.obs.get_recorder`), read once per run.
 
-Determinism: tile jobs are pure, so a retried attempt reproduces the
-original result exactly, and outcomes are merged in row-major job
-order regardless of completion order.  Retries, resume and any worker
-count therefore keep the merged shot list bit-identical to a
-fault-free single-worker run; only fallback tiles deviate, and those
-are explicitly flagged.
+Determinism: jobs are pure, so a retried attempt reproduces the
+original result exactly, and outcomes are returned in job order
+regardless of completion order.  Retries, resume and any worker count
+therefore keep the merged shot list bit-identical to a fault-free
+single-worker run; only fallback jobs deviate, and those are explicitly
+flagged.
 """
 
 from __future__ import annotations
@@ -73,10 +77,12 @@ __all__ = [
     "InjectedCrash",
     "InjectedFault",
     "InjectedHang",
+    "JobKind",
     "PoolBroken",
     "RunInterrupted",
     "RunStats",
     "RuntimePolicy",
+    "TILES",
     "TileOutcome",
     "backoff",
     "fracture_tile",
@@ -156,10 +162,11 @@ _FAULT_ACTIONS = ("crash", "hang", "raise")
 
 @dataclass(frozen=True)
 class FaultPlan:
-    """Deterministic failure injection for named tiles.
+    """Deterministic failure injection for named jobs.
 
-    ``faults`` maps tile names to :class:`FaultSpec`; a fault is armed
-    for attempts ``1..times`` of its tile, so retried attempts succeed.
+    ``faults`` maps job names — tiles (``t0,1``) or seam-stitch windows
+    (``v0``, ``h1``) — to :class:`FaultSpec`; a fault is armed for
+    attempts ``1..times`` of its job, so retried attempts succeed.
     In a pool worker ``crash`` hard-kills the process (``os._exit``) and
     ``hang`` sleeps ``hang_s`` seconds; executed inline (serial path or
     quarantined attempt) both are simulated by raising
@@ -281,7 +288,12 @@ class RuntimePolicy:
 
 @dataclass
 class TileOutcome:
-    """Tile-identity-preserving result envelope of one tile's execution."""
+    """Identity-preserving result envelope of one job's execution.
+
+    ``tile_name`` is the job's name (a tile's or a stitch window's);
+    ``info`` is what the job's task reported besides its shots (empty
+    for tiles, the refinement's counts for stitch windows).
+    """
 
     index: int
     tile_name: str
@@ -293,11 +305,12 @@ class TileOutcome:
     error: str | None = None
     telemetry: list[dict] | None = None  # the worker recorder's records
     worker_pid: int | None = None
+    info: dict[str, Any] = field(default_factory=dict)
 
-    def to_record(self) -> dict[str, Any]:
-        """JSON-serializable per-tile outcome (manifest / events)."""
+    def to_record(self, label: str = "tile") -> dict[str, Any]:
+        """JSON-serializable per-job outcome (manifest / events)."""
         record: dict[str, Any] = {
-            "tile": self.tile_name,
+            label: self.tile_name,
             "ok": self.ok,
             "attempts": self.attempts,
             "shots": len(self.shots),
@@ -313,21 +326,27 @@ class TileOutcome:
 
 @dataclass
 class RunStats:
-    """Aggregate fault-layer activity of one :func:`run_tiles` call."""
+    """Aggregate fault-layer activity of one :func:`run_tiles` call.
+
+    The attributes count jobs of whatever kind the call ran; ``label``
+    (the kind's, see :class:`JobKind`) names them in :meth:`as_dict`.
+    """
 
     tile_retries: int = 0
     tile_timeouts: int = 0
     pool_respawns: int = 0
     tile_fallbacks: int = 0
     tiles_replayed: int = 0
+    label: str = "tile"
 
     def as_dict(self) -> dict[str, int]:
+        label = self.label
         return {
-            "tile_retries": self.tile_retries,
-            "tile_timeouts": self.tile_timeouts,
+            f"{label}_retries": self.tile_retries,
+            f"{label}_timeouts": self.tile_timeouts,
             "pool_respawns": self.pool_respawns,
-            "tile_fallbacks": self.tile_fallbacks,
-            "tiles_replayed": self.tiles_replayed,
+            f"{label}_fallbacks": self.tile_fallbacks,
+            f"{label}s_replayed": self.tiles_replayed,
         }
 
 
@@ -362,6 +381,70 @@ def partition_fallback(
     return fracture_tile(PartitionFracturer(), tile, subs, spec)
 
 
+# -- job kinds ---------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class JobKind:
+    """How the runner names, runs, keys and degrades one kind of job.
+
+    ``label`` names the kind in spans, events, counters, store entries
+    and :meth:`RunStats.as_dict` (``"tile"``, ``"window"``).  The
+    callables are module-level functions, so a pool ships them by
+    reference:
+
+    * ``name(job)`` — the job's name (fault plans and heartbeats use it);
+    * ``describe(job)`` — a short size note for error messages;
+    * ``run(inner, spec, job)`` — the pure task, ``(shots, info)`` with
+      ``info`` a JSON-able dict stored and replayed with the shots;
+    * ``key(inner, spec, job)`` — the job's exact store key;
+    * ``fallback(job, spec)`` — the shots a job that exhausted its
+      retries ships, flagged.
+
+    ``progress`` turns on the ``progress`` events and the
+    ``windowed.tiles_done`` / ``windowed.shots_done`` gauges, which
+    describe the tile pass.
+    """
+
+    label: str
+    name: Callable[[Any], str]
+    describe: Callable[[Any], str]
+    run: Callable[[Any, FractureSpec, Any], tuple[list[Rect], dict]]
+    key: Callable[[Any, FractureSpec, Any], str]
+    fallback: Callable[[Any, FractureSpec], list[Rect]]
+    progress: bool = False
+
+
+def _tile_name(job: tuple) -> str:
+    return job[0].name
+
+
+def _tile_describe(job: tuple) -> str:
+    return f"{len(job[1])} sub-shapes"
+
+
+def _tile_run(inner: Any, spec: FractureSpec, job: tuple) -> tuple:
+    tile, subs = job
+    return fracture_tile(inner, tile, subs, spec), {}
+
+
+def _tile_key(inner: Any, spec: FractureSpec, job: tuple) -> str:
+    method = getattr(inner, "cache_method", None) or inner.name
+    return tile_fingerprint(method, spec, *job)
+
+
+def _tile_fallback(job: tuple, spec: FractureSpec) -> list[Rect]:
+    # Looked up at call time, so tests can patch partition_fallback.
+    return partition_fallback(*job, spec)
+
+
+#: Tile jobs: ``(tile, sub-shapes)`` pairs, fractured by the inner method.
+TILES = JobKind(
+    "tile", _tile_name, _tile_describe, _tile_run, _tile_key,
+    _tile_fallback, progress=True,
+)
+
+
 # -- worker side -------------------------------------------------------------
 
 _WORKER_CTX: tuple | None = None
@@ -378,11 +461,11 @@ def _worker_init(
 ) -> None:
     """Pool initializer: ship the inner fracturer once per worker process.
 
-    Payloads then carry only ``(tile, subs, attempt)`` — the inner
+    Payloads then carry only ``(kind, job, attempt)`` — the inner
     method (with whatever caches/config it holds) is not re-pickled
-    into every tile job.  With ``heartbeat_dir`` the worker also starts
+    into every job.  With ``heartbeat_dir`` the worker also starts
     a :class:`HeartbeatWriter` daemon thread that publishes liveness,
-    the current tile/attempt and an RSS/CPU sample every
+    the current job/attempt and an RSS/CPU sample every
     ``heartbeat_s`` seconds for the parent's stall monitor.  ``trace``
     is the run's trace context: it stamps the worker's heartbeats and
     the manifest of every worker-side recorder, so cross-process span
@@ -412,43 +495,49 @@ def _kind_of(error: BaseException) -> str:
     return "error"
 
 
-def _tile_task(tile: Any, subs: list[MaskShape], attempt: int) -> tuple:
-    """Worker entry point: returns a tile-identity-preserving envelope.
+def _failure_message(
+    kind: JobKind, job: Any, attempt: int, error: BaseException
+) -> str:
+    return (
+        f"{kind.label} {kind.name(job)} ({kind.describe(job)}, attempt "
+        f"{attempt}): {type(error).__name__}: {error}"
+    )
 
-    ``("ok", tile_name, shots, telemetry | None, meta)`` on success;
-    ``("error", tile_name, kind, message, meta)`` when the computation
-    raised (the pool stays healthy and the parent knows exactly which
-    tile and how many sub-shapes were involved).  ``meta`` carries the
-    worker pid so outcomes can be attributed to the heartbeat channel.
-    A hard crash (injected or real) never returns — the parent sees
-    ``BrokenProcessPool``.
+
+def _job_task(kind: JobKind, job: Any, attempt: int) -> tuple:
+    """Worker entry point: returns a job-identity-preserving envelope.
+
+    ``("ok", name, shots, info, telemetry | None, meta)`` on success;
+    ``("error", name, kind, message, meta)`` when the computation raised
+    (the pool stays healthy and the parent knows exactly which job was
+    involved).  ``meta`` carries the worker pid so outcomes can be
+    attributed to the heartbeat channel.  A hard crash (injected or
+    real) never returns — the parent sees ``BrokenProcessPool``.
     """
     inner, spec, telemetry_enabled, fault_plan, heartbeat, trace = _WORKER_CTX
     meta = {"pid": os.getpid()}
+    name = kind.name(job)
     if heartbeat is not None:
-        # Mark the tile *before* any injected fault fires, so a crash or
+        # Mark the job *before* any injected fault fires, so a crash or
         # hang leaves a heartbeat file attributing the stall to it.
-        heartbeat.set_task(tile.name, attempt)
+        heartbeat.set_task(name, attempt)
     try:
         if fault_plan is not None:
-            fault_plan.fire(tile.name, attempt, inline=False)
+            fault_plan.fire(name, attempt, inline=False)
         if not telemetry_enabled:
-            owned = fracture_tile(inner, tile, subs, spec)
-            return ("ok", tile.name, owned, None, meta)
+            shots, info = kind.run(inner, spec, job)
+            return ("ok", name, shots, info, None, meta)
         recorder = TelemetryRecorder(trace=trace)
         with recording(recorder):
-            with recorder.span("tile", tile=tile.name, sub_shapes=len(subs)):
-                owned = fracture_tile(inner, tile, subs, spec)
+            with recorder.span(kind.label, **{kind.label: name}):
+                shots, info = kind.run(inner, spec, job)
         recorder.emit_metrics()
-        return ("ok", tile.name, owned, recorder.records, meta)
+        return ("ok", name, shots, info, recorder.records, meta)
     except Exception as error:  # noqa: BLE001 — envelope, not policy
-        message = (
-            f"tile {tile.name} ({len(subs)} sub-shapes, attempt {attempt}): "
-            f"{type(error).__name__}: {error}"
-        )
+        message = _failure_message(kind, job, attempt, error)
         if not isinstance(error, InjectedFault):
             message += "\n" + traceback.format_exc()
-        return ("error", tile.name, _kind_of(error), message, meta)
+        return ("error", name, _kind_of(error), message, meta)
     finally:
         if heartbeat is not None:
             heartbeat.clear_task()
@@ -473,49 +562,52 @@ class _TileRunner:
 
     def __init__(
         self,
-        jobs: list[tuple[Any, list[MaskShape]]],
+        jobs: list[Any],
         *,
         inner: Any,
         spec: FractureSpec,
         workers: int,
         policy: RuntimePolicy,
+        kind: JobKind,
     ):
         self.jobs = jobs
         self.inner = inner
         self.spec = spec
         self.workers = workers
         self.policy = policy
+        self.kind = kind
+        self.names = [kind.name(job) for job in jobs]
         # The run's recorder decides both whether workers record and
         # which trace id stamps stored tiles, heartbeats and worker
         # spans: the CLI's per-invocation trace or the daemon job's.
         self.obs = get_recorder()
         self.trace = getattr(self.obs, "trace", None)
-        self.stats = RunStats()
+        self.stats = RunStats(label=kind.label)
         self.outcomes: list[TileOutcome | None] = [None] * len(jobs)
         self.pending: list[_Pending] = []
         # Store keys, computed here in the parent only: pool workers
-        # never see the store.  Cores differ, so no two tiles of one
-        # run share a key and completion order cannot change a replay.
+        # never see the store.  Jobs of one run cover different regions
+        # (tile cores, seam bands), so no two share a key and completion
+        # order cannot change a replay.
         store = policy.store
-        method = getattr(inner, "cache_method", None) or inner.name
         self.keys = [
-            tile_fingerprint(method, spec, tile, subs) if store is not None
-            else None
-            for tile, subs in jobs
+            kind.key(inner, spec, job) if store is not None else None
+            for job in jobs
         ]
-        for idx, (tile, _subs) in enumerate(jobs):
+        for idx, name in enumerate(self.names):
             stored = store.get(self.keys[idx]) if store is not None else None
             if stored is not None:
                 self.outcomes[idx] = TileOutcome(
                     index=idx,
-                    tile_name=tile.name,
+                    tile_name=name,
                     ok=True,
                     shots=[rect_from_list(v) for v in stored["shots"]],
                     attempts=int(stored.get("attempts", 1)),
                     replayed=True,
+                    info=dict(stored.get("info", {})),
                 )
                 self.stats.tiles_replayed += 1
-                self.obs.incr("windowed.tiles_replayed")
+                self.obs.incr(f"windowed.{kind.label}s_replayed")
             else:
                 self.pending.append(_Pending(idx, 1, 0.0))
         # Progress/ETA tracking: replayed tiles count as done up front so
@@ -533,6 +625,8 @@ class _TileRunner:
     def _note_progress(self, outcome: TileOutcome, wall_s: float | None) -> None:
         """Fold one settled tile into the progress/ETA picture."""
         self._done += 1
+        if not self.kind.progress:
+            return
         self._shots_done += len(outcome.shots)
         if wall_s is not None and wall_s > 0:
             # EWMA over per-tile wall time; alpha=0.2 smooths transient
@@ -572,42 +666,49 @@ class _TileRunner:
         self,
         p: _Pending,
         shots: list[Rect],
+        info: dict[str, Any],
         telemetry: list[dict] | None,
         worker_pid: int | None = None,
     ) -> None:
+        label = self.kind.label
         outcome = TileOutcome(
             index=p.idx,
-            tile_name=self.jobs[p.idx][0].name,
+            tile_name=self.names[p.idx],
             ok=True,
             shots=shots,
             attempts=p.attempt,
             telemetry=telemetry,
             worker_pid=worker_pid,
+            info=info,
         )
         self.outcomes[p.idx] = outcome
         if self.policy.store is not None:
-            self.policy.store.put(self.keys[p.idx], {
-                "tile": outcome.tile_name,
+            entry = {
+                label: outcome.tile_name,
                 "shots": [rect_to_list(shot) for shot in shots],
                 "attempts": p.attempt,
                 "trace_id": (self.trace or {}).get("trace_id"),
-            })
+            }
+            if info:
+                entry["info"] = info
+            self.policy.store.put(self.keys[p.idx], entry)
         if p.attempt > 1:
-            self.obs.event("tile_recovered", **outcome.to_record())
+            self.obs.event(f"{label}_recovered", **outcome.to_record(label))
         wall_s = time.monotonic() - p.started if p.started else None
         self._note_progress(outcome, wall_s)
 
     def _settle_failure(self, p: _Pending, kind: str, message: str) -> None:
         """Retry with backoff, or engage the degradation ladder."""
+        label = self.kind.label
         if kind == "hang":
             self.stats.tile_timeouts += 1
-            self.obs.incr("windowed.tile_timeouts")
+            self.obs.incr(f"windowed.{label}_timeouts")
         if p.attempt < self.policy.max_attempts:
             self.stats.tile_retries += 1
-            self.obs.incr("windowed.tile_retries")
+            self.obs.incr(f"windowed.{label}_retries")
             self.obs.event(
-                "tile_retry",
-                tile=self.jobs[p.idx][0].name,
+                f"{label}_retry",
+                **{label: self.names[p.idx]},
                 attempt=p.attempt,
                 kind=kind,
                 error=message.splitlines()[0],
@@ -625,15 +726,16 @@ class _TileRunner:
         self._run_fallback(p, message)
 
     def _run_fallback(self, p: _Pending, reason: str) -> None:
-        tile, subs = self.jobs[p.idx]
+        label = self.kind.label
+        name = self.names[p.idx]
         self.stats.tile_fallbacks += 1
-        self.obs.incr("windowed.tile_fallbacks")
+        self.obs.incr(f"windowed.{label}_fallbacks")
         started = time.monotonic()
-        with self.obs.span("tile_fallback", tile=tile.name):
-            shots = partition_fallback(tile, subs, self.spec)
+        with self.obs.span(f"{label}_fallback", **{label: name}):
+            shots = self.kind.fallback(self.jobs[p.idx], self.spec)
         outcome = TileOutcome(
             index=p.idx,
-            tile_name=tile.name,
+            tile_name=name,
             ok=True,
             shots=shots,
             attempts=p.attempt,
@@ -641,32 +743,30 @@ class _TileRunner:
             error=reason.splitlines()[0],
         )
         self.outcomes[p.idx] = outcome
-        self.obs.event("tile_fallback", **outcome.to_record())
+        self.obs.event(f"{label}_fallback", **outcome.to_record(label))
         self._note_progress(outcome, time.monotonic() - started)
 
     def _attempt_inline(self, p: _Pending) -> None:
-        """One in-parent attempt (serial path or quarantined tile)."""
-        tile, subs = self.jobs[p.idx]
+        """One in-parent attempt (serial path or quarantined job)."""
+        kind = self.kind
+        job = self.jobs[p.idx]
+        name = self.names[p.idx]
         p.started = time.monotonic()
         try:
             if self.policy.fault_plan is not None:
-                self.policy.fault_plan.fire(tile.name, p.attempt, inline=True)
-            with self.obs.span("tile", tile=tile.name, sub_shapes=len(subs)):
-                owned = fracture_tile(self.inner, tile, subs, self.spec)
+                self.policy.fault_plan.fire(name, p.attempt, inline=True)
+            with self.obs.span(kind.label, **{kind.label: name}):
+                shots, info = kind.run(self.inner, self.spec, job)
         except Exception as error:  # noqa: BLE001 — envelope, not policy
-            message = (
-                f"tile {tile.name} ({len(subs)} sub-shapes, attempt "
-                f"{p.attempt}): {type(error).__name__}: {error}"
-            )
+            message = _failure_message(kind, job, p.attempt, error)
             self._settle_failure(p, _kind_of(error), message)
             return
-        self._settle_ok(p, owned, telemetry=None)
+        self._settle_ok(p, shots, info, telemetry=None)
 
     def _settle_envelope(self, p: _Pending, envelope: tuple) -> None:
-        meta = envelope[4] if len(envelope) > 4 else {}
         if envelope[0] == "ok":
-            shots, telemetry = envelope[2], envelope[3]
-            self._settle_ok(p, shots, telemetry, worker_pid=meta.get("pid"))
+            _ok, _name, shots, info, telemetry, meta = envelope
+            self._settle_ok(p, shots, info, telemetry, worker_pid=meta.get("pid"))
         else:
             kind, message = envelope[2], envelope[3]
             self._settle_failure(p, kind, message)
@@ -791,9 +891,10 @@ class _TileRunner:
                 broken: list[_Pending] = []
                 pool_is_broken = False
                 for p in submit:
-                    tile, subs = self.jobs[p.idx]
                     try:
-                        future = pool.submit(_tile_task, tile, subs, p.attempt)
+                        future = pool.submit(
+                            _job_task, self.kind, self.jobs[p.idx], p.attempt
+                        )
                     except Exception:  # BrokenProcessPool / RuntimeError
                         pool_is_broken = True
                         broken.append(p)
@@ -878,10 +979,10 @@ class _TileRunner:
                         pool = respawn_pool("tile deadline exceeded")
                         for future, (p, started) in victims:
                             if future in overdue_set:
-                                tile = self.jobs[p.idx][0]
                                 self._settle_failure(
                                     p, "hang",
-                                    f"tile {tile.name} exceeded deadline "
+                                    f"{self.kind.label} {self.names[p.idx]} "
+                                    f"exceeded deadline "
                                     f"{deadline_s:.3g}s "
                                     f"(attempt {p.attempt})",
                                 )
@@ -902,31 +1003,38 @@ class _TileRunner:
     # -- finish -------------------------------------------------------------
 
     def finish(self) -> list[TileOutcome]:
+        label = self.kind.label
         outcomes: list[TileOutcome] = []
         for idx, outcome in enumerate(self.outcomes):
             if outcome is None:  # pragma: no cover — defensive
-                tile = self.jobs[idx][0]
-                raise PoolBroken(f"tile {tile.name} never produced an outcome")
+                raise PoolBroken(
+                    f"{label} {self.names[idx]} never produced an outcome"
+                )
             if outcome.telemetry is not None:
                 self.obs.merge_child(outcome.telemetry, label=outcome.tile_name)
                 outcome.telemetry = None
-            self.obs.event("tile_outcome", **outcome.to_record())
+            self.obs.event(f"{label}_outcome", **outcome.to_record(label))
             outcomes.append(outcome)
         return outcomes
 
 
 def run_tiles(
-    jobs: list[tuple[Any, list[MaskShape]]],
+    jobs: list[Any],
     *,
     inner: Any,
     spec: FractureSpec,
     workers: int = 1,
     policy: RuntimePolicy | None = None,
+    kind: JobKind = TILES,
 ) -> tuple[list[TileOutcome], RunStats]:
-    """Execute tile ``jobs`` fault-tolerantly; outcomes in job order.
+    """Execute ``jobs`` of one ``kind`` fault-tolerantly; outcomes in job order.
 
-    ``policy`` defaults to :class:`RuntimePolicy` ``()``: three attempts,
-    no deadline, no store, no injected faults, no heartbeats.
+    ``kind`` defaults to :data:`TILES`, whose jobs are ``(tile,
+    sub-shapes)`` pairs; the tiled executor also runs its seam-stitch
+    windows here, as a second kind with its own task, store key and
+    fallback.  ``policy`` defaults to :class:`RuntimePolicy` ``()``:
+    three attempts, no deadline, no store, no injected faults, no
+    heartbeats.
 
     The contract the tiled executor's determinism rests on: outcomes are
     returned (and their telemetry merged) in row-major job order no
@@ -941,6 +1049,7 @@ def run_tiles(
         spec=spec,
         workers=workers,
         policy=policy if policy is not None else RuntimePolicy(),
+        kind=kind,
     )
     if workers == 1 or len(runner.pending) <= 1:
         runner.run_serial()

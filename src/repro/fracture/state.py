@@ -205,7 +205,8 @@ class RefinementState:
         "active_mask",
         "candidates_priced",
         "_cost_sign", "_cost_bias", "_cost_base", "_scratch",
-        "_gather_memo", "_clamped", "_active_scratch", "_crop", "_box",
+        "_gather_memo", "_span_memo", "_clamped", "_active_scratch",
+        "_crop", "_box",
         "_count_on", "_count_off", "_cost",
     )
 
@@ -287,6 +288,10 @@ class RefinementState:
         # Candidate geometry memo (windows + profile keys per shot rect);
         # pure geometry, so it is never invalidated.
         self._gather_memo: dict[tuple, tuple] = {}
+        # Index slices of blur-padded spans, by (axis, lo, hi): the grid
+        # and the reach are fixed, and neighbouring shots and the two
+        # edges of one shot share most of their spans.
+        self._span_memo: dict[tuple[str, float, float], slice] = {}
         #: Candidates priced by greedy edge adjustment on this state.
         self.candidates_priced = 0
         # The Eq. 5 cost of the current field, summed on first report.
@@ -594,28 +599,41 @@ class RefinementState:
         carries no failure cost (a move can only reduce cost where old
         cost is positive).
         """
-        grid = self.imap.grid
-        reach = self.imap.reach
+        span = self._span
         pitch = self.spec.pitch
         if edge == "left":
             return (
-                grid.y_span_to_slice(shot.ybl, shot.ytr, reach),
-                grid.x_span_to_slice(shot.xbl - pitch, shot.xbl, reach),
+                span("y", shot.ybl, shot.ytr),
+                span("x", shot.xbl - pitch, shot.xbl),
             )
         if edge == "right":
             return (
-                grid.y_span_to_slice(shot.ybl, shot.ytr, reach),
-                grid.x_span_to_slice(shot.xtr, shot.xtr + pitch, reach),
+                span("y", shot.ybl, shot.ytr),
+                span("x", shot.xtr, shot.xtr + pitch),
             )
         if edge == "bottom":
             return (
-                grid.y_span_to_slice(shot.ybl - pitch, shot.ybl, reach),
-                grid.x_span_to_slice(shot.xbl, shot.xtr, reach),
+                span("y", shot.ybl - pitch, shot.ybl),
+                span("x", shot.xbl, shot.xtr),
             )
         return (
-            grid.y_span_to_slice(shot.ytr, shot.ytr + pitch, reach),
-            grid.x_span_to_slice(shot.xbl, shot.xtr, reach),
+            span("y", shot.ytr, shot.ytr + pitch),
+            span("x", shot.xbl, shot.xtr),
         )
+
+    def _span(self, axis: str, lo: float, hi: float) -> slice:
+        """Index slice of the pixel centres within the blur reach of the
+        span ``[lo, hi]`` along ``axis`` ("x" columns, "y" rows),
+        memoized per state."""
+        key = (axis, lo, hi)
+        cached = self._span_memo.get(key)
+        if cached is None:
+            if len(self._span_memo) >= 16384:
+                self._span_memo.clear()
+            grid = self.imap.grid
+            to_slice = grid.x_span_to_slice if axis == "x" else grid.y_span_to_slice
+            cached = self._span_memo[key] = to_slice(lo, hi, self.imap.reach)
+        return cached
 
     def _build_move_geometry(self, shot: Rect) -> tuple:
         """Pricing regions, windows and profile keys of a shot's ±Δp
@@ -624,13 +642,13 @@ class RefinementState:
         Computed with direct scalar math — per candidate this is the
         equivalent of ``moved_edge`` + ``meets_min_size`` +
         ``edge_move_window`` without intermediate :class:`Rect`
-        allocations — and memoized per shot rectangle (pure geometry, so
-        no invalidation is ever needed; see :meth:`gather_edge_moves`).
+        allocations, its index slices from the state's span memo — and
+        memoized per shot rectangle (pure geometry, so no invalidation
+        is ever needed; see :meth:`gather_edge_moves`).
         """
         pitch = self.spec.pitch
         lmin = self.spec.lmin
-        grid = self.imap.grid
-        reach = self.imap.reach
+        span = self._span
         xbl, ybl, xtr, ytr = shot.xbl, shot.ybl, shot.xtr, shot.ytr
         groups: list[tuple] = []
         if ytr - ybl >= lmin:
@@ -648,9 +666,7 @@ class RefinementState:
                         new_lo, new_hi = xbl, moved
                     if new_hi - new_lo < lmin:
                         continue
-                    cols = grid.x_span_to_slice(
-                        min(coord, moved), max(coord, moved), reach
-                    )
+                    cols = span("x", min(coord, moved), max(coord, moved))
                     key_cols = (cols.start, cols.stop)
                     moves.append((
                         delta, (rows, cols),
@@ -676,9 +692,7 @@ class RefinementState:
                         new_lo, new_hi = ybl, moved
                     if new_hi - new_lo < lmin:
                         continue
-                    rows = grid.y_span_to_slice(
-                        min(coord, moved), max(coord, moved), reach
-                    )
+                    rows = span("y", min(coord, moved), max(coord, moved))
                     key_rows = (rows.start, rows.stop)
                     moves.append((
                         delta, (rows, cols),

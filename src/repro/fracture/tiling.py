@@ -18,7 +18,12 @@ alike) decomposes the mask plane into a deterministic grid of tiles:
 * each sub-shape is fractured independently, shots are kept by the tile
   owning their *centre* (the same half-open rule, so no shot is ever
   duplicated or orphaned), and a seam-band stitch repairs the tile
-  boundaries afterwards (see :mod:`repro.fracture.windowed`).
+  boundaries afterwards (see :mod:`repro.fracture.windowed`);
+* the stitch runs one seam family at a time, vertical seams or
+  horizontal ones, cut into independent windows
+  (:func:`seam_windows`): a window's band and its movable shots are
+  disjoint from every other window's of its family, so the family's
+  windows can be refined at the same time.
 
 Everything here is pure geometry — deterministic, picklable, and
 independent of worker count — which is what makes the process-parallel
@@ -27,6 +32,7 @@ executor's merge reproducible.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -301,6 +307,17 @@ def extract_tile_shapes(
     return shapes
 
 
+def dose_reach_nm(spec: FractureSpec) -> float:
+    """How far past a shot's edges its dose reaches: the 4σ window of
+    :class:`~repro.ebeam.intensity_map.IntensityMap`."""
+    return 4.0 * spec.sigma
+
+
+def _active_nm(spec: FractureSpec, movable_nm: float) -> float:
+    """Half-width of a seam's active band (see :func:`seam_band_masks`)."""
+    return movable_nm + dose_reach_nm(spec) + spec.lmin + 2.0 * spec.pitch
+
+
 def seam_band_masks(
     shape: MaskShape,
     plan: TilePlan,
@@ -321,16 +338,38 @@ def seam_band_masks(
     """
     if movable_nm is None:
         movable_nm = halo_nm(spec)
-    active_nm = movable_nm + 4.0 * spec.sigma + spec.lmin + 2.0 * spec.pitch
     grid = shape.grid
     mask = np.zeros(grid.shape, dtype=bool)
-    for sx in plan.seam_xs:
-        cols = grid.x_span_to_slice(sx - active_nm, sx + active_nm)
+    for cols in seam_bands(plan, spec, grid, "x", movable_nm):
         mask[:, cols] = True
-    for sy in plan.seam_ys:
-        rows = grid.y_span_to_slice(sy - active_nm, sy + active_nm)
+    for rows in seam_bands(plan, spec, grid, "y", movable_nm):
         mask[rows, :] = True
     return mask, movable_nm
+
+
+def seam_bands(
+    plan: TilePlan,
+    spec: FractureSpec,
+    grid: PixelGrid,
+    axis: str,
+    movable_nm: float,
+) -> list[slice]:
+    """Active band of every seam of one family, as index ranges.
+
+    ``axis`` ``"x"`` is the vertical seams (:attr:`TilePlan.seam_xs`),
+    whose bands are column ranges over the full grid height; ``"y"`` is
+    the horizontal seams, whose bands are row ranges.
+    """
+    active_nm = _active_nm(spec, movable_nm)
+    if axis == "x":
+        return [
+            grid.x_span_to_slice(s - active_nm, s + active_nm)
+            for s in plan.seam_xs
+        ]
+    return [
+        grid.y_span_to_slice(s - active_nm, s + active_nm)
+        for s in plan.seam_ys
+    ]
 
 
 def split_seam_shots(
@@ -358,3 +397,92 @@ def split_seam_shots(
         )
         (movable if near else frozen).append(shot)
     return movable, frozen
+
+
+@dataclass(frozen=True, slots=True)
+class SeamWindow:
+    """One independent stitch window of a seam family.
+
+    ``axis`` names the family as :func:`seam_bands` does.  ``bands`` are
+    the active index ranges of the window's seams along ``axis``,
+    ``crop`` their hull padded by the blur reach, and ``owned`` the
+    indices of the shots the window may move, in shot-list order.
+    """
+
+    name: str
+    axis: str
+    bands: tuple[slice, ...]
+    crop: slice
+    owned: tuple[int, ...]
+
+
+def seam_windows(
+    shots: list[Rect],
+    plan: TilePlan,
+    spec: FractureSpec,
+    grid: PixelGrid,
+    axis: str,
+    movable_nm: float,
+) -> list[SeamWindow]:
+    """Cut one seam family's band union into independent windows.
+
+    Every seam starts a window of its own.  A shot is movable for a seam
+    within ``movable_nm`` of it (:func:`split_seam_shots`' rule, per
+    seam), and neighbouring seams share a window when their bands
+    overlap or a shot is movable for both.  Windows of one family then
+    have disjoint bands and disjoint movable shots, and a stitch move
+    changes dose only inside its own band, so no window's refinement can
+    change another's cost.  Bands stay whole: a window spans the full
+    grid across its axis, junctions with the other family included.
+
+    Windows are named ``v<k>`` (vertical seams, ``axis="x"``) or
+    ``h<k>`` in seam order; a window that owns no shot is left out, as
+    there is nothing for it to move.
+    """
+    seams = plan.seam_xs if axis == "x" else plan.seam_ys
+    bands = seam_bands(plan, spec, grid, axis, movable_nm)
+    # Seam indices each shot is movable for: one contiguous run, since
+    # the seams are sorted.
+    reach: list[tuple[int, int]] = []
+    for shot in shots:
+        lo, hi = (shot.xbl, shot.xtr) if axis == "x" else (shot.ybl, shot.ytr)
+        reach.append((
+            bisect.bisect_left(seams, lo - movable_nm),
+            bisect.bisect_right(seams, hi + movable_nm),
+        ))
+    joined = [
+        bands[k].stop > bands[k + 1].start for k in range(len(seams) - 1)
+    ]
+    for first, stop in reach:
+        for k in range(first, stop - 1):
+            joined[k] = True
+    groups: list[list[int]] = []
+    for k in range(len(seams)):
+        if k and joined[k - 1]:
+            groups[-1].append(k)
+        else:
+            groups.append([k])
+    to_slice = grid.x_span_to_slice if axis == "x" else grid.y_span_to_slice
+    active_nm = _active_nm(spec, movable_nm)
+    windows: list[SeamWindow] = []
+    for index, group in enumerate(groups):
+        owned = tuple(
+            i for i, (first, stop) in enumerate(reach)
+            if first < stop and group[0] <= first <= group[-1]
+        )
+        if not owned:
+            continue
+        windows.append(SeamWindow(
+            name=f"{'v' if axis == 'x' else 'h'}{index}",
+            axis=axis,
+            bands=tuple(bands[k] for k in group),
+            # Padded by the dose reach: a move whose dose window leaves
+            # the bands still covers a crop pixel outside them, where the
+            # mutation guard rejects it.
+            crop=to_slice(
+                seams[group[0]] - active_nm, seams[group[-1]] + active_nm,
+                dose_reach_nm(spec),
+            ),
+            owned=owned,
+        ))
+    return windows

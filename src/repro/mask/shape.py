@@ -5,7 +5,9 @@ target: the boundary polygon ``V_M``, the pixel grid, the rasterized
 inside-mask, a summed-area table for overlap queries, and (cached) the
 P_on/P_off/P_x classification for a given γ.  A polygon rasterizes on
 first use, so a fracture-cache hit, which reads only the polygon,
-never pays for it.
+never pays for it; a mask traces its polygon on first use, so a tiled
+run, whose tile sub-shapes and stitch windows are masks, traces each
+sub-shape in the worker that fractures it and never traces the chip.
 """
 
 from __future__ import annotations
@@ -28,11 +30,17 @@ class MaskShape:
     blur reach so P_off constraints outside the shape are represented.
     """
 
-    __slots__ = ("name", "polygon", "grid", "_inside", "_sat", "_pixel_cache")
+    __slots__ = ("name", "_polygon", "grid", "_inside", "_sat", "_pixel_cache")
 
-    def __init__(self, polygon: Polygon, grid: PixelGrid, inside: np.ndarray | None, name: str = ""):
+    def __init__(
+        self,
+        polygon: Polygon | None,
+        grid: PixelGrid,
+        inside: np.ndarray | None,
+        name: str = "",
+    ):
         self.name = name
-        self.polygon = polygon
+        self._polygon = polygon
         self.grid = grid
         self._inside = None if inside is None else _checked_mask(inside, grid)
         self._sat: SummedAreaTable | None = None
@@ -56,11 +64,46 @@ class MaskShape:
     def from_mask(
         cls, inside: np.ndarray, grid: PixelGrid, name: str = ""
     ) -> "MaskShape":
-        """Wrap an existing boolean mask; the polygon is traced from it."""
-        polygon = trace_boundary(inside, grid)
-        return cls(polygon, grid, inside, name=name)
+        """Wrap an existing boolean mask (traced to a polygon on first use)."""
+        return cls(None, grid, inside, name=name)
+
+    def crop(self, rows: slice, cols: slice, name: str = "") -> "MaskShape":
+        """The shape's pixels in one index window, on that window's grid.
+
+        Pixel classes this shape has already computed are cropped along,
+        so every pixel of the crop keeps the class the whole shape gives
+        it: a class depends on the boundary within γ, which may lie
+        outside the window.
+        """
+        grid = self.grid
+        cropped = MaskShape(
+            None,
+            PixelGrid(
+                grid.x0 + cols.start * grid.pitch,
+                grid.y0 + rows.start * grid.pitch,
+                grid.pitch,
+                cols.stop - cols.start,
+                rows.stop - rows.start,
+            ),
+            self.inside[rows, cols],
+            name=name,
+        )
+        for gamma, sets in self._pixel_cache.items():
+            cropped._pixel_cache[gamma] = PixelSets(
+                on=sets.on[rows, cols],
+                off=sets.off[rows, cols],
+                band=sets.band[rows, cols],
+            )
+        return cropped
 
     # -- cached derived data ---------------------------------------------------
+
+    @property
+    def polygon(self) -> Polygon:
+        """Boundary polygon ``V_M`` (traced from the mask on first use)."""
+        if self._polygon is None:
+            self._polygon = trace_boundary(self._inside, self.grid)
+        return self._polygon
 
     @property
     def inside(self) -> np.ndarray:

@@ -104,14 +104,17 @@ class SpanNode:
 
     ``closed`` is false for a span that was still open when its records
     ended (``"open": true`` in the payload): a live run, or a writer
-    that died mid-span.
+    that died mid-span.  ``t`` is the unix time the span opened, or
+    ``None`` when the payload does not carry it.
     """
 
-    __slots__ = ("name", "attrs", "wall_s", "cpu_s", "children", "closed")
+    __slots__ = ("name", "attrs", "t", "wall_s", "cpu_s", "children", "closed")
 
     def __init__(self, node: dict[str, Any]):
         self.name: str = node.get("name", "?")
         self.attrs: dict[str, Any] = dict(node.get("attrs") or {})
+        t = node.get("t")
+        self.t = float(t) if isinstance(t, (int, float)) else None
         self.wall_s = float(node.get("wall_s", 0.0))
         self.cpu_s = float(node.get("cpu_s", 0.0))
         self.closed = not node.get("open", False)

@@ -22,7 +22,11 @@ __all__ = ["format_clip_breakdown", "format_summary", "phase_breakdown"]
 
 
 def phase_breakdown(payload: dict[str, Any]) -> list[dict[str, Any]]:
-    """Aggregate the span tree by span name, heaviest wall time first."""
+    """Aggregate the span tree by span name, heaviest wall time first.
+
+    A span's self time is its wall time minus the time its children
+    cover (:func:`covered_s`).
+    """
     root = SpanNode(payload.get("spans") or {"name": "run"})
     phases: dict[str, dict[str, Any]] = {}
     for node in root.walk():
@@ -36,8 +40,42 @@ def phase_breakdown(payload: dict[str, Any]) -> list[dict[str, Any]]:
         entry["count"] += 1
         entry["wall_s"] += node.wall_s
         entry["cpu_s"] += node.cpu_s
-        entry["self_s"] += node.wall_s - sum(c.wall_s for c in node.children)
+        entry["self_s"] += node.wall_s - covered_s(node)
     return sorted(phases.values(), key=lambda entry: -entry["wall_s"])
+
+
+def covered_s(node: SpanNode) -> float:
+    """Wall time during which at least one child of ``node`` was open.
+
+    Children a span opens itself run one after another on its thread, so
+    their wall times add up exactly.  Worker grafts (``worker:*``, see
+    :meth:`TelemetryRecorder.merge_child`) ran in pool processes,
+    alongside each other and the parent, so summing them would count
+    one second of wall time once per worker.  A span with grafts among
+    its children therefore covers the union of its children's
+    ``[t, t + wall_s]`` intervals, measured from the earliest open time
+    so that unix-time magnitudes cost no precision.
+    """
+    children = node.children
+    if not any(c.name.startswith("worker:") for c in children) or any(
+        c.t is None for c in children
+    ):
+        return sum(c.wall_s for c in children)
+    base = min(c.t for c in children)
+    covered = 0.0
+    lo = hi = None
+    for start, end in sorted(
+        (c.t - base, c.t - base + c.wall_s) for c in children
+    ):
+        if hi is None or start > hi:
+            if hi is not None:
+                covered += hi - lo
+            lo, hi = start, end
+        else:
+            hi = max(hi, end)
+    if hi is not None:
+        covered += hi - lo
+    return covered
 
 
 def format_summary(payload: dict[str, Any]) -> str:

@@ -36,6 +36,23 @@ def fracture(polygon, name="clip"):
     return make_fracturer("partition").fracture(shape, SPEC)
 
 
+def put_result(cache, polygon, result, method, window_nm=None):
+    """Store ``result`` under ``polygon``'s canonical key, as the batch
+    loop and the hierarchy walk do; returns the fingerprint."""
+    fingerprint, offset = fingerprint_polygon(polygon, SPEC, method, window_nm)
+    cache.put(fingerprint, result_to_payload(result, frame=offset))
+    return fingerprint
+
+
+def get_result(cache, polygon, method, window_nm=None):
+    """The stored result for ``polygon``, placed on it, or ``None``."""
+    fingerprint, offset = fingerprint_polygon(polygon, SPEC, method, window_nm)
+    payload = cache.get(fingerprint)
+    if payload is None:
+        return None
+    return result_from_payload(payload, shape_name="", frame=offset)
+
+
 class TestFingerprint:
     def test_translation_invariant(self):
         fp_a, off_a = fingerprint_polygon(rect_poly(), SPEC, "m", None)
@@ -125,12 +142,12 @@ class TestFractureCache:
     def test_result_interface_translates_placement(self):
         cache = FractureCache()
         result = fracture(rect_poly())
-        cache.put_result(rect_poly(), SPEC, result, method="partition")
+        put_result(cache, rect_poly(), result, method="partition")
         moved = rect_poly(300, 400)
-        hit = cache.get_result(moved, SPEC, method="partition")
+        hit = get_result(cache, moved, method="partition")
         assert hit is not None
         assert hit.shots == translate_shots(result.shots, 300.0, 400.0)
-        assert cache.get_result(moved, SPEC, method="other") is None
+        assert get_result(cache, moved, method="other") is None
 
     def test_put_result_method_overrides_display_name(self):
         # Registry name and FractureResult.method (class display name)
@@ -138,9 +155,9 @@ class TestFractureCache:
         cache = FractureCache()
         result = fracture(rect_poly())
         assert result.method != "registry-alias"
-        cache.put_result(rect_poly(), SPEC, result, method="registry-alias")
-        assert cache.get_result(rect_poly(), SPEC, "registry-alias") is not None
-        assert cache.get_result(rect_poly(), SPEC, result.method) is None
+        put_result(cache, rect_poly(), result, method="registry-alias")
+        assert get_result(cache, rect_poly(), "registry-alias") is not None
+        assert get_result(cache, rect_poly(), result.method) is None
 
 
 class TestPersistence:
@@ -148,11 +165,11 @@ class TestPersistence:
         store = tmp_path / "cache"
         warm = FractureCache(persist_dir=store)
         result = fracture(rect_poly())
-        fp = warm.put_result(rect_poly(), SPEC, result, method="partition")
+        fp = put_result(warm, rect_poly(), result, method="partition")
         assert (store / f"{fp}.json").exists()
 
         cold = FractureCache(persist_dir=store)
-        hit = cold.get_result(rect_poly(77, 88), SPEC, "partition")
+        hit = get_result(cold, rect_poly(77, 88), "partition")
         assert hit is not None
         assert hit.shots == translate_shots(result.shots, 77.0, 88.0)
         stats = cold.stats()
@@ -162,8 +179,8 @@ class TestPersistence:
     def test_corrupt_disk_entry_reads_as_miss(self, tmp_path):
         store = tmp_path / "cache"
         cache = FractureCache(persist_dir=store)
-        fp = cache.put_result(
-            rect_poly(), SPEC, fracture(rect_poly()), method="partition"
+        fp = put_result(
+            cache, rect_poly(), fracture(rect_poly()), method="partition"
         )
         (store / f"{fp}.json").write_text("{ torn")
         cold = FractureCache(persist_dir=store)
@@ -238,4 +255,4 @@ class TestFracturerIntegration:
             rect_poly(), pitch=SPEC.pitch, margin=SPEC.grid_margin, name="a"
         )
         MdpPipeline(make_fracturer("partition"), SPEC, cache=cache).run([shape])
-        assert cache.get_result(rect_poly(), SPEC, "partition") is not None
+        assert get_result(cache, rect_poly(), "partition") is not None

@@ -81,13 +81,24 @@ def _stored(store_dir) -> RuntimePolicy:
     return RuntimePolicy(store=FractureCache(persist_dir=store_dir))
 
 
+def _entries(store_dir, kind: str) -> list[tuple[str, object]]:
+    """``(name, path)`` of the stored entries of one kind ("tile" or
+    "window"), by name."""
+    entries = []
+    for path in store_dir.glob("*.json"):
+        entry = json.loads(path.read_text())
+        if kind in entry:
+            entries.append((entry[kind], path))
+    return sorted(entries)
+
+
 def _interrupt(store_dir, keep: int) -> None:
-    """Simulate an interrupt: keep only the first ``keep`` tiles' entries."""
-    entries = sorted(
-        (json.loads(path.read_text())["tile"], path)
-        for path in store_dir.glob("*.json")
-    )
-    for _tile, path in entries[keep:]:
+    """Simulate an interrupt during the tile pass: keep only the first
+    ``keep`` tiles' entries (stitch windows run after every tile, so
+    none of theirs)."""
+    for _name, path in _entries(store_dir, "tile")[keep:]:
+        path.unlink()
+    for _name, path in _entries(store_dir, "window"):
         path.unlink()
 
 
@@ -188,7 +199,7 @@ class TestCheckpointResume:
             bar_field, spec_module
         )
         assert full == clean_shots
-        assert len(list(ckpt.glob("*.json"))) == 3
+        assert len(_entries(ckpt, "tile")) == 3
         _interrupt(ckpt, keep=1)
         recorder = TelemetryRecorder()
         with recording(recorder):
@@ -205,13 +216,24 @@ class TestCheckpointResume:
         _windowed(workers=1, runtime=_stored(ckpt)).fracture_shots(
             bar_field, spec_module
         )
-        records = [json.loads(p.read_text()) for p in ckpt.glob("*.json")]
+        records = [
+            json.loads(path.read_text()) for _name, path in _entries(ckpt, "tile")
+        ]
         assert sorted(r["tile"] for r in records) == ["t0,0", "t1,0", "t2,0"]
         assert all(
             set(r) == {"tile", "shots", "attempts", "trace_id"}
             for r in records
         )
         assert all(r["attempts"] == 1 and r["shots"] for r in records)
+        windows = [
+            json.loads(path.read_text())
+            for _name, path in _entries(ckpt, "window")
+        ]
+        assert windows
+        assert all(
+            set(r) == {"window", "shots", "attempts", "trace_id", "info"}
+            for r in windows
+        )
 
 
 class TestBitIdentityProperty:

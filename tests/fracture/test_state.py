@@ -79,3 +79,32 @@ class TestMutators:
         assert state.shots == snapshot
         reference = RefinementState(state.shape, state.spec, snapshot)
         assert np.max(np.abs(state.imap.total - reference.imap.total)) < 1e-9
+
+
+class TestMoveGeometryMemo:
+    def test_memoized_geometry_equals_fresh_build(self, rect_shape, spec):
+        """The per-state span memo is pure geometry: a state that has
+        built geometry for many shots gives, for any shot, what a fresh
+        state (empty memo) builds."""
+        rng = np.random.default_rng(7)
+        ny, nx = rect_shape.grid.shape
+
+        def random_shot() -> Rect:
+            x0 = float(rng.integers(-5, nx - 10))
+            y0 = float(rng.integers(-5, ny - 10))
+            w = float(rng.integers(8, 40))
+            h = float(rng.integers(8, 40))
+            return Rect(x0, y0, x0 + w, y0 + h)
+
+        warm = RefinementState(rect_shape, spec, [Rect(0, 0, 60, 40)])
+        for _ in range(300):
+            warm._build_move_geometry(random_shot())
+        assert warm._span_memo
+        for _ in range(100):
+            shot = random_shot()
+            fresh = RefinementState(rect_shape, spec, [Rect(0, 0, 60, 40)])
+            assert warm._build_move_geometry(shot) == \
+                fresh._build_move_geometry(shot)
+            for edge in ("left", "right", "bottom", "top"):
+                assert warm.edge_pricing_window(shot, edge) == \
+                    fresh.edge_pricing_window(shot, edge)

@@ -10,6 +10,7 @@ from repro.fracture.tiling import (
     ownership_stretch,
     plan_tiles,
     seam_band_masks,
+    seam_windows,
     split_seam_shots,
 )
 from repro.geometry.raster import PixelGrid
@@ -150,6 +151,57 @@ class TestSeamBands:
         assert len(movable) + len(frozen) == len(shots)
         assert shots[1] in movable
         assert shots[0] in frozen and shots[2] in frozen
+
+
+class TestSeamWindows:
+    """One window per seam band, merged where bands overlap or a shot
+    is movable for two seams; the windows of a family never share a
+    band pixel or a movable shot."""
+
+    def _windows(self, spec, shots, tile_nm=250.0, axis="x"):
+        shape = _bars_shape()
+        plan = plan_tiles(shape, spec, tile_nm)
+        return seam_windows(
+            shots, plan, spec, shape.grid, axis, halo_nm(spec)
+        )
+
+    def test_one_window_per_seam_owning_its_shots(self, spec):
+        shots = [
+            Rect(50.0, 60.0, 120.0, 100.0),     # far from both seams
+            Rect(230.0, 60.0, 280.0, 100.0),    # at the seam x = 270
+            Rect(470.0, 60.0, 520.0, 100.0),    # at the seam x = 490
+        ]
+        windows = self._windows(spec, shots)
+        assert [w.name for w in windows] == ["v0", "v1"]
+        assert [w.owned for w in windows] == [(1,), (2,)]
+        first, second = windows
+        assert first.bands[0].stop <= second.bands[0].start
+        for window in windows:
+            (band,) = window.bands
+            assert window.crop.start < band.start
+            assert window.crop.stop > band.stop
+
+    def test_shot_movable_for_two_seams_merges_them(self, spec):
+        windows = self._windows(spec, [Rect(240.0, 60.0, 520.0, 100.0)])
+        assert [w.name for w in windows] == ["v0"]
+        assert windows[0].owned == (0,)
+        assert len(windows[0].bands) == 2
+
+    def test_overlapping_bands_merge(self, spec):
+        # 150 nm tiles put the seams closer than a band is wide.
+        windows = self._windows(
+            spec, [Rect(230.0, 60.0, 280.0, 100.0)], tile_nm=150.0
+        )
+        assert len(windows) == 1
+        assert len(windows[0].bands) == 4
+
+    def test_window_without_shots_is_left_out(self, spec):
+        windows = self._windows(spec, [Rect(470.0, 60.0, 520.0, 100.0)])
+        assert [w.name for w in windows] == ["v1"]
+
+    def test_family_without_seams_has_no_windows(self, spec):
+        shots = [Rect(230.0, 60.0, 280.0, 100.0)]
+        assert self._windows(spec, shots, axis="y") == []
 
 
 class TestMutationGuard:

@@ -87,6 +87,20 @@ def chip_3x1():
 
 
 @pytest.fixture(scope="module")
+def chip_transposed():
+    """``chip_shape(3, 2)`` mirrored about the diagonal: vertical bars
+    cut by horizontal seams over 2×3 tiles, so the horizontal seam
+    family carries most failing band pixels and must run first."""
+    chip = chip_shape(3, 2)
+    grid = chip.grid
+    return MaskShape.from_mask(
+        chip.inside.T.copy(),
+        PixelGrid(grid.y0, grid.x0, grid.pitch, grid.ny, grid.nx),
+        name="chip-3x2-transposed",
+    )
+
+
+@pytest.fixture(scope="module")
 def spec_module():
     from repro.mask.constraints import FractureSpec
 
@@ -324,3 +338,185 @@ class TestSingleTileIdentity:
         )
         assert tiled == direct
 
+
+
+def _tile_shots(shape, spec, window_nm):
+    """The merged tile shots a stitch starts from, and the tile plan."""
+    from repro.fracture.runtime import fracture_tile
+    from repro.fracture.tiling import extract_tile_shapes, halo_nm, plan_tiles
+
+    inner = _inner(nmax=120)
+    plan = plan_tiles(shape, spec, window_nm)
+    shots = []
+    for tile in plan.tiles:
+        subs = extract_tile_shapes(shape, tile, pad_nm=halo_nm(spec))
+        if subs:
+            shots.extend(fracture_tile(inner, tile, subs, spec))
+    return shots, plan
+
+
+class TestStitchWindows:
+    def test_transposed_chip_runs_horizontal_family_first(
+        self, chip_transposed, spec_module
+    ):
+        """Vertical bars cut by horizontal seams: the horizontal family
+        holds more failing band pixels, goes first, and the run ends
+        feasible within the tiling tolerance of direct fracture."""
+        from repro.geometry.labeling import component_masks
+
+        inner = _inner(nmax=120)
+        windowed = WindowedFracturer(inner, window_nm=300.0)
+        result = windowed.fracture(chip_transposed, spec_module)
+        assert result.extra["stitch_order"] == ["h", "v"]
+        assert result.extra["stitch_windows"]
+        assert all(
+            name.startswith("h") for name in result.extra["stitch_windows"]
+        )
+        assert result.report.total_failing == 0
+        direct = sum(
+            len(inner.fracture_shots(
+                MaskShape.from_mask(component, chip_transposed.grid, name=f"c{k}"),
+                spec_module,
+            ))
+            for k, component in enumerate(component_masks(chip_transposed.inside))
+        )
+        assert result.shot_count <= direct + 4
+
+    def test_shots_identical_for_workers_1_2_4(
+        self, bar_field, chip_3x1, chip_transposed, spec_module
+    ):
+        inner = _inner(nmax=120)
+        for shape, window_nm in (
+            (bar_field, 250.0), (chip_3x1, 300.0), (chip_transposed, 300.0)
+        ):
+            runs = [
+                WindowedFracturer(
+                    inner, window_nm=window_nm, workers=workers
+                ).fracture_shots(shape, spec_module)
+                for workers in (1, 2, 4)
+            ]
+            assert runs[0] == runs[1] == runs[2], shape.name
+
+    def test_window_crop_matches_full_grid_restricted_state(
+        self, chip_3x1, spec_module
+    ):
+        """A window refines on its crop what the full-grid restricted
+        state sees on its band: same failure counts, same cost."""
+        from repro.fracture.state import RefinementState
+        from repro.fracture.tiling import halo_nm, seam_windows
+
+        shots, plan = _tile_shots(chip_3x1, spec_module, 300.0)
+        windows = seam_windows(
+            shots, plan, spec_module, chip_3x1.grid, "x", halo_nm(spec_module)
+        )
+        assert len(windows) == 2
+        windowed = WindowedFracturer(_inner(), window_nm=300.0)
+        for window in windows:
+            job = windowed._window_job(chip_3x1, spec_module, shots, window)
+            cropped = RefinementState(
+                job.shape, spec_module, list(job.movable),
+                background=job.background, active_mask=job.active,
+            )
+            active = np.zeros(chip_3x1.grid.shape, dtype=bool)
+            for band in window.bands:
+                active[:, band] = True
+            owned = set(window.owned)
+            full = RefinementState(
+                chip_3x1, spec_module, list(job.movable),
+                background=[s for i, s in enumerate(shots) if i not in owned],
+                active_mask=active,
+            )
+            assert cropped.report() == full.report(), window.name
+            assert cropped.report().total_failing > 0
+
+    def test_partly_deleted_window_store_replays_the_rest(
+        self, chip_3x1, spec_module, tmp_path
+    ):
+        import json
+
+        from repro.fracture.cache import FractureCache
+        from repro.fracture.runtime import RuntimePolicy
+        from repro.obs import TelemetryRecorder, recording
+
+        def run(workers):
+            policy = RuntimePolicy(store=FractureCache(persist_dir=tmp_path))
+            recorder = TelemetryRecorder()
+            with recording(recorder):
+                shots = WindowedFracturer(
+                    _inner(nmax=120), window_nm=300.0, workers=workers,
+                    runtime=policy,
+                ).fracture_shots(chip_3x1, spec_module)
+            return shots, recorder.counters
+
+        first, _ = run(workers=1)
+        windows = sorted(
+            (entry["window"], path)
+            for path in tmp_path.glob("*.json")
+            if "window" in (entry := json.loads(path.read_text()))
+        )
+        assert len(windows) == 2
+        windows[0][1].unlink()
+        resumed, counters = run(workers=2)
+        assert resumed == first
+        assert counters.get("windowed.windows_replayed") == 1
+        assert counters.get("windowed.tiles_replayed") == 3
+
+    def test_crashed_window_retries_to_the_same_shots(
+        self, chip_3x1, spec_module, monkeypatch
+    ):
+        import repro.fracture.runtime as runtime
+        from repro.fracture.runtime import FaultPlan, RuntimePolicy
+        from repro.obs import TelemetryRecorder, recording
+
+        monkeypatch.setattr(runtime, "BACKOFF_S", 0.0)
+        inner = _inner(nmax=120)
+        clean = WindowedFracturer(inner, window_nm=300.0).fracture_shots(
+            chip_3x1, spec_module
+        )
+        policy = RuntimePolicy(fault_plan=FaultPlan.parse(["v0:crash"]))
+        recorder = TelemetryRecorder()
+        with recording(recorder):
+            shots = WindowedFracturer(
+                inner, window_nm=300.0, workers=2, runtime=policy
+            ).fracture_shots(chip_3x1, spec_module)
+        assert shots == clean
+        assert recorder.counters.get("windowed.pool_respawns", 0) >= 1
+        assert recorder.counters.get("windowed.window_retries", 0) >= 1
+        assert recorder.counters.get("windowed.window_fallbacks", 0) == 0
+
+    def test_no_negative_self_time_with_two_workers(self, chip_3x1, spec_module):
+        """Concurrent worker grafts are subtracted by the time they
+        cover, not by their summed wall time."""
+        from repro.obs import TelemetryRecorder, phase_breakdown, recording
+
+        recorder = TelemetryRecorder()
+        with recording(recorder):
+            WindowedFracturer(
+                _inner(nmax=120), window_nm=300.0, workers=2
+            ).fracture(chip_3x1, spec_module)
+        phases = phase_breakdown(recorder.export())
+        assert {p["phase"] for p in phases} >= {"tiled", "stitch"}
+        assert all(p["self_s"] >= 0.0 for p in phases), phases
+
+    def test_tile_extraction_traces_no_polygon(
+        self, chip_3x1, spec_module, monkeypatch
+    ):
+        """Tile sub-shapes trace their polygon where they are fractured,
+        so extracting them traces nothing."""
+        from repro.fracture.tiling import extract_tile_shapes, halo_nm, plan_tiles
+        from repro.mask import shape as shape_module
+
+        calls = []
+        monkeypatch.setattr(
+            shape_module, "trace_boundary", lambda *args: calls.append(args)
+        )
+        plan = plan_tiles(chip_3x1, spec_module, 300.0)
+        subs = [
+            sub
+            for tile in plan.tiles
+            for sub in extract_tile_shapes(
+                chip_3x1, tile, pad_nm=halo_nm(spec_module)
+            )
+        ]
+        assert subs
+        assert calls == []

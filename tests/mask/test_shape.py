@@ -32,6 +32,43 @@ class TestConstruction:
             MaskShape(poly, small_grid, np.zeros((3, 3), dtype=bool))
 
 
+class TestLazyTrace:
+    def test_polygon_traced_on_first_read_equals_eager_trace(
+        self, small_grid, monkeypatch
+    ):
+        from repro.geometry.trace import trace_boundary
+        from repro.mask import shape as shape_module
+
+        mask = np.zeros(small_grid.shape, dtype=bool)
+        mask[5:25, 5:35] = True
+        mask[10:20, 30:38] = True
+        calls = []
+        monkeypatch.setattr(
+            shape_module, "trace_boundary",
+            lambda *args: calls.append(args) or trace_boundary(*args),
+        )
+        shape = MaskShape.from_mask(mask, small_grid, name="lazy")
+        assert not calls
+        assert shape.polygon == trace_boundary(mask, small_grid)
+        assert shape.polygon is shape.polygon
+        assert len(calls) == 1
+
+    def test_crop_keeps_the_whole_shape_pixel_classes(self, rect_shape):
+        pixels = rect_shape.pixels(2.0)
+        # A window across the rectangle's lower-left corner.
+        rows, cols = slice(30, 70), slice(30, 80)
+        crop = rect_shape.crop(rows, cols, name="part")
+        assert crop.grid.shape == (40, 50)
+        assert crop.grid.x0 == rect_shape.grid.x0 + 30 * rect_shape.grid.pitch
+        assert crop.grid.y0 == rect_shape.grid.y0 + 30 * rect_shape.grid.pitch
+        assert np.array_equal(crop.inside, rect_shape.inside[rows, cols])
+        cropped = crop.pixels(2.0)
+        for name in ("on", "off", "band"):
+            assert np.array_equal(
+                getattr(cropped, name), getattr(pixels, name)[rows, cols]
+            )
+
+
 class TestDerivedData:
     def test_area_matches_polygon(self, rect_shape):
         assert abs(rect_shape.area - 2400.0) < 150.0

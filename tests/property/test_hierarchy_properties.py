@@ -86,10 +86,16 @@ class TestTranslatedInstances:
         """Cache hit for a translate == direct fracture, shot for shot."""
         cache = FractureCache()
         template = fracture_direct(poly)
-        cache.put_result(poly, SPEC, template, method="partition")
+        fingerprint, offset = fingerprint_polygon(poly, SPEC, "partition")
+        cache.put(fingerprint, result_to_payload(template, frame=offset))
 
         moved = Transform.translation(float(dx), float(dy)).apply_polygon(poly)
-        hit = cache.get_result(moved, SPEC, "partition")
+        fingerprint, offset = fingerprint_polygon(moved, SPEC, "partition")
+        payload = cache.get(fingerprint)
+        hit = (
+            None if payload is None
+            else result_from_payload(payload, shape_name="", frame=offset)
+        )
         assert hit is not None
         assert hit.shots == translate_shots(template.shots, float(dx), float(dy))
         assert hit.shots == fracture_direct(moved).shots
