@@ -56,10 +56,11 @@ shape is stored there as soon as it finishes, and with ``--window-nm``
 so is each settled tile and seam-stitch window; the re-run replays them
 bit-identically and fractures only the rest.
 
-``fracture``, ``mdp`` and daemon jobs run clips through one batch loop,
-:meth:`repro.mask.mdp.MdpPipeline.run`.  ``fracture`` exits 0 on clip
-input whatever the verdict, ``mdp`` 1 when any shape fails Eq. 4; both
-exit 1 on an infeasible GDSII layout and 130 when interrupted.
+``fracture``, ``mdp`` and daemon jobs run clips, and GDSII layouts their
+templates, through one batch loop, :meth:`repro.mask.mdp.MdpPipeline.run`.
+``fracture`` exits 0 on clip input whatever the verdict, ``mdp`` 1 when
+any shape fails Eq. 4; both exit 1 on an infeasible GDSII layout and
+130 when interrupted.
 """
 
 from __future__ import annotations
@@ -248,8 +249,8 @@ def _add_window_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--workers", type=_positive_int, default=1,
-        help="process-pool width: across shapes, or across tiles of "
-             "each shape when --window-nm is set",
+        help="process-pool width: across shapes or layout templates, "
+             "or across tiles of each shape when --window-nm is set",
     )
 
 
@@ -330,6 +331,17 @@ def _guarded(args: argparse.Namespace, spec: FractureSpec, run):
         return None
 
 
+def _read_input(path: str | Path, read):
+    """``read(path)``; an unreadable or malformed input file exits with
+    one line naming it, not a traceback."""
+    try:
+        return read(path)
+    except OSError as error:
+        raise SystemExit(f"{path}: {error.strerror or error}") from None
+    except ValueError as error:
+        raise SystemExit(f"{path}: {error}") from None
+
+
 def _clip_shapes(
     args: argparse.Namespace, pitch: float, margin: float
 ) -> list[MaskShape]:
@@ -338,7 +350,11 @@ def _clip_shapes(
     or the built-in ILT suite's mask-route shapes."""
     clip = getattr(args, "clip", None)
     if args.clip_file:
-        clips = load_clips(args.clip_file)
+        if _is_gds(args.clip_file):
+            raise SystemExit(
+                f"{args.clip_file}: GDSII layouts run through fracture or mdp"
+            )
+        clips = _read_input(args.clip_file, load_clips)
         if clip and clip not in clips:
             raise SystemExit(f"clip {clip!r} not in {args.clip_file}")
         return [
@@ -356,6 +372,12 @@ def _clip_shapes(
     return shapes
 
 
+def _batch_workers(args: argparse.Namespace) -> int:
+    """The batch loop's pool width: with --window-nm the worker pool
+    lives inside the tile executor, across tiles of each shape."""
+    return 1 if args.window_nm else args.workers
+
+
 def _run_batch(
     args: argparse.Namespace, spec: FractureSpec, fracturer: Fracturer,
     cache, verbose: bool = False,
@@ -365,10 +387,7 @@ def _run_batch(
     from repro.mask.mdp import MdpPipeline
 
     shapes = _clip_shapes(args, spec.pitch, spec.grid_margin)
-    # With --window-nm the worker pool lives inside the tile executor
-    # (parallelism across tiles of each large shape); without it, the
-    # pool parallelizes across shapes.
-    workers = 1 if args.window_nm else args.workers
+    workers = _batch_workers(args)
     report = _guarded(args, spec, lambda: MdpPipeline(
         fracturer, spec, cache=cache,
     ).run(shapes, output_dir=args.output, workers=workers, verbose=verbose))
@@ -382,23 +401,13 @@ def _run_layout(
     cache,
 ) -> int:
     """Fracture a hierarchical GDSII layout (``fracture``/``mdp`` path)."""
-    from repro.mask.gds import GdsError, read_layout
+    from repro.mask.gds import read_layout
     from repro.mask.hierarchy import fracture_layout
 
-    # The layout walk has no pool of its own: only the tile executor
-    # can use the workers.
-    if args.workers > 1 and not args.window_nm:
-        raise SystemExit(
-            "--workers on GDSII input applies to the tiled executor; "
-            "add --window-nm"
-        )
-    clip_file = args.clip_file
-    try:
-        layout = read_layout(clip_file)
-    except GdsError as error:
-        raise SystemExit(f"{clip_file}: {error}") from None
+    layout = _read_input(args.clip_file, read_layout)
     report = _guarded(args, spec, lambda: fracture_layout(
         layout, fracturer, spec, cache=cache, hierarchy=args.hierarchy,
+        workers=_batch_workers(args),
     ))
     if report is None:
         return 130
@@ -569,7 +578,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     from repro.mask.constraints import check_solution
     from repro.mask.io import load_solution
 
-    shots, spec, _metadata = load_solution(args.solution)
+    shots, spec, _metadata = _read_input(args.solution, load_solution)
     # Without --clip, check the clip the solution was written for.
     args.clip = args.clip or json.loads(Path(args.solution).read_text()).get("clip")
     shapes = _clip_shapes(args, spec.pitch, spec.grid_margin)
@@ -799,12 +808,7 @@ def _cmd_top(args: argparse.Namespace) -> int:
 def _load_payload(path: Path) -> dict:
     """A telemetry payload: a ``.json`` export or a folded ``.jsonl``
     stream (any other JSON document loads as is)."""
-    try:
-        return obs.load_telemetry(path)
-    except FileNotFoundError:
-        raise SystemExit(f"no telemetry file at {str(path)!r}") from None
-    except ValueError as error:
-        raise SystemExit(f"{path}: {error}") from None
+    return _read_input(path, obs.load_telemetry)
 
 
 def _load_diffable(path: str) -> dict:

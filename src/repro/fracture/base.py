@@ -50,11 +50,11 @@ class FractureResult:
 class Fracturer(abc.ABC):
     """A mask fracturing method: target shape + spec → shot list.
 
-    A fracturer only fractures.  Result stores belong to the loops that
-    call it — :class:`~repro.mask.mdp.MdpPipeline` for shapes,
-    :func:`~repro.mask.hierarchy.fracture_layout` for placements and the
-    tile runner (:mod:`repro.fracture.runtime`) for tiles — which key
-    their entries by :attr:`cache_method`, and shapes also by
+    A fracturer only fractures.  Result stores belong to the two loops
+    that call it — :class:`~repro.mask.mdp.MdpPipeline` for shapes and
+    a layout's templates, and the tile runner
+    (:mod:`repro.fracture.runtime`) for tiles and stitch windows — which
+    key their entries by :attr:`cache_method`, and shapes also by
     :attr:`cache_window_nm`.
     """
 

@@ -7,10 +7,9 @@ should cost one hash.  This module promotes that cache out of
 key format) backs
 
 * :class:`~repro.mask.mdp.MdpPipeline` — repeated clips inside one
-  batch run hit across shapes, and a persisted cache is how an
-  interrupted batch resumes,
-* the hierarchy layer (:mod:`repro.mask.hierarchy`) — the thousandth
-  placement of a cell costs a lookup plus a translation,
+  batch run hit across shapes, a persisted cache is how an
+  interrupted batch resumes, and a GDSII layout's templates
+  (:mod:`repro.mask.hierarchy`) are looked up and stored there too,
 * the windowed/tiled executor — re-runs of a windowed layout reuse the
   finished result wholesale, and each settled tile and stitch window is
   stored too, so an interrupted tiled run resumes by running it again

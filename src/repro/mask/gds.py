@@ -16,8 +16,7 @@ instantiation stays exact (:mod:`repro.geometry.transform`).
 
 Reading returns a :class:`Layout` cell graph (:func:`read_layout`);
 :meth:`Layout.flatten` resolves every placement into a single flat
-:class:`GdsCell`, and :func:`read_gds` keeps the historical flat-cell
-API on top of it.  Multi-structure files load fine: the top cell is the
+:class:`GdsCell`.  Multi-structure files load fine: the top cell is the
 structure no other structure references (first-declared wins when
 several are unreferenced).
 
@@ -451,20 +450,6 @@ def read_layout(path: str | Path) -> Layout:
         raise
     except (struct.error, UnicodeDecodeError, ValueError) as exc:
         raise GdsError(f"malformed GDSII stream: {exc}") from exc
-
-
-def read_gds(path: str | Path) -> GdsCell:
-    """Read a GDSII file flattened to one cell (historical flat API).
-
-    Hierarchical files are resolved through :meth:`Layout.flatten`; a
-    single-structure file loads exactly as before.  Use
-    :func:`read_layout` to keep the cell/reference structure.
-    """
-    layout = read_layout(path)
-    top = layout.top_cell
-    if not top.refs and len(layout.cells) == 1:
-        return top
-    return layout.flatten()
 
 
 class _ElementState:

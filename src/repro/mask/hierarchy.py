@@ -11,34 +11,36 @@ every placement from scratch.  This module walks the
    and a frame; a placement R·P + t of that polygon reuses the hash with
    frame = frame(R·P) + t, which is exact for whole-number coordinates
    (every placement outside that premise is canonicalized on its own);
-2. the first placement of each unique geometry is fractured *in place*
-   (so it is literally the flattened computation) and stored in a
-   :class:`~repro.fracture.cache.FractureCache` keyed by the canonical
-   hash, remembering the frame it was fractured in;
-3. every later placement is instantiated by translating the stored
-   template's shots by the (exact) frame difference.
+2. the first placement of each unique geometry is its *template*; the
+   templates run through the batch loop, :meth:`MdpPipeline.run
+   <repro.mask.mdp.MdpPipeline.run>`, which looks them up in the store
+   and fractures the misses *in place* (literally the flattened
+   computation), on its process pool when ``workers > 1``;
+3. every other placement is its template's result with the shots
+   translated by the (exact) frame difference.
 
 Rotated or mirrored placements canonicalize to different vertex loops
 and therefore get their own template — exactness beats cross-orientation
 reuse, since fracturers are only translation-equivariant bit-for-bit
 (integer-nanometre GDSII coordinates make every translation exact; see
 :mod:`repro.geometry.transform`).  The result: unique-geometry fractures
-≤ distinct cell geometries, a placed polygon is built only to be
-fractured fresh, and a repeat placement costs a dict lookup, a cache
-get and a shot translation.
+≤ distinct cell geometries, each fractured once per run whatever the
+store's size, and a repeat placement costs a dict lookup and a shot
+translation.
 
-``hierarchy=False`` runs the same loop with no cache — the flattened
-reference path with identical placement ordering, which the tests and
-the ``--flatten`` CLI flag use as the bit-identity reference.
+``hierarchy=False`` makes every placement a template, with no store —
+the flattened reference path with identical placement ordering, which
+the tests and the ``--flatten`` CLI flag use as the bit-identity one.
 """
 
 from __future__ import annotations
 
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
-from repro.fracture.base import FractureResult, Fracturer
+from repro.fracture.base import Fracturer
 from repro.fracture.cache import (
     FractureCache,
     fingerprint_polygon,
@@ -50,6 +52,7 @@ from repro.geometry.rect import Rect
 from repro.geometry.transform import Transform
 from repro.mask.constraints import FractureSpec
 from repro.mask.gds import TARGET_LAYER, Layout
+from repro.mask.mdp import MdpPipeline, MdpReport
 from repro.mask.shape import MaskShape
 from repro.obs import get_recorder
 
@@ -57,7 +60,7 @@ __all__ = ["HierarchyReport", "fracture_layout", "placed_polygons"]
 
 
 @dataclass(slots=True)
-class HierarchyReport:
+class HierarchyReport(MdpReport):
     """Outcome of fracturing a layout, hierarchical or flattened.
 
     ``results`` holds one :class:`FractureResult` per placed target
@@ -65,7 +68,6 @@ class HierarchyReport:
     accounting that also lands in manifests and telemetry.
     """
 
-    results: list[FractureResult] = field(default_factory=list)
     stats: dict[str, Any] = field(default_factory=dict)
 
     @property
@@ -73,21 +75,7 @@ class HierarchyReport:
         """Total shot list, placement order (flatten-comparable)."""
         return [shot for result in self.results for shot in result.shots]
 
-    @property
-    def shot_count(self) -> int:
-        return sum(r.shot_count for r in self.results)
-
-    @property
-    def total_runtime_s(self) -> float:
-        return sum(r.runtime_s for r in self.results)
-
-    @property
-    def feasible_count(self) -> int:
-        return sum(1 for r in self.results if r.feasible)
-
-    @property
-    def all_feasible(self) -> bool:
-        return self.feasible_count == len(self.results)
+    shot_count = MdpReport.total_shots
 
     def summary(self) -> str:
         s = self.stats
@@ -174,27 +162,50 @@ def _reach(polygon: Polygon) -> float:
     return bound - max(abs(c) for c in coords)
 
 
+class _Templates(Sequence):
+    """The templates as the batch loop reads them: each read builds the
+    shape afresh and unrasterized, so a template's raster lives only as
+    long as its fracture, not until the batch ends."""
+
+    def __init__(self, spec: FractureSpec):
+        self.spec = spec
+        #: ``(name, placed polygon, frame)`` of each template.
+        self.placed: list[tuple[str, Polygon, tuple[float, float]]] = []
+
+    def __len__(self) -> int:
+        return len(self.placed)
+
+    def __getitem__(self, index: int) -> MaskShape:
+        name, polygon, _frame = self.placed[index]
+        return MaskShape.from_polygon(
+            polygon, pitch=self.spec.pitch, margin=self.spec.grid_margin,
+            name=name,
+        )
+
+
 def fracture_layout(
     layout: Layout,
     fracturer: Fracturer,
     spec: FractureSpec,
     cache: FractureCache | None = None,
     hierarchy: bool = True,
+    workers: int = 1,
 ) -> HierarchyReport:
     """Fracture every placed target polygon of ``layout``.
 
-    With ``hierarchy=True`` (default), unique geometry is fractured once
-    and repeat placements are instantiated from ``cache`` (an ephemeral
-    in-memory cache is created when none is given — pass a persistent
-    one to share templates across runs).  With ``hierarchy=False`` the
-    same placements are fractured fresh one by one — the flattened
-    reference path.
+    With ``hierarchy=True`` (default), the first placement of each
+    unique geometry is a template, run through ``MdpPipeline(fracturer,
+    spec, cache=cache).run(templates, workers=workers)`` (pass a
+    persistent ``cache`` to share templates across runs), and every
+    other placement is built from its template's result.  With
+    ``hierarchy=False`` every placement is a template and no store is
+    used — the flattened reference path.
 
     Either way each (cell, polygon, orientation) is fingerprinted once,
     and each placement off the exact whole-number range once more
     (``stats["fingerprints"]``); a placement's polygon is built only
-    when it is fractured fresh.  A fresh fracture *is* the flattened
-    computation for that placement; an instantiated one is its
+    when it is a template.  A fresh template *is* the flattened
+    computation for its placement; any other placement is its
     template's shots moved by an exact translation.
     """
     obs = get_recorder()
@@ -202,18 +213,16 @@ def fracture_layout(
     visits = layout.placements()
     targets = {name: len(cell.targets) for name, cell in layout.cells.items()}
     instances = sum(targets[cell_name] for _, cell_name, _ in visits)
-    run_cache: FractureCache | None = None
-    if hierarchy:
-        run_cache = cache if cache is not None else FractureCache(
-            max_entries=max(4096, instances)
-        )
     method = fracturer.cache_method or fracturer.name
     window_nm = fracturer.cache_window_nm
     memo: dict[tuple[str, int, int, bool], _Oriented] = {}
-    unique: set[str] = set()
+    templates = _Templates(spec)
+    # Each placement in walk order: its name, its template's index, and
+    # its frame, or None at the template's own placement.
+    placements: list[tuple[str, int, tuple[float, float] | None]] = []
+    first: dict[str, int] = {}
     fingerprints = 0
-    template_fractures = 0
-    cache_hits = 0
+    obs.incr("hierarchy.instances", instances)
     with obs.span(
         "hierarchy.fracture",
         mode="hierarchy" if hierarchy else "flatten",
@@ -223,8 +232,6 @@ def fracture_layout(
         for name, cell_name, index, polygon, transform in _walk(
             layout, visits
         ):
-            obs.incr("hierarchy.instances")
-            start = time.perf_counter()
             key = (cell_name, index, transform.rotation, transform.mirror_x)
             oriented = memo.get(key)
             if oriented is None:
@@ -261,54 +268,57 @@ def fracture_layout(
                     placed, spec, method, window_nm
                 )
                 fingerprints += 1
-            unique.add(fingerprint)
-            payload = (
-                run_cache.get(fingerprint)
-                if run_cache is not None
-                else None
-            )
-            if payload is not None:
-                result = result_from_payload(
-                    payload,
-                    shape_name=name,
-                    frame=offset,
-                    lookup_s=time.perf_counter() - start,
-                )
-                cache_hits += 1
-                obs.incr("cache.hierarchy.hits")
-            else:
+            template = first.get(fingerprint) if hierarchy else None
+            if template is None:
+                template = first[fingerprint] = len(templates)
                 if placed is None:
                     placed = _place(polygon, transform)
-                shape = MaskShape.from_polygon(
-                    placed,
-                    pitch=spec.pitch,
-                    margin=spec.grid_margin,
-                    name=name,
-                )
-                result = fracturer.fracture(shape, spec)
-                template_fractures += 1
-                obs.incr("hierarchy.template_fractures")
-                if run_cache is not None:
-                    run_cache.put(
-                        fingerprint,
-                        result_to_payload(result, frame=offset),
+                templates.placed.append((name, placed, offset))
+                offset = None
+            placements.append((name, template, offset))
+        batch = MdpPipeline(
+            fracturer, spec, cache=cache if hierarchy else None
+        ).run(templates, workers=workers)
+        payloads: dict[int, dict[str, Any]] = {}
+        for name, template, frame in placements:
+            start = time.perf_counter()
+            result = batch.results[template]
+            if frame is not None:
+                payload = payloads.get(template)
+                if payload is None:
+                    # What a store hit would read: a stored template
+                    # keeps its fracture time, not this run's lookup's.
+                    payload = payloads[template] = result_to_payload(
+                        result, frame=templates.placed[template][2]
                     )
+                    if result.extra.get("cache_hit"):
+                        payload["runtime_s"] = result.extra["cached_runtime_s"]
+                result = result_from_payload(
+                    payload, shape_name=name, frame=frame,
+                    lookup_s=time.perf_counter() - start,
+                )
             report.results.append(result)
     obs.incr("hierarchy.fingerprints", fingerprints)
+    template_fractures = sum(
+        1 for result in batch.results if not result.extra.get("cache_hit")
+    )
+    cache_hits = instances - template_fractures
+    obs.incr("hierarchy.template_fractures", template_fractures)
+    obs.incr("cache.hierarchy.hits", instances - len(templates))
 
     report.stats = {
         "mode": "hierarchy" if hierarchy else "flatten",
         "cells": len(layout.cells),
         "cell_instances": len(visits),
         "polygon_instances": instances,
-        "unique_geometries": len(unique),
+        "unique_geometries": len(first),
         "fingerprints": fingerprints,
         "template_fractures": template_fractures,
         "cache_hits": cache_hits,
         "hit_rate": cache_hits / instances if instances else 0.0,
         "method": method,
     }
-    if run_cache is not None:
-        report.stats["cache"] = run_cache.stats()
+    if hierarchy and cache is not None:
+        report.stats["cache"] = cache.stats()
     obs.manifest_section("hierarchy", report.stats)
     return report

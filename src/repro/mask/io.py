@@ -71,8 +71,8 @@ def save_clips(clips: dict[str, Polygon], path: str | Path) -> None:
 
 def load_clips(path: str | Path) -> dict[str, Polygon]:
     payload = json.loads(Path(path).read_text())
-    if payload.get("format") != "repro-clips":
-        raise ValueError(f"{path} is not a repro clip file")
+    if not isinstance(payload, dict) or payload.get("format") != "repro-clips":
+        raise ValueError("not a repro clip file")
     return {
         name: polygon_from_dict(data) for name, data in payload["clips"].items()
     }

@@ -3,7 +3,8 @@
 A full-field mask contains billions of polygons; each is fractured
 independently (paper §2).  :meth:`MdpPipeline.run` is the batch loop
 every front end runs over its clips — ``fracture`` and ``mdp`` on the
-CLI, daemon jobs (:mod:`repro.service.executor`) and the e2e
+CLI, daemon jobs (:mod:`repro.service.executor`), a GDSII layout's
+templates (:func:`repro.mask.hierarchy.fracture_layout`) and the e2e
 benchmark: fracture every shape, verify, persist each solution as it
 finishes, and aggregate shot counts and write-time/cost projections.
 

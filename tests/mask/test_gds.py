@@ -12,7 +12,7 @@ from repro.mask.gds import (
     SHOT_LAYER,
     TARGET_LAYER,
     _gds_real8,
-    read_gds,
+    read_layout,
     write_gds,
     write_solution_gds,
 )
@@ -53,7 +53,7 @@ class TestRoundtrip:
         cell = GdsCell(name="TOP", polygons=[(TARGET_LAYER, square)])
         path = tmp_path / "clip.gds"
         write_gds(cell, path)
-        loaded = read_gds(path)
+        loaded = read_layout(path).top_cell
         assert loaded.name == "TOP"
         assert loaded.targets == [square]
 
@@ -61,7 +61,7 @@ class TestRoundtrip:
         shots = [Rect(0, 0, 50, 60), Rect(45, 0, 100, 60)]
         path = tmp_path / "sol.gds"
         write_solution_gds(square, shots, path, cell_name="CLIP1")
-        loaded = read_gds(path)
+        loaded = read_layout(path).top_cell
         assert loaded.name == "CLIP1"
         assert loaded.targets == [square]
         assert loaded.shots == shots
@@ -70,7 +70,7 @@ class TestRoundtrip:
         """A real many-vertex traced contour survives the roundtrip."""
         path = tmp_path / "ilt.gds"
         write_solution_gds(blob_shape.polygon, [], path)
-        loaded = read_gds(path)
+        loaded = read_layout(path).top_cell
         assert loaded.targets[0] == blob_shape.polygon
 
     def test_multiple_layers_kept_apart(self, square, tmp_path):
@@ -81,7 +81,7 @@ class TestRoundtrip:
         )
         path = tmp_path / "multi.gds"
         write_gds(cell, path)
-        loaded = read_gds(path)
+        loaded = read_layout(path).top_cell
         assert len(loaded.targets) == 1
         assert len(loaded.shots) == 1
         assert len(loaded.on_layer(7)) == 1
@@ -93,7 +93,7 @@ class TestErrors:
         # A PATH element (0x0900) is outside the supported subset.
         path.write_bytes(struct.pack(">HH", 4, 0x0900))
         with pytest.raises(GdsError):
-            read_gds(path)
+            read_layout(path)
 
     def test_truncated_file(self, tmp_path, square):
         path = tmp_path / "trunc.gds"
@@ -101,13 +101,13 @@ class TestErrors:
         data = path.read_bytes()
         path.write_bytes(data[: len(data) - 7])
         with pytest.raises(GdsError):
-            read_gds(path)
+            read_layout(path)
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.gds"
         path.write_bytes(b"")
         with pytest.raises(GdsError):
-            read_gds(path)
+            read_layout(path)
 
     def test_boundary_without_layer(self, tmp_path):
         from repro.mask.gds import _BOUNDARY, _ENDEL, _XY, _record, _xy_payload
@@ -122,4 +122,4 @@ class TestErrors:
         path = tmp_path / "nolayer.gds"
         path.write_bytes(payload)
         with pytest.raises(GdsError):
-            read_gds(path)
+            read_layout(path)

@@ -15,7 +15,6 @@ from repro.mask.gds import (
     TARGET_LAYER,
     _gds_real8,
     _parse_real8,
-    read_gds,
     read_layout,
     write_gds,
     write_layout,
@@ -64,8 +63,8 @@ class TestMultipleStructures:
         loaded = read_layout(path)
         assert set(loaded.cells) == {"A", "B"}
         assert loaded.top == "A"
-        # The historical flat reader flattens to the top structure.
-        assert read_gds(path).targets == unit_cell().targets
+        # Flattening resolves the top structure alone.
+        assert loaded.flatten().targets == unit_cell().targets
 
     def test_duplicate_structure_name_rejected(self, tmp_path):
         path = tmp_path / "dup.gds"
@@ -105,11 +104,11 @@ class TestRefRoundtrip:
         write_layout(layout, path)
         assert read_layout(path).flatten().targets == layout.flatten().targets
 
-    def test_read_gds_flattens_hierarchy(self, tmp_path):
+    def test_flatten_places_every_target(self, tmp_path):
         layout = demo_layout()
         path = tmp_path / "hier.gds"
         write_layout(layout, path)
-        flat = read_gds(path)
+        flat = read_layout(path).flatten()
         # 8 placements x 2 target polygons each.
         assert len(flat.targets) == 16
 

@@ -1,16 +1,20 @@
 """Hierarchy-aware fracturing: bit-identity with the flattened path,
-template sharing, and cache accounting."""
+template sharing, cache accounting, and templates on the batch loop's
+pool."""
 
 import time
+import weakref
 
 import pytest
 
+from repro.fracture.base import Fracturer
 from repro.fracture.cache import FractureCache, fingerprint_polygon
 from repro.geometry.polygon import Polygon
 from repro.mask.constraints import FractureSpec
 from repro.mask.gds import GdsCell, GdsRef, Layout, TARGET_LAYER
 from repro.mask.hierarchy import fracture_layout, placed_polygons
 from repro.methods import make_fracturer
+from tests.property.test_hierarchy_properties import result_key
 
 SPEC = FractureSpec()
 
@@ -166,6 +170,9 @@ class TestTemplateSharing:
         assert warm.stats["template_fractures"] == 0
         assert warm.stats["hit_rate"] == 1.0
         assert warm.shots == cold.shots
+        # The store is read once per template, not once per placement.
+        assert cold.stats["cache"]["misses"] == 5
+        assert warm.stats["cache"]["hits"] == 5
 
 
 class TestArrayedLayoutWarmCache:
@@ -198,3 +205,40 @@ class TestArrayedLayoutWarmCache:
         cold_s = min(wall for _, wall in colds)
         warm_s = min(wall for _, wall in warms)
         assert cold_s >= 5 * warm_s, (cold_s, warm_s)
+
+
+class TestTemplatesOnTheBatchLoop:
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_pool_matches_one_worker(self, layout, workers):
+        """Templates fractured on the batch loop's pool give every
+        placement what one worker gives it, hierarchical and flattened."""
+        frac = make_fracturer("partition")
+        for case in (layout, arrayed_layout(5, 5)):
+            for hierarchy in (True, False):
+                serial = fracture_layout(case, frac, SPEC, hierarchy=hierarchy)
+                pooled = fracture_layout(
+                    case, frac, SPEC, hierarchy=hierarchy, workers=workers
+                )
+                assert [result_key(r) for r in pooled.results] == \
+                    [result_key(r) for r in serial.results]
+                assert pooled.stats == serial.stats
+
+    def test_no_template_keeps_its_raster(self):
+        """The batch loop reads each template afresh, so a fractured
+        template's raster is freed before the next template is
+        fractured, not kept until the batch ends."""
+        inner = make_fracturer("partition")
+        rasters = []
+
+        class Watch(Fracturer):
+            name = "watch"
+
+            def fracture_shots(self, shape, spec):
+                assert all(ref() is None for ref in rasters)
+                rasters.append(weakref.ref(shape.inside))
+                return inner.fracture_shots(shape, spec)
+
+        report = fracture_layout(
+            arrayed_layout(2, 2), Watch(), SPEC, hierarchy=False
+        )
+        assert len(rasters) == report.stats["template_fractures"] == 18

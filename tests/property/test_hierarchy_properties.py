@@ -11,10 +11,10 @@ matches a direct fracture of the transformed rectangle shot-set for
 shot-set.
 
 The memoized walk — one fingerprint per (cell, polygon, orientation),
-placed polygons built only to be fractured fresh — must match a
-reference walk over the public pieces (``placed_polygons`` →
-``fingerprint_polygon`` → ``FractureCache`` → ``result_from_payload``)
-on nested, arrayed, fractional and far-off placements.
+placed polygons built only for templates — must match a reference walk
+over the public pieces (``placed_polygons`` → ``fingerprint_polygon``
+→ ``MdpPipeline.run`` → ``result_from_payload``) on nested, arrayed,
+fractional and far-off placements.
 """
 
 import itertools
@@ -37,6 +37,7 @@ from repro.geometry.transform import ROTATIONS, Transform
 from repro.mask.constraints import FailureReport, FractureSpec
 from repro.mask.gds import SHOT_LAYER, GdsCell, GdsRef, Layout, TARGET_LAYER
 from repro.mask.hierarchy import fracture_layout, placed_polygons
+from repro.mask.mdp import MdpPipeline
 from repro.mask.shape import MaskShape
 from repro.methods import make_fracturer
 
@@ -188,28 +189,44 @@ class FrameStub(Fracturer):
 
 
 def reference_walk(layout, fracturer, cache):
-    """Fracture ``layout`` placement by placement from the public pieces."""
+    """Fracture ``layout`` from the public pieces.
+
+    The first placement of each fingerprint goes through the batch loop
+    (with no store, every placement does), and every other placement is
+    built from its result.
+    """
     method = fracturer.cache_method or fracturer.name
     placed = placed_polygons(layout)
-    results, unique, fresh, hits = [], set(), 0, 0
-    for name, polygon in placed:
-        fingerprint, offset = fingerprint_polygon(polygon, SPEC, method)
-        unique.add(fingerprint)
-        payload = cache.get(fingerprint) if cache is not None else None
-        if payload is not None:
-            results.append(
-                result_from_payload(payload, shape_name=name, frame=offset)
-            )
-            hits += 1
-            continue
-        shape = MaskShape.from_polygon(
-            polygon, pitch=SPEC.pitch, margin=SPEC.grid_margin, name=name
+    frames, owners, template_of, first = [], [], [], {}
+    for position, (_name, polygon) in enumerate(placed):
+        fingerprint, frame = fingerprint_polygon(polygon, SPEC, method)
+        frames.append(frame)
+        if cache is None or fingerprint not in first:
+            first[fingerprint] = len(owners)
+            owners.append(position)
+        template_of.append(first[fingerprint])
+    shapes = [
+        MaskShape.from_polygon(
+            placed[position][1], pitch=SPEC.pitch, margin=SPEC.grid_margin,
+            name=placed[position][0],
         )
-        result = fracturer.fracture(shape, SPEC)
-        fresh += 1
-        if cache is not None:
-            cache.put(fingerprint, result_to_payload(result, frame=offset))
+        for position in owners
+    ]
+    batch = MdpPipeline(fracturer, SPEC, cache=cache).run(shapes)
+    results = []
+    for position, (name, _polygon) in enumerate(placed):
+        template = template_of[position]
+        result = batch.results[template]
+        owner = owners[template]
+        if position != owner:
+            payload = result_to_payload(result, frame=frames[owner])
+            result = result_from_payload(
+                payload, shape_name=name, frame=frames[position]
+            )
         results.append(result)
+    fresh = sum(1 for r in batch.results if not r.extra.get("cache_hit"))
+    hits = len(placed) - fresh
+    unique = set(first)
     stats = {
         "mode": "hierarchy" if cache is not None else "flatten",
         "cells": len(layout.cells),
@@ -299,8 +316,9 @@ class TestMemoizedWalk:
     def test_matches_the_reference_walk(self, layout, max_entries):
         """Same results and stats as fingerprinting every placed polygon.
 
-        ``max_entries=None`` is the flattened path; ``1`` evicts every
-        template, so templates are re-fractured at later placements.
+        ``max_entries=None`` is the flattened path; with ``1`` the store
+        keeps only the last template, and still each geometry is
+        fractured once.
         """
         def cache():
             if max_entries is None:
@@ -317,3 +335,6 @@ class TestMemoizedWalk:
         fingerprints = report.stats.pop("fingerprints")
         assert report.stats == stats
         assert fingerprints <= stats["polygon_instances"]
+        if hierarchy:
+            assert report.stats["template_fractures"] == \
+                report.stats["unique_geometries"]

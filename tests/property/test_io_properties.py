@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
 from repro.geometry.rect import Rect
-from repro.mask.gds import GdsCell, _gds_real8, read_gds, write_gds
+from repro.mask.gds import GdsCell, _gds_real8, read_layout, write_gds
 from repro.mask.io import (
     polygon_from_dict,
     polygon_to_dict,
@@ -95,7 +95,7 @@ class TestGdsRoundtrips:
         )
         path = tmp / "cell.gds"
         write_gds(cell, path)
-        loaded = read_gds(path)
+        loaded = read_layout(path).top_cell
         assert loaded.name == "T"
         assert len(loaded.polygons) == len(cell.polygons)
         for (layer_a, poly_a), (layer_b, poly_b) in zip(
@@ -125,13 +125,13 @@ class TestGdsRobustness:
     def test_fuzz_never_crashes(self, tmp_path_factory, blob):
         """Arbitrary bytes either parse or raise GdsError — never a bare
         struct.error / IndexError / UnicodeDecodeError."""
-        from repro.mask.gds import GdsError, read_gds
+        from repro.mask.gds import GdsError
 
         tmp = tmp_path_factory.mktemp("fuzz")
         path = tmp / "fuzz.gds"
         path.write_bytes(blob)
         try:
-            read_gds(path)
+            read_layout(path).flatten()
         except GdsError:
             pass
 
@@ -141,13 +141,13 @@ class TestGdsRobustness:
         """Fuzz bytes appended to a valid prefix are also handled."""
         import struct as _struct
 
-        from repro.mask.gds import GdsError, read_gds
+        from repro.mask.gds import GdsError
 
         prefix = _struct.pack(">HHh", 6, 0x0002, 600)  # HEADER record
         tmp = tmp_path_factory.mktemp("fuzz2")
         path = tmp / "fuzz.gds"
         path.write_bytes(prefix + blob)
         try:
-            read_gds(path)
+            read_layout(path).flatten()
         except GdsError:
             pass

@@ -308,11 +308,63 @@ class TestGdsExport:
              "--gds", str(tmp_path / "gds")]
         )
         assert code == 0
-        from repro.mask.gds import read_gds
+        from repro.mask.gds import read_layout
 
-        cell = read_gds(tmp_path / "gds" / "sq.gds")
+        cell = read_layout(tmp_path / "gds" / "sq.gds").top_cell
         assert len(cell.targets) == 1
         assert len(cell.shots) >= 1
+
+
+class TestBadInputFile:
+    """A clip file, layout or solution that cannot be read exits with
+    one line naming it, not a traceback."""
+
+    @pytest.fixture()
+    def inputs(self, tmp_path):
+        from repro.geometry.polygon import Polygon
+        from repro.geometry.rect import Rect
+        from repro.mask.gds import GdsCell, TARGET_LAYER, write_gds
+        from repro.mask.constraints import FractureSpec
+        from repro.mask.io import save_solution
+
+        (tmp_path / "notclips.json").write_text('{"format": "something-else"}')
+        (tmp_path / "bin.json").write_bytes(b"\x00\x01 not json")
+        write_gds(GdsCell("TOP", [(TARGET_LAYER, Polygon(
+            [(0, 0), (60, 0), (60, 40), (0, 40)]
+        ))]), tmp_path / "layout.gds")
+        save_solution([Rect(0, 0, 20, 20)], FractureSpec(),
+                      tmp_path / "sol.json", clip_name="TOP")
+        return tmp_path
+
+    @pytest.mark.parametrize(
+        "argv,path,message",
+        [
+            (["mdp", "{}/missing.json"], "missing.json",
+             "No such file or directory"),
+            (["mdp", "{}/missing.gds"], "missing.gds",
+             "No such file or directory"),
+            (["mdp", "{}/notclips.json"], "notclips.json",
+             "not a repro clip file"),
+            (["fracture", "--clip-file", "{}/bin.json"], "bin.json",
+             "Expecting value"),
+            (["verify", "{}/missing.json"], "missing.json",
+             "No such file or directory"),
+            (["verify", "{}/sol.json", "--clip-file", "{}/layout.gds"],
+             "layout.gds", "GDSII layouts run through fracture or mdp"),
+            (["job", "submit", "--state-dir", "{}/state",
+              "--clip-file", "{}/layout.gds"],
+             "layout.gds", "GDSII layouts run through fracture or mdp"),
+        ],
+        ids=["missing-json", "missing-gds", "not-clips", "not-json",
+             "verify-missing", "verify-gds", "submit-gds"],
+    )
+    def test_exits_with_one_line(self, inputs, argv, path, message):
+        with pytest.raises(SystemExit) as caught:
+            main([arg.format(inputs) for arg in argv])
+        text = str(caught.value)
+        assert text.startswith(f"{inputs / path}: ")
+        assert message in text
+        assert "\n" not in text
 
 
 class TestTelemetry:
@@ -736,18 +788,61 @@ class TestHierarchyCli:
         "command",
         [["fracture", "--clip-file"], ["mdp"]], ids=["fracture", "mdp"],
     )
-    def test_layout_workers_need_window(self, layout_gds, command):
-        """The layout walk has no pool of its own: without --window-nm,
-        --workers would run the layout serially without a word."""
+    def test_layout_workers_write_the_serial_solution(
+        self, command, tmp_path, capsys
+    ):
+        """Without --window-nm, --workers fractures a layout's templates
+        on the batch loop's pool and writes what one worker writes."""
+        from repro.cli import main
+        from repro.geometry.polygon import Polygon
+        from repro.mask.gds import (
+            GdsCell, GdsRef, Layout, TARGET_LAYER, write_layout,
+        )
+        from repro.mask.io import load_solution
+
+        unit = GdsCell("UNIT", polygons=[
+            (TARGET_LAYER, Polygon([(0, 0), (120, 0), (120, 40), (0, 40)])),
+            (TARGET_LAYER, Polygon([(160, 0), (200, 0), (200, 40), (160, 40)])),
+        ])
+        top = GdsCell("TOP", refs=[
+            GdsRef.array("UNIT", origin=(0.0, 0.0), cols=3, rows=2,
+                         col_pitch=260.0, row_pitch=260.0),
+            GdsRef("UNIT", origin=(1000.0, 0.0), rotation=90),
+        ])
+        layout = tmp_path / "array.gds"
+        write_layout(Layout(cells={"UNIT": unit, "TOP": top}, top="TOP"), layout)
+
+        def solution(workers):
+            """Exit code (the layout's verdict) and the written shots."""
+            out = tmp_path / f"w{workers}"
+            code = main([*command, str(layout), "--method", "partition",
+                         "--workers", str(workers), "--output", str(out)])
+            return code, load_solution(out / "TOP.solution.json")[0]
+
+        serial = solution(1)
+        assert "14 placed polygons (3 unique)" in capsys.readouterr().out
+        assert solution(2) == serial
+        assert solution(4) == serial
+
+    def test_layout_window_keeps_the_pool_in_the_tile_executor(
+        self, layout_gds, monkeypatch, capsys
+    ):
+        """With --window-nm the templates run one at a time and the
+        pool is the tile executor's, as for a clip batch."""
+        import repro.mask.hierarchy as hierarchy
         from repro.cli import main
 
-        with pytest.raises(SystemExit) as caught:
-            main([*command, str(layout_gds), "--method", "partition",
-                  "--workers", "2"])
-        assert str(caught.value) == (
-            "--workers on GDSII input applies to the tiled executor; "
-            "add --window-nm"
-        )
+        seen = {}
+        fracture_layout = hierarchy.fracture_layout
+
+        def spy(layout, fracturer, spec, **kwargs):
+            seen.update(batch=kwargs["workers"], tiles=fracturer.workers)
+            return fracture_layout(layout, fracturer, spec, **kwargs)
+
+        monkeypatch.setattr(hierarchy, "fracture_layout", spy)
+        main(["mdp", str(layout_gds), "--method", "partition",
+              "--window-nm", "100", "--workers", "2"])
+        assert seen == {"batch": 1, "tiles": 2}
 
     def test_mdp_requires_window_for_checkpoint(self, tmp_path):
         from repro.cli import main
