@@ -671,11 +671,23 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _cmd_trace_summarize(args: argparse.Namespace) -> int:
     """Render a per-phase breakdown of a recorded telemetry file."""
     payload = _load_payload(Path(args.path))
-    print(obs.format_summary(payload))
-    if args.clips:
-        print()
-        print("Per-clip phase breakdown (wall seconds):")
-        print(obs.format_clip_breakdown(payload))
+    try:
+        print(obs.format_summary(payload))
+        if args.clips:
+            print()
+            print("Per-clip phase breakdown (wall seconds):")
+            print(obs.format_clip_breakdown(payload))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        return _stdout_closed()
+    return 0
+
+
+def _stdout_closed() -> int:
+    """Exit status after a pager or ``head`` closed stdout: 0, with the
+    dead stdout pointed at the null device so the interpreter's flush
+    at exit raises nothing."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0
 
 
@@ -710,10 +722,7 @@ def _cmd_trace_tail(args: argparse.Namespace) -> int:
     except KeyboardInterrupt:
         return 130
     except BrokenPipeError:
-        # Downstream pager/head closed the pipe; silence the interpreter's
-        # shutdown flush of the dead stdout and exit cleanly.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 0
+        return _stdout_closed()
     return 0
 
 

@@ -75,15 +75,26 @@ class Fracturer(abc.ABC):
         """Produce the shot list for ``shape``.  Implemented by subclasses."""
 
     def fracture(self, shape: MaskShape, spec: FractureSpec) -> FractureResult:
-        """Run the method, time it, and verify the result independently."""
+        """Run the method, time it, and verify the result independently.
+
+        The verdict is :func:`check_solution` of the shots returned.  A
+        fracturer whose last step already ran that check on exactly
+        those shots leaves it in ``_last_check`` as ``(shots, report)``,
+        and the report is used as is rather than computed twice.
+        """
         obs = get_recorder()
         self._last_extra: dict[str, Any] = {}
+        self._last_check: tuple[list[Rect], FailureReport] | None = None
         with obs.span("fracture", method=self.name, shape=shape.name) as span:
             start = time.perf_counter()
             shots = self.fracture_shots(shape, spec)
             runtime = time.perf_counter() - start
-            with obs.span("verify"):
-                report = check_solution(shots, shape, spec)
+            checked, self._last_check = self._last_check, None
+            if checked is not None and checked[0] == shots:
+                report = checked[1]
+            else:
+                with obs.span("verify"):
+                    report = check_solution(shots, shape, spec)
             span.annotate(shots=len(shots), feasible=report.feasible)
         obs.incr("fracture.shapes")
         obs.observe("fracture.runtime_s", runtime)

@@ -19,6 +19,11 @@ alike) decomposes the mask plane into a deterministic grid of tiles:
   owning their *centre* (the same half-open rule, so no shot is ever
   duplicated or orphaned), and a seam-band stitch repairs the tile
   boundaries afterwards (see :mod:`repro.fracture.windowed`);
+* a feature that crosses a seam still comes out as one shot from each
+  side, overlapping by about two halos; the stitch first hands every
+  exactly aligned pair to one shot, their union
+  (:func:`merge_seam_pairs`), so only seams that pass no such pair need
+  refining;
 * the stitch runs one seam family at a time, vertical seams or
   horizontal ones, cut into independent windows
   (:func:`seam_windows`): a window's band and its movable shots are
@@ -397,6 +402,80 @@ def split_seam_shots(
         )
         (movable if near else frozen).append(shot)
     return movable, frozen
+
+
+def merge_seam_pairs(
+    shots: list[Rect],
+    plan: TilePlan,
+    spec: FractureSpec,
+    grid: PixelGrid,
+    active_mask: np.ndarray,
+) -> tuple[list[Rect], int]:
+    """Hand each aligned seam-crossing shot pair to one shot, their union.
+
+    At every interior seam, a pair of shots merges when their centres
+    lie on opposite sides of the seam (the half-open ownership rule),
+    their extents along the seam are identical, and their extents
+    across it overlap or touch.  Such a pair is the same feature
+    fractured twice, once by each tile; their union is exactly
+    ``a ∪ b``, one rectangle.  Total intensity is a sum of per-shot
+    intensities (paper Eq. 1–3), so the union's dose is the pair's dose
+    minus ``I(a ∩ b)``: dose only falls, and only within the dose reach
+    of ``a ∩ b``.  A merge is allowed only when that window lies inside
+    ``active_mask`` (the stitch's seam bands), the guard every stitch
+    move obeys, so whatever it breaks lies where the stitch repairs.
+
+    Per seam, shots are bucketed by their exact extent along it, and in
+    each bucket the pair nearest the seam (the largest far edge on the
+    low side, the smallest near edge on the high side) is tried: O(shots)
+    per seam.  The pass over all seams repeats until nothing merges, so
+    a chain across consecutive seams collapses to one shot.  The union
+    takes the earlier shot's place in the list and the later one goes,
+    so the result depends only on the input order.  Returns the new
+    shot list and the number of merges.
+    """
+    reach = dose_reach_nm(spec)
+    seams = [("x", s) for s in plan.seam_xs] + [("y", s) for s in plan.seam_ys]
+    shots = list(shots)
+    merges = 0
+    while True:
+        before = merges
+        for axis, seam in seams:
+            along = "y" if axis == "x" else "x"
+            # Extent along the seam -> [nearest low-side, nearest
+            # high-side] shot index.
+            nearest: dict[tuple[float, float], list[int | None]] = {}
+            for i, shot in enumerate(shots):
+                lo, hi = _span(shot, axis)
+                pair = nearest.setdefault(_span(shot, along), [None, None])
+                if (lo + hi) / 2.0 < seam:
+                    if pair[0] is None or hi > _span(shots[pair[0]], axis)[1]:
+                        pair[0] = i
+                elif pair[1] is None or lo < _span(shots[pair[1]], axis)[0]:
+                    pair[1] = i
+            gone: set[int] = set()
+            for low, high in nearest.values():
+                if low is None or high is None:
+                    continue
+                a, b = shots[low], shots[high]
+                overlap = a.intersection(b)
+                if overlap is None or not active_mask[
+                    grid.rect_to_slices(overlap, margin=reach)
+                ].all():
+                    continue
+                keep, drop = sorted((low, high))
+                shots[keep] = a.union_bbox(b)
+                gone.add(drop)
+                merges += 1
+            if gone:
+                shots = [s for i, s in enumerate(shots) if i not in gone]
+        if merges == before:
+            return shots, merges
+
+
+def _span(shot: Rect, axis: str) -> tuple[float, float]:
+    """A shot's extent along ``axis``."""
+    return (shot.xbl, shot.xtr) if axis == "x" else (shot.ybl, shot.ytr)
 
 
 @dataclass(frozen=True, slots=True)

@@ -13,7 +13,10 @@ the tiled execution architecture of :mod:`repro.fracture.tiling`:
    (``workers``) — keeping each shot with the tile that owns its centre
    under a half-open rule, so the merged shot list is identical for any
    worker count;
-3. repair the tile boundaries with a *seam-band* stitch: only shots
+3. repair the tile boundaries with a *seam-band* stitch: first every
+   exactly aligned pair of shots that one feature got from the two
+   tiles of a seam becomes one shot, their union
+   (:func:`~repro.fracture.tiling.merge_seam_pairs`); then only shots
    within one halo width of a seam move (everything else is frozen
    background dose), only pixels inside the seam bands are scored, and
    any mutation whose dose reach would leave the bands is forbidden —
@@ -22,7 +25,7 @@ the tiled execution architecture of :mod:`repro.fracture.tiling`:
    the family with more failing band pixels first; each family is cut
    into independent windows (:func:`~repro.fracture.tiling.seam_windows`)
    that are refined on their own crops, at the same time, as jobs of
-   the tile runner.
+   the tile runner, and only where band pixels still fail.
 
 Tile and window execution is fault-tolerant
 (:mod:`repro.fracture.runtime`): a worker crash, hang or failing job is
@@ -52,6 +55,7 @@ from repro.fracture.tiling import (
     dose_reach_nm,
     extract_tile_shapes,
     halo_nm,
+    merge_seam_pairs,
     plan_tiles,
     seam_band_masks,
     seam_bands,
@@ -129,8 +133,10 @@ class WindowedFracturer(Fracturer):
     ``stitch_params`` the iteration budget of the seam-band stitch and
     of the bounded full-shape repair refinement that runs as a safety
     net when the stitched solution still has failing pixels (rare;
-    ``nmax=0`` skips both, and the final verdict always comes from the
-    independent :meth:`Fracturer.fracture` check either way).
+    ``nmax=0`` skips both, not the seam handoff).  The final verdict is
+    always a from-scratch :func:`check_solution` of the shots returned:
+    the stitch's last one when it saw exactly those shots, else the one
+    :meth:`Fracturer.fracture` runs.
 
     ``runtime`` is the fault-tolerant execution layer's
     :class:`~repro.fracture.runtime.RuntimePolicy`: attempts per tile,
@@ -206,6 +212,7 @@ class WindowedFracturer(Fracturer):
             "windows": len(stitch_info["stitch_windows"]),
             "fallback_windows": stitch_info["fallback_windows"],
             "replayed_windows": stitch_info["replayed_windows"],
+            "seam_merges": stitch_info["seam_merges"],
             **window_stats,
         }])
         self._last_extra = {
@@ -291,11 +298,15 @@ class WindowedFracturer(Fracturer):
     ) -> tuple[list[Rect], dict]:
         """Seam-band repair of the merged tile solutions.
 
-        Shots within one halo width of an interior tile boundary are
-        refined; the rest contribute frozen background dose.  Cost and
-        failures are evaluated only inside the seam bands, and mutations
-        whose dose reach would leave them are forbidden, so the priced
-        candidate count scales with seam area.
+        The seam handoff (:func:`merge_seam_pairs`) first merges every
+        aligned pair of shots that meet across a seam, under the same
+        active-mask guard as every stitch move; ``seam_merges`` in the
+        info and the ``windowed.seam_merges`` counter count the merges.
+        Then shots within one halo width of an interior tile boundary
+        are refined; the rest contribute frozen background dose.  Cost
+        and failures are evaluated only inside the seam bands, and
+        mutations whose dose reach would leave them are forbidden, so
+        the priced candidate count scales with seam area.
 
         The seam families run one after the other, the one with more
         failing band pixels at stitch start first (the other family then
@@ -310,10 +321,17 @@ class WindowedFracturer(Fracturer):
         the same with telemetry on or off; the
         ``windowed.stitch_candidates_priced`` counter repeats the
         latter.  ``window_stats`` holds the window runs'
-        :meth:`RunStats.as_dict` counts, summed.
+        :meth:`RunStats.as_dict` counts, summed.  When no full repair
+        follows, the stitch's last ``check_solution`` saw exactly the
+        shots returned, and it becomes the run's verdict
+        (``_last_check``, read by :meth:`Fracturer.fracture`).
         """
         obs = get_recorder()
         active_mask, movable_nm = seam_band_masks(shape, plan, spec)
+        collected, merges = merge_seam_pairs(
+            collected, plan, spec, shape.grid, active_mask
+        )
+        obs.incr("windowed.seam_merges", merges)
         movable, frozen = split_seam_shots(collected, plan, movable_nm)
         obs.incr("windowed.seam_shots", len(movable))
         obs.incr("windowed.frozen_shots", len(frozen))
@@ -324,6 +342,7 @@ class WindowedFracturer(Fracturer):
         obs.gauge("windowed.seam_px", float(seam_px))
         obs.gauge("windowed.grid_px", float(grid_px))
         info: dict = {
+            "seam_merges": merges,
             "seam_shots": len(movable),
             "frozen_shots": len(frozen),
             "seam_px": seam_px,
@@ -389,6 +408,10 @@ class WindowedFracturer(Fracturer):
                     )
                 info["full_repair"] = True
                 info["full_repair_iterations"] = repair_trace.iterations
+            else:
+                # The last check saw exactly the shots returned: it is
+                # the run's verdict (see Fracturer.fracture).
+                self._last_check = (list(shots), report)
         info.update(
             stitch_windows=[o.tile_name for o in outcomes],
             stitch_iterations=sum(o.info.get("iterations", 0) for o in outcomes),

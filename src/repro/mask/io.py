@@ -9,8 +9,9 @@ a fracturer produced for a clip, plus the spec it was produced under.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
@@ -69,13 +70,27 @@ def save_clips(clips: dict[str, Polygon], path: str | Path) -> None:
     atomic_write_text(path, json.dumps(payload))
 
 
+@contextmanager
+def _fields_of(kind: str) -> Iterator[None]:
+    """Re-raise a missing key or a wrongly typed value while reading a
+    ``kind`` file's fields as the ``ValueError`` of a malformed file."""
+    try:
+        yield
+    except (KeyError, TypeError, AttributeError) as error:
+        raise ValueError(
+            f"malformed {kind} file ({type(error).__name__}: {error})"
+        ) from None
+
+
 def load_clips(path: str | Path) -> dict[str, Polygon]:
     payload = json.loads(Path(path).read_text())
     if not isinstance(payload, dict) or payload.get("format") != "repro-clips":
         raise ValueError("not a repro clip file")
-    return {
-        name: polygon_from_dict(data) for name, data in payload["clips"].items()
-    }
+    with _fields_of("repro clip"):
+        return {
+            name: polygon_from_dict(data)
+            for name, data in payload["clips"].items()
+        }
 
 
 def save_solution(
@@ -105,8 +120,9 @@ def save_solution(
 
 def load_solution(path: str | Path) -> tuple[list[Rect], FractureSpec, dict[str, Any]]:
     payload = json.loads(Path(path).read_text())
-    if payload.get("format") != "repro-solution":
-        raise ValueError(f"{path} is not a repro solution file")
-    shots = [rect_from_list(values) for values in payload["shots"]]
-    spec = spec_from_dict(payload["spec"])
+    if not isinstance(payload, dict) or payload.get("format") != "repro-solution":
+        raise ValueError("not a repro solution file")
+    with _fields_of("repro solution"):
+        shots = [rect_from_list(values) for values in payload["shots"]]
+        spec = spec_from_dict(payload["spec"])
     return shots, spec, payload.get("metadata", {})

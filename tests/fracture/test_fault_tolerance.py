@@ -28,6 +28,7 @@ from repro.geometry.raster import PixelGrid
 from repro.mask.constraints import FractureSpec
 from repro.mask.shape import MaskShape
 from repro.obs import TelemetryRecorder, recording
+from tests.fracture.test_windowed import stepped_at_seams
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +47,14 @@ def bar_field(spec_module):
     mask[60:100, 380:710] = True
     mask[115:145, 330:410] = True
     return MaskShape.from_mask(mask, grid, name="bar-field")
+
+
+@pytest.fixture(scope="module")
+def stepped_bar_field(bar_field):
+    """``bar_field`` with both bars stepping in width at their seams:
+    the seam handoff cannot merge the two tiles' shots of a bar, and
+    both seams run a stitch window."""
+    return stepped_at_seams(bar_field, 250.0)
 
 
 def _inner():
@@ -210,11 +219,11 @@ class TestCheckpointResume:
         assert recorder.counters.get("windowed.tiles_replayed") == 1
 
     def test_journal_records_are_loadable_json(
-        self, bar_field, spec_module, tmp_path
+        self, stepped_bar_field, spec_module, tmp_path
     ):
         ckpt = tmp_path / "ckpt"
         _windowed(workers=1, runtime=_stored(ckpt)).fracture_shots(
-            bar_field, spec_module
+            stepped_bar_field, spec_module
         )
         records = [
             json.loads(path.read_text()) for _name, path in _entries(ckpt, "tile")

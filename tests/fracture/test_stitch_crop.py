@@ -105,9 +105,16 @@ class TestCroppedStateMatchesFull:
 
 
 def _bar(spec) -> MaskShape:
-    polygon = Polygon(
-        [Point(0, 0), Point(500, 0), Point(500, 40), Point(0, 40)]
-    )
+    """A 500 nm bar over 4 × 1 tiles at 150 nm that steps 4 nm in width
+    at each seam (x = 125, 250, 375): the two tiles' shots of a seam
+    differ in height, so the seam handoff leaves them to the stitch
+    window.  A straight bar's seams need no window at all
+    (``test_windowed.py::TestSeamHandoff``)."""
+    corners = [
+        (0, 0), (500, 0), (500, 44), (375, 44), (375, 40), (250, 40),
+        (250, 44), (125, 44), (125, 40), (0, 40),
+    ]
+    polygon = Polygon([Point(x, y) for x, y in corners])
     return MaskShape.from_polygon(
         polygon, pitch=spec.pitch, margin=spec.grid_margin, name="bar"
     )

@@ -7,6 +7,7 @@ from repro.fracture.state import RefinementState
 from repro.fracture.tiling import (
     extract_tile_shapes,
     halo_nm,
+    merge_seam_pairs,
     ownership_stretch,
     plan_tiles,
     seam_band_masks,
@@ -202,6 +203,63 @@ class TestSeamWindows:
     def test_family_without_seams_has_no_windows(self, spec):
         shots = [Rect(230.0, 60.0, 280.0, 100.0)]
         assert self._windows(spec, shots, axis="y") == []
+
+
+class TestSeamHandoff:
+    """An aligned pair of shots meeting across a seam becomes one shot,
+    their union, when the window of their intersection stays inside
+    the active mask; 250 nm tiles put the seams at x = 270 and 490."""
+
+    def _merge(self, spec, shots):
+        shape = _bars_shape()
+        plan = plan_tiles(shape, spec, 250.0)
+        active, _ = seam_band_masks(shape, plan, spec)
+        return merge_seam_pairs(shots, plan, spec, shape.grid, active)
+
+    @pytest.mark.parametrize(
+        "right", [Rect(250.0, 58.0, 350.0, 102.0), Rect(300.0, 58.0, 350.0, 102.0)],
+        ids=["overlapping", "touching"],
+    )
+    def test_aligned_pair_merges(self, spec, right):
+        far = Rect(600.0, 140.0, 640.0, 170.0)
+        left = Rect(200.0, 58.0, 300.0, 102.0)
+        assert self._merge(spec, [far, left, right]) == (
+            [far, Rect(200.0, 58.0, 350.0, 102.0)], 1,
+        )
+
+    def test_extents_one_pixel_apart_do_not_merge(self, spec):
+        shots = [Rect(200.0, 58.0, 300.0, 102.0), Rect(250.0, 58.0, 350.0, 103.0)]
+        assert self._merge(spec, shots) == (shots, 0)
+
+    def test_chain_across_two_seams_collapses(self, spec):
+        shots = [
+            Rect(480.0, 58.0, 560.0, 102.0),    # owned right of x = 490
+            Rect(200.0, 58.0, 300.0, 102.0),    # owned left of x = 270
+            Rect(260.0, 58.0, 500.0, 102.0),    # owned between the seams
+        ]
+        assert self._merge(spec, shots) == ([Rect(200.0, 58.0, 560.0, 102.0)], 2)
+
+    def test_intersection_window_leaving_the_mask_blocks_the_merge(self, spec):
+        # The pair meets across x = 270, but the dose reach of its
+        # 150 nm intersection runs past the band's left edge.
+        shots = [Rect(100.0, 58.0, 300.0, 102.0), Rect(150.0, 58.0, 400.0, 102.0)]
+        assert self._merge(spec, shots) == (shots, 0)
+
+    def test_dose_falls_by_the_intersection(self, spec):
+        from repro.ebeam.intensity_map import IntensityMap
+
+        a, b = Rect(200.0, 58.0, 300.0, 102.0), Rect(250.0, 58.0, 350.0, 102.0)
+        merged, count = self._merge(spec, [a, b])
+        assert count == 1
+
+        def dose(shots):
+            imap = IntensityMap(_bars_shape().grid, spec.sigma)
+            for shot in shots:
+                imap.add(shot)
+            return imap.total
+
+        expected = dose([a, b]) - dose([a.intersection(b)])
+        assert np.allclose(dose(merged), expected, rtol=0.0, atol=1e-7)
 
 
 class TestMutationGuard:

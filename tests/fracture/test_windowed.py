@@ -81,6 +81,38 @@ def chip_shape(tiles_x: int, tiles_y: int) -> MaskShape:
     return MaskShape.from_mask(mask, grid, name=f"chip-{tiles_x}x{tiles_y}")
 
 
+def stepped_at_seams(shape: MaskShape, window_nm: float, step: int = 4) -> MaskShape:
+    """``shape`` with every feature in every other tile column grown
+    ``step`` px at its top edge, so each feature that crosses a
+    vertical seam steps in width there.  A 4 px step is below L_min, so
+    neither tile splits its shot at the step: the two tiles' shots of
+    one bar differ in height, the seam handoff leaves them alone, and
+    the seam still needs its stitch window."""
+    from repro.fracture.tiling import plan_tiles
+    from repro.mask.constraints import FractureSpec
+
+    seams = plan_tiles(shape, FractureSpec(), window_nm).seam_xs
+    grid = shape.grid
+    centres = grid.x0 + (np.arange(grid.nx) + 0.5) * grid.pitch
+    odd = np.searchsorted(seams, centres, side="right") % 2 == 1
+    mask = shape.inside.copy()
+    grown = mask.copy()
+    for k in range(1, step + 1):
+        grown[k:] |= mask[:-k]
+    mask[:, odd] = grown[:, odd]
+    return MaskShape.from_mask(mask, grid, name=f"{shape.name}-stepped")
+
+
+def transposed(shape: MaskShape) -> MaskShape:
+    """``shape`` mirrored about the diagonal."""
+    grid = shape.grid
+    return MaskShape.from_mask(
+        shape.inside.T.copy(),
+        PixelGrid(grid.y0, grid.x0, grid.pitch, grid.ny, grid.nx),
+        name=f"{shape.name}-transposed",
+    )
+
+
 @pytest.fixture(scope="module")
 def chip_3x1():
     return chip_shape(3, 1)
@@ -89,15 +121,30 @@ def chip_3x1():
 @pytest.fixture(scope="module")
 def chip_transposed():
     """``chip_shape(3, 2)`` mirrored about the diagonal: vertical bars
-    cut by horizontal seams over 2×3 tiles, so the horizontal seam
-    family carries most failing band pixels and must run first."""
-    chip = chip_shape(3, 2)
-    grid = chip.grid
-    return MaskShape.from_mask(
-        chip.inside.T.copy(),
-        PixelGrid(grid.y0, grid.x0, grid.pitch, grid.ny, grid.nx),
-        name="chip-3x2-transposed",
-    )
+    cut by horizontal seams over 2×3 tiles."""
+    return transposed(chip_shape(3, 2))
+
+
+@pytest.fixture(scope="module")
+def stepped_bar_field(bar_field):
+    """``bar_field`` with both long bars stepping in width at their
+    seams, so both seams run a stitch window."""
+    return stepped_at_seams(bar_field, 250.0)
+
+
+@pytest.fixture(scope="module")
+def stepped_chip_3x1():
+    """``chip_3x1`` with its bars stepping in width at both seams, so
+    both windows, ``v0`` and ``v1``, run."""
+    return stepped_at_seams(chip_shape(3, 1), 300.0)
+
+
+@pytest.fixture(scope="module")
+def stepped_chip_transposed():
+    """``chip_transposed`` with its vertical bars stepping in width at
+    the horizontal seams, so the horizontal seam family carries most
+    failing band pixels and must run first."""
+    return transposed(stepped_at_seams(chip_shape(3, 2), 300.0))
 
 
 @pytest.fixture(scope="module")
@@ -211,11 +258,13 @@ class TestWindowedFracturer:
             assert serial == parallel, shape.name
 
     def test_stitch_candidates_restricted_to_seam_bands(
-        self, bar_field, spec_module
+        self, stepped_bar_field, spec_module
     ):
         """On the same merged tile shots, a region-restricted greedy
         pass must gather strictly fewer pricing candidates than an
-        unrestricted one — the stitch cost scales with seam area."""
+        unrestricted one — the stitch cost scales with seam area.  The
+        bars step in width at the seams, so the stitch runs its windows
+        instead of handing the seams off."""
         from repro.fracture.state import RefinementState
         from repro.fracture.tiling import (
             extract_tile_shapes,
@@ -227,21 +276,23 @@ class TestWindowedFracturer:
         from repro.obs import TelemetryRecorder, recording
 
         inner = _inner(nmax=120)
-        plan = plan_tiles(bar_field, spec_module, 250.0)
+        plan = plan_tiles(stepped_bar_field, spec_module, 250.0)
         collected = []
         for tile in plan.tiles:
-            subs = extract_tile_shapes(bar_field, tile)
+            subs = extract_tile_shapes(stepped_bar_field, tile)
             if subs:
                 collected.extend(fracture_tile(inner, tile, subs, spec_module))
 
-        full = RefinementState(bar_field, spec_module, collected)
+        full = RefinementState(stepped_bar_field, spec_module, collected)
         n_full = len(full.gather_edge_moves(full.cost_integral()))
 
-        active, movable_nm = seam_band_masks(bar_field, plan, spec_module)
+        active, movable_nm = seam_band_masks(
+            stepped_bar_field, plan, spec_module
+        )
         movable, frozen = split_seam_shots(collected, plan, movable_nm)
         assert movable and frozen
         restricted = RefinementState(
-            bar_field, spec_module, movable,
+            stepped_bar_field, spec_module, movable,
             background=frozen, active_mask=active,
         )
         n_restricted = len(
@@ -253,9 +304,10 @@ class TestWindowedFracturer:
         recorder = TelemetryRecorder()
         with recording(recorder):
             WindowedFracturer(inner, window_nm=250.0).fracture_shots(
-                bar_field, spec_module
+                stepped_bar_field, spec_module
             )
-        assert "windowed.stitch_candidates_priced" in recorder.counters
+        assert recorder.counters.get("windowed.stitch_windows", 0) > 0
+        assert recorder.counters["windowed.stitch_candidates_priced"] > 0
         assert recorder.counters.get("windowed.frozen_shots", 0) > 0
 
     def test_telemetry_merged_from_workers(self, bar_field, spec_module):
@@ -272,14 +324,17 @@ class TestWindowedFracturer:
         assert recorder.counters.get("refine.moves_priced", 0) > 0
         assert traced == windowed.fracture_shots(bar_field, spec_module)
 
-    def test_tracing_overhead_under_5_percent(self, chip_3x1, spec_module):
+    def test_tracing_overhead_under_5_percent(
+        self, stepped_chip_3x1, spec_module
+    ):
         """Telemetry on a pooled tiled run costs < 5 % of the run.
 
         A direct traced/untraced A/B at 5 % sits inside run-to-run
         noise, so the cost is estimated as in the null-recorder bound:
         the records a traced run emits (its workers' merged ones
         included), times the measured cost of a span + incr pair on a
-        live recorder, against the untraced run's wall time.
+        live recorder, against the untraced run's wall time.  The
+        layout's seams run windows, so the traced window path counts.
         """
         from repro.obs import TelemetryRecorder, recording
 
@@ -288,11 +343,12 @@ class TestWindowedFracturer:
         )
         recorder = TelemetryRecorder()
         with recording(recorder):
-            traced = windowed.fracture_shots(chip_3x1, spec_module)
+            traced = windowed.fracture_shots(stepped_chip_3x1, spec_module)
         start = time.perf_counter()
-        untraced = windowed.fracture_shots(chip_3x1, spec_module)
+        untraced = windowed.fracture_shots(stepped_chip_3x1, spec_module)
         runtime = time.perf_counter() - start
         assert traced == untraced
+        assert recorder.counters.get("windowed.stitch_windows", 0) > 0
         records = len(recorder.records)
         assert records > 0
 
@@ -357,7 +413,7 @@ def _tile_shots(shape, spec, window_nm):
 
 class TestStitchWindows:
     def test_transposed_chip_runs_horizontal_family_first(
-        self, chip_transposed, spec_module
+        self, stepped_chip_transposed, spec_module
     ):
         """Vertical bars cut by horizontal seams: the horizontal family
         holds more failing band pixels, goes first, and the run ends
@@ -366,7 +422,7 @@ class TestStitchWindows:
 
         inner = _inner(nmax=120)
         windowed = WindowedFracturer(inner, window_nm=300.0)
-        result = windowed.fracture(chip_transposed, spec_module)
+        result = windowed.fracture(stepped_chip_transposed, spec_module)
         assert result.extra["stitch_order"] == ["h", "v"]
         assert result.extra["stitch_windows"]
         assert all(
@@ -375,19 +431,27 @@ class TestStitchWindows:
         assert result.report.total_failing == 0
         direct = sum(
             len(inner.fracture_shots(
-                MaskShape.from_mask(component, chip_transposed.grid, name=f"c{k}"),
+                MaskShape.from_mask(
+                    component, stepped_chip_transposed.grid, name=f"c{k}"
+                ),
                 spec_module,
             ))
-            for k, component in enumerate(component_masks(chip_transposed.inside))
+            for k, component in enumerate(
+                component_masks(stepped_chip_transposed.inside)
+            )
         )
         assert result.shot_count <= direct + 4
 
     def test_shots_identical_for_workers_1_2_4(
-        self, bar_field, chip_3x1, chip_transposed, spec_module
+        self, bar_field, chip_3x1, chip_transposed, stepped_chip_3x1,
+        stepped_chip_transposed, spec_module
     ):
+        """Both the layouts whose seams the handoff resolves and the
+        stepped ones whose seams run windows."""
         inner = _inner(nmax=120)
         for shape, window_nm in (
-            (bar_field, 250.0), (chip_3x1, 300.0), (chip_transposed, 300.0)
+            (bar_field, 250.0), (chip_3x1, 300.0), (chip_transposed, 300.0),
+            (stepped_chip_3x1, 300.0), (stepped_chip_transposed, 300.0),
         ):
             runs = [
                 WindowedFracturer(
@@ -396,6 +460,39 @@ class TestStitchWindows:
                 for workers in (1, 2, 4)
             ]
             assert runs[0] == runs[1] == runs[2], shape.name
+
+    @pytest.mark.parametrize(
+        ("layout", "window_nm"),
+        [
+            ("stepped_bar_field", 250.0),
+            ("stepped_chip_3x1", 300.0),
+            ("stepped_chip_transposed", 300.0),
+        ],
+    )
+    def test_resumed_run_replays_to_the_same_shots(
+        self, request, spec_module, layout, window_nm, tmp_path
+    ):
+        """A run resumed from the store a finished run filled replays
+        every tile and every window, and returns the same shots."""
+        from repro.fracture.cache import FractureCache
+        from repro.fracture.runtime import RuntimePolicy
+
+        shape = request.getfixturevalue(layout)
+
+        def run(workers):
+            policy = RuntimePolicy(store=FractureCache(persist_dir=tmp_path))
+            return WindowedFracturer(
+                _inner(nmax=120), window_nm=window_nm, workers=workers,
+                runtime=policy,
+            ).fracture(shape, spec_module)
+
+        first = run(workers=1)
+        resumed = run(workers=2)
+        windows = len(first.extra["stitch_windows"])
+        assert windows
+        assert resumed.shots == first.shots
+        assert resumed.extra["tiles_replayed"] == resumed.extra["tiles_used"]
+        assert resumed.extra["windows_replayed"] == windows
 
     def test_window_crop_matches_full_grid_restricted_state(
         self, chip_3x1, spec_module
@@ -430,7 +527,7 @@ class TestStitchWindows:
             assert cropped.report().total_failing > 0
 
     def test_partly_deleted_window_store_replays_the_rest(
-        self, chip_3x1, spec_module, tmp_path
+        self, stepped_chip_3x1, spec_module, tmp_path
     ):
         import json
 
@@ -445,7 +542,7 @@ class TestStitchWindows:
                 shots = WindowedFracturer(
                     _inner(nmax=120), window_nm=300.0, workers=workers,
                     runtime=policy,
-                ).fracture_shots(chip_3x1, spec_module)
+                ).fracture_shots(stepped_chip_3x1, spec_module)
             return shots, recorder.counters
 
         first, _ = run(workers=1)
@@ -462,7 +559,7 @@ class TestStitchWindows:
         assert counters.get("windowed.tiles_replayed") == 3
 
     def test_crashed_window_retries_to_the_same_shots(
-        self, chip_3x1, spec_module, monkeypatch
+        self, stepped_chip_3x1, spec_module, monkeypatch
     ):
         import repro.fracture.runtime as runtime
         from repro.fracture.runtime import FaultPlan, RuntimePolicy
@@ -471,29 +568,33 @@ class TestStitchWindows:
         monkeypatch.setattr(runtime, "BACKOFF_S", 0.0)
         inner = _inner(nmax=120)
         clean = WindowedFracturer(inner, window_nm=300.0).fracture_shots(
-            chip_3x1, spec_module
+            stepped_chip_3x1, spec_module
         )
         policy = RuntimePolicy(fault_plan=FaultPlan.parse(["v0:crash"]))
         recorder = TelemetryRecorder()
         with recording(recorder):
             shots = WindowedFracturer(
                 inner, window_nm=300.0, workers=2, runtime=policy
-            ).fracture_shots(chip_3x1, spec_module)
+            ).fracture_shots(stepped_chip_3x1, spec_module)
         assert shots == clean
         assert recorder.counters.get("windowed.pool_respawns", 0) >= 1
         assert recorder.counters.get("windowed.window_retries", 0) >= 1
         assert recorder.counters.get("windowed.window_fallbacks", 0) == 0
 
-    def test_no_negative_self_time_with_two_workers(self, chip_3x1, spec_module):
+    def test_no_negative_self_time_with_two_workers(
+        self, stepped_chip_3x1, spec_module
+    ):
         """Concurrent worker grafts are subtracted by the time they
-        cover, not by their summed wall time."""
+        cover, not by their summed wall time: the tiles' under the
+        ``tiled`` phase, the pooled windows' under ``stitch``."""
         from repro.obs import TelemetryRecorder, phase_breakdown, recording
 
         recorder = TelemetryRecorder()
         with recording(recorder):
-            WindowedFracturer(
+            result = WindowedFracturer(
                 _inner(nmax=120), window_nm=300.0, workers=2
-            ).fracture(chip_3x1, spec_module)
+            ).fracture(stepped_chip_3x1, spec_module)
+        assert len(result.extra["stitch_windows"]) == 2
         phases = phase_breakdown(recorder.export())
         assert {p["phase"] for p in phases} >= {"tiled", "stitch"}
         assert all(p["self_s"] >= 0.0 for p in phases), phases
@@ -520,3 +621,120 @@ class TestStitchWindows:
         ]
         assert subs
         assert calls == []
+
+
+@pytest.fixture(scope="module")
+def straight_bar(spec_module):
+    """A 500 × 40 nm bar: 4 × 1 tiles at 150 nm, every seam cuts it."""
+    polygon = Polygon([(0, 0), (500, 0), (500, 40), (0, 40)])
+    return MaskShape.from_polygon(
+        polygon, margin=spec_module.grid_margin, name="bar"
+    )
+
+
+def _fresh_check_matches(result, shape, spec):
+    from repro.mask.constraints import check_solution
+
+    fresh = check_solution(result.shots, shape, spec)
+    report = result.report
+    assert np.array_equal(report.fail_on, fresh.fail_on)
+    assert np.array_equal(report.fail_off, fresh.fail_off)
+    assert (report.cost, report.undersize_shots, report.total_failing) == (
+        fresh.cost, fresh.undersize_shots, fresh.total_failing,
+    )
+
+
+class TestSeamHandoff:
+    """Where the seams cut only straight bars, each tile pair's shots of
+    one bar are aligned: the handoff merges them all, so no window runs
+    and the run ends feasible with fewer shots than the tiles gave."""
+
+    @pytest.mark.parametrize(
+        ("layout", "window_nm"),
+        [
+            ("bar_field", 250.0),
+            ("chip_3x1", 300.0),
+            ("chip_transposed", 300.0),
+            ("straight_bar", 150.0),
+        ],
+    )
+    def test_aligned_seams_run_no_window(
+        self, request, spec_module, layout, window_nm, tmp_path
+    ):
+        """Workers 1, 2 and 4 run fresh, workers 1 into a store; a
+        fourth run resumes from that store, replaying every tile.  The
+        merge count reaches the counter and the manifest record."""
+        from repro.fracture.cache import FractureCache
+        from repro.fracture.runtime import RuntimePolicy
+        from repro.obs import TelemetryRecorder, recording
+
+        shape = request.getfixturevalue(layout)
+        inner = _inner(nmax=120)
+
+        def run(workers, stored):
+            policy = RuntimePolicy(
+                store=FractureCache(persist_dir=tmp_path)
+            ) if stored else None
+            return WindowedFracturer(
+                inner, window_nm=window_nm, workers=workers, runtime=policy
+            ).fracture(shape, spec_module)
+
+        recorder = TelemetryRecorder()
+        with recording(recorder):
+            first = run(1, stored=True)
+        fresh = [run(workers, stored=False) for workers in (2, 4)]
+        resumed = run(2, stored=True)
+        assert resumed.extra["tiles_replayed"] == resumed.extra["tiles_used"]
+        assert all(other.shots == first.shots for other in (*fresh, resumed))
+        merges = first.extra["seam_merges"]
+        assert merges >= 1
+        assert recorder.counters["windowed.seam_merges"] == merges
+        (record,) = recorder.export()["manifest"]["fault_tolerance"]
+        assert record["seam_merges"] == merges
+        assert first.extra["stitch_windows"] == []
+        assert first.shot_count < first.extra["pre_stitch_shots"]
+        assert first.feasible
+
+
+class TestOneFinalCheck:
+    """A tiled run's verdict is one full-grid check of its final shots:
+    the stitch's last check when nothing changed the shots after it."""
+
+    def _checked(self, monkeypatch):
+        """Record the shot list of every full-grid check, wherever run."""
+        import repro.fracture.base as base
+        import repro.fracture.windowed as windowed
+        from repro.mask.constraints import check_solution
+
+        seen = []
+
+        def spy(shots, shape, spec):
+            seen.append(list(shots))
+            return check_solution(shots, shape, spec)
+
+        monkeypatch.setattr(base, "check_solution", spy)
+        monkeypatch.setattr(windowed, "check_solution", spy)
+        return seen
+
+    def test_reused_verdict_equals_a_fresh_check(
+        self, chip_3x1, spec_module, monkeypatch
+    ):
+        seen = self._checked(monkeypatch)
+        result = WindowedFracturer(
+            _inner(nmax=120), window_nm=300.0
+        ).fracture(chip_3x1, spec_module)
+        assert result.extra["stitch_windows"] == []
+        assert seen == [result.shots]
+        _fresh_check_matches(result, chip_3x1, spec_module)
+
+    def test_run_with_windows_checks_its_final_shots(
+        self, stepped_chip_3x1, spec_module, monkeypatch
+    ):
+        seen = self._checked(monkeypatch)
+        result = WindowedFracturer(
+            _inner(nmax=120), window_nm=300.0
+        ).fracture(stepped_chip_3x1, spec_module)
+        assert result.extra["stitch_windows"]
+        assert len(seen) >= 2
+        assert seen[-1] == result.shots
+        _fresh_check_matches(result, stepped_chip_3x1, spec_module)

@@ -328,6 +328,17 @@ class TestBadInputFile:
         from repro.mask.io import save_solution
 
         (tmp_path / "notclips.json").write_text('{"format": "something-else"}')
+        (tmp_path / "noclips.json").write_text('{"format": "repro-clips"}')
+        (tmp_path / "badvertices.json").write_text(
+            '{"format": "repro-clips", "clips": {"a": {"vertices": 5}}}'
+        )
+        (tmp_path / "notsol.json").write_text('{"format": "other"}')
+        (tmp_path / "nospec.json").write_text(
+            '{"format": "repro-solution", "shots": [[0, 0, 20, 20]]}'
+        )
+        (tmp_path / "badshot.json").write_text(
+            '{"format": "repro-solution", "shots": [5]}'
+        )
         (tmp_path / "bin.json").write_bytes(b"\x00\x01 not json")
         write_gds(GdsCell("TOP", [(TARGET_LAYER, Polygon(
             [(0, 0), (60, 0), (60, 40), (0, 40)]
@@ -354,15 +365,28 @@ class TestBadInputFile:
             (["job", "submit", "--state-dir", "{}/state",
               "--clip-file", "{}/layout.gds"],
              "layout.gds", "GDSII layouts run through fracture or mdp"),
+            (["mdp", "{}/noclips.json"], "noclips.json",
+             "malformed repro clip file (KeyError: 'clips')"),
+            (["mdp", "{}/badvertices.json"], "badvertices.json",
+             "malformed repro clip file (TypeError: "),
+            (["verify", "{}/notsol.json"], "notsol.json",
+             "not a repro solution file"),
+            (["verify", "{}/nospec.json"], "nospec.json",
+             "malformed repro solution file (KeyError: 'spec')"),
+            (["verify", "{}/badshot.json"], "badshot.json",
+             "malformed repro solution file (TypeError: "),
         ],
         ids=["missing-json", "missing-gds", "not-clips", "not-json",
-             "verify-missing", "verify-gds", "submit-gds"],
+             "verify-missing", "verify-gds", "submit-gds", "no-clips-key",
+             "bad-vertices", "not-solution", "solution-no-spec",
+             "solution-bad-shot"],
     )
     def test_exits_with_one_line(self, inputs, argv, path, message):
         with pytest.raises(SystemExit) as caught:
             main([arg.format(inputs) for arg in argv])
         text = str(caught.value)
         assert text.startswith(f"{inputs / path}: ")
+        assert text.count(str(inputs / path)) == 1
         assert message in text
         assert "\n" not in text
 
@@ -459,6 +483,34 @@ class TestTelemetry:
     def test_trace_summarize_missing_file(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["trace", "summarize", str(tmp_path / "absent.json")])
+
+    def test_trace_summarize_into_a_closed_pipe(self, tmp_path, capsys):
+        """``trace summarize run.json | head`` where ``head`` is gone
+        before the report is written: exit 0, no traceback."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        telemetry = self._fracture_with_telemetry(tmp_path, "out.json")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+            str(Path(__file__).resolve().parent.parent / "src"),
+            env.get("PYTHONPATH"),
+        ]))
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "repro", "trace", "summarize",
+                 str(telemetry)],
+                stdout=write, stderr=subprocess.PIPE, text=True, env=env,
+                timeout=120,
+            )
+        finally:
+            os.close(write)
+        assert result.returncode == 0, result.stderr
+        assert "Error" not in result.stderr, result.stderr
 
     def test_mdp_telemetry_with_workers(self, tmp_path, capsys):
         from repro.geometry.polygon import Polygon
