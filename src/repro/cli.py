@@ -72,6 +72,7 @@ import os
 import signal
 import sys
 import threading
+from collections.abc import Sequence
 from pathlib import Path
 
 from repro import obs
@@ -344,12 +345,16 @@ def _read_input(path: str | Path, read):
 
 def _clip_shapes(
     args: argparse.Namespace, pitch: float, margin: float
-) -> list[MaskShape]:
+) -> Sequence[MaskShape]:
     """The clips a command names, narrowed by ``--clip`` when it has one:
-    ``--clip-file`` polygons on a ``pitch`` grid padded by ``margin``,
-    or the built-in ILT suite's mask-route shapes."""
+    ``--clip-file`` polygons on a ``pitch`` grid padded by ``margin``
+    (:class:`~repro.mask.mdp.PolygonShapes`: each read builds a fresh,
+    unrasterized shape), or the built-in ILT suite's mask-route shapes,
+    whose masks are their input."""
     clip = getattr(args, "clip", None)
     if args.clip_file:
+        from repro.mask.mdp import PolygonShapes
+
         if _is_gds(args.clip_file):
             raise SystemExit(
                 f"{args.clip_file}: GDSII layouts run through fracture or mdp"
@@ -357,11 +362,11 @@ def _clip_shapes(
         clips = _read_input(args.clip_file, load_clips)
         if clip and clip not in clips:
             raise SystemExit(f"clip {clip!r} not in {args.clip_file}")
-        return [
-            MaskShape.from_polygon(poly, pitch=pitch, margin=margin, name=name)
-            for name, poly in clips.items()
-            if not clip or name == clip
-        ]
+        return PolygonShapes(
+            ((name, poly) for name, poly in clips.items()
+             if not clip or name == clip),
+            pitch=pitch, margin=margin,
+        )
     from repro.bench.shapes import ilt_suite
 
     shapes = [s for s in ilt_suite(pitch) if not clip or s.name == clip]

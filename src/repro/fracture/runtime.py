@@ -1,31 +1,37 @@
-"""Fault-tolerant execution layer for the tiled fracturing executor.
+"""Fault-tolerant job runner: tiles, stitch windows and batch shapes.
 
 A full-chip run covers thousands of tiles and hours of wall time; one
 worker crash, hang or infeasible tile must not abort the run and lose
-every completed tile.  This module wraps the pooled work of
-:class:`repro.fracture.windowed.WindowedFracturer` — its tiles and its
-seam-stitch windows, two :class:`JobKind` s of one runner, each with
-its own task, store key and fallback — with:
+every completed tile.  This module runs every pooled fracture job —
+the tiles and seam-stitch windows of
+:class:`repro.fracture.windowed.WindowedFracturer` and the shapes of a
+pooled :meth:`MdpPipeline.run <repro.mask.mdp.MdpPipeline.run>` batch,
+three :class:`JobKind` s of one runner, each with its own task, store
+key and fallback — with:
 
 * **job-identity-preserving result envelopes** — a worker answers
   ``("ok", name, shots, …)`` or ``("error", name, kind, message, …)``
   with ``kind`` one of ``"crash"``, ``"hang"`` or ``"error"``; a dead
-  pool settles its in-flight tiles as ``"crash"`` and an overrun
-  deadline as ``"hang"``, so every failure is charged to its tile, and
+  pool settles its in-flight jobs as ``"crash"`` and an overrun
+  deadline as ``"hang"``, so every failure is charged to its job, and
   :class:`PoolBroken` ends the run when the pool cannot be kept alive;
-* **per-tile retry** with capped exponential backoff
+* **per-job retry** with capped exponential backoff
   (:data:`BACKOFF_S`, :data:`BACKOFF_FACTOR`, :data:`BACKOFF_CAP_S`) and
-  **per-tile deadlines** enforced by ``submit``-based scheduling;
-* **pool recovery** — a ``BrokenProcessPool`` respawns the pool,
-  requeues the tiles that were in flight and *quarantines* the suspects
-  to inline (in-parent) execution for their next attempt, so one
-  poisonous tile cannot kill worker after worker;
+  **per-job deadlines** enforced by ``submit``-based scheduling;
+* **pool recovery** — a dead worker (``BrokenProcessPool``, or a dead
+  worker process the pool failed to report) tears the pool down,
+  respawns it, requeues the jobs that were in flight and
+  *quarantines* the suspects: each runs its next attempts alone on the
+  pool, so a crash while it runs is charged to it only, and a job that
+  kills every worker it meets uses up its attempts without taking the
+  parent down;
 * a **degradation ladder** — a tile that exhausts its retries falls
   back to the deterministic geometric :class:`PartitionFracturer`
   baseline (:func:`partition_fallback`) for that tile, and a stitch
   window to its input shots; either is flagged
   (``windowed.tile_fallbacks`` / ``windowed.window_fallbacks``, the run
-  manifest, :attr:`TileOutcome.fallback`) instead of failing the run;
+  manifest, :attr:`TileOutcome.fallback`) instead of failing the run.
+  A kind without a fallback (shapes) raises :class:`JobFailed` instead;
 * a **store** (:attr:`RuntimePolicy.store`, a
   :class:`~repro.fracture.cache.FractureCache`): every job whose run
   succeeds is stored under its exact content key
@@ -34,7 +40,7 @@ its own task, store key and fallback — with:
   interrupted run again against the same store replays the settled
   tiles and windows bit-identically and re-executes only the rest;
 * a **deterministic failure-injection hook** (:class:`FaultPlan`):
-  crash / hang / raise on named tiles, armed per attempt, with a
+  crash / hang / raise on named jobs, armed per attempt, with a
   seeded random-subset constructor — usable from tests and the CLI
   (``--inject-fault``).
 
@@ -44,11 +50,12 @@ The trace context and the telemetry switch come from the installed
 recorder (:func:`repro.obs.get_recorder`), read once per run.
 
 Determinism: jobs are pure, so a retried attempt reproduces the
-original result exactly, and outcomes are returned in job order
-regardless of completion order.  Retries, resume and any worker count
-therefore keep the merged shot list bit-identical to a fault-free
-single-worker run; only fallback jobs deviate, and those are explicitly
-flagged.
+original result exactly, and outcomes are handed back in job order
+regardless of completion order — each as soon as it and every job
+before it have settled (:func:`iter_outcomes`; :func:`run_tiles`
+collects them all).  Retries, resume and any worker count therefore
+keep the merged shot list bit-identical to a fault-free single-worker
+run; only fallback jobs deviate, and those are explicitly flagged.
 """
 
 from __future__ import annotations
@@ -61,7 +68,7 @@ import time
 import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from repro.fracture.cache import FractureCache, tile_fingerprint
 from repro.geometry.rect import Rect
@@ -77,6 +84,7 @@ __all__ = [
     "InjectedCrash",
     "InjectedFault",
     "InjectedHang",
+    "JobFailed",
     "JobKind",
     "PoolBroken",
     "RunInterrupted",
@@ -86,6 +94,7 @@ __all__ = [
     "TileOutcome",
     "backoff",
     "fracture_tile",
+    "iter_outcomes",
     "partition_fallback",
     "run_tiles",
 ]
@@ -114,24 +123,33 @@ class PoolBroken(RuntimeError):
     """The process pool could not be kept alive within the respawn budget."""
 
 
-class RunInterrupted(RuntimeError):
-    """A graceful-shutdown hook stopped the run between tile settlements.
+class JobFailed(RuntimeError):
+    """A job of a kind without a fallback failed its last attempt.
 
-    Raised when :attr:`RuntimePolicy.stop_check` returns true.  The run
-    stops at a *clean* point: every settled tile is already in the
-    store (when there is one), no tile is half-recorded, and the pool
-    is torn down by the normal cleanup path — so running again against
-    the same store replays the completed tiles bit-identically and
-    executes only the rest.  ``done`` / ``total`` report how far the
-    run got.
+    The message names the job and its last failure.
     """
 
-    def __init__(self, done: int, total: int):
+
+class RunInterrupted(RuntimeError):
+    """A graceful-shutdown hook stopped the run between job settlements.
+
+    Raised when :attr:`RuntimePolicy.stop_check` returns true.  The run
+    stops at a *clean* point: every settled job is already in the
+    store (when there is one), no job is half-recorded, and the pool
+    is torn down by the normal cleanup path — so running again against
+    the same store replays the completed jobs bit-identically and
+    executes only the rest.  ``done`` / ``total`` report how far the
+    run got, in jobs of the kind ``label`` names (``"tile"``,
+    ``"window"``).
+    """
+
+    def __init__(self, done: int, total: int, label: str):
         super().__init__(
-            f"run interrupted by shutdown hook after {done}/{total} tiles"
+            f"run interrupted by shutdown hook after {done}/{total} {label}s"
         )
         self.done = done
         self.total = total
+        self.label = label
 
 
 class InjectedFault(RuntimeError):
@@ -164,15 +182,15 @@ _FAULT_ACTIONS = ("crash", "hang", "raise")
 class FaultPlan:
     """Deterministic failure injection for named jobs.
 
-    ``faults`` maps job names — tiles (``t0,1``) or seam-stitch windows
-    (``v0``, ``h1``) — to :class:`FaultSpec`; a fault is armed for
+    ``faults`` maps job names — tiles (``t0,1``), seam-stitch windows
+    (``v0``, ``h1``) or batch shapes (the shape's name) — to
+    :class:`FaultSpec`; a fault is armed for
     attempts ``1..times`` of its job, so retried attempts succeed.
     In a pool worker ``crash`` hard-kills the process (``os._exit``) and
-    ``hang`` sleeps ``hang_s`` seconds; executed inline (serial path or
-    quarantined attempt) both are simulated by raising
-    :class:`InjectedCrash` / :class:`InjectedHang` instead — a real
-    SIGKILL or hang in the parent would take down the run the layer is
-    protecting.
+    ``hang`` sleeps ``hang_s`` seconds; executed inline (the serial
+    path) both are simulated by raising :class:`InjectedCrash` /
+    :class:`InjectedHang` instead — a real SIGKILL or hang in the parent
+    would take down the run the layer is protecting.
     """
 
     faults: dict[str, FaultSpec] = field(default_factory=dict)
@@ -290,9 +308,10 @@ class RuntimePolicy:
 class TileOutcome:
     """Identity-preserving result envelope of one job's execution.
 
-    ``tile_name`` is the job's name (a tile's or a stitch window's);
-    ``info`` is what the job's task reported besides its shots (empty
-    for tiles, the refinement's counts for stitch windows).
+    ``tile_name`` is the job's name (a tile's, a stitch window's or a
+    shape's); ``info`` is what the job's task reported besides its
+    shots (empty for tiles, the refinement's counts for stitch windows,
+    the whole result for shapes).
     """
 
     index: int
@@ -389,17 +408,21 @@ class JobKind:
     """How the runner names, runs, keys and degrades one kind of job.
 
     ``label`` names the kind in spans, events, counters, store entries
-    and :meth:`RunStats.as_dict` (``"tile"``, ``"window"``).  The
-    callables are module-level functions, so a pool ships them by
-    reference:
+    and :meth:`RunStats.as_dict` (``"tile"``, ``"window"``,
+    ``"shape"``).  The callables are module-level functions, so a pool
+    ships them by reference:
 
     * ``name(job)`` — the job's name (fault plans and heartbeats use it);
     * ``describe(job)`` — a short size note for error messages;
     * ``run(inner, spec, job)`` — the pure task, ``(shots, info)`` with
-      ``info`` a JSON-able dict stored and replayed with the shots;
-    * ``key(inner, spec, job)`` — the job's exact store key;
+      ``info`` a dict stored and replayed with the shots (JSON-able
+      when the kind has a store key);
+    * ``key(inner, spec, job)`` — the job's exact store key; ``None``
+      for a kind whose results the caller stores (shapes), which is
+      run without a :attr:`RuntimePolicy.store`;
     * ``fallback(job, spec)`` — the shots a job that exhausted its
-      retries ships, flagged.
+      retries ships, flagged; ``None`` for a kind whose failed job ends
+      the run with :class:`JobFailed`.
 
     ``progress`` turns on the ``progress`` events and the
     ``windowed.tiles_done`` / ``windowed.shots_done`` gauges, which
@@ -410,8 +433,8 @@ class JobKind:
     name: Callable[[Any], str]
     describe: Callable[[Any], str]
     run: Callable[[Any, FractureSpec, Any], tuple[list[Rect], dict]]
-    key: Callable[[Any, FractureSpec, Any], str]
-    fallback: Callable[[Any, FractureSpec], list[Rect]]
+    key: Callable[[Any, FractureSpec, Any], str] | None
+    fallback: Callable[[Any, FractureSpec], list[Rect]] | None
     progress: bool = False
 
 
@@ -553,12 +576,12 @@ class _Pending:
     idx: int
     attempt: int
     eligible_at: float
-    inline: bool = False  # quarantined to in-parent execution
+    alone: bool = False  # crash suspect: runs with no other job in flight
     started: float = 0.0  # monotonic start of the current attempt
 
 
 class _TileRunner:
-    """Shared state of one :func:`run_tiles` call (serial or pooled)."""
+    """Shared state of one run of jobs (serial or pooled)."""
 
     def __init__(
         self,
@@ -567,9 +590,10 @@ class _TileRunner:
         inner: Any,
         spec: FractureSpec,
         workers: int,
-        policy: RuntimePolicy,
+        policy: RuntimePolicy | None,
         kind: JobKind,
     ):
+        policy = policy if policy is not None else RuntimePolicy()
         self.jobs = jobs
         self.inner = inner
         self.spec = spec
@@ -584,6 +608,10 @@ class _TileRunner:
         self.trace = getattr(self.obs, "trace", None)
         self.stats = RunStats(label=kind.label)
         self.outcomes: list[TileOutcome | None] = [None] * len(jobs)
+        # What a job raises in its turn of the hand-back instead of an
+        # outcome: JobFailed, or a KeyboardInterrupt its task raised.
+        self.failed: dict[int, BaseException] = {}
+        self.handed = 0  # outcomes handed back, a prefix of the jobs
         self.pending: list[_Pending] = []
         # Store keys, computed here in the parent only: pool workers
         # never see the store.  Jobs of one run cover different regions
@@ -713,17 +741,26 @@ class _TileRunner:
                 kind=kind,
                 error=message.splitlines()[0],
             )
-            quarantine = p.inline or kind == "crash"
             self.pending.append(
                 _Pending(
                     p.idx,
                     p.attempt + 1,
                     time.monotonic() + backoff(p.attempt),
-                    inline=quarantine,
+                    alone=p.alone or kind == "crash",
                 )
             )
-            return
-        self._run_fallback(p, message)
+        elif self.kind.fallback is None:
+            self.failed[p.idx] = JobFailed(message)
+        else:
+            self._run_fallback(p, message)
+
+    def _settle_crash(self, p: _Pending) -> None:
+        """Charge ``p`` a crash: its worker died, and the pool with it."""
+        self._settle_failure(
+            p, "crash",
+            f"{self.kind.label} {self.names[p.idx]} (attempt {p.attempt}): "
+            f"worker process died (BrokenProcessPool)",
+        )
 
     def _run_fallback(self, p: _Pending, reason: str) -> None:
         label = self.kind.label
@@ -747,7 +784,7 @@ class _TileRunner:
         self._note_progress(outcome, time.monotonic() - started)
 
     def _attempt_inline(self, p: _Pending) -> None:
-        """One in-parent attempt (serial path or quarantined job)."""
+        """One in-parent attempt (the serial path)."""
         kind = self.kind
         job = self.jobs[p.idx]
         name = self.names[p.idx]
@@ -776,19 +813,55 @@ class _TileRunner:
     def _check_interrupt(self) -> None:
         """Raise :class:`RunInterrupted` when the shutdown hook fires.
 
-        Only called between settlements, so every completed tile is
+        Only called between settlements, so every completed job is
         already stored and no partial state escapes.
         """
         stop_check = self.policy.stop_check
         if stop_check is not None and stop_check():
+            label = self.kind.label
             self.obs.event(
-                "run_interrupted", done=self._done, total=len(self.jobs)
+                "run_interrupted", job_kind=label, done=self._done,
+                total=len(self.jobs),
             )
-            raise RunInterrupted(self._done, len(self.jobs))
+            raise RunInterrupted(self._done, len(self.jobs), label)
+
+    # -- hand-back ----------------------------------------------------------
+
+    def _hand_back(self) -> Iterator[TileOutcome]:
+        """Each outcome not yet handed back whose job and every job
+        before it have settled, in job order, with its worker telemetry
+        merged; a job in :attr:`failed` raises in its turn instead."""
+        label = self.kind.label
+        while self.handed < len(self.jobs):
+            error = self.failed.get(self.handed)
+            if error is not None:
+                raise error
+            outcome = self.outcomes[self.handed]
+            if outcome is None:
+                return
+            self.handed += 1
+            if outcome.telemetry is not None:
+                self.obs.merge_child(outcome.telemetry, label=outcome.tile_name)
+                outcome.telemetry = None
+            self.obs.event(f"{label}_outcome", **outcome.to_record(label))
+            yield outcome
+
+    def settle(self) -> Iterator[TileOutcome]:
+        """Run every job; yield outcomes as :meth:`_hand_back` releases them."""
+        if self.workers == 1 or len(self.pending) <= 1:
+            yield from self.run_serial()
+        else:
+            yield from self.run_pool()
+        yield from self._hand_back()
+        if self.handed < len(self.jobs):  # pragma: no cover — defensive
+            raise PoolBroken(
+                f"{self.kind.label} {self.names[self.handed]} never "
+                f"produced an outcome"
+            )
 
     # -- serial path --------------------------------------------------------
 
-    def run_serial(self) -> None:
+    def run_serial(self) -> Iterator[TileOutcome]:
         while self.pending:
             self._check_interrupt()
             p = self.pending.pop(0)
@@ -796,10 +869,11 @@ class _TileRunner:
             if delay > 0:
                 time.sleep(delay)
             self._attempt_inline(p)
+            yield from self._hand_back()
 
     # -- pooled path --------------------------------------------------------
 
-    def run_pool(self) -> None:
+    def run_pool(self) -> Iterator[TileOutcome]:
         from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
         from concurrent.futures.process import BrokenProcessPool
 
@@ -835,10 +909,29 @@ class _TileRunner:
             )
 
         def kill(pool: ProcessPoolExecutor) -> None:
-            procs = list(getattr(pool, "_processes", {}).values())
+            procs = list((getattr(pool, "_processes", None) or {}).values())
+            manager = getattr(pool, "_executor_manager_thread", None)
+            results = getattr(pool, "_result_queue", None)
             for proc in procs:
                 proc.kill()
+            if results is not None:
+                # A worker killed between the header and the payload of
+                # a large result leaves the manager thread blocked
+                # reading the rest.  With the parent's copy of the write
+                # end closed as well it reads EOF and exits; otherwise
+                # it blocks forever, and so does interpreter exit,
+                # which joins it without a bound.
+                results._writer.close()
             pool.shutdown(wait=False, cancel_futures=True)
+            # Reaped here, and the pool's manager thread finished, so
+            # nothing of a killed pool outlives the run or is still
+            # running when the next pool forks its workers; bounded, so
+            # a process the kernel is slow to tear down cannot wedge the
+            # parent.
+            for proc in procs:
+                proc.join(timeout=5.0)
+            if manager is not None:
+                manager.join(timeout=5.0)
             if hb_dir is not None:
                 # Deliberately killed workers are not stalls: retire
                 # their heartbeat files so the monitor does not flag
@@ -849,6 +942,15 @@ class _TileRunner:
                     except OSError:
                         pass
 
+        def lost_worker(pool: ProcessPoolExecutor) -> bool:
+            """Whether a worker has died.  A worker that dies between the
+            header and the payload of a result leaves the manager thread
+            reading the rest for good, so the pool never reports the
+            death and the in-flight futures never settle; the runner
+            treats a dead worker as a dead pool itself."""
+            procs = (getattr(pool, "_processes", None) or {}).values()
+            return any(proc.exitcode is not None for proc in procs)
+
         pool = spawn()
         if monitor is not None:
             monitor.start()
@@ -856,7 +958,9 @@ class _TileRunner:
         inflight: dict[Any, tuple[_Pending, float]] = {}
 
         def respawn_pool(reason: str) -> ProcessPoolExecutor:
+            """Kill the current pool, dead or hung, and start the next."""
             nonlocal respawns
+            kill(pool)
             respawns += 1
             self.stats.pool_respawns += 1
             self.obs.incr("windowed.pool_respawns")
@@ -872,25 +976,25 @@ class _TileRunner:
             while self.pending or inflight:
                 self._check_interrupt()
                 now = time.monotonic()
-                later: list[_Pending] = []
-                due_inline: list[_Pending] = []
-                submit: list[_Pending] = []
-                next_eligible: float | None = None
-                for p in self.pending:
-                    if p.eligible_at > now:
-                        later.append(p)
-                        if next_eligible is None or p.eligible_at < next_eligible:
-                            next_eligible = p.eligible_at
-                    elif p.inline:
-                        due_inline.append(p)
-                    elif len(inflight) + len(submit) < self.workers:
-                        submit.append(p)
-                    else:
-                        later.append(p)
-                self.pending = later
+                due = [p for p in self.pending if p.eligible_at <= now]
+                next_eligible = min(
+                    (p.eligible_at for p in self.pending if p.eligible_at > now),
+                    default=None,
+                )
+                suspects = [p for p in due if p.alone]
+                if any(p.alone for p, _t in inflight.values()):
+                    submit = []
+                elif suspects:
+                    # A crash suspect waits for the pool to drain and
+                    # then runs by itself, so if it kills its worker
+                    # again no other job is charged for the crash.
+                    submit = [] if inflight else suspects[:1]
+                else:
+                    submit = due[: self.workers - len(inflight)]
                 broken: list[_Pending] = []
                 pool_is_broken = False
                 for p in submit:
+                    self.pending.remove(p)
                     try:
                         future = pool.submit(
                             _job_task, self.kind, self.jobs[p.idx], p.attempt
@@ -901,17 +1005,16 @@ class _TileRunner:
                         continue
                     p.started = time.monotonic()
                     inflight[future] = (p, p.started)
-                for p in due_inline:
-                    self._attempt_inline(p)
                 if pool_is_broken:
                     broken.extend(p for p, _t in inflight.values())
                     inflight.clear()
                     pool = respawn_pool("submit failed: pool already broken")
                     for p in broken:
-                        self._settle_failure(
-                            p, "crash", "worker process died (BrokenProcessPool)"
-                        )
+                        self._settle_crash(p)
                     continue
+                # The workers are busy while the caller takes what has
+                # settled.
+                yield from self._hand_back()
                 if not inflight:
                     if self.pending and next_eligible is not None:
                         time.sleep(max(0.0, next_eligible - time.monotonic()))
@@ -928,6 +1031,9 @@ class _TileRunner:
                     # Poll the shutdown hook even while every worker is
                     # deep inside a long tile.
                     timeout = 0.2 if timeout is None else min(timeout, 0.2)
+                # Look for a worker the pool lost without noticing at
+                # least once a second (see lost_worker).
+                timeout = 1.0 if timeout is None else min(timeout, 1.0)
                 done, _not_done = wait(
                     set(inflight), timeout=timeout, return_when=FIRST_COMPLETED
                 )
@@ -943,22 +1049,28 @@ class _TileRunner:
                     except Exception as error:  # noqa: BLE001
                         self._settle_failure(
                             p, "error",
-                            f"tile result unavailable: "
+                            f"{self.kind.label} {self.names[p.idx]} (attempt "
+                            f"{p.attempt}): result unavailable: "
                             f"{type(error).__name__}: {error}",
                         )
                         continue
+                    except BaseException as error:
+                        # KeyboardInterrupt or SystemExit from the task:
+                        # raised once the jobs before it are handed back.
+                        self.failed[p.idx] = error
+                        continue
                     self._settle_envelope(p, envelope)
+                if inflight and not pool_is_broken and lost_worker(pool):
+                    pool_is_broken = True
                 if pool_is_broken:
                     # Everything still in flight died with the pool;
-                    # requeue it all — suspects are quarantined inline by
-                    # the "crash" settlement path.
+                    # requeue it all — the "crash" settlement makes each
+                    # a suspect that runs alone.
                     failed_with_pool.extend(p for p, _t in inflight.values())
                     inflight.clear()
                     pool = respawn_pool("worker process died abruptly")
                     for p in failed_with_pool:
-                        self._settle_failure(
-                            p, "crash", "worker process died (BrokenProcessPool)"
-                        )
+                        self._settle_crash(p)
                     continue
                 if deadline_s is not None and inflight:
                     now = time.monotonic()
@@ -975,7 +1087,6 @@ class _TileRunner:
                         overdue_set = set(overdue)
                         victims = list(inflight.items())
                         inflight.clear()
-                        kill(pool)
                         pool = respawn_pool("tile deadline exceeded")
                         for future, (p, started) in victims:
                             if future in overdue_set:
@@ -988,7 +1099,7 @@ class _TileRunner:
                                 )
                             else:
                                 self.pending.append(
-                                    _Pending(p.idx, p.attempt, 0.0, p.inline)
+                                    _Pending(p.idx, p.attempt, 0.0, p.alone)
                                 )
         finally:
             if monitor is not None:
@@ -1000,22 +1111,30 @@ class _TileRunner:
             if hb_dir is not None:
                 shutil.rmtree(hb_dir, ignore_errors=True)
 
-    # -- finish -------------------------------------------------------------
 
-    def finish(self) -> list[TileOutcome]:
-        label = self.kind.label
-        outcomes: list[TileOutcome] = []
-        for idx, outcome in enumerate(self.outcomes):
-            if outcome is None:  # pragma: no cover — defensive
-                raise PoolBroken(
-                    f"{label} {self.names[idx]} never produced an outcome"
-                )
-            if outcome.telemetry is not None:
-                self.obs.merge_child(outcome.telemetry, label=outcome.tile_name)
-                outcome.telemetry = None
-            self.obs.event(f"{label}_outcome", **outcome.to_record(label))
-            outcomes.append(outcome)
-        return outcomes
+def iter_outcomes(
+    jobs: list[Any],
+    *,
+    inner: Any,
+    spec: FractureSpec,
+    workers: int = 1,
+    policy: RuntimePolicy | None = None,
+    kind: JobKind = TILES,
+) -> Iterator[TileOutcome]:
+    """:func:`run_tiles`' outcomes, each handed back as soon as it and
+    every job before it have settled.
+
+    The pool keeps working while the caller takes an outcome, so a
+    caller that records each one as it comes (the batch loop stores and
+    writes each shape) keeps every settled prefix of a run that stops
+    part way.  A job without a fallback that fails its last attempt
+    raises :class:`JobFailed` in its turn, after the outcomes before it.
+    Closing the iterator early stops the run and its pool.
+    """
+    return _TileRunner(
+        jobs, inner=inner, spec=spec, workers=workers, policy=policy,
+        kind=kind,
+    ).settle()
 
 
 def run_tiles(
@@ -1032,9 +1151,10 @@ def run_tiles(
     ``kind`` defaults to :data:`TILES`, whose jobs are ``(tile,
     sub-shapes)`` pairs; the tiled executor also runs its seam-stitch
     windows here, as a second kind with its own task, store key and
-    fallback.  ``policy`` defaults to :class:`RuntimePolicy` ``()``:
-    three attempts, no deadline, no store, no injected faults, no
-    heartbeats.
+    fallback, and the batch loop its shapes (:data:`repro.mask.mdp.SHAPES`)
+    through :func:`iter_outcomes`.  ``policy`` defaults to
+    :class:`RuntimePolicy` ``()``: three attempts, no deadline, no
+    store, no injected faults, no heartbeats.
 
     The contract the tiled executor's determinism rests on: outcomes are
     returned (and their telemetry merged) in row-major job order no
@@ -1044,15 +1164,7 @@ def run_tiles(
     only, so enabling them cannot change the merged shot list.
     """
     runner = _TileRunner(
-        jobs,
-        inner=inner,
-        spec=spec,
-        workers=workers,
-        policy=policy if policy is not None else RuntimePolicy(),
+        jobs, inner=inner, spec=spec, workers=workers, policy=policy,
         kind=kind,
     )
-    if workers == 1 or len(runner.pending) <= 1:
-        runner.run_serial()
-    else:
-        runner.run_pool()
-    return runner.finish(), runner.stats
+    return list(runner.settle()), runner.stats

@@ -13,9 +13,11 @@ every placement from scratch.  This module walks the
    (every placement outside that premise is canonicalized on its own);
 2. the first placement of each unique geometry is its *template*; the
    templates run through the batch loop, :meth:`MdpPipeline.run
-   <repro.mask.mdp.MdpPipeline.run>`, which looks them up in the store
-   and fractures the misses *in place* (literally the flattened
-   computation), on its process pool when ``workers > 1``;
+   <repro.mask.mdp.MdpPipeline.run>`, as a
+   :class:`~repro.mask.mdp.PolygonShapes` sequence, so each template is
+   rasterized only for its own fracture; the loop looks them up in the
+   store and fractures the misses *in place* (literally the flattened
+   computation), as shape jobs of the job runner when ``workers > 1``;
 3. every other placement is its template's result with the shots
    translated by the (exact) frame difference.
 
@@ -36,7 +38,6 @@ the tests and the ``--flatten`` CLI flag use as the bit-identity one.
 from __future__ import annotations
 
 import time
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
@@ -52,8 +53,7 @@ from repro.geometry.rect import Rect
 from repro.geometry.transform import Transform
 from repro.mask.constraints import FractureSpec
 from repro.mask.gds import TARGET_LAYER, Layout
-from repro.mask.mdp import MdpPipeline, MdpReport
-from repro.mask.shape import MaskShape
+from repro.mask.mdp import MdpPipeline, MdpReport, PolygonShapes
 from repro.obs import get_recorder
 
 __all__ = ["HierarchyReport", "fracture_layout", "placed_polygons"]
@@ -162,27 +162,6 @@ def _reach(polygon: Polygon) -> float:
     return bound - max(abs(c) for c in coords)
 
 
-class _Templates(Sequence):
-    """The templates as the batch loop reads them: each read builds the
-    shape afresh and unrasterized, so a template's raster lives only as
-    long as its fracture, not until the batch ends."""
-
-    def __init__(self, spec: FractureSpec):
-        self.spec = spec
-        #: ``(name, placed polygon, frame)`` of each template.
-        self.placed: list[tuple[str, Polygon, tuple[float, float]]] = []
-
-    def __len__(self) -> int:
-        return len(self.placed)
-
-    def __getitem__(self, index: int) -> MaskShape:
-        name, polygon, _frame = self.placed[index]
-        return MaskShape.from_polygon(
-            polygon, pitch=self.spec.pitch, margin=self.spec.grid_margin,
-            name=name,
-        )
-
-
 def fracture_layout(
     layout: Layout,
     fracturer: Fracturer,
@@ -216,7 +195,8 @@ def fracture_layout(
     method = fracturer.cache_method or fracturer.name
     window_nm = fracturer.cache_window_nm
     memo: dict[tuple[str, int, int, bool], _Oriented] = {}
-    templates = _Templates(spec)
+    templates = PolygonShapes(pitch=spec.pitch, margin=spec.grid_margin)
+    frames: list[tuple[float, float]] = []  # each template's frame
     # Each placement in walk order: its name, its template's index, and
     # its frame, or None at the template's own placement.
     placements: list[tuple[str, int, tuple[float, float] | None]] = []
@@ -273,7 +253,8 @@ def fracture_layout(
                 template = first[fingerprint] = len(templates)
                 if placed is None:
                     placed = _place(polygon, transform)
-                templates.placed.append((name, placed, offset))
+                templates.polygons.append((name, placed))
+                frames.append(offset)
                 offset = None
             placements.append((name, template, offset))
         batch = MdpPipeline(
@@ -289,7 +270,7 @@ def fracture_layout(
                     # What a store hit would read: a stored template
                     # keeps its fracture time, not this run's lookup's.
                     payload = payloads[template] = result_to_payload(
-                        result, frame=templates.placed[template][2]
+                        result, frame=frames[template]
                     )
                     if result.extra.get("cache_hit"):
                         payload["runtime_s"] = result.extra["cached_runtime_s"]

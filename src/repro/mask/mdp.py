@@ -8,6 +8,15 @@ templates (:func:`repro.mask.hierarchy.fracture_layout`) and the e2e
 benchmark: fracture every shape, verify, persist each solution as it
 finishes, and aggregate shot counts and write-time/cost projections.
 
+One worker fractures each shape inline as the loop pulls it.  More
+workers run the shapes as :data:`SHAPES` jobs on the fault-tolerant
+job runner (:mod:`repro.fracture.runtime`) that also runs tiles and
+stitch windows: a shape whose worker crashes or raises is retried, a
+dead pool is respawned, and the fracturer is shipped once per worker.
+Clip files and layout templates reach the loop as
+:class:`PolygonShapes`, which builds each shape afresh on every read,
+so no shape's raster outlives its fracture.
+
 Work avoidance is the loop's own store, the
 :class:`~repro.fracture.cache.FractureCache` passed as
 ``MdpPipeline(..., cache=...)``: the CLI's ``--fracture-cache DIR`` or
@@ -28,9 +37,10 @@ never replays a stale result.
 from __future__ import annotations
 
 import time
+from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.fracture.base import FractureResult, Fracturer
 from repro.fracture.cache import (
@@ -39,13 +49,71 @@ from repro.fracture.cache import (
     result_from_payload,
     result_to_payload,
 )
+from repro.fracture.runtime import JobKind, iter_outcomes
+from repro.geometry.polygon import Polygon
+from repro.geometry.rect import Rect
 from repro.mask.constraints import FractureSpec
 from repro.mask.cost import MaskCostModel
 from repro.mask.io import save_solution
 from repro.mask.shape import MaskShape
-from repro.obs import TelemetryRecorder, get_logger, get_recorder, recording
+from repro.obs import get_logger, get_recorder
 
 logger = get_logger(__name__)
+
+
+def _shape_name(shape: MaskShape) -> str:
+    return shape.name or "shape"
+
+
+def _shape_describe(shape: MaskShape) -> str:
+    return f"{shape.grid.nx}x{shape.grid.ny} px grid"
+
+
+def _fracture_shape(
+    fracturer: Fracturer, spec: FractureSpec, shape: MaskShape
+) -> tuple[list[Rect], dict[str, Any]]:
+    result = fracturer.fracture(shape, spec)
+    return result.shots, {"result": result}
+
+
+#: Batch shapes on the job runner: a shape's ``info`` carries its whole
+#: :class:`FractureResult`.  No store key, because the batch loop owns
+#: the shape store; no fallback, because a fallback result would enter
+#: that store as if it were the method's own, so a shape that fails its
+#: last attempt stops the batch with :class:`~repro.fracture.runtime.JobFailed`.
+SHAPES = JobKind(
+    "shape", _shape_name, _shape_describe, _fracture_shape, key=None,
+    fallback=None,
+)
+
+
+class PolygonShapes(Sequence[MaskShape]):
+    """Named polygons as the batch loop reads them: each read builds the
+    shape afresh and unrasterized on a ``pitch`` grid padded by
+    ``margin``, so a shape's raster lives only as long as its fracture,
+    not until the batch ends.  Read it again (``--svg``, a baseline
+    batch) and each shape is built again."""
+
+    def __init__(
+        self,
+        polygons: Iterable[tuple[str, Polygon]] = (),
+        *,
+        pitch: float,
+        margin: float,
+    ):
+        #: ``(name, polygon)`` of each shape.
+        self.polygons = list(polygons)
+        self.pitch = pitch
+        self.margin = margin
+
+    def __len__(self) -> int:
+        return len(self.polygons)
+
+    def __getitem__(self, index: int) -> MaskShape:
+        name, polygon = self.polygons[index]
+        return MaskShape.from_polygon(
+            polygon, pitch=self.pitch, margin=self.margin, name=name
+        )
 
 
 @dataclass(slots=True)
@@ -116,9 +184,13 @@ class MdpPipeline:
 
         ``workers > 1`` fractures shapes in parallel processes — the
         per-shape independence of mask fracturing (paper §2) makes the
-        batch embarrassingly parallel.  Results keep input order either
-        way.  When a telemetry recorder is installed, each worker
-        collects its own buffer and the parent merges them on join, so
+        batch embarrassingly parallel — as :data:`SHAPES` jobs of the
+        job runner, with its retries and pool recovery.  A shape that
+        fails every attempt raises
+        :class:`~repro.fracture.runtime.JobFailed`, naming the shape and
+        its last failure.  Results keep input order either way.  When a
+        telemetry recorder is installed, each worker collects its own
+        buffer and the parent merges it as the shape is handed back, so
         parallel runs lose no observability.
 
         ``before_clip(name)`` runs before each shape is looked up or
@@ -200,8 +272,11 @@ class MdpPipeline:
                     waiting[key] = []
                     yield index
 
-        with obs.span("mdp.batch", shapes=len(shapes), workers=workers):
-            for index, result in self._fracture(shapes, misses(), workers):
+        with (
+            obs.span("mdp.batch", shapes=len(shapes), workers=workers),
+            closing(self._fracture(shapes, misses(), workers)) as fresh,
+        ):
+            for index, result in fresh:
                 if self.cache is None:
                     finish(index, result)
                     continue
@@ -226,29 +301,27 @@ class MdpPipeline:
 
         One worker, or a batch of one shape, fractures each shape as it
         is pulled, so the lookup of the next shape sees every result
-        stored before it; the pool pulls every index up front and yields
-        each result as it lands.
+        stored before it, and whatever a fracture raises (a nested tiled
+        run's ``RunInterrupted``) stops the batch at once.  The job
+        runner pulls every index up front and hands each result back as
+        soon as it and every shape before it have settled.
         """
-        obs = get_recorder()
         if workers <= 1 or len(shapes) <= 1:
+            obs = get_recorder()
             for index in indices:
-                with obs.span("mdp.shape", shape=shapes[index].name):
-                    result = self.fracturer.fracture(shapes[index], self.spec)
+                shape = shapes[index]
+                with obs.span(SHAPES.label, shape=shape.name):
+                    result = self.fracturer.fracture(shape, self.spec)
                 yield index, result
             return
-        from concurrent.futures import ProcessPoolExecutor
-
         indices = list(indices)
-        jobs = [
-            (self.fracturer, shapes[index], self.spec, obs.enabled)
-            for index in indices
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = pool.map(_fracture_job, jobs)
-            for index, (result, telemetry) in zip(indices, outcomes):
-                if telemetry is not None:
-                    obs.merge_child(telemetry, label=shapes[index].name or "shape")
-                yield index, result
+        outcomes = iter_outcomes(
+            [shapes[index] for index in indices], inner=self.fracturer,
+            spec=self.spec, workers=workers, kind=SHAPES,
+        )
+        with closing(outcomes):
+            for outcome in outcomes:
+                yield indices[outcome.index], outcome.info["result"]
 
     def projected_saving(
         self, baseline: MdpReport, improved: MdpReport
@@ -270,21 +343,3 @@ class MdpPipeline:
             ),
             "mask_set_saving_usd": self.cost_model.mask_set_saving_usd(reduction),
         }
-
-
-def _fracture_job(job: tuple) -> tuple[FractureResult, list[dict] | None]:
-    """Module-level worker so ProcessPoolExecutor can pickle the call.
-
-    When the parent had telemetry enabled, the worker records into a
-    fresh per-process recorder and ships its records back alongside the
-    result for the parent to merge — recorders themselves never cross
-    the process boundary.
-    """
-    fracturer, shape, spec, telemetry_enabled = job
-    if not telemetry_enabled:
-        return fracturer.fracture(shape, spec), None
-    worker_recorder = TelemetryRecorder()
-    with recording(worker_recorder):
-        result = fracturer.fracture(shape, spec)
-    worker_recorder.emit_metrics()
-    return result, worker_recorder.records

@@ -291,9 +291,10 @@ def _run_clips(
     except RunInterrupted as stopped:
         # The tiled runtime stops for either flag; map back to the
         # one that fired (cancel wins: it is job-specific intent).  The
-        # clip is the one the last `clip_start` event names.
+        # clip is the one the last `clip_start` event names; the counts
+        # are of the job kind that was running (tiles or windows).
         recorder.event(
-            "clip_interrupted",
+            "clip_interrupted", job_kind=stopped.label,
             tiles_done=stopped.done, tiles_total=stopped.total,
         )
         control.raise_if_stopped()

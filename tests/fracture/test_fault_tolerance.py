@@ -1,4 +1,4 @@
-"""Integration tests: fault-tolerant tiled execution end to end.
+"""Integration tests: fault-tolerant tiled and batch execution end to end.
 
 The acceptance bar of the fault layer: an injected hard crash (worker
 ``os._exit``), hang (deadline exceeded) or raised exception on any tile
@@ -6,11 +6,15 @@ neither fails the run nor changes the final shot list — retries, pool
 respawns, resume and any worker count reproduce the fault-free
 single-worker result bit for bit (fallback tiles excepted and flagged).
 A resumed run is a re-run against the store that holds the settled
-tiles.  Retries run without backoff here: the runtime's ``BACKOFF_S``
-is patched to zero.
+tiles.  The shapes of a pooled batch run on the same runner: a crash or
+hang is retried to the fault-free result, and a stopped batch keeps
+every shape settled before the stop.  Retries run without backoff here:
+the runtime's ``BACKOFF_S`` is patched to zero.
 """
 
 import json
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -18,17 +22,21 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.fracture.runtime as runtime
+from repro.baselines import PartitionFracturer
 from repro.fracture.cache import FractureCache
 from repro.fracture.pipeline import ModelBasedFracturer, RefineConfig
 from repro.fracture.refine import RefineParams
-from repro.fracture.runtime import FaultPlan, PoolBroken, RuntimePolicy
+from repro.fracture.runtime import FaultPlan, PoolBroken, RuntimePolicy, run_tiles
 from repro.fracture.tiling import plan_tiles
 from repro.fracture.windowed import WindowedFracturer
+from repro.geometry.polygon import Polygon
 from repro.geometry.raster import PixelGrid
 from repro.mask.constraints import FractureSpec
+from repro.mask.mdp import SHAPES, MdpPipeline, PolygonShapes
 from repro.mask.shape import MaskShape
 from repro.obs import TelemetryRecorder, recording
 from tests.fracture.test_windowed import stepped_at_seams
+from tests.mask.test_mdp import _FailOn
 
 
 @pytest.fixture(scope="module")
@@ -138,6 +146,25 @@ class TestCrashRecovery:
             bar_field, spec_module
         )
         assert shots == clean_shots
+
+    def test_tile_killing_every_worker_falls_back_alone(
+        self, bar_field, spec_module
+    ):
+        """A tile that kills its worker on every attempt retries alone
+        on the pool, never in the parent: each attempt costs one
+        respawn, and its last failure degrades it to the fallback."""
+        policy = RuntimePolicy(fault_plan=FaultPlan.parse(["t1,0:crash:99"]))
+        recorder = TelemetryRecorder()
+        fracturer = _windowed(workers=2, runtime=policy)
+        with recording(recorder):
+            fracturer.fracture_shots(bar_field, spec_module)
+        assert fracturer._last_extra["fallback_tiles"] == ["t1,0"]
+        assert recorder.counters.get("windowed.pool_respawns") == 3
+        retried = [
+            e["tile"] for e in recorder.export()["events"]
+            if e["name"] == "tile_retry"
+        ]
+        assert retried.count("t1,0") == 2
 
     def test_pool_respawn_budget_exhaustion_raises(
         self, bar_field, spec_module, monkeypatch
@@ -279,3 +306,150 @@ class TestBitIdentityProperty:
             workers=workers, runtime=_stored(ckpt)
         ).fracture_shots(bar_field, spec_module)
         assert resumed == clean_shots
+
+
+def _batch(spec) -> PolygonShapes:
+    """Six small clips, ``s0`` … ``s5``: bars and Ls of different sizes."""
+    polygons = []
+    for k in range(6):
+        w, h = 40 + 10 * k, 30 + 5 * (k % 3)
+        outline = (
+            [(0, 0), (w, 0), (w, h), (0, h)] if k % 2 == 0 else
+            [(0, 0), (w, 0), (w, 30), (30, 30), (30, h + 30), (0, h + 30)]
+        )
+        polygons.append((f"s{k}", Polygon(outline)))
+    return PolygonShapes(polygons, pitch=spec.pitch, margin=spec.grid_margin)
+
+
+class _CrashOnce(PartitionFracturer):
+    """Partition, except that the process fracturing ``crash_on`` exits
+    at once (``os._exit``) while the ``armed`` marker file exists; the
+    crash deletes it, so every later attempt succeeds."""
+
+    def __init__(self, crash_on: str, armed: str):
+        super().__init__()
+        self.crash_on = crash_on
+        self.armed = armed
+
+    def fracture_shots(self, shape, spec):
+        if shape.name == self.crash_on and os.path.exists(self.armed):
+            os.unlink(self.armed)
+            os._exit(13)
+        return super().fracture_shots(shape, spec)
+
+
+class _CrashAlways(PartitionFracturer):
+    """Partition, except that a pool worker fracturing ``crash_on``
+    exits at once (``os._exit``) on every attempt.  In the process
+    that built the fracturer the shape raises instead, so a run that
+    fractures it there fails the test instead of ending it."""
+
+    def __init__(self, crash_on: str):
+        super().__init__()
+        self.crash_on = crash_on
+        self.parent = os.getpid()
+
+    def fracture_shots(self, shape, spec):
+        if shape.name == self.crash_on:
+            if os.getpid() == self.parent:
+                raise AssertionError(f"{shape.name} fractured in the parent")
+            os._exit(13)
+        return super().fracture_shots(shape, spec)
+
+
+class TestPooledShapes:
+    """Batch shapes are jobs of the tile runner: its retry, pool
+    respawn and deadline cover them as they cover tiles."""
+
+    def test_worker_death_is_retried_and_every_shape_stored(
+        self, spec_module, tmp_path
+    ):
+        shapes = _batch(spec_module)
+        clean = MdpPipeline(PartitionFracturer(), spec_module).run(shapes)
+        armed = tmp_path / "armed"
+        armed.touch()
+        store = tmp_path / "store"
+        recorder = TelemetryRecorder()
+        with recording(recorder):
+            report = MdpPipeline(
+                _CrashOnce("s3", str(armed)), spec_module,
+                cache=FractureCache(persist_dir=store),
+            ).run(shapes, workers=2)
+        assert not armed.exists()  # the worker did die
+        assert [r.shots for r in report.results] == \
+            [r.shots for r in clean.results]
+        assert recorder.counters.get("windowed.pool_respawns") == 1
+        retried = [
+            e["shape"] for e in recorder.export()["events"]
+            if e["name"] == "shape_retry"
+        ]
+        assert retried.count("s3") == 1
+        assert len(list(store.glob("*.json"))) == 6
+
+    def test_shape_killing_every_worker_fails_alone(
+        self, spec_module, tmp_path
+    ):
+        """A shape whose fracture kills its process on every attempt
+        retries alone on the pool, never in the parent: the batch
+        raises JobFailed naming it, the shapes before it are stored,
+        and no worker is left alive."""
+        store = tmp_path / "store"
+        before = set(multiprocessing.active_children())
+        recorder = TelemetryRecorder()
+        with recording(recorder), pytest.raises(
+            runtime.JobFailed,
+            match=r"shape s3 \(attempt 3\): worker process died",
+        ):
+            MdpPipeline(
+                _CrashAlways("s3"), spec_module,
+                cache=FractureCache(persist_dir=store),
+            ).run(_batch(spec_module), workers=2)
+        assert recorder.counters.get("windowed.pool_respawns") == 3
+        retried = [
+            e["shape"] for e in recorder.export()["events"]
+            if e["name"] == "shape_retry"
+        ]
+        assert retried.count("s3") == 2
+        assert len(list(store.glob("*.json"))) == 3
+        assert set(multiprocessing.active_children()) <= before
+
+    def test_hung_shape_times_out_and_retries(self, spec_module):
+        shapes = list(_batch(spec_module))[:4]
+        clean, _ = run_tiles(
+            shapes, inner=PartitionFracturer(), spec=spec_module, kind=SHAPES
+        )
+        policy = RuntimePolicy(
+            fault_plan=FaultPlan.parse(["s1:hang"], hang_s=60.0),
+            tile_deadline_s=2.0,
+        )
+        outcomes, stats = run_tiles(
+            shapes, inner=PartitionFracturer(), spec=spec_module, workers=2,
+            policy=policy, kind=SHAPES,
+        )
+        assert [o.shots for o in outcomes] == [o.shots for o in clean]
+        assert [o.attempts for o in outcomes] == [1, 2, 1, 1]
+        assert (stats.tile_timeouts, stats.tile_retries) == (1, 1)
+        assert stats.pool_respawns == 1
+
+    def test_interrupt_keeps_the_settled_prefix_and_no_worker(
+        self, spec_module, tmp_path
+    ):
+        shapes = _batch(spec_module)
+        out, store = tmp_path / "out", tmp_path / "store"
+        before = set(multiprocessing.active_children())
+        with pytest.raises(KeyboardInterrupt):
+            MdpPipeline(
+                _FailOn("s2", KeyboardInterrupt), spec_module,
+                cache=FractureCache(persist_dir=store),
+            ).run(shapes, output_dir=out, workers=2)
+        assert sorted(p.name for p in out.iterdir()) == [
+            "s0.solution.json", "s1.solution.json",
+        ]
+        assert len(list(store.glob("*.json"))) == 2
+        assert set(multiprocessing.active_children()) <= before
+
+    def test_shape_failing_every_attempt_names_itself(self, spec_module):
+        with pytest.raises(runtime.JobFailed, match=r"shape s4 .*attempt 3"):
+            MdpPipeline(_FailOn("s4", ValueError), spec_module).run(
+                _batch(spec_module), workers=2
+            )

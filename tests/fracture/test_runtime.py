@@ -7,6 +7,10 @@ backoff here: the module's ``BACKOFF_S`` is patched to zero.
 """
 
 import json
+import os
+import struct
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -453,3 +457,141 @@ class TestHeartbeatIntegration:
             )
         stream.close()
         assert [o.shots for o in observed] == [o.shots for o in baseline]
+
+
+class MidSendInner(StubInner):
+    """Stub inner whose ``big`` sub-shape, fractured in a pool worker
+    while the ``armed`` marker file exists, yields 2,000 distinct shots
+    and cuts its worker off half way through sending them: the 4-byte
+    header of the result goes out, the payload never does.  The worker
+    then stalls (to be killed by the deadline) or, with ``dies``, exits
+    on its own.  In the process that built it, it raises instead."""
+
+    def __init__(self, armed: str, dies: bool = False):
+        self.armed = armed
+        self.dies = dies
+        self.parent = os.getpid()
+
+    def fracture_shots(self, sub, spec):
+        if sub.name != "big":
+            return super().fracture_shots(sub, spec)
+        if os.path.exists(self.armed):
+            if os.getpid() == self.parent:
+                raise AssertionError("the big tile ran in the parent")
+            os.unlink(self.armed)
+            _cut_large_sends(self.dies)
+        return [Rect(float(i), 0.0, i + 1.0, 1.0) for i in range(2000)]
+
+
+def _cut_large_sends(dies: bool) -> None:
+    """In this process, send only the header of a message over 16 KiB,
+    which multiprocessing writes apart from its payload; then exit, or
+    stall."""
+    from multiprocessing import connection
+
+    send = connection.Connection._send_bytes
+
+    def cut(self, buf):
+        if len(buf) > 16384:
+            self._send(struct.pack("!i", len(buf)))
+            if dies:
+                os._exit(9)
+            time.sleep(60.0)
+        send(self, buf)
+
+    connection.Connection._send_bytes = cut
+
+
+def _managers() -> set:
+    from concurrent.futures.process import _ExecutorManagerThread
+
+    return {
+        t for t in threading.enumerate()
+        if isinstance(t, _ExecutorManagerThread)
+    }
+
+
+def _unblock(manager) -> None:
+    """End a manager thread blocked reading a result: kill its pool's
+    workers and close the parent's copy of the pipe's write end, so it
+    reads EOF.  A test calls this on failure, so that a blocked thread
+    cannot also hang interpreter exit."""
+    for proc in manager.processes.values():
+        proc.kill()
+    manager.result_queue._writer.close()
+
+
+def _big_tile_jobs():
+    """Three stub tiles, the middle one over the ``big`` sub-shape."""
+    big = MaskShape.from_mask(
+        np.ones((2, 2), dtype=bool), PixelGrid(0.0, 0.0, 1.0, 2, 2),
+        name="big",
+    )
+    jobs = _jobs(3)
+    jobs[1] = (jobs[1][0], [big])
+    return jobs
+
+
+class TestPoolTeardown:
+    """A worker cut off half way through sending a large result leaves
+    the pool's manager thread blocked reading the rest: the pool never
+    reports the death, and interpreter exit, which joins that thread
+    without a bound, never ends."""
+
+    def test_killed_pool_leaves_no_manager_thread(self, tmp_path):
+        """A deadline kill while a worker is stalled half way through
+        sending: the killed pool's manager thread still ends, so nothing
+        is left for interpreter exit to wait on; the tile retries to its
+        full result."""
+        armed = tmp_path / "armed"
+        armed.touch()
+        before = _managers()
+        try:
+            outcomes, stats = run_tiles(
+                _big_tile_jobs(), inner=MidSendInner(str(armed)), spec=SPEC,
+                workers=2, policy=RuntimePolicy(tile_deadline_s=1.0),
+            )
+            left = _managers() - before
+            assert not armed.exists()  # the worker did stall
+            assert not left
+        finally:
+            for thread in _managers() - before:
+                _unblock(thread)
+        assert len(outcomes[1].shots) == 2000
+        assert (stats.tile_timeouts, stats.pool_respawns) == (1, 1)
+
+    def test_worker_dying_mid_send_is_a_crash(self, tmp_path):
+        """A worker that exits on its own half way through sending, with
+        no deadline set: the runner sees the dead worker itself, charges
+        the in-flight tiles a crash and retries them to the full result,
+        instead of waiting forever for futures that never settle."""
+        armed = tmp_path / "armed"
+        armed.touch()
+        before = _managers()
+        finished = threading.Event()
+        rescued = threading.Event()
+
+        def rescue():
+            # Should the runner miss the death, nothing else would end
+            # the run: unblock the manager thread, so the pool breaks,
+            # the run returns and the assertion reports.
+            if not finished.wait(30.0):
+                rescued.set()
+                for thread in _managers() - before:
+                    _unblock(thread)
+
+        watchdog = threading.Thread(target=rescue, daemon=True)
+        watchdog.start()
+        try:
+            outcomes, stats = run_tiles(
+                _big_tile_jobs(), inner=MidSendInner(str(armed), dies=True),
+                spec=SPEC, workers=2,
+            )
+        finally:
+            finished.set()
+            watchdog.join(timeout=60.0)
+        assert not rescued.is_set()
+        assert not armed.exists()  # the worker did die
+        assert len(outcomes[1].shots) == 2000
+        assert stats.pool_respawns == 1
+        assert not outcomes[1].fallback

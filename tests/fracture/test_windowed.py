@@ -558,6 +558,32 @@ class TestStitchWindows:
         assert counters.get("windowed.windows_replayed") == 1
         assert counters.get("windowed.tiles_replayed") == 3
 
+    def test_a_stop_in_the_window_family_counts_windows(
+        self, stepped_chip_3x1, spec_module
+    ):
+        """A stop that lands after the tile pass stops the first window
+        family, and the interrupt names windows, not tiles."""
+        from repro.fracture.runtime import RunInterrupted, RuntimePolicy
+        from repro.obs import TelemetryRecorder, recording
+
+        recorder = TelemetryRecorder()
+        policy = RuntimePolicy(
+            stop_check=lambda: recorder.gauges.get("windowed.tiles_done") == 3
+        )
+        with recording(recorder), pytest.raises(RunInterrupted) as stopped:
+            WindowedFracturer(
+                _inner(nmax=120), window_nm=300.0, runtime=policy
+            ).fracture_shots(stepped_chip_3x1, spec_module)
+        assert (stopped.value.label, stopped.value.done, stopped.value.total) \
+            == ("window", 0, 2)
+        assert str(stopped.value) == \
+            "run interrupted by shutdown hook after 0/2 windows"
+        assert [
+            (e["job_kind"], e["done"], e["total"])
+            for e in recorder.export()["events"]
+            if e["name"] == "run_interrupted"
+        ] == [("window", 0, 2)]
+
     def test_crashed_window_retries_to_the_same_shots(
         self, stepped_chip_3x1, spec_module, monkeypatch
     ):

@@ -6,10 +6,12 @@ import pytest
 
 from repro.baselines import PartitionFracturer
 from repro.fracture.cache import FractureCache
+from repro.fracture.pipeline import ModelBasedFracturer, RefineConfig
 from repro.geometry.polygon import Polygon
 from repro.mask.mdp import MdpPipeline, MdpReport
 from repro.mask.shape import MaskShape
 from repro.obs import TelemetryRecorder, recording
+from tests.property.test_hierarchy_properties import result_key
 
 
 class TestMdpPipeline:
@@ -57,13 +59,20 @@ class TestMdpPipeline:
 
 class TestParallelMdp:
     def test_parallel_matches_serial(self, rect_shape, l_shape, spec):
-        pipeline = MdpPipeline(PartitionFracturer(), spec)
-        serial = pipeline.run([rect_shape, l_shape], workers=1)
-        parallel = pipeline.run([rect_shape, l_shape], workers=2)
-        assert [r.shot_count for r in serial.results] == [
-            r.shot_count for r in parallel.results
-        ]
-        assert [r.shape_name for r in parallel.results] == ["rect", "L"]
+        """Every result field but timing, for 2 and 4 workers against 1,
+        for the geometric baseline and the model-based method, on a
+        batch that repeats a shape."""
+        shapes = [rect_shape, l_shape, rect_shape]
+        for fracturer in (
+            PartitionFracturer(), ModelBasedFracturer(config=RefineConfig.fast())
+        ):
+            pipeline = MdpPipeline(fracturer, spec)
+            serial = [result_key(r) for r in pipeline.run(shapes).results]
+            for workers in (2, 4):
+                parallel = pipeline.run(shapes, workers=workers)
+                assert [result_key(r) for r in parallel.results] == serial
+            assert [r.shape_name for r in parallel.results] == \
+                ["rect", "L", "rect"]
 
     def test_parallel_single_shape_falls_back(self, rect_shape, spec):
         pipeline = MdpPipeline(PartitionFracturer(), spec)
@@ -127,14 +136,16 @@ class TestParallelTelemetry:
             "worker:rect", "worker:L",
         }
         for node in worker_nodes:
-            assert node["children"][0]["name"] == "fracture"
+            shape = node["children"][0]
+            assert shape["name"] == "shape"
+            assert shape["children"][0]["name"] == "fracture"
             assert node["wall_s"] > 0.0
 
     def test_parallel_off_means_no_worker_nodes(self, rect_shape, l_shape, spec):
         _, payload = self._run([rect_shape, l_shape], spec, workers=1)
         batch = payload["spans"]["children"][0]
         names = [c["name"] for c in batch.get("children", ())]
-        assert names == ["mdp.shape", "mdp.shape"]
+        assert names == ["shape", "shape"]
 
 
 def _bar(spec) -> MaskShape:

@@ -18,6 +18,12 @@ import asyncio
 
 import pytest
 
+import repro.service.executor as executor
+from repro.fracture.base import Fracturer
+from repro.fracture.pipeline import ModelBasedFracturer, RefineConfig
+from repro.fracture.refine import RefineParams
+from repro.fracture.runtime import RuntimePolicy
+from repro.fracture.windowed import WindowedFracturer
 from repro.obs.stream import read_stream
 from repro.service.executor import (
     JobControl,
@@ -32,6 +38,7 @@ from repro.service.jobs import (
 )
 from repro.service.protocol import decode_line, encode_line
 from repro.service.server import FractureService
+from tests.fracture.test_windowed import chip_shape, stepped_at_seams
 from tests.service.conftest import stored_tiles
 
 BAR = {"bar": [[0, 0], [220, 0], [220, 60], [0, 60]]}
@@ -74,7 +81,47 @@ def cold_run(tmp_path) -> dict:
     )
 
 
+class SteppedChip(Fracturer):
+    """Fractures the stepped 3×1 chip tiled at 300 nm, whatever clip it
+    is given, under the job's stop check: a tile pass, then a window
+    family for the two stepped seams."""
+
+    name = "stepped-chip"
+
+    def __init__(self, stop_check):
+        self.stop_check = stop_check
+
+    def fracture_shots(self, shape, spec):
+        inner = ModelBasedFracturer(
+            config=RefineConfig(params=RefineParams(nmax=120, nh=3))
+        )
+        return WindowedFracturer(
+            inner, window_nm=300.0,
+            runtime=RuntimePolicy(stop_check=self.stop_check),
+        ).fracture_shots(stepped_at_seams(chip_shape(3, 1), 300.0), spec)
+
+
 class TestExecutorResume:
+    def test_clip_interrupted_names_the_job_kind(self, tmp_path, monkeypatch):
+        """A stop after the tile pass lands in the window family: the
+        event counts windows and says so."""
+        monkeypatch.setattr(
+            executor, "_make_runner",
+            lambda job, paths, control: SteppedChip(control.should_stop),
+        )
+        record = JobRecord(job_id="job-ab56ab56", spec=bar_submission())
+        record.attempts = 1
+        paths = JobPaths.for_job(tmp_path / "svc", record.job_id)
+        with pytest.raises(JobInterrupted):
+            execute_job(record, paths, None, TripControl(trip_after=3))
+        events = [
+            r for r in read_stream(paths.stream)
+            if r.get("name") == "clip_interrupted"
+        ]
+        assert [
+            (e["job_kind"], e["tiles_done"], e["tiles_total"]) for e in events
+        ] == [("window", 0, 2)]
+
     def test_interrupt_then_resume_is_bit_identical(self, tmp_path):
         reference = cold_run(tmp_path)
 

@@ -576,6 +576,32 @@ class TestMdpCommand:
         out = capsys.readouterr().out
         assert "vs partition:" in out
 
+    def test_no_clip_keeps_its_raster(self, tmp_path, monkeypatch):
+        """The batch loop reads each clip-file shape afresh, so a
+        fractured clip's raster is freed before the next clip is
+        fractured, and the baseline batch reads the clips again."""
+        import weakref
+
+        import repro.cli as cli
+        from repro.fracture.base import Fracturer
+        from repro.methods import make_fracturer
+
+        inner = make_fracturer("partition")
+        rasters = []
+
+        class Watch(Fracturer):
+            name = "watch"
+
+            def fracture_shots(self, shape, spec):
+                assert all(ref() is None for ref in rasters)
+                rasters.append(weakref.ref(shape.inside))
+                return inner.fracture_shots(shape, spec)
+
+        monkeypatch.setattr(cli, "_make_fracturer", lambda name: Watch())
+        main(["mdp", str(self._clip_file(tmp_path)), "--method", "partition",
+              "--baseline", "partition"])
+        assert len(rasters) == 4
+
     def test_parallel_matches_serial_output(self, tmp_path, capsys):
         clip_file = self._clip_file(tmp_path)
         serial = main(["mdp", str(clip_file), "--method", "partition"])
