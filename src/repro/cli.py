@@ -945,6 +945,11 @@ def _run_client_op(args: argparse.Namespace, op) -> int:
 
 
 def _cmd_job_submit(args: argparse.Namespace) -> int:
+    # The job's tile_workers is read by the tiled executor only.
+    if args.workers > 1 and not args.window_nm:
+        raise SystemExit(
+            "--workers applies to the tiled executor; add --window-nm"
+        )
     # Only the polygons travel; the daemon places them on its own grid.
     clips = {
         shape.name: [[p.x, p.y] for p in shape.polygon.vertices]
@@ -1375,7 +1380,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_submit.add_argument(
         "--workers", type=_positive_int, default=1,
-        help="tile-executor pool width inside the job (with --window-nm)",
+        help="tile-executor pool width inside the job (needs --window-nm)",
     )
     p_submit.add_argument(
         "--no-cache", action="store_true",

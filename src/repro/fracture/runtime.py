@@ -11,20 +11,18 @@ key and fallback — with:
 
 * **job-identity-preserving result envelopes** — a worker answers
   ``("ok", name, shots, …)`` or ``("error", name, kind, message, …)``
-  with ``kind`` one of ``"crash"``, ``"hang"`` or ``"error"``; a dead
-  pool settles its in-flight jobs as ``"crash"`` and an overrun
-  deadline as ``"hang"``, so every failure is charged to its job, and
-  :class:`PoolBroken` ends the run when the pool cannot be kept alive;
+  with ``kind`` one of ``"crash"``, ``"hang"`` or ``"error"``;
+* **one process and one pipe per worker** — the runner starts its
+  workers itself and knows which attempt each one holds, so a worker
+  that dies (EOF on its pipe, or an exit code seen by a probe at least
+  once a second) is charged to that attempt alone as a ``"crash"``, an
+  overrun deadline kills only the overdue worker and charges it a
+  ``"hang"``, and either way one replacement worker starts; the other
+  workers' jobs run on.  :class:`PoolBroken` ends the run when more
+  than :data:`MAX_POOL_RESPAWNS` workers had to be replaced;
 * **per-job retry** with capped exponential backoff
   (:data:`BACKOFF_S`, :data:`BACKOFF_FACTOR`, :data:`BACKOFF_CAP_S`) and
-  **per-job deadlines** enforced by ``submit``-based scheduling;
-* **pool recovery** — a dead worker (``BrokenProcessPool``, or a dead
-  worker process the pool failed to report) tears the pool down,
-  respawns it, requeues the jobs that were in flight and
-  *quarantines* the suspects: each runs its next attempts alone on the
-  pool, so a crash while it runs is charged to it only, and a job that
-  kills every worker it meets uses up its attempts without taking the
-  parent down;
+  **per-job deadlines**;
 * a **degradation ladder** — a tile that exhausts its retries falls
   back to the deterministic geometric :class:`PartitionFracturer`
   baseline (:func:`partition_fallback`) for that tile, and a stitch
@@ -60,10 +58,14 @@ run; only fallback jobs deviate, and those are explicitly flagged.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import pickle
+import queue
 import random
 import shutil
 import tempfile
+import threading
 import time
 import traceback
 from dataclasses import dataclass, field
@@ -106,7 +108,8 @@ BACKOFF_S = 0.05
 BACKOFF_FACTOR = 2.0
 BACKOFF_CAP_S = 2.0
 
-#: Pool respawns one run may spend before it raises :class:`PoolBroken`.
+#: Workers one run may replace, after a crash or a deadline kill, before
+#: it raises :class:`PoolBroken`.
 MAX_POOL_RESPAWNS = 8
 
 
@@ -120,7 +123,7 @@ def backoff(attempt: int) -> float:
 
 
 class PoolBroken(RuntimeError):
-    """The process pool could not be kept alive within the respawn budget."""
+    """The run had to replace more workers than its respawn budget allows."""
 
 
 class JobFailed(RuntimeError):
@@ -135,10 +138,10 @@ class RunInterrupted(RuntimeError):
 
     Raised when :attr:`RuntimePolicy.stop_check` returns true.  The run
     stops at a *clean* point: every settled job is already in the
-    store (when there is one), no job is half-recorded, and the pool
-    is torn down by the normal cleanup path — so running again against
-    the same store replays the completed jobs bit-identically and
-    executes only the rest.  ``done`` / ``total`` report how far the
+    store (when there is one), no job is half-recorded, and the
+    workers are stopped by the normal cleanup path — so running again
+    against the same store replays the completed jobs bit-identically
+    and executes only the rest.  ``done`` / ``total`` report how far the
     run got, in jobs of the kind ``label`` names (``"tile"``,
     ``"window"``).
     """
@@ -266,9 +269,10 @@ class RuntimePolicy:
 
     ``max_attempts`` counts the first execution: 3 means one run plus
     two retries before the degradation ladder engages.
-    ``tile_deadline_s`` is enforced by killing and respawning the pool,
-    so it needs ``workers > 1``; inline (serial) execution cannot be
-    preempted.  ``fault_plan`` injects failures (:class:`FaultPlan`).
+    ``tile_deadline_s`` is enforced by killing the overdue worker and
+    starting a replacement, so it needs ``workers > 1``; inline
+    (serial) execution cannot be preempted.  ``fault_plan`` injects
+    failures (:class:`FaultPlan`).
 
     ``heartbeat_s`` enables the worker heartbeat channel
     (:mod:`repro.obs.resources`) on the pooled path: each worker
@@ -482,7 +486,7 @@ def _worker_init(
     heartbeat_s: float = 1.0,
     trace: dict[str, Any] | None = None,
 ) -> None:
-    """Pool initializer: ship the inner fracturer once per worker process.
+    """Worker setup: ship the inner fracturer once per worker process.
 
     Payloads then carry only ``(kind, job, attempt)`` — the inner
     method (with whatever caches/config it holds) is not re-pickled
@@ -532,10 +536,11 @@ def _job_task(kind: JobKind, job: Any, attempt: int) -> tuple:
 
     ``("ok", name, shots, info, telemetry | None, meta)`` on success;
     ``("error", name, kind, message, meta)`` when the computation raised
-    (the pool stays healthy and the parent knows exactly which job was
-    involved).  ``meta`` carries the worker pid so outcomes can be
+    (the worker stays in service and the parent knows exactly which
+    job was involved).  ``meta`` carries the worker pid so outcomes can be
     attributed to the heartbeat channel.  A hard crash (injected or
-    real) never returns — the parent sees ``BrokenProcessPool``.
+    real) never returns — the parent sees EOF on the worker's pipe or
+    the worker's exit code.
     """
     inner, spec, telemetry_enabled, fault_plan, heartbeat, trace = _WORKER_CTX
     meta = {"pid": os.getpid()}
@@ -566,6 +571,30 @@ def _job_task(kind: JobKind, job: Any, attempt: int) -> tuple:
             heartbeat.clear_task()
 
 
+def _worker_main(conn: Any, *init: Any) -> None:
+    """A worker process: :func:`_worker_init` once, then one
+    :func:`_job_task` envelope for each ``(kind, job, attempt)`` message
+    on ``conn`` until ``None``.
+
+    A ``KeyboardInterrupt`` or ``SystemExit`` from the task goes back as
+    ``("raise", error)``, for the parent to raise in the job's turn; a
+    result that cannot be pickled as ``("unavailable", reason)``.
+    """
+    _worker_init(*init)
+    try:
+        while (message := conn.recv()) is not None:
+            try:
+                envelope = _job_task(*message)
+            except BaseException as error:  # noqa: BLE001 — raised in the parent
+                envelope = ("raise", error)
+            try:
+                conn.send(envelope)
+            except Exception as error:  # noqa: BLE001 — the pickler's failure
+                conn.send(("unavailable", f"{type(error).__name__}: {error}"))
+    except EOFError:
+        pass  # the parent is gone
+
+
 # -- the runner --------------------------------------------------------------
 
 
@@ -576,8 +605,38 @@ class _Pending:
     idx: int
     attempt: int
     eligible_at: float
-    alone: bool = False  # crash suspect: runs with no other job in flight
     started: float = 0.0  # monotonic start of the current attempt
+
+
+class _Worker:
+    """One worker process, the parent's end of its pipe, the attempt it
+    holds, and the daemon thread that reads that end into the run's
+    queue as ``(worker, message)``, with ``None`` for EOF."""
+
+    def __init__(self, context: Any, init: tuple, results: queue.SimpleQueue):
+        self.conn, child = context.Pipe()
+        self.process = context.Process(target=_worker_main, args=(child, *init))
+        self.process.start()
+        # Only the worker holds its end now, so its death is EOF here.
+        child.close()
+        self.held: _Pending | None = None
+        self.reader = threading.Thread(
+            target=self._read, args=(results,), name="runner-reader",
+            daemon=True,
+        )
+
+    def _read(self, results: queue.SimpleQueue) -> None:
+        while True:
+            try:
+                data = self.conn.recv_bytes()
+            except (EOFError, OSError):
+                results.put((self, None))
+                return
+            try:
+                message = pickle.loads(data)
+            except Exception as error:  # noqa: BLE001 — the unpickler's failure
+                message = ("unavailable", f"{type(error).__name__}: {error}")
+            results.put((self, message))
 
 
 class _TileRunner:
@@ -741,26 +800,12 @@ class _TileRunner:
                 kind=kind,
                 error=message.splitlines()[0],
             )
-            self.pending.append(
-                _Pending(
-                    p.idx,
-                    p.attempt + 1,
-                    time.monotonic() + backoff(p.attempt),
-                    alone=p.alone or kind == "crash",
-                )
-            )
+            retry_at = time.monotonic() + backoff(p.attempt)
+            self.pending.append(_Pending(p.idx, p.attempt + 1, retry_at))
         elif self.kind.fallback is None:
             self.failed[p.idx] = JobFailed(message)
         else:
             self._run_fallback(p, message)
-
-    def _settle_crash(self, p: _Pending) -> None:
-        """Charge ``p`` a crash: its worker died, and the pool with it."""
-        self._settle_failure(
-            p, "crash",
-            f"{self.kind.label} {self.names[p.idx]} (attempt {p.attempt}): "
-            f"worker process died (BrokenProcessPool)",
-        )
 
     def _run_fallback(self, p: _Pending, reason: str) -> None:
         label = self.kind.label
@@ -804,9 +849,18 @@ class _TileRunner:
         if envelope[0] == "ok":
             _ok, _name, shots, info, telemetry, meta = envelope
             self._settle_ok(p, shots, info, telemetry, worker_pid=meta.get("pid"))
+        elif envelope[0] == "error":
+            self._settle_failure(p, envelope[2], envelope[3])
+        elif envelope[0] == "raise":
+            # KeyboardInterrupt or SystemExit from the task: raised once
+            # the jobs before it are handed back.
+            self.failed[p.idx] = envelope[1]
         else:
-            kind, message = envelope[2], envelope[3]
-            self._settle_failure(p, kind, message)
+            self._settle_failure(
+                p, "error",
+                f"{self.kind.label} {self.names[p.idx]} (attempt "
+                f"{p.attempt}): result unavailable: {envelope[1]}",
+            )
 
     # -- graceful shutdown --------------------------------------------------
 
@@ -874,10 +928,8 @@ class _TileRunner:
     # -- pooled path --------------------------------------------------------
 
     def run_pool(self) -> Iterator[TileOutcome]:
-        from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-        from concurrent.futures.process import BrokenProcessPool
-
         policy = self.policy
+        label = self.kind.label
         deadline_s = policy.tile_deadline_s
         hb_dir: Path | None = None
         monitor: HeartbeatMonitor | None = None
@@ -894,220 +946,163 @@ class _TileRunner:
                     0.5 * deadline_s if deadline_s is not None else None
                 ),
             )
+        context = multiprocessing.get_context()
+        results: queue.SimpleQueue = queue.SimpleQueue()
+        init = (
+            self.inner, self.spec, self.obs.enabled, policy.fault_plan,
+            str(hb_dir) if hb_dir is not None else None,
+            policy.heartbeat_s if policy.heartbeat_s else 1.0,
+            self.trace,
+        )
+        live: list[_Worker] = []
+        gone: list[_Worker] = []
 
-        def spawn() -> ProcessPoolExecutor:
-            return ProcessPoolExecutor(
-                max_workers=self.workers,
-                initializer=_worker_init,
-                initargs=(
-                    self.inner, self.spec,
-                    self.obs.enabled, policy.fault_plan,
-                    str(hb_dir) if hb_dir is not None else None,
-                    policy.heartbeat_s if policy.heartbeat_s else 1.0,
-                    self.trace,
-                ),
-            )
-
-        def kill(pool: ProcessPoolExecutor) -> None:
-            procs = list((getattr(pool, "_processes", None) or {}).values())
-            manager = getattr(pool, "_executor_manager_thread", None)
-            results = getattr(pool, "_result_queue", None)
-            for proc in procs:
-                proc.kill()
-            if results is not None:
-                # A worker killed between the header and the payload of
-                # a large result leaves the manager thread blocked
-                # reading the rest.  With the parent's copy of the write
-                # end closed as well it reads EOF and exits; otherwise
-                # it blocks forever, and so does interpreter exit,
-                # which joins it without a bound.
-                results._writer.close()
-            pool.shutdown(wait=False, cancel_futures=True)
-            # Reaped here, and the pool's manager thread finished, so
-            # nothing of a killed pool outlives the run or is still
-            # running when the next pool forks its workers; bounded, so
-            # a process the kernel is slow to tear down cannot wedge the
-            # parent.
-            for proc in procs:
-                proc.join(timeout=5.0)
-            if manager is not None:
-                manager.join(timeout=5.0)
+        def replace(worker: _Worker, reason: str) -> None:
+            """Kill ``worker``, dead or overdue, and start its successor."""
+            live.remove(worker)
+            gone.append(worker)
+            worker.process.kill()
+            worker.process.join(timeout=5.0)
             if hb_dir is not None:
-                # Deliberately killed workers are not stalls: retire
-                # their heartbeat files so the monitor does not flag
-                # the parent's own deadline enforcement.
-                for proc in procs:
-                    try:
-                        (hb_dir / f"hb-{proc.pid}.json").unlink()
-                    except OSError:
-                        pass
-
-        def lost_worker(pool: ProcessPoolExecutor) -> bool:
-            """Whether a worker has died.  A worker that dies between the
-            header and the payload of a result leaves the manager thread
-            reading the rest for good, so the pool never reports the
-            death and the in-flight futures never settle; the runner
-            treats a dead worker as a dead pool itself."""
-            procs = (getattr(pool, "_processes", None) or {}).values()
-            return any(proc.exitcode is not None for proc in procs)
-
-        pool = spawn()
-        if monitor is not None:
-            monitor.start()
-        respawns = 0
-        inflight: dict[Any, tuple[_Pending, float]] = {}
-
-        def respawn_pool(reason: str) -> ProcessPoolExecutor:
-            """Kill the current pool, dead or hung, and start the next."""
-            nonlocal respawns
-            kill(pool)
-            respawns += 1
+                # A replaced worker is no stall: retire its heartbeat
+                # file so the monitor does not flag the parent's own
+                # deadline enforcement.
+                try:
+                    (hb_dir / f"hb-{worker.process.pid}.json").unlink()
+                except OSError:
+                    pass
             self.stats.pool_respawns += 1
+            respawns = self.stats.pool_respawns
             self.obs.incr("windowed.pool_respawns")
             self.obs.event("pool_respawn", reason=reason, respawns=respawns)
             if respawns > MAX_POOL_RESPAWNS:
                 raise PoolBroken(
-                    f"process pool died {respawns} times "
-                    f"(budget {MAX_POOL_RESPAWNS}); giving up: {reason}"
+                    f"replaced {respawns} workers (budget "
+                    f"{MAX_POOL_RESPAWNS}); giving up: {reason}"
                 )
-            return spawn()
+            successor = _Worker(context, init, results)
+            successor.reader.start()
+            live.append(successor)
+
+        def lost(worker: _Worker) -> None:
+            """Replace a worker that died; charge its attempt a crash."""
+            p = worker.held
+            replace(worker, "worker process died abruptly")
+            if p is not None:
+                self._settle_failure(
+                    p, "crash",
+                    f"{label} {self.names[p.idx]} (attempt {p.attempt}): "
+                    f"worker process died (exit code "
+                    f"{worker.process.exitcode})",
+                )
+
+        def start(worker: _Worker, p: _Pending) -> None:
+            p.started = time.monotonic()
+            worker.held = p
+            try:
+                worker.conn.send((self.kind, self.jobs[p.idx], p.attempt))
+            except OSError:
+                # The worker died idle: its EOF or exit code replaces
+                # it, and the job waits for another, uncharged.
+                worker.held = None
+                self.pending.append(p)
 
         try:
-            while self.pending or inflight:
+            # Fork the first workers before the run starts any thread, so
+            # no fork copies a lock one of its threads holds.
+            for _ in range(min(self.workers, len(self.pending))):
+                live.append(_Worker(context, init, results))
+            for worker in live:
+                worker.reader.start()
+            if monitor is not None:
+                monitor.start()
+            while self.pending or any(w.held is not None for w in live):
                 self._check_interrupt()
                 now = time.monotonic()
                 due = [p for p in self.pending if p.eligible_at <= now]
-                next_eligible = min(
-                    (p.eligible_at for p in self.pending if p.eligible_at > now),
-                    default=None,
-                )
-                suspects = [p for p in due if p.alone]
-                if any(p.alone for p, _t in inflight.values()):
-                    submit = []
-                elif suspects:
-                    # A crash suspect waits for the pool to drain and
-                    # then runs by itself, so if it kills its worker
-                    # again no other job is charged for the crash.
-                    submit = [] if inflight else suspects[:1]
-                else:
-                    submit = due[: self.workers - len(inflight)]
-                broken: list[_Pending] = []
-                pool_is_broken = False
-                for p in submit:
+                idle = [w for w in live if w.held is None]
+                for worker, p in zip(idle, due):
                     self.pending.remove(p)
-                    try:
-                        future = pool.submit(
-                            _job_task, self.kind, self.jobs[p.idx], p.attempt
-                        )
-                    except Exception:  # BrokenProcessPool / RuntimeError
-                        pool_is_broken = True
-                        broken.append(p)
-                        continue
-                    p.started = time.monotonic()
-                    inflight[future] = (p, p.started)
-                if pool_is_broken:
-                    broken.extend(p for p, _t in inflight.values())
-                    inflight.clear()
-                    pool = respawn_pool("submit failed: pool already broken")
-                    for p in broken:
-                        self._settle_crash(p)
-                    continue
+                    start(worker, p)
                 # The workers are busy while the caller takes what has
                 # settled.
                 yield from self._hand_back()
-                if not inflight:
-                    if self.pending and next_eligible is not None:
-                        time.sleep(max(0.0, next_eligible - time.monotonic()))
-                    continue
-                timeouts: list[float] = []
+                # Block until a worker reports, or until a deadline, a
+                # retry's backoff, a stop-check poll or the probe below
+                # is due.  A job due with no worker free waits for a
+                # report, not in a spin.
                 now = time.monotonic()
+                waits = [1.0]
+                waits += [
+                    p.eligible_at - now for p in self.pending
+                    if p.eligible_at > now
+                ]
                 if deadline_s is not None:
-                    for _p, started in inflight.values():
-                        timeouts.append(started + deadline_s - now)
-                if next_eligible is not None:
-                    timeouts.append(next_eligible - now)
-                timeout = max(0.0, min(timeouts)) if timeouts else None
-                if policy.stop_check is not None:
-                    # Poll the shutdown hook even while every worker is
-                    # deep inside a long tile.
-                    timeout = 0.2 if timeout is None else min(timeout, 0.2)
-                # Look for a worker the pool lost without noticing at
-                # least once a second (see lost_worker).
-                timeout = 1.0 if timeout is None else min(timeout, 1.0)
-                done, _not_done = wait(
-                    set(inflight), timeout=timeout, return_when=FIRST_COMPLETED
-                )
-                failed_with_pool: list[_Pending] = []
-                for future in done:
-                    p, _started = inflight.pop(future)
-                    try:
-                        envelope = future.result()
-                    except BrokenProcessPool:
-                        pool_is_broken = True
-                        failed_with_pool.append(p)
-                        continue
-                    except Exception as error:  # noqa: BLE001
-                        self._settle_failure(
-                            p, "error",
-                            f"{self.kind.label} {self.names[p.idx]} (attempt "
-                            f"{p.attempt}): result unavailable: "
-                            f"{type(error).__name__}: {error}",
-                        )
-                        continue
-                    except BaseException as error:
-                        # KeyboardInterrupt or SystemExit from the task:
-                        # raised once the jobs before it are handed back.
-                        self.failed[p.idx] = error
-                        continue
-                    self._settle_envelope(p, envelope)
-                if inflight and not pool_is_broken and lost_worker(pool):
-                    pool_is_broken = True
-                if pool_is_broken:
-                    # Everything still in flight died with the pool;
-                    # requeue it all — the "crash" settlement makes each
-                    # a suspect that runs alone.
-                    failed_with_pool.extend(p for p, _t in inflight.values())
-                    inflight.clear()
-                    pool = respawn_pool("worker process died abruptly")
-                    for p in failed_with_pool:
-                        self._settle_crash(p)
-                    continue
-                if deadline_s is not None and inflight:
-                    now = time.monotonic()
-                    overdue = [
-                        future
-                        for future, (_p, started) in inflight.items()
-                        if now - started >= deadline_s
+                    waits += [
+                        w.held.started + deadline_s - now
+                        for w in live if w.held is not None
                     ]
-                    if overdue:
-                        # A hung worker cannot be preempted individually:
-                        # kill the pool, respawn, requeue the innocent
-                        # in-flight tiles without penalty and charge the
-                        # overdue ones a timeout.
-                        overdue_set = set(overdue)
-                        victims = list(inflight.items())
-                        inflight.clear()
-                        pool = respawn_pool("tile deadline exceeded")
-                        for future, (p, started) in victims:
-                            if future in overdue_set:
-                                self._settle_failure(
-                                    p, "hang",
-                                    f"{self.kind.label} {self.names[p.idx]} "
-                                    f"exceeded deadline "
-                                    f"{deadline_s:.3g}s "
-                                    f"(attempt {p.attempt})",
-                                )
-                            else:
-                                self.pending.append(
-                                    _Pending(p.idx, p.attempt, 0.0, p.alone)
-                                )
+                if policy.stop_check is not None:
+                    waits.append(0.2)
+                messages = []
+                try:
+                    messages.append(results.get(timeout=max(0.0, min(waits))))
+                    while True:
+                        messages.append(results.get_nowait())
+                except queue.Empty:
+                    pass
+                for worker, message in messages:
+                    if worker not in live:
+                        continue  # a replaced worker's last word
+                    if message is None:
+                        lost(worker)
+                        continue
+                    p, worker.held = worker.held, None
+                    self._settle_envelope(p, message)
+                # A worker whose pipe end another process still holds
+                # dies without EOF: probe the exit codes.
+                for worker in [w for w in live if w.process.exitcode is not None]:
+                    lost(worker)
+                if deadline_s is not None:
+                    now = time.monotonic()
+                    for worker in [
+                        w for w in live
+                        if w.held is not None
+                        and now - w.held.started >= deadline_s
+                    ]:
+                        p = worker.held
+                        replace(worker, f"{label} deadline exceeded")
+                        self._settle_failure(
+                            p, "hang",
+                            f"{label} {self.names[p.idx]} exceeded deadline "
+                            f"{deadline_s:.3g}s (attempt {p.attempt})",
+                        )
         finally:
             if monitor is not None:
                 monitor.stop(final_tick=False)
-            if inflight:
-                kill(pool)  # hung/dead workers: do not wait on them
-            else:
-                pool.shutdown(wait=True, cancel_futures=True)
+            for worker in live:
+                if worker.held is None:
+                    try:
+                        worker.conn.send(None)
+                    except OSError:
+                        pass
+                else:
+                    worker.process.kill()  # hung or busy: do not wait on it
+            for worker in live + gone:
+                worker.process.join(timeout=5.0)
+                worker.process.kill()
+                worker.process.join(timeout=5.0)
+            # Each reader ends on EOF once its worker is gone.  Close a
+            # pipe end only after its reader has ended: a descriptor
+            # closed under a blocked reader can be reused.  A reader
+            # still blocked after the bound (another process holds the
+            # worker's end) keeps its end open until it reads EOF.
+            until = time.monotonic() + 1.0
+            for worker in live + gone:
+                if worker.reader.is_alive():
+                    worker.reader.join(max(0.0, until - time.monotonic()))
+                if not worker.reader.is_alive():
+                    worker.conn.close()
             if hb_dir is not None:
                 shutil.rmtree(hb_dir, ignore_errors=True)
 

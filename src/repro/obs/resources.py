@@ -378,7 +378,6 @@ class HeartbeatMonitor:
         interval_s: float = 1.0,
         stall_after_s: float | None = None,
         slow_task_after_s: float | None = None,
-        heartbeat_events: bool = True,
     ):
         self.directory = Path(directory)
         self.recorder = recorder
@@ -391,7 +390,6 @@ class HeartbeatMonitor:
             if slow_task_after_s is not None
             else 10.0 * self.interval_s
         )
-        self.heartbeat_events = heartbeat_events
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
         self._stalled: dict[int, str] = {}  # pid -> stall kind
@@ -418,16 +416,15 @@ class HeartbeatMonitor:
                 rss = worker["rss_bytes"]
                 if isinstance(rss, (int, float)):
                     self._rss_peak = max(self._rss_peak, int(rss))
-                if self.heartbeat_events:
-                    rec.event(
-                        "worker_heartbeat",
-                        pid=pid,
-                        tile=worker["task"],
-                        attempt=worker.get("attempt"),
-                        rss_bytes=worker["rss_bytes"],
-                        cpu_s=worker["cpu_s"],
-                        age_s=worker["age_s"],
-                    )
+                rec.event(
+                    "worker_heartbeat",
+                    pid=pid,
+                    tile=worker["task"],
+                    attempt=worker.get("attempt"),
+                    rss_bytes=worker["rss_bytes"],
+                    cpu_s=worker["cpu_s"],
+                    age_s=worker["age_s"],
+                )
             if kind == "alive":
                 self._stalled.pop(pid, None)
                 continue

@@ -44,6 +44,11 @@ from repro.fracture.cache import FractureCache
 
 __all__ = ["WarmCaches"]
 
+#: Results the in-memory result cache holds (the oldest is evicted).
+RESULT_ENTRIES = 256
+#: Grid layouts whose edge profiles the profile bank keeps.
+PROFILE_LAYOUTS = 64
+
 
 class WarmCaches:
     """The daemon's shared warm state: result cache + profile bank.
@@ -58,16 +63,14 @@ class WarmCaches:
     def __init__(
         self,
         *,
-        result_entries: int = 256,
-        profile_layouts: int = 64,
         persist_dir: str | Path | None = None,
         min_free_bytes: int | None = None,
     ):
         self.results = FractureCache(
-            max_entries=result_entries, persist_dir=persist_dir,
+            max_entries=RESULT_ENTRIES, persist_dir=persist_dir,
             min_free_bytes=min_free_bytes,
         )
-        self.profiles = ProfileBank(max_caches=profile_layouts)
+        self.profiles = ProfileBank(max_caches=PROFILE_LAYOUTS)
         self._installed = False
 
     def install(self) -> "WarmCaches":

@@ -47,8 +47,7 @@ from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
 from repro.mask.constraints import FractureSpec
 from repro.mask.io import spec_from_dict, spec_to_dict
-from repro.mask.mdp import MdpPipeline
-from repro.mask.shape import MaskShape
+from repro.mask.mdp import MdpPipeline, PolygonShapes
 from repro.methods import make_fracturer
 from repro.obs import (
     HeartbeatWriter,
@@ -270,13 +269,15 @@ def _run_clips(
         method=job["method"],
     )
     names = sorted(job["clips"])
-    shapes = [
-        MaskShape.from_polygon(
-            Polygon(Point(x, y) for x, y in job["clips"][name]),
-            pitch=spec.pitch, margin=spec.grid_margin, name=name,
-        )
-        for name in names
-    ]
+    # Each clip is rasterized as the loop reaches it and freed after, so
+    # a job holds one clip's raster at a time.
+    shapes = PolygonShapes(
+        [
+            (name, Polygon(Point(x, y) for x, y in job["clips"][name]))
+            for name in names
+        ],
+        pitch=spec.pitch, margin=spec.grid_margin,
+    )
 
     def before_clip(name: str) -> None:
         control.raise_if_stopped()

@@ -90,6 +90,10 @@ __all__ = ["DEFAULT_STATE_DIR", "FractureService", "daemon_info"]
 
 DEFAULT_STATE_DIR = ".repro-service"
 
+#: A running job whose current clip exceeds this age, in seconds, is
+#: reported as ``slow_task`` by the stats op: wedged, not merely slow.
+STALL_CLIP_S = 120.0
+
 
 class _IdleTimeout(Exception):
     """No request started within ``idle_timeout_s`` (quiet close)."""
@@ -132,7 +136,6 @@ class FractureService:
         max_queue_depth: int = 64,
         caches: WarmCaches | None = None,
         job_runner: Callable[..., dict[str, Any]] | None = None,
-        stall_clip_s: float = 120.0,
         limits: ServiceLimits | None = None,
     ):
         if workers < 1:
@@ -140,9 +143,6 @@ class FractureService:
         self.state_dir = Path(state_dir)
         self.limits = (limits if limits is not None else ServiceLimits())
         self.limits.validated()
-        # A running job whose current clip exceeds this age is reported
-        # as ``slow_task`` by the stats op: wedged, not merely slow.
-        self.stall_clip_s = float(stall_clip_s)
         self.workers = workers
         self.socket_path = self.state_dir / "daemon.sock"
         self.daemon_json = self.state_dir / "daemon.json"
@@ -791,7 +791,7 @@ class FractureService:
             heartbeats=summarize_heartbeats(
                 self.state_dir / "heartbeats",
                 stall_after_s=5.0 * JOB_HEARTBEAT_INTERVAL_S,
-                slow_task_after_s=self.stall_clip_s,
+                slow_task_after_s=STALL_CLIP_S,
             ),
             guard={
                 "limits": self.limits.to_dict(),
@@ -856,7 +856,7 @@ class FractureService:
         beats = summarize_heartbeats(
             self.state_dir / "heartbeats",
             stall_after_s=5.0 * JOB_HEARTBEAT_INTERVAL_S,
-            slow_task_after_s=self.stall_clip_s,
+            slow_task_after_s=STALL_CLIP_S,
         )
         samples.append(MetricSample(
             "service.heartbeats_alive", beats.get("alive", 0), type="gauge"
@@ -884,9 +884,3 @@ class FractureService:
         # before the server socket closes underneath it.
         asyncio.get_running_loop().call_soon(self.request_shutdown, mode)
         return ok_response(mode=mode, running=len(self.running))
-
-
-# Re-exported for callers that only need to know whether a daemon is up
-# without importing the asyncio machinery.
-def socket_path_for(state_dir: str | Path) -> Path:
-    return Path(state_dir) / "daemon.sock"

@@ -7,7 +7,9 @@ backoff here: the module's ``BACKOFF_S`` is patched to zero.
 """
 
 import json
+import multiprocessing
 import os
+import signal
 import struct
 import threading
 import time
@@ -459,6 +461,239 @@ class TestHeartbeatIntegration:
         assert [o.shots for o in observed] == [o.shots for o in baseline]
 
 
+def _named_jobs(*names: str):
+    """One stub tile per name, over one sub-shape of that name."""
+    return [
+        (tile, [MaskShape.from_mask(SUB.inside, SUB.grid, name=name)])
+        for (tile, _subs), name in zip(_jobs(len(names)), names)
+    ]
+
+
+class LoggedInner(StubInner):
+    """Stub inner that appends each sub-shape's name to ``log`` as it
+    starts fracturing it, then sleeps ``pauses[name]`` seconds."""
+
+    def __init__(self, log: str, pauses: dict[str, float]):
+        self.log = log
+        self.pauses = pauses
+
+    def fracture_shots(self, sub, spec):
+        with open(self.log, "a") as out:
+            out.write(sub.name + "\n")
+        time.sleep(self.pauses.get(sub.name, 0.0))
+        return super().fracture_shots(sub, spec)
+
+
+def _runs(log: Path, name: str) -> int:
+    """How many times a ``LoggedInner`` started sub-shape ``name``."""
+    return log.read_text().split().count(name)
+
+
+class ShotInner(StubInner):
+    """Stub inner whose one shot per sub-shape is ``shot``."""
+
+    def __init__(self, shot):
+        self.shot = shot
+
+    def fracture_shots(self, sub, spec):
+        return [self.shot]
+
+
+def _refused_in(parent: int):
+    if os.getpid() == parent:
+        raise ValueError("this shot cannot be read here")
+    return Unreadable(parent)
+
+
+class Unreadable:
+    """A shot its worker pickles and the process ``parent`` cannot unpickle."""
+
+    center = Rect(0.0, 0.0, 10.0, 10.0).center
+
+    def __init__(self, parent: int):
+        self.parent = parent
+
+    def __reduce__(self):
+        return (_refused_in, (self.parent,))
+
+
+class Unsendable:
+    """A shot that cannot be pickled."""
+
+    center = Rect(0.0, 0.0, 10.0, 10.0).center
+
+    def __reduce__(self):
+        raise TypeError("this shot cannot be sent")
+
+
+class OrphanInner(StubInner):
+    """Stub inner whose ``orphan`` sub-shape, fractured in a pool worker
+    while the ``armed`` marker file exists, forks a child that keeps the
+    worker's end of its pipe open for a minute, writes ``"PID TIME"`` of
+    that child and the moment to ``holder`` and exits the worker at once:
+    the worker dies and its pipe reports no EOF."""
+
+    def __init__(self, armed: str, holder: str):
+        self.armed = armed
+        self.holder = holder
+
+    def fracture_shots(self, sub, spec):
+        if sub.name == "orphan" and os.path.exists(self.armed):
+            os.unlink(self.armed)
+            pid = os.fork()
+            if pid == 0:
+                time.sleep(60.0)
+                os._exit(0)
+            Path(self.holder).write_text(f"{pid} {time.time()}")
+            os._exit(13)
+        return super().fracture_shots(sub, spec)
+
+
+class TestExactAttribution:
+    """Each worker holds one attempt, so a worker's death or overrun is
+    charged to the attempt it held and costs no other job anything."""
+
+    def test_crash_leaves_the_other_workers_job_alone(self, tmp_path):
+        import repro.obs as obs
+
+        log = tmp_path / "runs"
+        rec = obs.TelemetryRecorder()
+        with obs.recording(rec):
+            outcomes, stats = run_tiles(
+                _named_jobs("a", "b"),
+                inner=LoggedInner(str(log), {"b": 0.5}), spec=SPEC,
+                workers=2,
+                policy=RuntimePolicy(
+                    fault_plan=FaultPlan(faults={"t0,0": FaultSpec("crash")}),
+                ),
+            )
+        assert [o.attempts for o in outcomes] == [2, 1]
+        assert _runs(log, "b") == 1
+        retried = [
+            (e["tile"], e["kind"]) for e in rec.events
+            if e["name"] == "tile_retry"
+        ]
+        assert retried == [("t0,0", "crash")]
+        assert stats.pool_respawns == 1
+
+    def test_deadline_kill_leaves_the_other_workers_job_alone(self, tmp_path):
+        """``hung`` overruns its deadline while ``b`` runs on the other
+        worker (from 1.0 s to 2.5 s; the kill comes at 2.0 s): only the
+        overdue worker is killed, and ``b`` runs once."""
+        log = tmp_path / "runs"
+        outcomes, stats = run_tiles(
+            _named_jobs("hung", "a", "b"),
+            inner=LoggedInner(str(log), {"a": 1.0, "b": 1.5}), spec=SPEC,
+            workers=2,
+            policy=RuntimePolicy(
+                tile_deadline_s=2.0,
+                fault_plan=FaultPlan(
+                    faults={"t0,0": FaultSpec("hang")}, hang_s=60.0
+                ),
+            ),
+        )
+        assert [o.attempts for o in outcomes] == [2, 1, 1]
+        assert _runs(log, "b") == 1
+        assert (stats.tile_timeouts, stats.pool_respawns) == (1, 1)
+
+    @pytest.mark.parametrize("shot", ["unreadable", "unsendable"])
+    def test_result_that_cannot_cross_the_pipe_is_an_error(
+        self, shot, stub_fallback
+    ):
+        """A result the parent cannot unpickle, or the worker cannot
+        pickle, fails its attempt as an error; the worker lives on."""
+        made = Unreadable(os.getpid()) if shot == "unreadable" else Unsendable()
+        outcomes, stats = run_tiles(
+            _jobs(4), inner=ShotInner(made), spec=SPEC, workers=2,
+        )
+        assert all(o.fallback for o in outcomes)
+        for outcome in outcomes:
+            assert outcome.tile_name in outcome.error
+            assert "result unavailable" in outcome.error
+        assert (stats.tile_retries, stats.pool_respawns) == (8, 0)
+
+    def test_many_workers_and_crashes_charge_each_crash_once(
+        self, monkeypatch
+    ):
+        """More workers than cores, a crash on a seeded third of the
+        jobs and a short switch interval for the reader threads: every
+        job settles once, in order, and only the crashed jobs retry,
+        each crash costing one replaced worker of a budget of exactly
+        that many."""
+        import sys
+
+        jobs = _jobs(40)
+        names = [tile.name for tile, _subs in jobs]
+        plan = FaultPlan.seeded(names, seed=3, action="crash", fraction=0.3)
+        monkeypatch.setattr(runtime, "MAX_POOL_RESPAWNS", len(plan.faults))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            outcomes, stats = run_tiles(
+                jobs, inner=StubInner(), spec=SPEC, workers=4,
+                policy=RuntimePolicy(fault_plan=plan),
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        assert plan.faults
+        assert [o.tile_name for o in outcomes] == names
+        assert [o.attempts for o in outcomes] == [
+            2 if name in plan.faults else 1 for name in names
+        ]
+        assert not any(o.fallback for o in outcomes)
+        crashed = len(plan.faults)
+        assert (stats.tile_retries, stats.pool_respawns) == (crashed, crashed)
+
+    def test_worker_death_without_eof_is_a_crash(self, tmp_path):
+        """Another process holds the dead worker's end of its pipe, so
+        no EOF comes: the exit-code probe still charges the crash within
+        about a second."""
+        import repro.obs as obs
+
+        armed = tmp_path / "armed"
+        armed.touch()
+        holder = tmp_path / "holder"
+        finished = threading.Event()
+
+        def release() -> None:
+            if holder.exists():
+                try:
+                    os.kill(int(holder.read_text().split()[0]), signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+
+        def rescue():
+            # Should the runner miss the death, only the holder's exit
+            # would end the run: end it, and the timing assertion fails.
+            if not finished.wait(30.0):
+                release()
+
+        watchdog = threading.Thread(target=rescue, daemon=True)
+        watchdog.start()
+        rec = obs.TelemetryRecorder()
+        try:
+            with obs.recording(rec):
+                outcomes, stats = run_tiles(
+                    _named_jobs("orphan", "a"),
+                    inner=OrphanInner(str(armed), str(holder)), spec=SPEC,
+                    workers=2,
+                )
+        finally:
+            finished.set()
+            watchdog.join(timeout=60.0)
+            release()
+        died_at = float(holder.read_text().split()[1])
+        retry = next(
+            r for r in rec.records
+            if r["type"] == "event" and r["name"] == "tile_retry"
+        )
+        assert (retry["tile"], retry["kind"]) == ("t0,0", "crash")
+        assert retry["t"] - died_at < 2.0
+        assert [o.attempts for o in outcomes] == [2, 1]
+        assert not outcomes[0].fallback
+        assert stats.pool_respawns == 1
+
+
 class MidSendInner(StubInner):
     """Stub inner whose ``big`` sub-shape, fractured in a pool worker
     while the ``armed`` marker file exists, yields 2,000 distinct shots
@@ -502,23 +737,22 @@ def _cut_large_sends(dies: bool) -> None:
     connection.Connection._send_bytes = cut
 
 
-def _managers() -> set:
-    from concurrent.futures.process import _ExecutorManagerThread
-
-    return {
-        t for t in threading.enumerate()
-        if isinstance(t, _ExecutorManagerThread)
-    }
+def _readers() -> set:
+    """The runner's reader threads now alive."""
+    return {t for t in threading.enumerate() if t.name == "runner-reader"}
 
 
-def _unblock(manager) -> None:
-    """End a manager thread blocked reading a result: kill its pool's
-    workers and close the parent's copy of the pipe's write end, so it
-    reads EOF.  A test calls this on failure, so that a blocked thread
-    cannot also hang interpreter exit."""
-    for proc in manager.processes.values():
+def _workers() -> set:
+    """This process's child processes now alive."""
+    return set(multiprocessing.active_children())
+
+
+def _rescue(before: set) -> None:
+    """Kill every child process not in ``before``: each runner reader
+    then reads EOF, and a run that missed a worker's death ends.  A test
+    calls this on failure, so that it still exits."""
+    for proc in _workers() - before:
         proc.kill()
-    manager.result_queue._writer.close()
 
 
 def _big_tile_jobs():
@@ -534,51 +768,49 @@ def _big_tile_jobs():
 
 class TestPoolTeardown:
     """A worker cut off half way through sending a large result leaves
-    the pool's manager thread blocked reading the rest: the pool never
-    reports the death, and interpreter exit, which joins that thread
-    without a bound, never ends."""
+    its reader thread blocked reading the rest: the runner must still
+    see the worker's end, and nothing of the worker may outlive the
+    run."""
 
     def test_killed_pool_leaves_no_manager_thread(self, tmp_path):
         """A deadline kill while a worker is stalled half way through
-        sending: the killed pool's manager thread still ends, so nothing
-        is left for interpreter exit to wait on; the tile retries to its
-        full result."""
+        sending: no worker process of the run and no reader thread is
+        left when the run returns; the tile retries to its full
+        result."""
         armed = tmp_path / "armed"
         armed.touch()
-        before = _managers()
+        before, readers = _workers(), _readers()
         try:
             outcomes, stats = run_tiles(
                 _big_tile_jobs(), inner=MidSendInner(str(armed)), spec=SPEC,
                 workers=2, policy=RuntimePolicy(tile_deadline_s=1.0),
             )
-            left = _managers() - before
             assert not armed.exists()  # the worker did stall
-            assert not left
+            assert not _workers() - before
+            assert not _readers() - readers
         finally:
-            for thread in _managers() - before:
-                _unblock(thread)
+            _rescue(before)
         assert len(outcomes[1].shots) == 2000
         assert (stats.tile_timeouts, stats.pool_respawns) == (1, 1)
 
     def test_worker_dying_mid_send_is_a_crash(self, tmp_path):
         """A worker that exits on its own half way through sending, with
-        no deadline set: the runner sees the dead worker itself, charges
-        the in-flight tiles a crash and retries them to the full result,
-        instead of waiting forever for futures that never settle."""
+        no deadline set: the runner sees the dead worker, charges its
+        tile a crash and retries it to the full result, instead of
+        waiting forever for the rest of the message."""
         armed = tmp_path / "armed"
         armed.touch()
-        before = _managers()
+        before, readers = _workers(), _readers()
         finished = threading.Event()
         rescued = threading.Event()
 
         def rescue():
             # Should the runner miss the death, nothing else would end
-            # the run: unblock the manager thread, so the pool breaks,
-            # the run returns and the assertion reports.
+            # the run: kill its workers, so the run returns and the
+            # assertion reports.
             if not finished.wait(30.0):
                 rescued.set()
-                for thread in _managers() - before:
-                    _unblock(thread)
+                _rescue(before)
 
         watchdog = threading.Thread(target=rescue, daemon=True)
         watchdog.start()
@@ -587,9 +819,12 @@ class TestPoolTeardown:
                 _big_tile_jobs(), inner=MidSendInner(str(armed), dies=True),
                 spec=SPEC, workers=2,
             )
+            assert not _workers() - before
+            assert not _readers() - readers
         finally:
             finished.set()
             watchdog.join(timeout=60.0)
+            _rescue(before)
         assert not rescued.is_set()
         assert not armed.exists()  # the worker did die
         assert len(outcomes[1].shots) == 2000

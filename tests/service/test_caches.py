@@ -332,3 +332,35 @@ class TestStoreHitsDoNotRasterize:
         batch = json.loads((tmp_path / "t.json").read_text())
         assert batch["manifest"]["mdp_batch"]["cache_hits"] == 2
         assert rasterized == []
+
+
+class TestJobClipRasters:
+    def test_no_clip_keeps_its_raster(self, tmp_path, monkeypatch):
+        """A daemon job reads each clip afresh, so a fractured clip's
+        raster is freed before the next clip is fractured."""
+        import weakref
+
+        import repro.service.executor as executor
+        from repro.fracture.base import Fracturer
+        from repro.methods import make_fracturer
+
+        inner = make_fracturer("partition")
+        rasters = []
+
+        class Watch(Fracturer):
+            name = "watch"
+
+            def fracture_shots(self, shape, spec):
+                assert all(ref() is None for ref in rasters)
+                rasters.append(weakref.ref(shape.inside))
+                return inner.fracture_shots(shape, spec)
+
+        monkeypatch.setattr(executor, "make_fracturer", lambda name: Watch())
+        clips = {
+            f"c{k}": [[0.0, 0.0], [40.0 + 10 * k, 0.0],
+                      [40.0 + 10 * k, 30.0], [0.0, 30.0]]
+            for k in range(5)
+        }
+        result, _counters = _job(tmp_path, None, "job-4a57e4", clips)
+        assert result["totals"]["clips"] == 5
+        assert len(rasters) == 5

@@ -50,6 +50,30 @@ class TestParser:
         with pytest.raises(SystemExit, match="--window-nm"):
             main(["fracture", "--clip", "ILT-1", "--tile-retries", "1"])
 
+    def test_job_submit_workers_requires_window(self, tmp_path, monkeypatch):
+        """A job's tile workers run only its tiled executor: without
+        --window-nm the flag is refused before the daemon is contacted."""
+        import repro.cli as cli
+
+        submitted = {}
+
+        class Client:
+            def submit(self, clips, **fields):
+                submitted.update(fields)
+                return "job-00000001"
+
+        monkeypatch.setattr(cli, "_service_client", lambda args: Client())
+        argv = ["job", "submit", "--state-dir", str(tmp_path), "--clip",
+                "ILT-1", "--workers", "2"]
+        with pytest.raises(SystemExit) as caught:
+            main(argv)
+        assert str(caught.value) == (
+            "--workers applies to the tiled executor; add --window-nm"
+        )
+        assert not submitted
+        assert main([*argv, "--window-nm", "300"]) == 0
+        assert submitted["tile_workers"] == 2
+
     @pytest.mark.parametrize("retries", ["0", "5"])
     @pytest.mark.parametrize(
         "command",
